@@ -14,6 +14,8 @@
 // ratio before applying the regression tolerance, so a uniformly slower
 // machine does not raise false alarms while a real slowdown in the decode or
 // solve paths — which moves cases but not the calibration — is flagged.
+// Calibration cannot scale across machine widths or matrix sizes, so
+// -compare refuses a baseline recorded at another CPU count or size.
 //
 // Usage:
 //
@@ -109,6 +111,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// Case names encode neither the matrix size nor the machine's width, so
+	// a baseline recorded at another size or CPU count would compare
+	// different workloads. Both are refused before the matrix runs.
+	var base *BenchReport
+	if *compare != "" {
+		braw, err := os.ReadFile(*compare)
+		if err != nil {
+			return fatal(err)
+		}
+		base = &BenchReport{}
+		if err := json.Unmarshal(braw, base); err != nil {
+			return fatal(fmt.Errorf("parsing baseline %s: %w", *compare, err))
+		}
+		if base.Quick != *quick {
+			return fatal(fmt.Errorf("baseline quick=%v but this run quick=%v; re-record the baseline at the same size", base.Quick, *quick))
+		}
+		if cpus := runtime.NumCPU(); base.CPUs != cpus {
+			return fatal(fmt.Errorf("baseline cpus=%d but this machine has %d; re-record the baseline on the machine that gates it", base.CPUs, cpus))
+		}
+	}
+
 	rep, err := runMatrix(*quick, *runs, stderr)
 	if err != nil {
 		return fatal(err)
@@ -125,21 +148,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatal(err)
 	}
 
-	if *compare != "" {
-		braw, err := os.ReadFile(*compare)
-		if err != nil {
-			return fatal(err)
-		}
-		var base BenchReport
-		if err := json.Unmarshal(braw, &base); err != nil {
-			return fatal(fmt.Errorf("parsing baseline %s: %w", *compare, err))
-		}
-		// Case names do not encode matrix size, so quick-vs-full comparisons
-		// would silently compare different workloads.
-		if base.Quick != rep.Quick {
-			return fatal(fmt.Errorf("baseline quick=%v but this run quick=%v; re-record the baseline at the same size", base.Quick, rep.Quick))
-		}
-		regs := compareReports(&base, rep, *tolerance)
+	if base != nil {
+		regs := compareReports(base, rep, *tolerance)
 		if len(regs) > 0 {
 			for _, r := range regs {
 				fmt.Fprintln(stderr, "scbench: REGRESSION:", r)

@@ -130,13 +130,12 @@ func TestMeasureSmoke(t *testing.T) {
 // TestRunCompareExitCodes drives the CLI end to end: a run compared against
 // its own report (slack tolerance) exits 0; compared against a doctored
 // baseline claiming everything used to be 100x faster — indistinguishable
-// from an injected 100x slowdown — it exits 1.
+// from an injected 100x slowdown — it exits 1; compared against a baseline
+// recorded on a machine with another CPU count it exits 2 before running
+// the matrix.
 func TestRunCompareExitCodes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the quick matrix twice")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation multiplies the quick matrix past the package timeout; the non-race cmd stage runs this end to end")
+		t.Skip("runs the quick matrix three times")
 	}
 	dir := t.TempDir()
 	out := dir + "/bench.json"
@@ -174,5 +173,20 @@ func TestRunCompareExitCodes(t *testing.T) {
 	}
 	if !strings.Contains(errBuf.String(), "REGRESSION") {
 		t.Fatalf("no REGRESSION lines in stderr:\n%s", errBuf.String())
+	}
+
+	rep.CPUs++
+	if draw, err = json.Marshal(&rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(doctored, draw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errBuf.Reset()
+	if code := run([]string{"-quick", "-runs", "1", "-compare", doctored}, io.Discard, &errBuf); code != 2 {
+		t.Fatalf("compare vs baseline from another CPU count exited %d, want 2\n%s", code, errBuf.String())
+	}
+	if msg := errBuf.String(); !strings.Contains(msg, "cpus=") || strings.Contains(msg, "scan/") {
+		t.Fatalf("want a cpus refusal before any case runs, got:\n%s", msg)
 	}
 }

@@ -2,7 +2,10 @@ package baseline
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -78,25 +81,54 @@ func TestMultiPassGreedy(t *testing.T) {
 	_ = opt
 }
 
+// TestMultiPassGreedyMatchesOfflineGreedySize is a property over random
+// instances: greedy-npass (Figure 1.1's streaming argmax, one pass per pick)
+// and greedy-1pass (offline.Greedy over the stored input) are independent
+// implementations of one trajectory — max gain per unit cost, ties to the
+// smallest ID — so they pick the same IDs in the same order, or both find
+// the instance infeasible.
 func TestMultiPassGreedyMatchesOfflineGreedySize(t *testing.T) {
-	// Streaming multi-pass greedy implements exactly offline greedy (both
-	// break ties toward the smallest set ID), so trajectories are identical.
-	repo, _ := plantedRepo(t, 200, 400, 5, 3)
-	st, err := MultiPassGreedy(repo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := OnePassGreedy(stream.NewSliceRepo(repo.Instance()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Cover) != len(one.Cover) {
-		t.Fatalf("multi-pass %d vs one-pass %d: identical tie-breaking should match", len(st.Cover), len(one.Cover))
-	}
-	for i := range st.Cover {
-		if st.Cover[i] != one.Cover[i] {
-			t.Fatalf("pick %d differs: %d vs %d", i, st.Cover[i], one.Cover[i])
+	check := func(label string, in *setcover.Instance) {
+		t.Helper()
+		multi, merr := MultiPassGreedy(stream.NewSliceRepo(in))
+		one, oerr := OnePassGreedy(stream.NewSliceRepo(in))
+		if merr != nil || oerr != nil {
+			if !errors.Is(merr, setcover.ErrInfeasible) || !errors.Is(oerr, setcover.ErrInfeasible) {
+				t.Fatalf("%s: greedy-npass err %v, greedy-1pass err %v", label, merr, oerr)
+			}
+			return
 		}
+		if !slices.Equal(multi.Cover, one.Cover) {
+			t.Fatalf("%s: greedy-npass picked %v, greedy-1pass %v", label, multi.Cover, one.Cover)
+		}
+	}
+	check("weightedTestInstance", weightedTestInstance(t))
+
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 300; i++ {
+		n, m := 1+rng.Intn(80), 1+rng.Intn(120)
+		in := &setcover.Instance{N: n, Sets: make([]setcover.Set, m)}
+		size := 1 + rng.Intn(n)
+		for j := range in.Sets {
+			for k := rng.Intn(size + 1); k > 0; k-- {
+				in.Sets[j].Elems = append(in.Sets[j].Elems, setcover.Elem(rng.Intn(n)))
+			}
+		}
+		in.Normalize()
+		kind := []string{"unweighted", "log-uniform", "small-integer"}[i%3]
+		switch kind {
+		case "log-uniform": // six orders of magnitude
+			in.Weights = make([]float64, m)
+			for j := range in.Weights {
+				in.Weights[j] = 1e-3 * math.Pow(1e6, rng.Float64())
+			}
+		case "small-integer": // exact ratio ties
+			in.Weights = make([]float64, m)
+			for j := range in.Weights {
+				in.Weights[j] = float64(1 + rng.Intn(4))
+			}
+		}
+		check(fmt.Sprintf("instance %d (%s)", i, kind), in)
 	}
 }
 

@@ -83,7 +83,14 @@ func TestFleetRequestIDEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts := httptest.NewServer(rt.Handler())
+	// The router logs a relay after the response's last byte has reached the
+	// client, so the log check waits for the handler to return. One buffer
+	// slot per request this test sends.
+	relayed := make(chan struct{}, 2)
+	rts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rt.Handler().ServeHTTP(w, r)
+		relayed <- struct{}{}
+	}))
 	defer rts.Close()
 
 	const fixedID = "fleet-e2e-req-42"
@@ -133,6 +140,7 @@ func TestFleetRequestIDEndToEnd(t *testing.T) {
 		t.Fatal("traced solve through router returned no pass breakdown")
 	}
 	// Router logged the relay under the same id.
+	<-relayed
 	cap.mu.Lock()
 	var relayID string
 	for _, r := range cap.records {

@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
+	"repro/internal/offline"
 	"repro/internal/setcover"
 	"repro/internal/stream"
 )
@@ -59,26 +60,16 @@ type Result struct {
 }
 
 // Greedy is the offline (1-1/e)-approximation: k rounds of maximum marginal
-// gain. Ties break toward the smaller set ID.
+// gain, ties toward the smaller set ID — offline.GreedyPicks with budget k,
+// unit costs and nothing covered yet.
 func Greedy(in *setcover.Instance, k int) (Result, error) {
 	if k < 0 {
 		return Result{}, fmt.Errorf("maxcover: negative budget %d", k)
 	}
-	uncovered := bitset.New(in.N)
-	uncovered.Fill()
 	var res Result
-	for round := 0; round < k; round++ {
-		bestGain, bestID := 0, -1
-		for _, s := range in.Sets {
-			if g := uncovered.IntersectionWithSlice(s.Elems); g > bestGain {
-				bestGain, bestID = g, s.ID
-			}
-		}
-		if bestID < 0 {
-			break // nothing left to gain
-		}
-		res.Sets = append(res.Sets, bestID)
-		res.Covered += uncovered.SubtractSlice(in.Sets[bestID].Elems)
+	for _, p := range offline.GreedyPicks(in.Sets, nil, bitset.New(in.N), k) {
+		res.Sets = append(res.Sets, p.ID)
+		res.Covered += len(p.Newly)
 	}
 	return res, nil
 }

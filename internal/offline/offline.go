@@ -8,11 +8,17 @@
 // branch-and-bound that is fast at the sub-instance sizes iterSetCover
 // produces and doubles as the OPT oracle for the Section 5/6 reduction
 // checks.
+//
+// GreedyPicks, the selection loop behind Greedy, is the repository's one
+// exact-greedy kernel: maxcover.Greedy and the scdyn dynamic solver call it
+// too (DESIGN.md §9).
 package offline
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -47,84 +53,175 @@ func (Greedy) Rho(n int) float64 {
 	return math.Log(float64(n)) + 1
 }
 
-// Solve implements Solver. It runs a lazy-decrement greedy: candidates are
-// kept sorted by stale cost-effectiveness (gain/weight — an upper bound,
-// since gains only shrink while weights are constant) and refreshed on
-// demand. Ties are broken toward the smallest set ID, which makes the
-// trajectory identical to a streaming greedy that scans sets in stream order
-// and keeps the first strict maximum.
-//
+// Solve implements Solver: the picks of GreedyPicks from an empty cover.
 // On weighted instances the pick rule is max cost-effectiveness (the classic
-// weighted greedy, ρ = H(n)); on unweighted instances every weight is 1 and
-// every comparison below collapses to the pure-gain integer comparison, so
-// the trajectory is byte-identical to the historical unweighted solver
-// (gains fit in int32, hence are exact in float64). All ratio comparisons
-// are done by cross-multiplication — gain·weight products, never divisions —
-// so there is no rounding in the unit-weight reduction.
+// weighted greedy, ρ = H(n)); on unweighted ones it is max marginal gain.
+// Ties go to the smallest set ID, which makes the trajectory identical to a
+// streaming greedy that scans sets in stream order and keeps the first
+// strict maximum.
 func (Greedy) Solve(in *setcover.Instance) ([]int, error) {
-	uncovered := bitset.New(in.N)
-	uncovered.Fill()
-	remaining := in.N
-
-	// Entries sorted by (stale gain/weight desc, ID asc), lazily re-evaluated.
-	type entry struct {
-		gain int
-		id   int
-		w    float64
-	}
-	cands := make([]entry, 0, len(in.Sets))
-	for _, s := range in.Sets {
-		if len(s.Elems) > 0 {
-			cands = append(cands, entry{gain: len(s.Elems), id: s.ID, w: in.Weight(s.ID)})
-		}
-	}
-	less := func(i, j int) bool {
-		gi, gj := float64(cands[i].gain)*cands[j].w, float64(cands[j].gain)*cands[i].w
-		if gi != gj {
-			return gi > gj
-		}
-		return cands[i].id < cands[j].id
-	}
-	sort.Slice(cands, less)
-
+	covered := bitset.New(in.N)
 	var cover []int
-	for remaining > 0 {
-		// Find the fresh maximum (smallest ID on ties), refreshing stale
-		// ratios as we go. A stale ratio strictly below the incumbent ends
-		// the scan: gains only decrease, so no later entry can win. Stale
-		// ratios equal to the incumbent must still be refreshed for ID
-		// tie-breaking. bestW starts at 1 so the first productive candidate
-		// beats the empty incumbent (gain·1 > 0·w).
-		best, bestGain := -1, 0
-		bestW := 1.0
-		for i := 0; i < len(cands); i++ {
-			e := &cands[i]
-			stale, incumbent := float64(e.gain)*bestW, float64(bestGain)*e.w
-			if stale < incumbent || (stale == incumbent && best >= 0 && e.id > cands[best].id) {
-				if stale < incumbent {
-					break
-				}
-				continue
-			}
-			fresh := uncovered.IntersectionWithSlice(in.Sets[e.id].Elems)
-			e.gain = fresh
-			fr, inc := float64(fresh)*bestW, float64(bestGain)*e.w
-			if fr > inc || (fr == inc && best >= 0 && fresh > 0 && e.id < cands[best].id) {
-				bestGain = fresh
-				bestW = e.w
-				best = i
-			}
-		}
-		if best < 0 || bestGain == 0 {
-			return nil, setcover.ErrInfeasible
-		}
-		id := cands[best].id
-		cover = append(cover, id)
-		remaining -= uncovered.SubtractSlice(in.Sets[id].Elems)
-		cands[best].gain = 0
-		sort.Slice(cands, less)
+	for _, p := range GreedyPicks(in.Sets, in.Weights, covered, len(in.Sets)) {
+		cover = append(cover, p.ID)
+	}
+	if covered.Count() < in.N {
+		return nil, setcover.ErrInfeasible
 	}
 	return cover, nil
+}
+
+// Pick is one selection of a greedy trace. Its marginal gain is len(Newly).
+type Pick struct {
+	ID int
+	// Newly lists the elements of the set that no earlier pick covered.
+	Newly []setcover.Elem
+}
+
+// GreedyPicks is the repository's exact-greedy selection loop. Starting from
+// the elements already in covered, it repeatedly picks the set of maximum
+// cost-effectiveness gain/w, ties to the smallest ID, until no set gains
+// anything or budget picks are made. It returns the picks in order and
+// leaves their elements set in covered.
+//
+// sets[id] is the set with ID id (its ID field is not read); a set with no
+// elements is absent. weights[id] is its cost, and nil means unit costs.
+// Ratios are compared by cross-multiplication, g₁·w₂ against g₂·w₁, never by
+// division, so unit weights reduce exactly to the pure-gain comparison.
+//
+// This is density-level greedy (SNIPPETS.md Snippet 3). Gains stay exact: a
+// CSR index maps each uncovered element to the sets containing it, and a
+// pick decrements the gain of every set holding one of its newly covered
+// elements, so a selection round reads cached integers and never walks a
+// set. Each set waits in the bucket of its level ⌊log₂(gain/w)⌋. Gains only
+// decay, so a set's true level never exceeds its bucket's; a round scans the
+// top bucket alone, sinking the sets that decayed below it, and every set in
+// a lower bucket has a strictly smaller ratio than every set left on top.
+func GreedyPicks(sets []setcover.Set, weights []float64, covered *bitset.Bitset, budget int) []Pick {
+	if !slices.ContainsFunc(weights, func(w float64) bool { return w != 1 }) {
+		weights = nil
+	}
+	// level is the exact ⌊log₂(g/w)⌋, the largest l with g ≥ w·2^l: with
+	// g = fg·2^eg and w = fw·2^ew (mantissas in [½, 1)), g/w lies in
+	// [2^(eg-ew), 2^(eg-ew+1)) exactly when fg ≥ fw.
+	level := func(id int, g int32) int {
+		if weights == nil {
+			return bits.Len32(uint32(g)) - 1
+		}
+		fg, eg := math.Frexp(float64(g))
+		fw, ew := math.Frexp(weights[id])
+		if fg < fw {
+			return eg - ew - 1
+		}
+		return eg - ew
+	}
+	gains := make([]int32, len(sets))
+	// beats reports whether set a has a better ratio than set b.
+	beats := func(a, b int32) bool {
+		x, y := float64(gains[a]), float64(gains[b])
+		if weights != nil {
+			x, y = x*weights[b], y*weights[a]
+		}
+		return x > y || x == y && a < b
+	}
+
+	// The index holds only uncovered incidences: a decrement can only come
+	// from an element a later pick covers. It is built in two passes, count
+	// then fill, so it costs one int32 per incidence and nothing more. The
+	// count pass leaves start[e] at the end of e's range and the fill pass
+	// counts it back down, so index[start[e]:start[e+1]] lists the sets
+	// holding e.
+	n := covered.Len()
+	start := make([]int32, n+1)
+	for id, s := range sets {
+		for _, e := range s.Elems {
+			if !covered.Test(int(e)) {
+				gains[id]++
+				start[e]++
+			}
+		}
+	}
+	for e := 1; e <= n; e++ {
+		start[e] += start[e-1]
+	}
+	index := make([]int32, start[n])
+	for id, s := range sets {
+		if gains[id] == 0 {
+			continue
+		}
+		for _, e := range s.Elems {
+			if !covered.Test(int(e)) {
+				start[e]--
+				index[start[e]] = int32(id)
+			}
+		}
+	}
+
+	// buckets[b] holds sets at level lo+b. A set's level bottoms out at
+	// gain 1, so lo is the lowest level any set can reach.
+	lo, hi := math.MaxInt, math.MinInt
+	for id, g := range gains {
+		if g > 0 {
+			lo, hi = min(lo, level(id, 1)), max(hi, level(id, g))
+		}
+	}
+	var buckets [][]int32
+	if lo <= hi {
+		buckets = make([][]int32, hi-lo+1)
+	}
+	for id, g := range gains {
+		if g > 0 {
+			b := level(id, g) - lo
+			buckets[b] = append(buckets[b], int32(id))
+		}
+	}
+
+	var picks []Pick
+	top := len(buckets) - 1
+	for len(picks) < budget {
+		for top >= 0 && len(buckets[top]) == 0 {
+			top--
+		}
+		if top < 0 {
+			break // no set gains anything
+		}
+		// Drop dead sets (a picked set has gain 0), sink decayed ones, and
+		// take the best ratio among the sets still at the top level.
+		stay := buckets[top][:0]
+		best := int32(-1)
+		for _, id := range buckets[top] {
+			g := gains[id]
+			if g == 0 {
+				continue
+			}
+			if b := level(int(id), g) - lo; b < top {
+				buckets[b] = append(buckets[b], id)
+				continue
+			}
+			stay = append(stay, id)
+			if best < 0 || beats(id, best) {
+				best = id
+			}
+		}
+		buckets[top] = stay
+		if best < 0 {
+			continue // the bucket drained downward
+		}
+		newly := make([]setcover.Elem, 0, gains[best])
+		for _, e := range sets[best].Elems {
+			if !covered.Test(int(e)) {
+				covered.Set(int(e))
+				newly = append(newly, e)
+			}
+		}
+		for _, e := range newly {
+			for _, id := range index[start[e]:start[e+1]] {
+				gains[id]--
+			}
+		}
+		picks = append(picks, Pick{ID: int(best), Newly: newly})
+	}
+	return picks
 }
 
 // Exact is an optimal branch-and-bound solver (ρ = 1). Worst case is

@@ -32,6 +32,11 @@
 // The log decoder is a trust boundary with the same posture as the SCB1 and
 // SCWT parsers: bounded varints, capped preallocation, and a fuzz test
 // (FuzzDeltaLog) that holds the no-panic/no-OOM line.
+//
+// The dyn solver (Solve, Solver) keeps an in-memory mirror of the family and
+// its greedy trace. After a mutation it truncates the trace to the prefix no
+// record can disturb and resumes offline.GreedyPicks, the repository's one
+// exact-greedy kernel, from there.
 package scdyn
 
 import (

@@ -2,26 +2,22 @@ package scdyn
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
+	"repro/internal/offline"
 	"repro/internal/setcover"
 	"repro/internal/stream"
 )
 
 // The dynamic solver ("dyn" on the wire) maintains an EXACT greedy cover —
 // max marginal gain, ties to the smallest set ID — under append/tombstone
-// mutations, in the density-level style of dynamic-rms (SNIPPETS.md
-// Snippet 3): candidate sets live in buckets keyed by the bit-length of
-// their marginal gain, gains only decay, and a selection round scans just
-// the top bucket. Gains themselves are kept exact by decrementing through an
-// element→sets inverted index as elements get covered, so the scan is pure
-// integer reads. The exactness argument is the bucket invariant (an entry's
-// bucket level never understates its true gain, so once decayed entries are
-// sunk out of the top bucket, everything below it is strictly dominated).
+// mutations. The selection loop is offline.GreedyPicks, the repository's one
+// exact-greedy kernel; this package adds the in-memory mirror of the family,
+// the selection trace, and the replay that decides how much of the trace a
+// mutation batch leaves standing.
 //
 // Incrementality comes from prefix-stable replay rather than patching the
 // cover in place: a greedy trace step t survives a delta batch iff no record
@@ -36,40 +32,32 @@ import (
 //     largest, so ties lose to the incumbent).
 //
 // The stable prefix is the minimum over all records; the solver truncates
-// the trace there and lets the ordinary greedy loop finish the job. Because
-// the resumed loop is the same code as the from-scratch loop, incremental
-// and full solves agree by construction — the conformance suite then pins
-// that equality across backends and engine settings. When a batch dirties
-// more than FallbackDirtyFraction of the family the prefix analysis is
-// skipped (t* = 0): still no stream pass, just a fresh greedy over the
+// the trace there and lets the kernel resume from the prefix's coverage.
+// Because the resumed loop is the same code as the from-scratch loop,
+// incremental and full solves agree by construction — the conformance suite
+// then pins that equality across backends and engine settings. When a batch
+// dirties more than fallbackDirtyFraction of the family the prefix analysis
+// is skipped (t* = 0): still no stream pass, just a fresh greedy over the
 // in-memory mirror.
 
-// DefaultFallbackDirtyFraction is the dirty-fraction threshold above which
-// EnsureAt skips prefix analysis and re-runs greedy from scratch over the
-// mirror (DESIGN.md §11).
-const DefaultFallbackDirtyFraction = 0.2
+// fallbackDirtyFraction is the dirty-fraction threshold above which EnsureAt
+// skips prefix analysis and re-runs greedy from scratch over the mirror
+// (DESIGN.md §11).
+const fallbackDirtyFraction = 0.2
 
 // AlgorithmName is the Stats.Algorithm / wire name of this solver.
 const AlgorithmName = "dyn"
-
-// step is one selection of the greedy trace.
-type step struct {
-	id    int
-	gain  int             // marginal gain at selection time
-	newly []setcover.Elem // elements this selection newly covered
-}
 
 // coreState is the from-scratch/resumable greedy machine: the in-memory
 // mirror of the family plus the selection trace. It is shared by the
 // stateless Solve and the stateful Solver.
 type coreState struct {
-	n            int
-	sets         [][]setcover.Elem // index = set ID; nil = tombstoned/empty
-	steps        []step
-	stepOf       map[int]int // set ID -> index in steps
-	covered      *bitset.Bitset
-	coveredCount int
-	valid        bool
+	n       int
+	sets    []setcover.Set // index = set ID; tombstoned sets have no elements
+	steps   []offline.Pick
+	stepOf  map[int]int // set ID -> index in steps
+	covered *bitset.Bitset
+	valid   bool
 }
 
 func newCoreState(n int) *coreState {
@@ -81,153 +69,24 @@ func newCoreState(n int) *coreState {
 // setting — the whole determinism story of the incremental path rests on
 // that line. Elements are copied: batch slices belong to the engine.
 func (c *coreState) ingest(repo stream.Repository, eng engine.Options) error {
-	c.sets = make([][]setcover.Elem, repo.NumSets())
+	c.sets = make([]setcover.Set, repo.NumSets())
 	return engine.New(eng).Run(repo, engine.Func(func(batch []setcover.Set) {
 		for _, s := range batch {
-			if len(s.Elems) == 0 {
-				continue // tombstoned or empty: keep nil
-			}
-			c.sets[s.ID] = append([]setcover.Elem(nil), s.Elems...)
+			c.sets[s.ID] = setcover.Set{ID: s.ID, Elems: append([]setcover.Elem(nil), s.Elems...)}
 		}
 	}))
 }
 
-// greedy runs the density-level greedy loop from the current trace until
-// the universe is covered or no set has positive gain. It never rolls
-// anything back, so calling it after a truncated trace IS the incremental
-// re-solve.
-//
-// Gains are EXACT at all times, maintained by decrement through an
-// element→sets inverted index: when a selection newly covers element e,
-// precisely the unselected sets containing e lose one unit of gain. A
-// selection round therefore reads cached integers — it never walks a set's
-// elements — which is what makes replaying the low-gain tail of a truncated
-// trace cheap (the tail is where level buckets are widest).
+// greedy runs the kernel from the current trace until the universe is
+// covered or no set has positive gain. A set the trace already selected has
+// every element covered, so its gain is 0 and the kernel never picks it
+// again: calling greedy after a truncated trace IS the incremental re-solve.
 func (c *coreState) greedy() {
-	// Build the exact gains and the inverted index over the candidate sets.
-	// The index holds only UNCOVERED elements (a decrement can only ever
-	// originate from an element that gets covered later) and is laid out
-	// CSR-style — one flat id array plus per-element offsets. A single
-	// covered-test walk records the live incidences into a pair buffer; a
-	// counting sort then lays them out by element, so the expensive bitset
-	// probes happen exactly once per incidence.
-	gains := make([]int, len(c.sets))
-	selected := make([]bool, len(c.sets))
-	for id := range c.stepOf {
-		selected[id] = true
+	for _, p := range offline.GreedyPicks(c.sets, nil, c.covered, len(c.sets)) {
+		c.stepOf[p.ID] = len(c.steps)
+		c.steps = append(c.steps, p)
 	}
-	type inc struct {
-		e  setcover.Elem
-		id int32
-	}
-	var buf []inc
-	for id, elems := range c.sets {
-		if elems == nil || selected[id] {
-			continue
-		}
-		g := 0
-		for _, e := range elems {
-			if !c.covered.Test(int(e)) {
-				g++
-				buf = append(buf, inc{e, int32(id)})
-			}
-		}
-		gains[id] = g
-	}
-	offs := make([]int32, c.n+1)
-	for _, p := range buf {
-		offs[p.e+1]++
-	}
-	for i := 1; i <= c.n; i++ {
-		offs[i] += offs[i-1]
-	}
-	flat := make([]int32, len(buf))
-	cur := make([]int32, c.n)
-	copy(cur, offs[:c.n])
-	for _, p := range buf {
-		flat[cur[p.e]] = p.id
-		cur[p.e]++
-	}
-
-	// Bucket l holds candidate IDs pushed when bits.Len(gain) == l. Gains
-	// only decay, so an entry's true level never exceeds its bucket — the
-	// top-bucket scan moves decayed entries down lazily and what remains is
-	// exactly the sets at the top level.
-	var buckets [33][]int
-	top := 0
-	push := func(id, g int) {
-		l := bits.Len(uint(g))
-		buckets[l] = append(buckets[l], id)
-		if l > top {
-			top = l
-		}
-	}
-	for id, g := range gains {
-		if g > 0 {
-			push(id, g)
-		}
-	}
-
-	for c.coveredCount < c.n {
-		for top > 0 && len(buckets[top]) == 0 {
-			top--
-		}
-		if top == 0 {
-			break // no positive gain anywhere: infeasible residual
-		}
-		// Scan the top bucket: drop dead entries, sink decayed ones, and
-		// take the max gain (ties to the smallest ID) from what remains.
-		// Everything in lower buckets has gain below the level floor and is
-		// dominated.
-		cand := buckets[top][:0]
-		bestID, bestGain := -1, 0
-		for _, id := range buckets[top] {
-			g := gains[id]
-			if g == 0 {
-				continue // decayed to nothing, or selected
-			}
-			if l := bits.Len(uint(g)); l < top {
-				buckets[l] = append(buckets[l], id)
-				continue
-			}
-			cand = append(cand, id)
-			if g > bestGain || (g == bestGain && id < bestID) {
-				bestID, bestGain = id, g
-			}
-		}
-		buckets[top] = cand
-		if bestID < 0 {
-			continue // bucket drained downward; find the new top
-		}
-		// Select bestID: record the step, then charge every overlapping
-		// candidate exactly once per newly covered element.
-		newly := make([]setcover.Elem, 0, bestGain)
-		for _, e := range c.sets[bestID] {
-			if !c.covered.Test(int(e)) {
-				c.covered.Set(int(e))
-				newly = append(newly, e)
-			}
-		}
-		c.coveredCount += len(newly)
-		c.stepOf[bestID] = len(c.steps)
-		c.steps = append(c.steps, step{id: bestID, gain: bestGain, newly: newly})
-		gains[bestID] = 0
-		keep := buckets[top][:0]
-		for _, id := range buckets[top] {
-			if id != bestID {
-				keep = append(keep, id)
-			}
-		}
-		buckets[top] = keep
-		for _, e := range newly {
-			for _, tid := range flat[offs[e]:offs[e+1]] {
-				if gains[tid] > 0 {
-					gains[tid]--
-				}
-			}
-		}
-	}
-	c.valid = c.coveredCount == c.n
+	c.valid = c.covered.Count() == c.n
 }
 
 // truncate rewinds the trace to its first t steps and rebuilds coverage.
@@ -237,14 +96,12 @@ func (c *coreState) truncate(t int) {
 	}
 	c.steps = c.steps[:t]
 	c.covered = bitset.New(c.n)
-	c.coveredCount = 0
 	c.stepOf = make(map[int]int, t)
 	for i, st := range c.steps {
-		c.stepOf[st.id] = i
-		for _, e := range st.newly {
+		c.stepOf[st.ID] = i
+		for _, e := range st.Newly {
 			c.covered.Set(int(e))
 		}
-		c.coveredCount += len(st.newly)
 	}
 	c.valid = false
 }
@@ -278,7 +135,7 @@ func (c *coreState) stablePrefix(recs []Rec) int {
 					elemStep[i] = -1
 				}
 				for i, st := range c.steps {
-					for _, e := range st.newly {
+					for _, e := range st.Newly {
 						elemStep[e] = int32(i)
 					}
 				}
@@ -304,7 +161,7 @@ func (c *coreState) stablePrefix(recs []Rec) int {
 				// are non-increasing, so the first step it strictly beats is
 				// the first with a recorded gain below g.
 				i := start + sort.Search(end-start, func(j int) bool {
-					return c.steps[start+j].gain < g
+					return len(c.steps[start+j].Newly) < g
 				})
 				if i < end {
 					t = i
@@ -332,16 +189,12 @@ func (c *coreState) apply(recs []Rec) error {
 			if rec.ID != len(c.sets) {
 				return fmt.Errorf("scdyn: append record id %d, mirror has %d sets", rec.ID, len(c.sets))
 			}
-			elems := rec.Elems
-			if len(elems) == 0 {
-				elems = nil
-			}
-			c.sets = append(c.sets, elems)
+			c.sets = append(c.sets, setcover.Set{ID: rec.ID, Elems: rec.Elems})
 		case OpTombstone:
 			if rec.ID < 0 || rec.ID >= len(c.sets) {
 				return fmt.Errorf("scdyn: tombstone record id %d out of [0, %d)", rec.ID, len(c.sets))
 			}
-			c.sets[rec.ID] = nil
+			c.sets[rec.ID].Elems = nil
 		default:
 			return fmt.Errorf("scdyn: unknown record kind %d", byte(rec.Kind))
 		}
@@ -357,12 +210,12 @@ func (c *coreState) apply(recs []Rec) error {
 func (c *coreState) stats(passes, reused int) setcover.Stats {
 	cover := make([]int, 0, len(c.steps))
 	for _, st := range c.steps {
-		cover = append(cover, st.id)
+		cover = append(cover, st.ID)
 	}
 	sort.Ints(cover)
 	total := 0
 	for _, s := range c.sets {
-		total += len(s)
+		total += len(s.Elems)
 	}
 	return setcover.Stats{
 		Algorithm: AlgorithmName,
@@ -399,8 +252,6 @@ func Solve(repo stream.Repository, eng engine.Options) (setcover.Stats, error) {
 type Solver struct {
 	mu sync.Mutex
 	r  *Repo
-	// FallbackDirtyFraction overrides DefaultFallbackDirtyFraction when > 0.
-	FallbackDirtyFraction float64
 
 	core   *coreState
 	gen    int
@@ -456,13 +307,9 @@ func (s *Solver) EnsureAt(gen int, eng engine.Options) (st setcover.Stats, incre
 	if rerr != nil {
 		return setcover.Stats{}, false, rerr
 	}
-	threshold := s.FallbackDirtyFraction
-	if threshold <= 0 {
-		threshold = DefaultFallbackDirtyFraction
-	}
 	c := s.core
 	tStar := 0
-	if m := len(c.sets); m == 0 || float64(len(recs))/float64(m) <= threshold {
+	if m := len(c.sets); m == 0 || float64(len(recs))/float64(m) <= fallbackDirtyFraction {
 		tStar = c.stablePrefix(recs)
 	}
 	c.truncate(tStar)

@@ -225,8 +225,10 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
-// TestFallbackPathMatches forces the dirty-fraction fallback (t* = 0) and
-// checks it still agrees with the full solve.
+// TestFallbackPathMatches trips the dirty-fraction fallback (t* = 0) with
+// one record more than the threshold allows, and checks it still agrees
+// with the full solve. The appended sets are too small to beat step 0's
+// recorded gain, so the fallback is the only reason no prefix is reused.
 func TestFallbackPathMatches(t *testing.T) {
 	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 500, M: 70, K: 7, Seed: 21})
 	if err != nil {
@@ -234,12 +236,25 @@ func TestFallbackPathMatches(t *testing.T) {
 	}
 	r := mustOpen(t, writeBase(t, in))
 	solver := NewSolver(r)
-	solver.FallbackDirtyFraction = 1e-9 // any batch trips the fallback
 	if _, _, err := solver.EnsureAt(0, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.AppendSet([]setcover.Elem{0, 250, 499}); err != nil {
+	ops := make([]Op, int(fallbackDirtyFraction*float64(in.M()))+1)
+	for i := range ops {
+		ops[i] = Op{Kind: OpAppend, Elems: []setcover.Elem{setcover.Elem(i), setcover.Elem(250 + i), 499}}
+	}
+	if step0 := len(solver.core.steps[0].Newly); step0 <= 3 {
+		t.Fatalf("step 0 gained %d; the 3-element appends must not beat it", step0)
+	}
+	if _, err := r.Apply(ops); err != nil {
 		t.Fatal(err)
+	}
+	recs, err := r.Records(0, r.Generation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tStar := solver.core.stablePrefix(recs); tStar == 0 {
+		t.Fatal("the appends disturb step 0 without the fallback")
 	}
 	st, inc, err := solver.EnsureAt(r.Generation(), engine.Options{})
 	if err != nil {
