@@ -134,8 +134,7 @@ func NewSequentialFuncRepository(n, m int, gen func(id int) Set) *FuncRepo {
 // live instead of the whole family; on indexed files with Workers > 1 the
 // pass engine decodes each pass on several goroutines (segmented decode).
 // Close it when done. A truncated or corrupt file fails loudly: the solve
-// entry points and VerifyCover return the decode error of the pass that hit
-// it (DiskRepo.Err is only a sticky first-failure diagnostic).
+// entry points and VerifyCover return the decode error of the pass that hit it.
 func OpenFile(path string, opts ...OpenOption) (*DiskRepo, error) {
 	return scdisk.Open(path, opts...)
 }

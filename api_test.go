@@ -128,8 +128,7 @@ func TestPublicAPITruncatedFileFailsLoudly(t *testing.T) {
 
 // VerifyCover over a healthy disk repository reports full coverage for a
 // real cover and no error — and still works after a failed pass on the same
-// repository (pass errors are scoped per pass; DiskRepo.Err stays sticky for
-// diagnostics only).
+// repository (pass errors are scoped per pass).
 func TestPublicAPIVerifyCoverDisk(t *testing.T) {
 	in, plantedIDs, _, err := Planted(PlantedConfig{N: 300, M: 600, K: 6, Seed: 1})
 	if err != nil {

@@ -96,9 +96,10 @@ func BenchmarkDiskRepoPass(b *testing.B) {
 	b.ResetTimer()
 	totalSets := 0
 	for i := 0; i < b.N; i++ {
-		sets, _ := drainPass(d.Begin(), 256, nil)
+		it := d.Begin()
+		sets, _ := drainPass(it, 256, nil)
 		if sets != benchM {
-			b.Fatalf("pass saw %d of %d sets (err: %v)", sets, benchM, d.Err())
+			b.Fatalf("pass saw %d of %d sets (err: %v)", sets, benchM, stream.ReaderErr(it))
 		}
 		totalSets += sets
 	}
@@ -195,7 +196,8 @@ func TestDiskRepoPassMemoryBound(t *testing.T) {
 	baseline := ms.HeapAlloc
 
 	var peak uint64
-	sets, elems := drainPass(d.Begin(), 256, func(batches int) {
+	it := d.Begin()
+	sets, elems := drainPass(it, 256, func(batches int) {
 		if batches%64 != 0 {
 			return
 		}
@@ -205,7 +207,7 @@ func TestDiskRepoPassMemoryBound(t *testing.T) {
 			peak = ms.HeapAlloc
 		}
 	})
-	if err := d.Err(); err != nil {
+	if err := stream.ReaderErr(it); err != nil {
 		t.Fatal(err)
 	}
 	if sets != benchM {

@@ -2,6 +2,7 @@ package scdisk
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/setcover"
@@ -19,7 +20,10 @@ import (
 //     sequential pass yields, or fail — it must never silently diverge
 //     (seeking with a wrong index would decode garbage mid-set);
 //   - a file that opens must also drain without panicking, with any decode
-//     failure surfacing through the reader error, not a short healthy pass.
+//     failure surfacing through the reader error, not a short healthy pass;
+//   - a positional-read pass whose window starts at one byte — so every set
+//     goes through the window's slide-and-grow refill — yields exactly the
+//     byte-backed stream, failing where it fails with the same error.
 //
 // The seed corpus covers a valid indexed file, a valid plain file, and the
 // empty input; the fuzzer mutates from there into the interesting middle
@@ -55,8 +59,9 @@ func FuzzNewRepo(f *testing.F) {
 		}
 		// Sequential drain: must terminate (the reader is bounded by m and
 		// the section size) and never panic. The byte-backed repo decodes the
-		// same bytes through setcover.DecodeSetBytes — it must agree with the
-		// buffered path on acceptance and, when both are healthy, set for set.
+		// same bytes from its mapped span — it must agree with the
+		// positional-read path on acceptance and, when both are healthy, set
+		// for set.
 		seq, seqErr := drainSeq(d)
 		bseq, bseqErr := drainSeq(db)
 		if (seqErr == nil) != (bseqErr == nil) {
@@ -65,6 +70,13 @@ func FuzzNewRepo(f *testing.F) {
 		if seqErr == nil {
 			compareStreams(t, "byte-backed sequential", seq, bseq)
 		}
+		small := d.Begin().(*reader)
+		small.win = make([]byte, 0, 1)
+		sseq, sseqErr := drainReader(small)
+		if fmt.Sprint(sseqErr) != fmt.Sprint(bseqErr) {
+			t.Fatalf("one-byte window and byte-backed pass fail differently: %v vs %v", sseqErr, bseqErr)
+		}
+		compareStreams(t, "one-byte window", bseq, sseq)
 
 		if !d.HasIndex() {
 			return
@@ -109,9 +121,11 @@ func fixedChunks(m, chunk int) []int {
 }
 
 // drainSeq copies out a full sequential pass.
-func drainSeq(d *Repo) ([]setcover.Set, error) {
+func drainSeq(d *Repo) ([]setcover.Set, error) { return drainReader(d.Begin()) }
+
+// drainReader copies out every set a reader yields.
+func drainReader(it stream.Reader) ([]setcover.Set, error) {
 	var seq []setcover.Set
-	it := d.Begin()
 	for {
 		s, ok := it.Next()
 		if !ok {

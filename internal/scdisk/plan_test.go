@@ -3,6 +3,7 @@ package scdisk
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -226,46 +227,37 @@ func TestOpenReadOnlyMmap(t *testing.T) {
 		t.Fatal("metadata differs between read paths")
 	}
 
-	// Streams must agree set for set — including from a mid-stream seek.
-	for _, start := range []int{0, in.M() / 2} {
-		rp, err := plain.BeginAt(start)
-		if err != nil {
-			t.Fatal(err)
+	// Streams must agree set for set.
+	rp, rm := plain.Begin(), mapped.Begin()
+	for {
+		sp, okp := rp.Next()
+		sm, okm := rm.Next()
+		if okp != okm {
+			t.Fatal("streams end at different positions")
 		}
-		rm, err := mapped.BeginAt(start)
-		if err != nil {
-			t.Fatal(err)
+		if !okp {
+			break
 		}
-		for {
-			sp, okp := rp.Next()
-			sm, okm := rm.Next()
-			if okp != okm {
-				t.Fatalf("start=%d: streams end at different positions", start)
-			}
-			if !okp {
-				break
-			}
-			if sp.ID != sm.ID || len(sp.Elems) != len(sm.Elems) {
-				t.Fatalf("start=%d: set %d diverges between read paths", start, sp.ID)
-			}
-			for i := range sp.Elems {
-				if sp.Elems[i] != sm.Elems[i] {
-					t.Fatalf("start=%d set %d: elem %d diverges", start, sp.ID, i)
-				}
+		if sp.ID != sm.ID || len(sp.Elems) != len(sm.Elems) {
+			t.Fatalf("set %d diverges between read paths", sp.ID)
+		}
+		for i := range sp.Elems {
+			if sp.Elems[i] != sm.Elems[i] {
+				t.Fatalf("set %d: elem %d diverges", sp.ID, i)
 			}
 		}
-		if err := stream.ReaderErr(rp); err != nil {
-			t.Fatal(err)
-		}
-		if err := stream.ReaderErr(rm); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := stream.ReaderErr(rp); err != nil {
+		t.Fatal(err)
+	}
+	if err := stream.ReaderErr(rm); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// The byte path must enforce the same span verification segments get on the
-// buffered path: an index whose interior boundary lies (total preserved)
-// must fail the pass, never decode garbage mid-set.
+// Both backends must enforce the segment span check: an index whose interior
+// boundary lies (total preserved) must fail the pass, never decode garbage
+// mid-set, and a span with bytes left after its last set must fail too.
 func TestByteBackedSegmentSpanVerify(t *testing.T) {
 	in := testInstance(t)
 	var buf bytes.Buffer
@@ -291,5 +283,34 @@ func TestByteBackedSegmentSpanVerify(t *testing.T) {
 	}
 	if stream.ReaderErr(r) == nil {
 		t.Fatal("lying interior boundary decoded cleanly on the byte path")
+	}
+
+	// A span that ends one byte past set 11 decodes both sets cleanly and
+	// must then fail the span check — on both backends.
+	for name, open := range map[string]func([]byte) (*Repo, error){
+		"readat": func(b []byte) (*Repo, error) { return NewRepo(bytes.NewReader(b), int64(len(b))) },
+		"bytes":  NewRepoBytes,
+	} {
+		d, err := open(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.offs[12]++
+		src, ok := d.BeginSegmented()
+		if !ok {
+			t.Fatalf("%s: BeginSegmented declined", name)
+		}
+		r := src.Segment(10, 12)
+		sets := 0
+		for {
+			if _, ok := r.Next(); !ok {
+				break
+			}
+			sets++
+		}
+		err = stream.ReaderErr(r)
+		if sets != 2 || err == nil || !strings.Contains(err.Error(), "index span mismatch") {
+			t.Fatalf("%s: overlong span gave %d sets and err %v, want 2 sets then a span mismatch", name, sets, err)
+		}
 	}
 }

@@ -3,12 +3,15 @@ package scdisk
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,14 +19,14 @@ import (
 	"repro/internal/stream"
 )
 
-// readerBufSize is the bufio window each pass reads the file through: large
-// enough that a sequential scan issues few syscalls, small enough that
-// concurrent passes stay cheap.
+// readerBufSize caps the first decode window of a sequential pass on the
+// positional-read path: large enough that a scan issues few ReadAt calls,
+// small enough that concurrent passes stay cheap.
 const readerBufSize = 256 << 10
 
-// segBufSize is the bufio window of one segmented-pass chunk reader: chunks
-// are a few hundred sets (~tens of KB), so a smaller window than a full
-// sequential pass gets, pooled and reused across chunks.
+// segBufSize caps the first decode window of one segmented-pass chunk reader:
+// chunks are a few hundred sets (~tens of KB), so a smaller window than a
+// full sequential pass gets, pooled and reused across chunks.
 const segBufSize = 64 << 10
 
 // maxPooledElems caps the recycle pool so a burst of passes cannot pin
@@ -40,7 +43,7 @@ const maxPooledElemCap = 64 << 10
 
 // Repo is the disk-backed stream.Repository: a pass-counted, read-only view
 // of an SCB1 file. Every Begin starts an independent sequential decode of the
-// file — concurrent passes each own their buffered window over the shared
+// file — concurrent passes each own their decode window over the shared
 // io.ReaderAt — and a pass keeps only the sets currently in flight resident.
 //
 // Repo additionally implements stream.BatchReader (batched decode straight
@@ -58,10 +61,9 @@ type Repo struct {
 	dataOff int64
 
 	// data is the whole file image when the repository is byte-backed (mmap
-	// or NewRepoBytes): readers decode straight out of it with
-	// setcover.DecodeSetBytes instead of pulling bytes through a bufio window
-	// — no per-byte interface calls, no copy into a read buffer. nil on the
-	// positional-read path.
+	// or NewRepoBytes): a reader's window is its span of data itself, so
+	// nothing is copied and no refill ever happens. nil on the positional-
+	// read path, where ReadAt fills each reader's window as decoding needs.
 	data []byte
 	// mapped is the mmap region Close must unmap; non-nil only when Open
 	// mapped the file itself (a caller-provided byte slice is the caller's).
@@ -79,9 +81,6 @@ type Repo struct {
 
 	passes atomic.Int64
 	free   elemPool
-
-	mu  sync.Mutex
-	err error
 }
 
 // OpenOption customizes Open.
@@ -165,13 +164,11 @@ func NewRepo(r io.ReaderAt, size int64) (*Repo, error) {
 	if _, err := io.ReadFull(io.NewSectionReader(r, 0, size), head); err != nil {
 		return nil, fmt.Errorf("scdisk: header: %w", err)
 	}
-	br := bytes.NewReader(head)
-	n, m, err := setcover.ReadBinaryHeader(br)
+	n, m, k, err := setcover.DecodeBinaryHeader(head)
 	if err != nil {
 		return nil, err
 	}
-	d := &Repo{r: r, size: size, n: n, m: m,
-		dataOff: int64(len(head)) - int64(br.Len())}
+	d := &Repo{r: r, size: size, n: n, m: m, dataOff: int64(k)}
 	if err := d.loadIndex(); err != nil {
 		return nil, err
 	}
@@ -191,12 +188,13 @@ func (d *Repo) readFull(buf []byte, off int64) error {
 // seek index and unit weights. The index trailer magic alone cannot prove a
 // footer exists — a plain file's set data may coincidentally end in those
 // four bytes — so when the bytes before it do not validate as an index, the
-// file degrades to plain sequential mode (HasIndex reports false,
-// BeginAt/SetSpan are unavailable) instead of being rejected: sequential
-// decoding is self-delimiting and stays correct either way, and genuinely
-// corrupt set data still surfaces through Err mid-pass. The WEIGHT trailer
-// gets the opposite treatment — a detected-but-invalid weight section is an
-// open error — because weights change covers, not wall-clock (weights.go).
+// file degrades to plain sequential mode (HasIndex reports false, SetSpan
+// and segmented passes are unavailable) instead of being rejected:
+// sequential decoding is self-delimiting and stays correct either way, and
+// genuinely corrupt set data still fails the pass that decodes it. The
+// WEIGHT trailer gets the opposite treatment — a detected-but-invalid weight
+// section is an open error — because weights change covers, not wall-clock
+// (weights.go).
 func (d *Repo) loadIndex() error {
 	end, err := d.loadWeights()
 	if err != nil {
@@ -411,64 +409,29 @@ func (d *Repo) DataBytes() int64 {
 	return d.offs[d.m] - d.offs[0]
 }
 
-// Err returns the first decode error ANY pass has hit since the repository
-// was opened. It is a diagnostic, deliberately sticky: once a pass has
-// failed, Err keeps reporting that first failure even after later passes
-// succeed (a flaky network filesystem, say, can fail one pass and not the
-// next). Correctness checks must NOT poll it — pass failures are scoped to
-// the pass: each reader carries its own error (stream.ErrorReader), the pass
-// engine turns it into an error from engine.Run, and every algorithm returns
-// it — so a healthy pass on a repository with a failed past never reports
-// failure, and a failed pass never needs this accessor to be noticed.
-func (d *Repo) Err() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.err
-}
-
-func (d *Repo) setErr(err error) {
-	d.mu.Lock()
-	if d.err == nil {
-		d.err = err
-	}
-	d.mu.Unlock()
-}
-
 // Begin starts a new sequential pass over the whole family.
 func (d *Repo) Begin() stream.Reader {
-	return d.beginAt(0, d.m, d.dataOff)
-}
-
-// BeginAt starts a pass at set start, using the index to seek straight to its
-// byte offset without re-decoding the prefix. It counts as a pass like any
-// other and requires the index footer.
-func (d *Repo) BeginAt(start int) (stream.Reader, error) {
-	if d.offs == nil {
-		return nil, fmt.Errorf("scdisk: BeginAt needs the index footer")
-	}
-	if start < 0 || start > d.m {
-		return nil, fmt.Errorf("scdisk: BeginAt(%d) out of range [0,%d]", start, d.m)
-	}
-	// offs has m+1 entries; offs[m] is the end of the set data, so start == m
-	// yields an immediately exhausted (but still counted) pass.
-	return d.beginAt(start, d.m, d.offs[start]), nil
-}
-
-func (d *Repo) beginAt(pos, end int, off int64) *reader {
 	d.passes.Add(1)
-	r := &reader{
-		d:     d,
-		pos:   pos,
-		end:   end,
-		shard: d.free.shard(),
-	}
+	r := d.newReader(0, d.m, d.dataOff, d.size, nil, readerBufSize)
+	r.shard = d.free.shard()
+	return r
+}
+
+// newReader returns a reader of sets [pos, end) whose encoded bytes are the
+// file span [off, limit). On a byte-backed repository the window is the span
+// itself. Otherwise it starts empty, with room for min(span, size) bytes —
+// reusing buf's storage when that is large enough — and ReadAt fills it as
+// decoding needs. A sequential pass's span runs to the end of the file (index
+// footer, trailing bytes); decoding stops after end-pos sets, so the excess
+// is never decoded.
+func (d *Repo) newReader(pos, end int, off, limit int64, buf []byte, size int) *reader {
+	r := &reader{d: d, pos: pos, end: end, next: off, limit: limit}
 	if d.data != nil {
-		// Byte path: decode in place from the image. The span may run past the
-		// last set (index footer, trailing bytes) — decoding stops after
-		// end-pos sets, so the excess is never touched.
-		r.data = d.data[off:]
+		r.win, r.next = d.data[off:limit], limit
+	} else if w := int(min(limit-off, int64(size))); cap(buf) >= w {
+		r.win = buf[:0]
 	} else {
-		r.br = bufio.NewReaderSize(io.NewSectionReader(d.r, off, d.size-off), readerBufSize)
+		r.win = make([]byte, 0, w)
 	}
 	return r
 }
@@ -487,7 +450,7 @@ func (d *Repo) BeginSegmented() (stream.SegmentSource, bool) {
 }
 
 // segSource opens chunk readers for one segmented pass. The per-chunk decode
-// state — the bufio window and the buffer stash backing the batched pool
+// state — the decode window and the buffer stash backing the batched pool
 // draw — is pooled across chunks: a chunk is a few tens of KB, so each decode
 // goroutine effectively reuses one window (and one stash array) for its whole
 // stride instead of allocating them ~m/BatchSize times per pass.
@@ -498,7 +461,7 @@ type segSource struct {
 
 // segState is the reusable decode state of one chunk reader.
 type segState struct {
-	br    *bufio.Reader     // segBufSize window over the chunk's byte span; lazy, unused on the byte path
+	win   []byte            // positional-read window storage; nil on the byte path
 	stash [][]setcover.Elem // emptied between chunks; capacity is what's reused
 	shard int               // pool shard this decode state draws from, fixed at creation
 }
@@ -562,20 +525,13 @@ func (s *segSource) Segment(start, end int) stream.Reader {
 	if st == nil {
 		st = &segState{shard: s.d.free.shard()}
 	}
-	off := s.d.offs[start]
-	r := &reader{d: s.d, pos: start, end: end,
-		verifySpan: true, stash: st.stash, shard: st.shard}
-	if s.d.data != nil {
-		r.data = s.d.data[off:s.d.offs[end]]
-	} else {
-		if st.br == nil {
-			st.br = bufio.NewReaderSize(nil, segBufSize)
-		}
-		st.br.Reset(io.NewSectionReader(s.d.r, off, s.d.offs[end]-off))
-		r.br = st.br
-	}
+	r := s.d.newReader(start, end, s.d.offs[start], s.d.offs[end], st.win, segBufSize)
+	r.verifySpan, r.stash, r.shard = true, st.stash, st.shard
 	r.release = func() {
 		st.stash = r.stash // emptied by finish; keeps its capacity for the next chunk
+		if s.d.data == nil {
+			st.win = r.win // possibly grown by a large set; reused by the next chunk
+		}
 		s.states.Put(st)
 	}
 	return r
@@ -588,40 +544,71 @@ func (s *segSource) Segment(start, end int) stream.Reader {
 // all find refills without fighting over one lock.
 func (s *segSource) Recycle(sets []setcover.Set) { s.d.free.put(sets, s.d.free.shard()) }
 
-// reader decodes one sequential span of the file: a whole pass (Begin,
-// BeginAt) or one chunk of a segmented pass (segSource.Segment). Each reader
-// owns its buffered file window, so concurrent spans never share decode
-// state, and each carries its own error — pass failures are scoped to the
-// pass (Repo.Err is only the sticky first-failure diagnostic).
+// reader decodes one span of the file: a whole pass (Begin) or one chunk of
+// a segmented pass (segSource.Segment). Each reader owns its decode window,
+// so concurrent spans never share decode state, and each carries its own
+// error — pass failures are scoped to the pass.
 type reader struct {
-	d          *Repo
-	br         *bufio.Reader // positional-read path; nil when data is set
-	data       []byte        // byte path: this span's encoded bytes (mmap / in-memory repos)
-	dpos       int           // decode position within data
-	pos        int
-	end        int
-	shard      int // pool shard this reader draws from and returns to
-	failed     bool
-	err        error
-	verifySpan bool   // segment readers: span must be consumed exactly
-	release    func() // returns the bufio window to its pool, once, at end of span
+	d *Repo
+	// win[wpos:] are the span bytes loaded and not yet decoded; [next, limit)
+	// are the span bytes not loaded yet. On the byte path win is the whole
+	// span and next == limit from the start.
+	win         []byte
+	wpos        int
+	next, limit int64
+	pos         int
+	end         int
+	shard       int // pool shard this reader draws from and returns to
+	failed      bool
+	err         error
+	verifySpan  bool   // segment readers: span must be consumed exactly
+	release     func() // returns the decode state to its pool, once, at end of span
 	// stash holds recycled decode buffers drawn from the repository pool a
 	// batch at a time (one lock per NextBatch instead of one per set);
 	// leftovers flow back on finish.
 	stash [][]setcover.Elem
 }
 
-// decodeNext decodes the next set's elements from whichever source this
-// reader owns: in place from the byte image, or through the buffered window.
-// Both decoders accept exactly the same encodings (fuzz-pinned equivalent in
-// internal/setcover), so the two paths yield byte-identical streams.
+// decodeNext decodes the next set from the front of the window. Only a set
+// cut off by the end of the window (io.ErrUnexpectedEOF) while the span
+// still has bytes refills the window and decodes again; any other error, or
+// truncation at the end of the span, fails the pass. Both backends run this
+// one decode call, so their streams are byte-identical.
 func (it *reader) decodeNext(buf []setcover.Elem) ([]setcover.Elem, error) {
-	if it.data != nil {
-		elems, k, err := setcover.DecodeSetBytes(it.data[it.dpos:], it.d.n, buf)
-		it.dpos += k
-		return elems, err
+	for {
+		elems, k, err := setcover.DecodeSetBytes(it.win[it.wpos:], it.d.n, buf)
+		if err == nil {
+			it.wpos += k
+			return elems, nil
+		}
+		if it.next == it.limit || !errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, err
+		}
+		if err := it.refill(); err != nil {
+			return nil, err
+		}
 	}
-	return setcover.ReadSetBinary(it.br, it.d.n, buf)
+}
+
+// refill slides the undecoded tail of the window to its front, doubles the
+// window when that tail already fills it (one set larger than the window),
+// and reads the next span bytes in behind the tail. A ReadAt that returns
+// every byte asked for succeeds even if it also reports io.EOF; a short one
+// fails with its error (io.ErrUnexpectedEOF if it broke the io.ReaderAt
+// contract and gave none, which would otherwise loop here forever).
+func (it *reader) refill() error {
+	buf := it.win[:cap(it.win)]
+	tail := copy(buf, it.win[it.wpos:])
+	if tail == len(buf) {
+		buf = slices.Grow(buf, tail)[:2*tail]
+	}
+	dst := buf[tail : tail+int(min(int64(len(buf)-tail), it.limit-it.next))]
+	if got, err := it.d.r.ReadAt(dst, it.next); got < len(dst) {
+		return cmp.Or(err, io.ErrUnexpectedEOF)
+	}
+	it.next += int64(len(dst))
+	it.win, it.wpos = buf[:tail+len(dst)], 0
+	return nil
 }
 
 // Next decodes the next set into a freshly allocated element slice. The
@@ -679,8 +666,9 @@ func (it *reader) NextBatch(dst []setcover.Set) int {
 }
 
 // finish closes out the span: segment readers verify the byte span was
-// consumed exactly (see segSource.Segment), then the buffered window goes
-// back to its pool.
+// consumed exactly (see segSource.Segment) — the window is drained and the
+// span has no bytes left to load — then the decode state goes back to its
+// pool.
 func (it *reader) finish() {
 	if len(it.stash) > 0 {
 		// Unused recycled buffers (short final batch, failed span) rejoin the
@@ -690,16 +678,9 @@ func (it *reader) finish() {
 	}
 	if it.verifySpan {
 		it.verifySpan = false
-		if !it.failed {
-			consumed := it.data != nil && it.dpos == len(it.data)
-			if it.data == nil {
-				_, err := it.br.ReadByte()
-				consumed = err == io.EOF
-			}
-			if !consumed {
-				it.fail(fmt.Errorf("segment ending at set %d: bytes left after the last set — index span mismatch", it.end))
-				return // fail re-enters finish with verifySpan already cleared
-			}
+		if !it.failed && (it.wpos < len(it.win) || it.next < it.limit) {
+			it.fail(fmt.Errorf("segment ending at set %d: bytes left after the last set — index span mismatch", it.end))
+			return // fail re-enters finish with verifySpan already cleared
 		}
 	}
 	if it.release != nil {
@@ -721,7 +702,6 @@ func (it *reader) fail(err error) {
 	err = fmt.Errorf("scdisk: set %d: %w", it.pos, err)
 	it.failed = true
 	it.err = err
-	it.d.setErr(err)
 	it.finish()
 }
 

@@ -7,6 +7,11 @@
 // run unmodified against files arbitrarily larger than memory: a pass holds
 // O(BatchSize · avg-set-size) decoded sets live, never the whole family.
 //
+// Every reader decodes its span of the file with setcover.DecodeSetBytes
+// from one byte window. With ReadOnlyMmap (or NewRepoBytes) the window is
+// the span of the mapped image itself and nothing is copied; otherwise it is
+// a buffer that ReadAt refills whenever a set runs past its end.
+//
 // On-disk layout (see DESIGN.md §6):
 //
 //	SCB1 header + m delta-encoded sets      — byte-identical to
@@ -21,12 +26,12 @@
 //
 // The footer is strictly additive: setcover.ReadBinary stops after the m-th
 // set and ignores it, and Repo reads plain SCB1 files (no trailer) just as
-// well — it only loses BeginAt (seek-start passes) and SetSpan. Writer always
-// emits the footer; byte lengths and cardinalities are accumulated while
-// streaming, so writing needs O(m) words of state, not the instance. The
-// weight section is emitted only when SetWeights was called, and is additive
-// the same way — except that a present-but-corrupt weight section fails the
-// open (weights change covers, so they are never silently dropped).
+// well — it only loses SetSpan and segmented passes. Writer always emits the
+// footer; byte lengths and cardinalities are accumulated while streaming, so
+// writing needs O(m) words of state, not the instance. The weight section is
+// emitted only when SetWeights was called, and is additive the same way —
+// except that a present-but-corrupt weight section fails the open (weights
+// change covers, so they are never silently dropped).
 package scdisk
 
 import (

@@ -123,12 +123,14 @@ func TestRepoRoundTrip(t *testing.T) {
 	if d.Passes() != 2 {
 		t.Fatalf("passes = %d, want 2", d.Passes())
 	}
-	if err := d.Err(); err != nil {
-		t.Fatal(err)
+	for _, r := range []stream.Reader{it, it2} {
+		if err := stream.ReaderErr(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// A plain SCB1 file (no footer) opens and streams fine; only BeginAt is lost.
+// A plain SCB1 file (no footer) opens and streams fine; only SetSpan is lost.
 func TestRepoOnPlainSCB1(t *testing.T) {
 	in := testInstance(t)
 	var buf bytes.Buffer
@@ -147,8 +149,8 @@ func TestRepoOnPlainSCB1(t *testing.T) {
 	if d.HasIndex() {
 		t.Fatal("plain SCB1 should have no index")
 	}
-	if _, err := d.BeginAt(0); err == nil {
-		t.Fatal("BeginAt should fail without the index")
+	if _, _, _, ok := d.SetSpan(0); ok {
+		t.Fatal("SetSpan should be unavailable without the index")
 	}
 	got := &setcover.Instance{N: d.UniverseSize()}
 	it := d.Begin()
@@ -160,13 +162,12 @@ func TestRepoOnPlainSCB1(t *testing.T) {
 		got.Sets = append(got.Sets, s)
 	}
 	sameInstance(t, in, got)
-	if err := d.Err(); err != nil {
+	if err := stream.ReaderErr(it); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// BeginAt(i) must resume the stream exactly at set i without decoding the
-// prefix, and SetSpan must report consistent extents.
+// SetSpan must report consistent extents.
 func TestBeginAtAndSetSpan(t *testing.T) {
 	in := testInstance(t)
 	d, err := Open(writeTemp(t, in))
@@ -174,32 +175,6 @@ func TestBeginAtAndSetSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-
-	for _, start := range []int{0, 1, len(in.Sets) / 2, len(in.Sets) - 1, len(in.Sets)} {
-		it, err := d.BeginAt(start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := in.Sets[start:]
-		for i, ws := range want {
-			s, ok := it.Next()
-			if !ok {
-				t.Fatalf("start %d: stream ended at %d of %d", start, i, len(want))
-			}
-			if s.ID != ws.ID || len(s.Elems) != len(ws.Elems) {
-				t.Fatalf("start %d: set %d mismatch", start, i)
-			}
-		}
-		if _, ok := it.Next(); ok {
-			t.Fatalf("start %d: stream too long", start)
-		}
-	}
-	if _, err := d.BeginAt(-1); err == nil {
-		t.Fatal("BeginAt(-1) should fail")
-	}
-	if _, err := d.BeginAt(len(in.Sets) + 1); err == nil {
-		t.Fatal("BeginAt(m+1) should fail")
-	}
 
 	var sum int64
 	for i := range in.Sets {
@@ -300,9 +275,6 @@ func TestCorruptDataSurfacesError(t *testing.T) {
 	if count >= in.M() {
 		t.Fatalf("truncated file still yielded %d sets", count)
 	}
-	if d.Err() == nil {
-		t.Fatal("truncation should surface via Err")
-	}
 	if it.(*reader).Err() == nil {
 		t.Fatal("reader.Err should report the failure")
 	}
@@ -328,7 +300,7 @@ func expectPlainDegrade(t *testing.T, data []byte, in *setcover.Instance) {
 		}
 		got.Sets = append(got.Sets, s)
 	}
-	if err := d.Err(); err != nil {
+	if err := stream.ReaderErr(it); err != nil {
 		t.Fatal(err)
 	}
 	sameInstance(t, in, got)
@@ -351,7 +323,7 @@ func TestCorruptIndexDegradesToPlain(t *testing.T) {
 
 	// A byte-length entry that understates a set's size passes every
 	// per-entry bound but breaks the prefix sum: the index must be dropped
-	// before BeginAt could seek mid-set.
+	// before a segmented pass could seek mid-set.
 	data = append(data[:0], buf.Bytes()...)
 	trailerOff := int64(len(data)) - trailerLen
 	idxOff := int64(binary.LittleEndian.Uint64(data[trailerOff : trailerOff+8]))
@@ -607,8 +579,7 @@ func (f *flakyReaderAt) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // Pass failures are scoped to the pass: a failed pass must not make later,
-// healthy passes on the same repository report failure. Repo.Err stays
-// sticky (first failure since open) as a diagnostic only.
+// healthy passes on the same repository report failure.
 func TestPassErrorScopedPerPass(t *testing.T) {
 	in := testInstance(t)
 	var buf bytes.Buffer
@@ -649,10 +620,5 @@ func TestPassErrorScopedPerPass(t *testing.T) {
 	}
 	if count != in.M() {
 		t.Fatalf("healthy pass decoded %d of %d sets", count, in.M())
-	}
-
-	// The repository-level diagnostic stays sticky, documented as such.
-	if d.Err() == nil {
-		t.Fatal("Repo.Err should keep reporting the first failure since open")
 	}
 }

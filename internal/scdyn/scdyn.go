@@ -508,10 +508,11 @@ func decodeLog(data []byte, n, baseM int, baseDigest string) ([]record, []string
 			if m >= setcover.MaxBinaryDim {
 				return nil, nil, fmt.Errorf("record %d: family overflows", len(recs))
 			}
-			elems, err := setcover.ReadSetBinary(br, n, nil)
+			elems, k, err := setcover.DecodeSetBytes(data[pos():], n, nil)
 			if err != nil {
 				return nil, nil, fmt.Errorf("record %d: %w", len(recs), err)
 			}
+			_, _ = br.Seek(int64(k), io.SeekCurrent) // cannot fail: the set's k bytes are in br
 			rec.id, rec.elems = m, elems
 			m++
 		case kindTombstone:

@@ -17,18 +17,21 @@ import (
 //
 // Delta encoding keeps dense sets near one byte per element.
 //
-// The per-set encoding is exposed as AppendSetBinary/ReadSetBinary and the
-// header as AppendBinaryHeader/ReadBinaryHeader so that streaming backends
-// (internal/scdisk) encode and decode sets one at a time, byte-identically to
-// WriteBinary, without ever materializing an Instance. A file may carry
-// trailing data after the m-th set (scdisk appends an optional seek index
-// there); ReadBinary ignores it, which is what keeps the two formats
-// compatible in both directions.
+// AppendBinaryHeader/DecodeBinaryHeader and AppendSetBinary/DecodeSetBytes
+// encode and decode the header and one set at a time, so that streaming
+// backends (internal/scdisk) work set by set, byte-identically to
+// WriteBinary, without ever materializing an Instance. DecodeSetBytes is the
+// only SCB1 set decoder: ReadBinary, scdisk's passes (from a mapped file or
+// from a window refilled by positional reads) and scdyn's delta log all go
+// through it. A file may carry trailing data after the m-th set (scdisk
+// appends an optional seek index there); ReadBinary ignores it, which is what
+// keeps the two formats compatible in both directions.
 
 var binaryMagic = [4]byte{'S', 'C', 'B', '1'}
 
-// MaxBinaryDim bounds n and m in the binary header; writers (scdisk) reject
-// larger dimensions up front so they cannot emit files no reader accepts.
+// MaxBinaryDim bounds n and m in the binary header; writers (scdisk) and the
+// text reader reject larger dimensions up front, so no instance or file they
+// produce is one the binary readers refuse.
 // Chosen to fit int32 so dimension values and comparisons are portable to
 // 32-bit platforms.
 const MaxBinaryDim = 1<<31 - 1
@@ -56,26 +59,29 @@ func AppendBinaryHeader(dst []byte, n, m int) []byte {
 	return dst
 }
 
-// ReadBinaryHeader reads the SCB1 magic and dimensions from r.
-func ReadBinaryHeader(r io.ByteReader) (n, m int, err error) {
-	for i := 0; i < len(binaryMagic); i++ {
-		b, err := r.ReadByte()
-		if err != nil {
-			return 0, 0, fmt.Errorf("setcover: binary header: %w", err)
+// DecodeBinaryHeader decodes the SCB1 magic and dimensions from the front of
+// data and returns them with the number of bytes they occupied.
+func DecodeBinaryHeader(data []byte) (n, m, size int, err error) {
+	if len(data) < len(binaryMagic) {
+		return 0, 0, 0, fmt.Errorf("setcover: binary header: %w", io.ErrUnexpectedEOF)
+	}
+	if [4]byte(data) != binaryMagic {
+		return 0, 0, 0, fmt.Errorf("setcover: bad binary magic")
+	}
+	size = len(binaryMagic)
+	var dims [2]int
+	for i, what := range [2]string{"n", "m"} {
+		v, k := binary.Uvarint(data[size:])
+		if k <= 0 {
+			return 0, 0, 0, fmt.Errorf("setcover: %w", uvarintBytesErr(what, k))
 		}
-		if b != binaryMagic[i] {
-			return 0, 0, fmt.Errorf("setcover: bad binary magic")
+		if v > MaxBinaryDim {
+			return 0, 0, 0, fmt.Errorf("setcover: binary %s %d exceeds limit %d", what, v, MaxBinaryDim)
 		}
+		dims[i] = int(v)
+		size += k
 	}
-	un, err := readBoundedUvarint(r, "n", MaxBinaryDim)
-	if err != nil {
-		return 0, 0, fmt.Errorf("setcover: %w", err)
-	}
-	um, err := readBoundedUvarint(r, "m", MaxBinaryDim)
-	if err != nil {
-		return 0, 0, fmt.Errorf("setcover: %w", err)
-	}
-	return int(un), int(um), nil
+	return dims[0], dims[1], size, nil
 }
 
 // AppendSetBinary appends the SCB1 encoding of one set (count, then
@@ -92,44 +98,18 @@ func AppendSetBinary(dst []byte, elems []Elem) []byte {
 	return dst
 }
 
-// ReadSetBinary decodes one SCB1-encoded set from r into buf (reusing its
-// capacity; pass nil to allocate) and returns the decoded elements, which are
-// guaranteed sorted-unique in [0, n). Allocation is bounded by the bytes
-// actually consumed, never by the claimed count alone.
-func ReadSetBinary(r io.ByteReader, n int, buf []Elem) ([]Elem, error) {
-	count, err := readBoundedUvarint(r, "set size", uint64(n))
-	if err != nil {
-		return nil, err
-	}
-	buf = buf[:0]
-	if cap(buf) == 0 && count > 0 {
-		buf = make([]Elem, 0, preallocCap(count))
-	}
-	prev := int64(-1)
-	for j := uint64(0); j < count; j++ {
-		gap, err := readBoundedUvarint(r, "gap", uint64(n))
-		if err != nil {
-			return nil, err
-		}
-		e := prev + 1 + int64(gap)
-		if e >= int64(n) {
-			return nil, fmt.Errorf("binary set: element %d out of range", e)
-		}
-		buf = append(buf, Elem(e))
-		prev = e
-	}
-	return buf, nil
-}
-
-// DecodeSetBytes is ReadSetBinary for callers that hold the encoded bytes in
-// memory (a mmap-backed file window): it decodes one SCB1-encoded set from
-// the front of data into buf (reusing its capacity; nil allocates) and
-// returns the elements — sorted-unique in [0, n) — plus how many bytes of
-// data the set occupied. Skipping the io.ByteReader indirection (an interface
-// call per input byte) is what makes this the hot decode path; the two
-// decoders accept exactly the same encodings and are fuzz-verified
-// equivalent (FuzzDecodeSetBytes). Allocation is bounded by the bytes
-// actually present, never by the claimed count alone.
+// DecodeSetBytes decodes one SCB1-encoded set from the front of data into
+// buf (reusing its capacity; nil allocates) and returns the elements —
+// sorted-unique in [0, n) — plus how many bytes of data the set occupied.
+// Allocation is bounded by the bytes actually present, never by the claimed
+// count alone.
+//
+// A set cut off by the end of data fails with an error wrapping
+// io.ErrUnexpectedEOF; any other error depends only on bytes before the
+// failure point. Decoding a prefix of data therefore either reports
+// truncation or gives exactly the result of decoding all of it
+// (FuzzDecodeSetBytes), which is what lets scdisk decode from a window and
+// refill it on truncation.
 func DecodeSetBytes(data []byte, n int, buf []Elem) ([]Elem, int, error) {
 	count, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -181,20 +161,6 @@ func uvarintBytesErr(what string, k int) error {
 	return fmt.Errorf("binary %s: varint overflows 64 bits", what)
 }
 
-// readBoundedUvarint reads a varint and rejects values above limit. Errors
-// carry no package prefix: the exported entry points (ReadBinaryHeader,
-// ReadBinary, scdisk's readers) each add their own context exactly once.
-func readBoundedUvarint(r io.ByteReader, what string, limit uint64) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("binary %s: %w", what, err)
-	}
-	if v > limit {
-		return 0, fmt.Errorf("binary %s %d exceeds limit %d", what, v, limit)
-	}
-	return v, nil
-}
-
 // WriteBinary serializes the instance in the binary format. Sets must be
 // normalized (sorted unique elements); call Normalize first if unsure.
 func WriteBinary(w io.Writer, in *Instance) error {
@@ -216,21 +182,25 @@ func WriteBinary(w io.Writer, in *Instance) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses an instance in the binary format and validates it.
-// Trailing bytes after the m-th set (e.g. an scdisk index footer) are
-// ignored.
+// ReadBinary reads r whole, parses it as an instance in the binary format
+// and validates it. Trailing bytes after the m-th set (e.g. an scdisk index
+// footer) are ignored.
 func ReadBinary(r io.Reader) (*Instance, error) {
-	br := bufio.NewReader(r)
-	n, m, err := ReadBinaryHeader(br)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	n, m, pos, err := DecodeBinaryHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	in := &Instance{N: n, Sets: make([]Set, 0, preallocCap(uint64(m)))}
 	for i := 0; i < m; i++ {
-		elems, err := ReadSetBinary(br, n, nil)
+		elems, k, err := DecodeSetBytes(data[pos:], n, nil)
 		if err != nil {
 			return nil, fmt.Errorf("setcover: set %d: %w", i, err)
 		}
+		pos += k
 		in.Sets = append(in.Sets, Set{ID: i, Elems: elems})
 	}
 	if err := in.Validate(); err != nil {

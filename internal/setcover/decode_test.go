@@ -1,53 +1,65 @@
 package setcover
 
 import (
-	"bytes"
+	"errors"
+	"io"
+	"slices"
 	"testing"
 )
 
-// FuzzDecodeSetBytes pins the slice-based decoder to the io.ByteReader one:
-// for every input and universe size, both must agree on accept/reject, on the
-// decoded elements, and on how many bytes the set occupied. This is the
-// equivalence the mmap read path (internal/scdisk) relies on — the two
-// decoders must be interchangeable byte for byte.
+// FuzzDecodeSetBytes pins the property window-refilling readers
+// (internal/scdisk) rely on: decoding a prefix data[:cut] either fails with
+// io.ErrUnexpectedEOF or gives exactly the result of decoding all of data —
+// the same acceptance, the same bytes consumed, the same elements (or the
+// same error). Truncation may only be reported for a prefix shorter than the
+// set that decoding all of data accepts, and accepted elements are always
+// sorted-unique in [0, n). A reader that refills its window on truncation
+// therefore decodes the same stream as one holding every byte.
 func FuzzDecodeSetBytes(f *testing.F) {
 	f.Add(AppendSetBinary(nil, []Elem{0, 3, 7, 100}), 101)
 	f.Add(AppendSetBinary(nil, []Elem{}), 5)
 	f.Add(AppendSetBinary(nil, []Elem{0}), 1)
 	f.Add([]byte{}, 10)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, 1000)
+	f.Add(AppendSetBinary(nil, []Elem{200, 70000, 70001}), 100000)
 	f.Fuzz(func(t *testing.T, data []byte, n int) {
 		if n < 0 || n > MaxBinaryDim {
 			return
 		}
-		br := bytes.NewReader(data)
-		refElems, refErr := ReadSetBinary(br, n, nil)
-		refConsumed := len(data) - br.Len()
-
-		gotElems, gotConsumed, gotErr := DecodeSetBytes(data, n, nil)
-
-		if (refErr == nil) != (gotErr == nil) {
-			t.Fatalf("decoders disagree on acceptance: reader err=%v, bytes err=%v", refErr, gotErr)
+		full, size, fullErr := DecodeSetBytes(data, n, nil)
+		if fullErr == nil {
+			for i, e := range full {
+				if e < 0 || int(e) >= n || (i > 0 && e <= full[i-1]) {
+					t.Fatalf("accepted elements %v are not sorted-unique in [0, %d)", full, n)
+				}
+			}
 		}
-		if refErr != nil {
-			return
-		}
-		if gotConsumed != refConsumed {
-			t.Fatalf("consumed %d bytes, reader consumed %d", gotConsumed, refConsumed)
-		}
-		if len(gotElems) != len(refElems) {
-			t.Fatalf("decoded %d elements, reader %d", len(gotElems), len(refElems))
-		}
-		for i := range refElems {
-			if gotElems[i] != refElems[i] {
-				t.Fatalf("element %d: %d vs %d", i, gotElems[i], refElems[i])
+		for cut := 0; cut <= len(data); cut++ {
+			elems, k, err := DecodeSetBytes(data[:cut], n, nil)
+			if errors.Is(err, io.ErrUnexpectedEOF) {
+				if fullErr == nil && cut >= size {
+					t.Fatalf("%d-byte prefix reported truncation, but the set ends at byte %d", cut, size)
+				}
+				continue
+			}
+			if (err == nil) != (fullErr == nil) {
+				t.Fatalf("%d-byte prefix: err=%v, whole input: err=%v", cut, err, fullErr)
+			}
+			if err != nil {
+				if err.Error() != fullErr.Error() {
+					t.Fatalf("%d-byte prefix fails with %q, whole input with %q", cut, err, fullErr)
+				}
+				continue
+			}
+			if k != size || !slices.Equal(elems, full) {
+				t.Fatalf("%d-byte prefix decoded %v in %d bytes, whole input %v in %d", cut, elems, k, full, size)
 			}
 		}
 	})
 }
 
-// TestDecodeSetBytesReuse proves the buf-reuse contract matches
-// ReadSetBinary's: capacity is reused, contents are replaced.
+// TestDecodeSetBytesReuse proves the buf-reuse contract: capacity is reused,
+// contents are replaced.
 func TestDecodeSetBytesReuse(t *testing.T) {
 	enc := AppendSetBinary(nil, []Elem{1, 5, 9})
 	buf := make([]Elem, 0, 16)

@@ -68,6 +68,10 @@ func Read(r io.Reader) (*Instance, error) {
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("setcover: line %d: negative dimensions", line)
 	}
+	if n > MaxBinaryDim || m > MaxBinaryDim {
+		// Elements are int32, and the binary format could not carry it.
+		return nil, fmt.Errorf("setcover: line %d: dimensions exceed %d", line, MaxBinaryDim)
+	}
 
 	// Cap the speculative allocation: m is untrusted header data, and each
 	// real set costs at least one input line, so growth beyond the cap is
