@@ -271,6 +271,7 @@ func thresholdGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 	var cover []int
 	tau := float64(n)
 	weight := weightFn(repo)
+	left := n // == uncovered.Count(), kept up to date by every pick
 	// Once the fractional goal is reached mid-pass the observer stops
 	// accepting but the engine still drains the stream: a begun pass always
 	// costs a full scan in this model (the seed's mid-pass break was cheaper
@@ -286,7 +287,7 @@ func thresholdGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 	// ever clear a τ ≥ 1 bar).
 	accept := engine.Func(func(batch []setcover.Set) {
 		for _, s := range batch {
-			if uncovered.Count() <= allowed {
+			if left <= allowed {
 				return // fractional goal reached: stop accepting
 			}
 			g := uncovered.IntersectionWithSlice(s.Elems)
@@ -300,14 +301,11 @@ func thresholdGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 			if float64(g) >= thr || tau <= 1 {
 				cover = append(cover, s.ID)
 				tracker.Grow(1)
-				uncovered.SubtractSlice(s.Elems)
+				left -= uncovered.SubtractSlice(s.Elems)
 			}
 		}
 	})
-	for {
-		if uncovered.Count() <= allowed {
-			break
-		}
+	for left > allowed {
 		if err := eng.Run(repo, accept); err != nil {
 			return failPass(st, repo, tracker, err)
 		}
@@ -321,7 +319,7 @@ func thresholdGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 	}
 	st.Passes = repo.Passes()
 	st.SpaceWords = tracker.Peak()
-	if uncovered.Count() > allowed {
+	if left > allowed {
 		return st, ErrInfeasible
 	}
 	st.Cover = cover

@@ -275,26 +275,16 @@ func (b *Bitset) NextSet(i int) int {
 }
 
 // IntersectionWithSlice counts how many of the UNIQUE elements in elems are
-// members of b. It is the hot path of the streaming "size test": runs of
-// elements falling in the same 64-bit word (which is what a sorted dense set
-// is made of) are collapsed into one mask and counted with a single popcount,
-// so a set touching w distinct words costs O(|elems| cheap mask-ors + w
-// popcounts) instead of |elems| dependent load-test-branch round trips.
-// Unsorted input stays correct (a run of one element is just the scalar
-// path); duplicated elements would be under-counted and are excluded by the
-// setcover.Set normalization contract every caller already relies on.
+// members of b. It is the hot path of the streaming "size test", so each
+// element costs one load, one shift and one mask, with no branch on the
+// data: sparse sets, whose elements fall in distinct words, pay the same per
+// element as dense ones. Duplicated elements would be counted twice and are
+// excluded by the setcover.Set normalization contract every caller already
+// relies on.
 func (b *Bitset) IntersectionWithSlice(elems []int32) int {
 	c := 0
-	for i := 0; i < len(elems); {
-		wi := int(elems[i]) / wordBits
-		mask := uint64(1) << (uint(elems[i]) % wordBits)
-		j := i + 1
-		for j < len(elems) && int(elems[j])/wordBits == wi {
-			mask |= 1 << (uint(elems[j]) % wordBits)
-			j++
-		}
-		c += bits.OnesCount64(b.words[wi] & mask)
-		i = j
+	for _, e := range elems {
+		c += int(b.words[uint32(e)/wordBits] >> (uint32(e) % wordBits) & 1)
 	}
 	return c
 }
@@ -303,40 +293,25 @@ func (b *Bitset) IntersectionWithSlice(elems []int32) int {
 // member of b — IntersectionWithSlice with an early exit, for callers that
 // only branch on "covers anything new at all".
 func (b *Bitset) IntersectsSlice(elems []int32) bool {
-	for i := 0; i < len(elems); {
-		wi := int(elems[i]) / wordBits
-		mask := uint64(1) << (uint(elems[i]) % wordBits)
-		j := i + 1
-		for j < len(elems) && int(elems[j])/wordBits == wi {
-			mask |= 1 << (uint(elems[j]) % wordBits)
-			j++
-		}
-		if b.words[wi]&mask != 0 {
+	for _, e := range elems {
+		if b.words[uint32(e)/wordBits]>>(uint32(e)%wordBits)&1 != 0 {
 			return true
 		}
-		i = j
 	}
 	return false
 }
 
 // SubtractSlice removes every element of elems from b and returns how many
 // were actually removed (i.e., were present). Like IntersectionWithSlice it
-// processes same-word runs with one mask: one popcount and one store per
-// touched word. elems must be unique (sorted input is the fast case).
+// costs one load, one mask and one store per element, with no branch on the
+// data. elems must be unique.
 func (b *Bitset) SubtractSlice(elems []int32) int {
 	removed := 0
-	for i := 0; i < len(elems); {
-		wi := int(elems[i]) / wordBits
-		mask := uint64(1) << (uint(elems[i]) % wordBits)
-		j := i + 1
-		for j < len(elems) && int(elems[j])/wordBits == wi {
-			mask |= 1 << (uint(elems[j]) % wordBits)
-			j++
-		}
+	for _, e := range elems {
+		wi, bit := uint32(e)/wordBits, uint32(e)%wordBits
 		w := b.words[wi]
-		removed += bits.OnesCount64(w & mask)
-		b.words[wi] = w &^ mask
-		i = j
+		removed += int(w >> bit & 1)
+		b.words[wi] = w &^ (1 << bit)
 	}
 	return removed
 }

@@ -67,7 +67,7 @@ func randomBitset(rng *rand.Rand, n int, p float64) *Bitset {
 }
 
 // randomUniqueElems draws k distinct elements of [0, n), sorted when asked —
-// the shape every normalized set has — or shuffled, which the word-grouped
+// the shape every normalized set has — or shuffled, which the slice
 // ops must also accept.
 func randomUniqueElems(rng *rand.Rand, n, k int, sorted bool) []int32 {
 	perm := rng.Perm(n)
@@ -81,7 +81,7 @@ func randomUniqueElems(rng *rand.Rand, n, k int, sorted bool) []int32 {
 	return out
 }
 
-// TestSliceOpsCrossCheck drives the word-grouped slice ops through many
+// TestSliceOpsCrossCheck drives the slice ops through many
 // random capacities (deliberately straddling word boundaries), densities, and
 // element orderings, comparing every result AND the resulting bitset state
 // against the naive scalar reference.
@@ -184,8 +184,7 @@ func TestForEachMatchesSlice(t *testing.T) {
 }
 
 // BenchmarkIntersectionWithSliceDense measures the size-test hot loop on a
-// dense sorted set — the shape where word-grouping replaces ~64 scalar
-// probes with one popcount.
+// dense sorted set, 32 elements per word, and reports ns per element.
 func BenchmarkIntersectionWithSliceDense(b *testing.B) {
 	const n = 1 << 16
 	bs := New(n)
@@ -201,5 +200,51 @@ func BenchmarkIntersectionWithSliceDense(b *testing.B) {
 		if bs.IntersectionWithSlice(elems) != len(elems) {
 			b.Fatal("wrong count")
 		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(elems)), "ns/elem")
+}
+
+// BenchmarkSliceKernelsSparse runs the three slice kernels over 4096 sorted
+// sets of 16 elements of [0, 5000) — nearly every element in its own word,
+// the light sets of the byte-skewed scan family — against a half-full
+// bitset, and reports ns per element. IntersectsSlice runs against an empty
+// bitset, so it never exits early.
+func BenchmarkSliceKernelsSparse(b *testing.B) {
+	const n, k, sets = 5000, 16, 4096
+	rng := rand.New(rand.NewSource(5))
+	half := randomBitset(rng, n, 0.5)
+	family := make([][]int32, sets)
+	for i := range family {
+		family[i] = randomUniqueElems(rng, n, k, true)
+	}
+	for _, c := range []struct {
+		name string
+		op   func(bs *Bitset, elems []int32) int
+	}{
+		{"IntersectionWithSlice", (*Bitset).IntersectionWithSlice},
+		{"IntersectsSlice", func(bs *Bitset, elems []int32) int {
+			if bs.IntersectsSlice(elems) {
+				return 1
+			}
+			return 0
+		}},
+		{"SubtractSlice", (*Bitset).SubtractSlice},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			bs := half.Clone()
+			if c.name == "IntersectsSlice" {
+				bs.Reset()
+			}
+			sink := 0
+			for b.Loop() {
+				for _, elems := range family {
+					sink += c.op(bs, elems)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sets*k), "ns/elem")
+			if sink < 0 {
+				b.Fatal("negative count")
+			}
+		})
 	}
 }

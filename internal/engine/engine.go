@@ -175,13 +175,15 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// Engine executes passes. It is stateless between Runs and safe to reuse;
-// the batch pool is shared across set-system Runs to keep steady-state
-// allocation flat (generic RunOver passes pool per call — their element
-// types differ per instantiation).
+// Engine executes passes. It is stateless between Runs and safe to reuse,
+// also from several goroutines at once; the batch pool and the segmented
+// decoders' chunk records are shared across set-system Runs to keep
+// steady-state allocation flat (generic RunOver passes pool per call — their
+// element types differ per instantiation).
 type Engine struct {
-	opts Options
-	pool sync.Pool
+	opts   Options
+	pool   sync.Pool
+	chunks sync.Pool // *segChunk, see segmented.go
 	// passSeq numbers this engine's traced passes (obs.PassTrace.Index).
 	// Incremented only when a tracer is installed; engines are constructed
 	// per solve wherever per-call options (and thus tracers) thread in, so
@@ -194,6 +196,9 @@ func New(opts Options) *Engine {
 	e := &Engine{opts: opts.normalized()}
 	e.pool.New = func() any {
 		return &batchOf[setcover.Set]{items: make([]setcover.Set, 0, e.opts.BatchSize)}
+	}
+	e.chunks.New = func() any {
+		return &segChunk{sets: make([]setcover.Set, 0, e.opts.BatchSize)}
 	}
 	return e
 }
@@ -266,7 +271,7 @@ func (e *Engine) beginPass(repo stream.Repository) (r stream.Reader, segmented b
 				if dc, ok := src.(stream.DecodeCoster); ok && dc.DecodeCost() == stream.DecodeCostTrivial {
 					return src.Segment(0, repo.NumSets()), false
 				}
-				return newSegmentedReader(src, repo.NumSets(), e.opts.Workers, e.opts.BatchSize), true
+				return newSegmentedReader(src, repo.NumSets(), e.opts.Workers, e.opts.BatchSize, &e.chunks), true
 			}
 		}
 	}

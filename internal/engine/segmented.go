@@ -52,7 +52,11 @@ const segWindow = 2
 
 // segChunk is one decoded contiguous range of the stream, or the error that
 // interrupted it. A failed chunk may still carry the sets decoded before the
-// failure; they are never delivered.
+// failure; they are never delivered. Chunk records are pooled on the Engine
+// and outlive the pass: a decoder owns a record from Get until it sends it,
+// and must read everything it needs from it (its error) before the send,
+// because the consumer may hand the record to another decoder — of this
+// pass or a concurrent one — as soon as it has copied the sets out.
 type segChunk struct {
 	sets []setcover.Set
 	err  error
@@ -68,7 +72,7 @@ type segmentedReader struct {
 	chans   []chan *segChunk
 	stop    chan struct{}
 	rec     stream.Recycler
-	free    sync.Pool // [] setcover.Set chunk buffers
+	chunks  *sync.Pool // *segChunk, the engine's
 	wg      sync.WaitGroup
 	next    int // channel index the next in-order chunk arrives on
 	cur     *segChunk
@@ -79,8 +83,9 @@ type segmentedReader struct {
 }
 
 // newSegmentedReader starts `workers` decode goroutines over the m sets of
-// src, cut into chunks by planBounds.
-func newSegmentedReader(src stream.SegmentSource, m, workers, chunkSize int) *segmentedReader {
+// src, cut into chunks by planBounds, decoding into chunk records drawn from
+// pool.
+func newSegmentedReader(src stream.SegmentSource, m, workers, chunkSize int, pool *sync.Pool) *segmentedReader {
 	bounds := planBounds(src, m, chunkSize)
 	chunks := len(bounds) - 1
 	if workers > chunks {
@@ -90,11 +95,11 @@ func newSegmentedReader(src stream.SegmentSource, m, workers, chunkSize int) *se
 		workers = 1
 	}
 	r := &segmentedReader{
-		chans: make([]chan *segChunk, workers),
-		stop:  make(chan struct{}),
+		chans:  make([]chan *segChunk, workers),
+		stop:   make(chan struct{}),
+		chunks: pool,
 	}
 	r.rec, _ = src.(stream.Recycler)
-	r.free.New = func() any { return make([]setcover.Set, 0, chunkSize) }
 	for w := range r.chans {
 		r.chans[w] = make(chan *segChunk, segWindow)
 	}
@@ -145,31 +150,31 @@ func (r *segmentedReader) decode(src stream.SegmentSource, w, workers int, bound
 	for c := w; c < len(bounds)-1; c += workers {
 		start, end := bounds[c], bounds[c+1]
 		it := src.Segment(start, end)
-		ck := &segChunk{sets: r.fillChunk(it, end-start)}
-		if err := stream.ReaderErr(it); err != nil {
-			ck.err = err
-		} else if len(ck.sets) != end-start {
+		ck := r.chunks.Get().(*segChunk)
+		ck.sets = fillChunk(it, end-start, ck.sets)
+		if ck.err = stream.ReaderErr(it); ck.err == nil && len(ck.sets) != end-start {
 			ck.err = fmt.Errorf("engine: segment [%d,%d) ended after %d sets", start, end, len(ck.sets))
 		}
+		failed := ck.err != nil // read before the send: see segChunk
 		select {
 		case r.chans[w] <- ck:
 		case <-r.stop:
 			r.discard(ck)
 			return
 		}
-		if ck.err != nil {
+		if failed {
 			return
 		}
 	}
 }
 
-// fillChunk drains a segment reader into a pooled chunk buffer, up to want
-// sets (a healthy segment yields exactly that many).
-func (r *segmentedReader) fillChunk(it stream.Reader, want int) []setcover.Set {
-	buf := r.free.Get().([]setcover.Set)[:0]
+// fillChunk drains a segment reader into buf, a pooled chunk record's set
+// storage, up to want sets (a healthy segment yields exactly that many).
+func fillChunk(it stream.Reader, want int, buf []setcover.Set) []setcover.Set {
+	buf = buf[:0]
 	if cap(buf) < want {
 		// A cost-balanced plan may pack more sets than chunkSize into one
-		// chunk (many small sets balancing one huge one); the pooled buffers
+		// chunk (many small sets balancing one huge one); the pooled records
 		// grow to the largest chunk seen and stay there.
 		buf = make([]setcover.Set, 0, want)
 	}
@@ -197,7 +202,13 @@ func (r *segmentedReader) discard(ck *segChunk) {
 	if r.rec != nil && len(ck.sets) > 0 {
 		r.rec.Recycle(ck.sets)
 	}
-	r.free.Put(ck.sets[:0])
+	r.release(ck)
+}
+
+// release empties a chunk record and returns it to the engine's pool.
+func (r *segmentedReader) release(ck *segChunk) {
+	ck.sets, ck.err = ck.sets[:0], nil
+	r.chunks.Put(ck)
 }
 
 // NextBatch implements stream.BatchReader: it copies the next in-order run
@@ -214,7 +225,7 @@ func (r *segmentedReader) NextBatch(dst []setcover.Set) int {
 		n += c
 		r.curPos += c
 		if r.curPos == len(r.cur.sets) {
-			r.free.Put(r.cur.sets[:0])
+			r.release(r.cur)
 			r.cur = nil
 		}
 	}

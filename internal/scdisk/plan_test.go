@@ -2,7 +2,12 @@ package scdisk
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,6 +111,59 @@ func TestPlanByteChunksEdges(t *testing.T) {
 	}
 }
 
+// planByteChunksLinear is the sweep planByteChunks replaced: it walks every
+// offset and cuts at the first set whose start reaches the next ideal byte
+// position. It is the reference the binary-search plan must match exactly.
+func planByteChunksLinear(offs []int64, target int) []int {
+	m := len(offs) - 1
+	if m <= 0 {
+		return []int{0}
+	}
+	if target < 1 {
+		target = 1
+	}
+	if target > m {
+		target = m
+	}
+	base, total := offs[0], offs[m]-offs[0]
+	width := total / int64(target)
+	bounds := make([]int, 1, target+1)
+	k := int64(1)
+	for i := 1; i < m && k < int64(target); i++ {
+		if pos := offs[i] - base; pos >= k*width {
+			bounds = append(bounds, i)
+			k = pos/width + 1
+		}
+	}
+	return append(bounds, m)
+}
+
+// The binary-search plan must equal the linear sweep on every input: random
+// strictly increasing offsets with m from 0 to 60, set sizes of 1 to 40
+// bytes with an occasional set of thousands, and every target from -1 to
+// m+1.
+func TestPlanByteChunksMatchesLinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		m := trial % 61
+		offs := make([]int64, m+1)
+		offs[0] = rng.Int63n(100)
+		for i := 1; i <= m; i++ {
+			size := 1 + rng.Int63n(40)
+			if rng.Intn(15) == 0 {
+				size = 1000 + rng.Int63n(10000)
+			}
+			offs[i] = offs[i-1] + size
+		}
+		for target := -1; target <= m+1; target++ {
+			got, want := planByteChunks(offs, target), planByteChunksLinear(offs, target)
+			if !slices.Equal(got, want) {
+				t.Fatalf("offs %v target %d: plan %v, linear sweep %v", offs, target, got, want)
+			}
+		}
+	}
+}
+
 // skewedFile writes a byte-skewed family (gen.SkewedFunc) in the indexed
 // format and returns the encoded bytes plus the materialized reference sets.
 func skewedFile(t testing.TB, n, m int) ([]byte, []setcover.Set) {
@@ -185,6 +243,76 @@ func TestSkewedSegmentedConformance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Concurrent segmented passes share pooled scratch: the engine's chunk
+// records and the repository's segment decode state. 4 goroutines each run 5
+// segmented passes through ONE engine over ONE repository, on the
+// positional-read and the mmap path, and every pass must deliver the
+// sequential stream. Run under -race this catches a decoder that touches a
+// chunk record after handing it to the consumer.
+func TestConcurrentSegmentedPasses(t *testing.T) {
+	data, ref := skewedFile(t, 2000, 3000)
+	path := filepath.Join(t.TempDir(), "skewed.scb")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opts []OpenOption
+	}{{"readat", nil}, {"mmap", []OpenOption{ReadOnlyMmap()}}} {
+		t.Run(c.name, func(t *testing.T) {
+			d, err := Open(path, c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			eng := engine.New(engine.Options{Workers: 3, BatchSize: 16})
+			const goroutines, passes = 4, 5
+			errc := make(chan error, goroutines)
+			for g := 0; g < goroutines; g++ {
+				go func() {
+					for p := 0; p < passes; p++ {
+						if err := sequentialPass(eng, d, ref); err != nil {
+							errc <- fmt.Errorf("pass %d: %w", p, err)
+							return
+						}
+					}
+					errc <- nil
+				}()
+			}
+			for g := 0; g < goroutines; g++ {
+				if err := <-errc; err != nil {
+					t.Error(err)
+				}
+			}
+			if got := d.Passes(); got != goroutines*passes {
+				t.Errorf("%d passes counted, want %d", got, goroutines*passes)
+			}
+		})
+	}
+}
+
+// sequentialPass runs one pass of eng over d and reports the first way the
+// delivered stream differs from ref.
+func sequentialPass(eng *engine.Engine, d *Repo, ref []setcover.Set) error {
+	var bad error
+	seen := 0
+	err := eng.Run(d, engine.Func(func(sets []setcover.Set) {
+		for _, s := range sets {
+			if bad == nil && (s.ID != seen || !slices.Equal(s.Elems, ref[seen].Elems)) {
+				bad = fmt.Errorf("set %d delivered at position %d with %d elements, want %d", s.ID, seen, len(s.Elems), len(ref[seen].Elems))
+			}
+			seen++
+		}
+	}))
+	if err != nil {
+		return err
+	}
+	if bad == nil && seen != len(ref) {
+		bad = fmt.Errorf("saw %d of %d sets", seen, len(ref))
+	}
+	return bad
 }
 
 // Open(ReadOnlyMmap) must behave identically to plain Open in every

@@ -81,6 +81,11 @@ type Repo struct {
 
 	passes atomic.Int64
 	free   elemPool
+	// segStates pools the decode state of segment readers (*segState) for
+	// the repository's lifetime: each decode goroutine of a segmented pass
+	// reuses one window and one stash across its chunks, and the next pass
+	// reuses them again.
+	segStates sync.Pool
 }
 
 // OpenOption customizes Open.
@@ -449,17 +454,16 @@ func (d *Repo) BeginSegmented() (stream.SegmentSource, bool) {
 	return &segSource{d: d}, true
 }
 
-// segSource opens chunk readers for one segmented pass. The per-chunk decode
-// state — the decode window and the buffer stash backing the batched pool
-// draw — is pooled across chunks: a chunk is a few tens of KB, so each decode
-// goroutine effectively reuses one window (and one stash array) for its whole
-// stride instead of allocating them ~m/BatchSize times per pass.
+// segSource opens chunk readers for one segmented pass. Their decode state
+// comes from the repository's segStates pool (segState).
 type segSource struct {
-	d      *Repo
-	states sync.Pool // *segState
+	d *Repo
 }
 
-// segState is the reusable decode state of one chunk reader.
+// segState is the reusable decode state of one chunk reader: the decode
+// window and the buffer stash backing the batched pool draw. A chunk is a
+// few tens of KB, so pooling it per repository saves allocating both
+// ~m/BatchSize times per pass.
 type segState struct {
 	win   []byte            // positional-read window storage; nil on the byte path
 	stash [][]setcover.Elem // emptied between chunks; capacity is what's reused
@@ -485,7 +489,9 @@ func (s *segSource) PlanSegments(targetChunks int) []int {
 // large that it spans several ideal positions becomes (most of) one chunk and
 // the plan re-anchors past it — ideal cut positions inside an unsplittable
 // set cannot be honored, so the plan yields fewer, still maximally balanced,
-// chunks. Deterministic in (offs, target).
+// chunks. Deterministic in (offs, target). Each cut is found by binary
+// search over the strictly increasing offs, so a plan costs O(target·log m),
+// not a sweep of all m offsets per pass.
 func planByteChunks(offs []int64, target int) []int {
 	m := len(offs) - 1
 	if m <= 0 {
@@ -501,18 +507,20 @@ func planByteChunks(offs []int64, target int) []int {
 	// width ≥ 1: every set is at least one encoded byte, and target ≤ m.
 	width := total / int64(target)
 	bounds := make([]int, 1, target+1) // bounds[0] == 0
-	k := int64(1)
-	for i := 1; i < m && k < int64(target); i++ {
-		if pos := offs[i] - base; pos >= k*width {
-			bounds = append(bounds, i)
-			k = pos/width + 1 // skip ideal positions swallowed by the chunk just closed
+	for k, lo := int64(1), 1; k < int64(target); {
+		i, _ := slices.BinarySearch(offs[lo:m], base+k*width)
+		if i += lo; i == m {
+			break
 		}
+		bounds = append(bounds, i)
+		k = (offs[i]-base)/width + 1 // skip ideal positions swallowed by the chunk just closed
+		lo = i + 1
 	}
 	return append(bounds, m)
 }
 
 // Segment returns a reader for sets [start, end), positioned by one seek.
-// The reader verifies it consumes its byte span exactly (verifySpan): the
+// The reader verifies it consumes its byte span exactly (reader.finish): the
 // index's per-set byte lengths are validated in aggregate at open, but a
 // crafted index could still lie about interior boundaries while keeping the
 // total right, and seeking with a wrong boundary decodes garbage mid-set.
@@ -521,19 +529,12 @@ func planByteChunks(offs []int64, target int) []int {
 // past an unvalidated boundary — segmented decode either matches the
 // sequential stream byte for byte or fails loudly.
 func (s *segSource) Segment(start, end int) stream.Reader {
-	st, _ := s.states.Get().(*segState)
+	st, _ := s.d.segStates.Get().(*segState)
 	if st == nil {
 		st = &segState{shard: s.d.free.shard()}
 	}
 	r := s.d.newReader(start, end, s.d.offs[start], s.d.offs[end], st.win, segBufSize)
-	r.verifySpan, r.stash, r.shard = true, st.stash, st.shard
-	r.release = func() {
-		st.stash = r.stash // emptied by finish; keeps its capacity for the next chunk
-		if s.d.data == nil {
-			st.win = r.win // possibly grown by a large set; reused by the next chunk
-		}
-		s.states.Put(st)
-	}
+	r.seg, r.stash, r.shard = st, st.stash, st.shard
 	return r
 }
 
@@ -561,8 +562,9 @@ type reader struct {
 	shard       int // pool shard this reader draws from and returns to
 	failed      bool
 	err         error
-	verifySpan  bool   // segment readers: span must be consumed exactly
-	release     func() // returns the decode state to its pool, once, at end of span
+	// seg is a segment reader's pooled decode state until finish verifies
+	// the span and returns it; nil for a sequential pass.
+	seg *segState
 	// stash holds recycled decode buffers drawn from the repository pool a
 	// batch at a time (one lock per NextBatch instead of one per set);
 	// leftovers flow back on finish.
@@ -667,8 +669,8 @@ func (it *reader) NextBatch(dst []setcover.Set) int {
 
 // finish closes out the span: segment readers verify the byte span was
 // consumed exactly (see segSource.Segment) — the window is drained and the
-// span has no bytes left to load — then the decode state goes back to its
-// pool.
+// span has no bytes left to load — then the decode state goes back to the
+// repository's pool.
 func (it *reader) finish() {
 	if len(it.stash) > 0 {
 		// Unused recycled buffers (short final batch, failed span) rejoin the
@@ -676,17 +678,19 @@ func (it *reader) finish() {
 		it.d.free.putBufs(it.stash, it.shard)
 		it.stash = it.stash[:0]
 	}
-	if it.verifySpan {
-		it.verifySpan = false
-		if !it.failed && (it.wpos < len(it.win) || it.next < it.limit) {
-			it.fail(fmt.Errorf("segment ending at set %d: bytes left after the last set — index span mismatch", it.end))
-			return // fail re-enters finish with verifySpan already cleared
-		}
+	st := it.seg
+	if st == nil {
+		return
 	}
-	if it.release != nil {
-		it.release()
-		it.release = nil
+	it.seg = nil // fail below re-enters finish
+	if !it.failed && (it.wpos < len(it.win) || it.next < it.limit) {
+		it.fail(fmt.Errorf("segment ending at set %d: bytes left after the last set — index span mismatch", it.end))
 	}
+	st.stash = it.stash // emptied above; keeps its capacity for the next chunk
+	if it.d.data == nil {
+		st.win = it.win // possibly grown by a large set; reused by the next chunk
+	}
+	it.d.segStates.Put(st)
 }
 
 // Recycle implements stream.Recycler: consumed batches return their element
