@@ -99,7 +99,7 @@ type (
 	// observers: Workers goroutines (default GOMAXPROCS) consuming batches
 	// of BatchSize sets (default engine.DefaultBatchSize). With Workers > 1
 	// the stream itself is also DECODED in parallel when the repository
-	// supports it (indexed SCB1 files and both in-memory backends): the pass
+	// supports it (indexed SCB1 files and FuncRepo generators): the pass
 	// splits into contiguous chunks decoded on separate goroutines and
 	// reassembled in stream order, so the CPU-bound varint decode of a disk
 	// pass scales with cores (DisableSegmented opts out). Set it on

@@ -75,8 +75,8 @@ func TestBaselineBackendConformance(t *testing.T) {
 
 	// Sweep the per-call executor options across worker counts: workers = 1
 	// is the sequential reference, workers > 1 decodes segmentable backends
-	// (all three — an indexed SCB1 file included) through the segmented
-	// parallel path. The baselines must be unable to tell any of it apart.
+	// (func and the indexed SCB1 file) through the segmented parallel path.
+	// The baselines must be unable to tell any of it apart.
 	engines := []engine.Options{
 		{Workers: 1},
 		{Workers: 2},

@@ -73,22 +73,6 @@ func engineFor(engOpts []engine.Options) *engine.Engine {
 	return engine.New(opts)
 }
 
-// weightFn resolves the per-set cost accessor for one solve: the
-// repository's Weighted capability when present and populated, nil
-// otherwise. Every baseline threads it the same way: nil leaves the
-// unweighted hot path (and every reported number) untouched, non-nil
-// generalizes the pick rule from coverage to cost-effectiveness
-// (coverage per unit cost). All-ones weights reduce byte-identically to
-// the unweighted behavior: thresholds are multiplied by exactly 1.0 and
-// argmax comparisons cross-multiply integer gains that are exact in
-// float64.
-func weightFn(repo stream.Repository) func(int) float64 {
-	if w, ok := repo.(stream.Weighted); ok && w.HasWeights() {
-		return w.Weight
-	}
-	return nil
-}
-
 // failPass closes out a Stats whose physical pass failed mid-stream: the
 // algorithm saw only a prefix of F, so no cover is reported.
 func failPass(st setcover.Stats, repo stream.Repository, tracker *stream.Tracker, err error) (setcover.Stats, error) {
@@ -117,7 +101,7 @@ func OnePassGreedy(repo stream.Repository, engOpts ...engine.Options) (setcover.
 	st := setcover.Stats{Algorithm: "greedy-1pass"}
 	tracker := stream.NewTracker()
 
-	weight := weightFn(repo)
+	weight := stream.WeightFunc(repo)
 	stored := &setcover.Instance{N: repo.UniverseSize()}
 	if err := eng.Run(repo, engine.Func(func(batch []setcover.Set) {
 		for _, s := range batch {
@@ -178,7 +162,7 @@ func multiPassGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 	tracker.Grow(stream.WordsForElems(n))
 
 	var cover []int
-	best := &bestSetObserver{uncovered: uncovered, weight: weightFn(repo)}
+	best := &bestSetObserver{uncovered: uncovered, weight: stream.WeightFunc(repo)}
 	for uncovered.Count() > allowed {
 		if len(cover) > n {
 			return st, fmt.Errorf("baseline: greedy-npass exceeded %d passes", n)
@@ -270,7 +254,7 @@ func thresholdGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 
 	var cover []int
 	tau := float64(n)
-	weight := weightFn(repo)
+	weight := stream.WeightFunc(repo)
 	left := n // == uncovered.Count(), kept up to date by every pick
 	// Once the fractional goal is reached mid-pass the observer stops
 	// accepting but the engine still drains the stream: a begun pass always
@@ -376,7 +360,7 @@ func emekRosen(repo stream.Repository, eps float64, eng *engine.Engine) (setcove
 	// weight-oblivious either way — it buys completeness, not quality, and
 	// remembering the first set containing an element is exactly [ER14]'s
 	// rule.
-	weight := weightFn(repo)
+	weight := stream.WeightFunc(repo)
 	var cover []int
 	if err := eng.Run(repo, engine.Func(func(batch []setcover.Set) {
 		for _, s := range batch {
@@ -455,7 +439,7 @@ func chakrabartiWirth(repo stream.Repository, passes int, eps float64, eng *engi
 
 	// Weighted repositories accept on cost-effectiveness (g ≥ τ_j·w), like
 	// ThresholdGreedy; the leftover patch stays weight-oblivious.
-	weight := weightFn(repo)
+	weight := stream.WeightFunc(repo)
 	var cover []int
 	p := float64(passes)
 	for j := 1; j <= passes; j++ {
@@ -560,7 +544,7 @@ type DIMV14Options struct {
 // that Theorem 2.8 eliminates.
 func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts ...engine.Options) (setcover.Stats, error) {
 	eng := engineFor(engOpts)
-	weight := weightFn(repo)
+	weight := stream.WeightFunc(repo)
 	st := setcover.Stats{Algorithm: "dimv14-sampling", Extra: opts.Delta}
 	n, m := repo.UniverseSize(), repo.NumSets()
 	if opts.Delta <= 0 || opts.Delta > 1 {

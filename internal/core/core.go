@@ -212,10 +212,7 @@ func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 	// (see guessRun.observe) and hand per-set costs to the offline solver.
 	// weightOf stays nil on unweighted repositories so the hot path — and
 	// every number the unweighted algorithm reports — is untouched.
-	var weightOf func(int) float64
-	if w, ok := repo.(stream.Weighted); ok && w.HasWeights() {
-		weightOf = w.Weight
-	}
+	weightOf := stream.WeightFunc(repo)
 
 	iterations := int(math.Ceil(1 / opts.Delta))
 	maxIter := iterations

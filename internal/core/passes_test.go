@@ -72,6 +72,10 @@ func (r *drainCheckRepo) Begin() stream.Reader {
 
 func (r *drainCheckRepo) verify(t *testing.T) {
 	t.Helper()
+	if len(r.readers) == 0 || len(r.readers) != r.Passes() {
+		t.Fatalf("wrapper saw %d readers over %d counted passes, want one per pass",
+			len(r.readers), r.Passes())
+	}
 	for i, dr := range r.readers {
 		if dr.reads != r.m {
 			t.Fatalf("pass %d read %d of %d sets — partial scan", i, dr.reads, r.m)

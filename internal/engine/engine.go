@@ -20,22 +20,21 @@
 // without changing pass counts, space accounting, or results.
 //
 // The delivery loops themselves are generic over the element type
-// (generic.go): Run is their T = setcover.Set instantiation plus the
-// repository-specific capabilities below, and RunOver runs the same
-// machinery over any Source[T] — which is how the geometric algorithm's
-// shape streams get observer fan-out and the failure contract without
-// pretending shapes are sets.
+// (generic.go) and read every stream through the stream.Cursor family: Run
+// is their T = setcover.Set instantiation plus the repository-specific
+// capabilities below, and RunOver runs the same machinery over any
+// Source[T] — which is how the geometric algorithm's shape streams get
+// observer fan-out and the failure contract without pretending shapes are
+// sets.
 //
 // Passes are parallel on a second axis too: when the repository implements
 // stream.SegmentedRepository and the engine runs with Workers > 1, the
 // stream is decoded as contiguous chunks on Workers goroutines and
 // reassembled in stream order before delivery (segmented.go) — the
 // CPU-bound decode of a disk-backed pass scales with cores while every
-// observer still sees the exact sequential stream. A segment source that
-// declares its decode trivial (stream.DecodeCoster — SliceRepo's, whose
-// "decode" is a header memcpy) is driven as one sequential segment instead:
-// there is nothing to parallelize, so the engine skips the chunk fan-out
-// and its reorder overhead while still counting the same single pass.
+// observer still sees the exact sequential stream. An in-memory SliceRepo,
+// whose "decode" is a header memcpy, offers nothing to parallelize and is
+// read through Begin.
 //
 // Pass failure is first-class: Run returns an error when the pass could not
 // be fully drained (a truncated or corrupt backing file, surfaced through
@@ -222,7 +221,7 @@ func (e *Engine) BatchSize() int { return e.opts.BatchSize }
 // one that did.
 func (e *Engine) Run(repo stream.Repository, observers ...Observer) error {
 	tr := e.newTrace(traceKindSets, repo)
-	return runPass(func() Cursor[setcover.Set] {
+	return runPass(func() stream.Reader {
 		r, segmented := e.beginPass(repo)
 		if tr != nil {
 			tr.rec.Segmented = segmented
@@ -236,8 +235,10 @@ func (e *Engine) Run(repo stream.Repository, observers ...Observer) error {
 
 // newTrace prepares the partially-filled trace record for one pass, or nil
 // when no tracer is installed (the untraced fast path: every trace touch
-// downstream is behind a nil check). src is the stream source, probed for
-// the optional stream.ByteSized measurement capability.
+// downstream is behind a nil check). src is the stream source; one with a
+// well-defined encoded size (an SCB1 file's set-data section) reports it
+// through DataBytes, which is stamped into the record so per-pass
+// throughput can be computed.
 func (e *Engine) newTrace(kind string, src any) *passTrace {
 	if e.opts.Tracer == nil {
 		return nil
@@ -249,28 +250,22 @@ func (e *Engine) newTrace(kind string, src any) *passTrace {
 		Workers:   e.opts.Workers,
 		BatchSize: e.opts.BatchSize,
 	}
-	if bs, ok := src.(stream.ByteSized); ok {
+	if bs, ok := src.(interface{ DataBytes() int64 }); ok {
 		tr.rec.Bytes = bs.DataBytes()
 	}
 	return tr
 }
 
 // beginPass starts the pass, choosing the decode mode: segmented
-// data-parallel decode whenever more than one worker is configured, the
-// repository supports it, and the segment source does not declare its decode
-// trivial (the CPU-bound varint decode of a disk pass is the hot path
-// segmentation exists for; a header-memcpy source like SliceRepo's gains
-// nothing from chunk fan-out and is driven as one sequential segment of the
-// same counted pass instead). The plain single reader otherwise. Exactly one
-// pass is counted in every mode. segmented reports which mode was chosen —
-// true only for the chunk-parallel decode path — and feeds the pass trace.
+// data-parallel decode whenever more than one worker is configured and the
+// repository supports it (the CPU-bound varint decode of a disk pass is the
+// hot path segmentation exists for), the plain single reader otherwise.
+// Exactly one pass is counted in either mode. segmented reports which mode
+// was chosen and feeds the pass trace.
 func (e *Engine) beginPass(repo stream.Repository) (r stream.Reader, segmented bool) {
 	if e.opts.Workers > 1 && !e.opts.DisableSegmented {
 		if sr, ok := repo.(stream.SegmentedRepository); ok {
 			if src, ok := sr.BeginSegmented(); ok {
-				if dc, ok := src.(stream.DecodeCoster); ok && dc.DecodeCost() == stream.DecodeCostTrivial {
-					return src.Segment(0, repo.NumSets()), false
-				}
 				return newSegmentedReader(src, repo.NumSets(), e.opts.Workers, e.opts.BatchSize, &e.chunks), true
 			}
 		}

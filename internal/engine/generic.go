@@ -1,8 +1,9 @@
 // Generic pass machinery. The engine's delivery loops are generic over the
-// element type: one counted pass over a Source[T] feeds batches of T to
-// ObserverOf[T] observers, sharded across a worker pool exactly like the
-// set-system path. The concrete stream.Repository entry point (Run, in
-// engine.go) is the T = setcover.Set instantiation of these loops plus the
+// element type: one counted pass over a Source[T] — read through the
+// stream.Cursor family — feeds batches of T to ObserverOf[T] observers,
+// sharded across a worker pool exactly like the set-system path. The
+// concrete stream.Repository entry point (Run, in engine.go) is the
+// T = setcover.Set instantiation of these loops plus the
 // repository-specific capabilities (segmented decode, the shared batch
 // pool); RunOver is the entry point for every other element type — the
 // geometric algorithm drives it with streamed shapes.
@@ -50,29 +51,6 @@ func countElems[T any](items []T) int64 {
 	return n
 }
 
-// Cursor yields the items of one pass, in stream order — the generic
-// analogue of stream.Reader. A cursor whose pass can fail mid-stream
-// additionally implements stream.ErrorReader (Err() error); RunOver probes
-// it after draining and turns a non-nil result into a failed pass.
-type Cursor[T any] interface {
-	Next() (item T, ok bool)
-}
-
-// BatchCursor is the optional fast path a Cursor may implement, the generic
-// analogue of stream.BatchReader: NextBatch fills dst (up to cap(dst)) with
-// the next items of the pass and returns how many were written; zero means
-// the pass is exhausted. The two paths must yield identical streams.
-type BatchCursor[T any] interface {
-	NextBatch(dst []T) int
-}
-
-// RecyclerOf is the generic analogue of stream.Recycler: a Cursor that owns
-// its decode buffers gets each batch handed back once the last observer is
-// done with it.
-type RecyclerOf[T any] interface {
-	Recycle(items []T)
-}
-
 // ObserverOf consumes one physical pass. Observe is called with consecutive
 // batches in stream order; each observer's calls happen on a single
 // goroutine, but different observers may run concurrently. Observers may
@@ -90,15 +68,15 @@ func (f FuncOf[T]) Observe(batch []T) { f(batch) }
 
 // Source is the capability RunOver needs from a stream of T: the generic,
 // read-only analogue of stream.Repository. Begin starts (and, by the
-// implementer's contract, counts) one sequential pass; NumItems is the exact
-// stream length, which RunOver uses to detect silently truncated passes —
-// a cursor that ends early without reporting an error is still a failed
-// pass, never a cheap full one.
+// implementer's contract, counts) one sequential pass and returns its
+// stream.Cursor; NumItems is the exact stream length, which RunOver uses to
+// detect silently truncated passes — a cursor that ends early without
+// reporting an error is still a failed pass, never a cheap full one.
 type Source[T any] interface {
 	// NumItems returns the exact number of items a full pass yields.
 	NumItems() int
 	// Begin starts a new pass over the stream and returns its cursor.
-	Begin() Cursor[T]
+	Begin() stream.Cursor[T]
 }
 
 // RunOver executes one physical pass over src on e's worker/batch
@@ -134,7 +112,7 @@ func RunOver[T any](e *Engine, src Source[T], observers ...ObserverOf[T]) error 
 // tr, when non-nil, is completed (items, wall time, outcome) and emitted
 // after the pass — including failed passes, whose record carries the error
 // and the delivered prefix length.
-func runPass[T any](begin func() Cursor[T], want int, observers []ObserverOf[T], workers int,
+func runPass[T any](begin func() stream.Cursor[T], want int, observers []ObserverOf[T], workers int,
 	get func() *batchOf[T], put func(*batchOf[T]), tr *passTrace) error {
 	var start time.Time
 	if tr != nil {
@@ -148,7 +126,7 @@ func runPass[T any](begin func() Cursor[T], want int, observers []ObserverOf[T],
 
 	it := begin()
 	n := drain(it, observers, workers, get, put, tr)
-	err := cursorErr(it)
+	err := stream.ReaderErr(it)
 
 	for _, o := range observers {
 		if l, ok := o.(PassLifecycle); ok {
@@ -170,16 +148,6 @@ func runPass[T any](begin func() Cursor[T], want int, observers []ObserverOf[T],
 	return err
 }
 
-// cursorErr probes a cursor's optional mid-pass failure surface. The shape
-// is stream.ErrorReader — any cursor type can satisfy it, not just set
-// readers.
-func cursorErr[T any](c Cursor[T]) error {
-	if er, ok := c.(stream.ErrorReader); ok {
-		return er.Err()
-	}
-	return nil
-}
-
 // batchOf is a pooled, reference-counted slice of items. The reader fills
 // it, every delivery worker reads it (read-only), and the last worker to
 // finish returns it to the pool.
@@ -189,9 +157,9 @@ type batchOf[T any] struct {
 }
 
 // fillBatch loads the next batch of the pass into buf (up to cap(buf)),
-// using the BatchCursor fast path when the cursor provides one.
-func fillBatch[T any](it Cursor[T], buf []T) []T {
-	if br, ok := it.(BatchCursor[T]); ok {
+// using the stream.BatchCursor fast path when the cursor provides one.
+func fillBatch[T any](it stream.Cursor[T], buf []T) []T {
+	if br, ok := it.(stream.BatchCursor[T]); ok {
 		return buf[:br.NextBatch(buf[:0])]
 	}
 	buf = buf[:0]
@@ -209,7 +177,7 @@ func fillBatch[T any](it Cursor[T], buf []T) []T {
 // when at most one delivery worker is useful, sharded across workers
 // otherwise. It returns the number of items read from the cursor — every
 // observer saw exactly that prefix of the stream.
-func drain[T any](it Cursor[T], observers []ObserverOf[T], workers int,
+func drain[T any](it stream.Cursor[T], observers []ObserverOf[T], workers int,
 	get func() *batchOf[T], put func(*batchOf[T]), tr *passTrace) int {
 	if workers > len(observers) {
 		workers = len(observers)
@@ -222,11 +190,11 @@ func drain[T any](it Cursor[T], observers []ObserverOf[T], workers int,
 
 // drainSequential drains the pass on the calling goroutine, reusing a single
 // batch buffer. Also used with zero observers: the pass is still a full
-// scan, it just feeds no one. When the cursor recycles (RecyclerOf), each
-// batch is handed back as soon as the observers are done with it.
-func drainSequential[T any](it Cursor[T], observers []ObserverOf[T],
+// scan, it just feeds no one. When the cursor recycles (stream.RecyclerOf),
+// each batch is handed back as soon as the observers are done with it.
+func drainSequential[T any](it stream.Cursor[T], observers []ObserverOf[T],
 	get func() *batchOf[T], put func(*batchOf[T]), tr *passTrace) int {
-	rec, _ := it.(RecyclerOf[T])
+	rec, _ := it.(stream.RecyclerOf[T])
 	b := get()
 	defer put(b)
 	total := 0
@@ -251,9 +219,9 @@ func drainSequential[T any](it Cursor[T], observers []ObserverOf[T],
 // drainParallel shards observers across workers (observer i belongs to
 // worker i % workers) and streams ref-counted batches to all of them.
 // Channel FIFO order per worker preserves stream order per observer.
-func drainParallel[T any](it Cursor[T], observers []ObserverOf[T], workers int,
+func drainParallel[T any](it stream.Cursor[T], observers []ObserverOf[T], workers int,
 	get func() *batchOf[T], put func(*batchOf[T]), tr *passTrace) int {
-	rec, _ := it.(RecyclerOf[T])
+	rec, _ := it.(stream.RecyclerOf[T])
 	chans := make([]chan *batchOf[T], workers)
 	for w := range chans {
 		chans[w] = make(chan *batchOf[T], 2)

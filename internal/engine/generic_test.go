@@ -38,7 +38,7 @@ func newWordSource(m int) *wordSource {
 
 func (s *wordSource) NumItems() int { return len(s.words) }
 
-func (s *wordSource) Begin() Cursor[word] {
+func (s *wordSource) Begin() stream.Cursor[word] {
 	s.begins++
 	return &wordCursor{src: s}
 }
@@ -243,9 +243,6 @@ type shortSetRepo struct {
 }
 
 func (r *shortSetRepo) NumSets() int { return r.claim }
-
-// Hide segmentation so the single-reader path is what ends short.
-func (r *shortSetRepo) BeginSegmented() (stream.SegmentSource, bool) { return nil, false }
 
 func TestRunShortSetStreamIsAFailedPass(t *testing.T) {
 	repo := &shortSetRepo{SliceRepo: stream.NewSliceRepo(testInstance(8, 100)), claim: 150}

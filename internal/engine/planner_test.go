@@ -6,26 +6,24 @@ import (
 	"repro/internal/stream"
 )
 
-// plannedSegRepo exposes a SliceRepo through a segment source that also
-// implements stream.SegmentPlanner, returning whatever plan the test injects
-// and recording the target chunk count the engine asked for.
+// plannedSegRepo exposes a segmentable repository through a segment source
+// whose PlanSegments returns whatever plan the test injects and records the
+// target chunk count the engine asked for.
 type plannedSegRepo struct {
-	*stream.SliceRepo
+	*stream.FuncRepo
 	plan   []int
 	target int
 }
 
 func (r *plannedSegRepo) BeginSegmented() (stream.SegmentSource, bool) {
-	src, ok := r.SliceRepo.BeginSegmented()
-	return &plannedSegSource{src: src, repo: r}, ok
+	src, ok := r.FuncRepo.BeginSegmented()
+	return &plannedSegSource{SegmentSource: src, repo: r}, ok
 }
 
 type plannedSegSource struct {
-	src  stream.SegmentSource
+	stream.SegmentSource
 	repo *plannedSegRepo
 }
-
-func (s *plannedSegSource) Segment(start, end int) stream.Reader { return s.src.Segment(start, end) }
 
 func (s *plannedSegSource) PlanSegments(target int) []int {
 	s.repo.target = target
@@ -51,7 +49,7 @@ func TestPlannerPlansHonoredAndValidated(t *testing.T) {
 	}
 	for name, plan := range plans {
 		for _, workers := range []int{1, 2, 3} {
-			repo := &plannedSegRepo{SliceRepo: stream.NewSliceRepo(testInstance(32, m)), plan: plan}
+			repo := &plannedSegRepo{FuncRepo: segRepo(testInstance(32, m)), plan: plan}
 			e := New(Options{Workers: workers, BatchSize: 16})
 			rec := &recorder{}
 			if err := e.Run(repo, rec); err != nil {
@@ -89,13 +87,12 @@ func TestValidBounds(t *testing.T) {
 	}
 }
 
-// planBounds must produce the uniform cut when the source has no planner —
+// planBounds must produce the uniform cut when the source returns no plan —
 // and the uniform cut must tile [0, m] exactly for awkward m/chunk ratios.
 func TestPlanBoundsUniformFallback(t *testing.T) {
-	repo := stream.NewSliceRepo(testInstance(8, 10))
-	src, ok := repo.BeginSegmented()
+	src, ok := segRepo(testInstance(8, 10)).BeginSegmented()
 	if !ok {
-		t.Fatal("SliceRepo must segment")
+		t.Fatal("FuncRepo must segment")
 	}
 	for _, tc := range []struct{ m, chunk, chunks int }{
 		{10, 3, 4}, {10, 5, 2}, {10, 100, 1}, {1, 1, 1}, {0, 4, 0},

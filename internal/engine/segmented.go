@@ -14,13 +14,13 @@ import (
 // decoded by `workers` goroutines, and reassembled in stream order before
 // any observer sees a set.
 //
-// Chunk boundaries come from planBounds: uniform cuts of chunkSize sets by
-// default, or — when the segment source implements stream.SegmentPlanner —
-// the source's own cost-balanced plan (scdisk cuts ≈equal-BYTE chunks from
-// its seek index, so one huge set no longer serializes a decoder on skewed
-// families; see that interface's doc). A malformed plan falls back to the
-// uniform cut. Either way the boundaries are fixed before any decoder
-// starts, shared by all of them, and affect wall-clock only.
+// Chunk boundaries come from planBounds: the segment source's own
+// cost-balanced plan (stream.SegmentSource.PlanSegments — scdisk cuts
+// ≈equal-BYTE chunks from its seek index, so one huge set no longer
+// serializes a decoder on skewed families), or uniform cuts of chunkSize
+// sets when the source returns nil or a malformed plan. Either way the
+// boundaries are fixed before any decoder starts, shared by all of them,
+// and affect wall-clock only.
 //
 // Chunk ownership is strided: decoder w owns chunks w, w+W, w+2W, ... and
 // publishes them, in its own order, on its own bounded channel. The consumer
@@ -111,16 +111,14 @@ func newSegmentedReader(src stream.SegmentSource, m, workers, chunkSize int, poo
 }
 
 // planBounds fixes the chunk boundaries of one segmented pass: the source's
-// own cost-balanced plan when it offers a valid one (stream.SegmentPlanner),
-// uniform chunkSize cuts otherwise. The uniform fallback also guards against
-// a planner returning malformed boundaries — the plan is an untrusted hint,
+// own cost-balanced plan when it offers a valid one (PlanSegments), uniform
+// chunkSize cuts otherwise. The uniform fallback also guards against a
+// source returning malformed boundaries — the plan is an untrusted hint,
 // never a correctness input.
 func planBounds(src stream.SegmentSource, m, chunkSize int) []int {
 	target := (m + chunkSize - 1) / chunkSize
-	if p, ok := src.(stream.SegmentPlanner); ok {
-		if b := p.PlanSegments(target); validBounds(b, m) {
-			return b
-		}
+	if b := src.PlanSegments(target); validBounds(b, m) {
+		return b
 	}
 	b := make([]int, 0, target+1)
 	for start := 0; start < m; start += chunkSize {

@@ -11,34 +11,30 @@ import (
 	"repro/internal/stream"
 )
 
-// countingSegRepo wraps a SliceRepo and records which begin path the engine
-// chose, so tests can assert the mode selection, not just the results. Its
-// source is wrapped opaquely: SliceRepo's own segment source declares its
-// decode trivial (stream.DecodeCoster), which would steer the engine to the
-// sequential single-segment mode — these tests exist to exercise the chunked
-// parallel decoder, so the wrapper hides the signal.
+// segRepo streams an instance through a FuncRepo: a segmentable repository
+// over the same family.
+func segRepo(in *setcover.Instance) *stream.FuncRepo {
+	return stream.NewFuncRepo(in.N, len(in.Sets), func(id int) setcover.Set { return in.Sets[id] })
+}
+
+// countingSegRepo wraps a segmentable repository and records which begin
+// path the engine chose, so tests can assert the mode selection, not just
+// the results.
 type countingSegRepo struct {
-	*stream.SliceRepo
+	*stream.FuncRepo
 	plainBegins int
 	segBegins   int
 }
 
 func (r *countingSegRepo) Begin() stream.Reader {
 	r.plainBegins++
-	return r.SliceRepo.Begin()
+	return r.FuncRepo.Begin()
 }
 
 func (r *countingSegRepo) BeginSegmented() (stream.SegmentSource, bool) {
 	r.segBegins++
-	src, ok := r.SliceRepo.BeginSegmented()
-	return opaqueSegSource{src: src}, ok
+	return r.FuncRepo.BeginSegmented()
 }
-
-// opaqueSegSource forwards Segment only, hiding every optional capability of
-// the wrapped source (DecodeCoster in particular).
-type opaqueSegSource struct{ src stream.SegmentSource }
-
-func (s opaqueSegSource) Segment(start, end int) stream.Reader { return s.src.Segment(start, end) }
 
 // The segmented decode path must deliver the exact sequential stream to
 // every observer — same sets, same order, bracketed lifecycle — at every
@@ -48,7 +44,7 @@ func TestSegmentedDecodeDeliversStreamInOrder(t *testing.T) {
 	for _, workers := range []int{2, 3, 7} {
 		for _, batchSize := range []int{1, 17, 256, 4096} {
 			name := fmt.Sprintf("workers=%d/batch=%d", workers, batchSize)
-			repo := &countingSegRepo{SliceRepo: stream.NewSliceRepo(testInstance(64, m))}
+			repo := &countingSegRepo{FuncRepo: segRepo(testInstance(64, m))}
 			e := New(Options{Workers: workers, BatchSize: batchSize})
 			obs := []*recorder{{}, {}}
 			if err := e.Run(repo, obs[0], obs[1]); err != nil {
@@ -74,7 +70,7 @@ func TestSegmentedModeSelection(t *testing.T) {
 		"workers=1": {Workers: 1},
 		"disabled":  {Workers: 4, DisableSegmented: true},
 	} {
-		repo := &countingSegRepo{SliceRepo: stream.NewSliceRepo(testInstance(16, 100))}
+		repo := &countingSegRepo{FuncRepo: segRepo(testInstance(16, 100))}
 		r := &recorder{}
 		if err := New(opts).Run(repo, r); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -118,26 +114,26 @@ func (r *failingSegReader) Err() error { return r.err }
 // failingSegRepo injects the failure into both the sequential and the
 // segmented begin paths.
 type failingSegRepo struct {
-	*stream.SliceRepo
+	*stream.FuncRepo
 	failAt int
 }
 
 func (r *failingSegRepo) Begin() stream.Reader {
-	return &failingSegReader{inner: r.SliceRepo.Begin(), failAt: r.failAt}
+	return &failingSegReader{inner: r.FuncRepo.Begin(), failAt: r.failAt}
 }
 
 func (r *failingSegRepo) BeginSegmented() (stream.SegmentSource, bool) {
-	src, ok := r.SliceRepo.BeginSegmented()
-	return failingSegSource{src: src, failAt: r.failAt}, ok
+	src, ok := r.FuncRepo.BeginSegmented()
+	return failingSegSource{SegmentSource: src, failAt: r.failAt}, ok
 }
 
 type failingSegSource struct {
-	src    stream.SegmentSource
+	stream.SegmentSource
 	failAt int
 }
 
 func (s failingSegSource) Segment(start, end int) stream.Reader {
-	return &failingSegReader{inner: s.src.Segment(start, end), pos: start, failAt: s.failAt}
+	return &failingSegReader{inner: s.SegmentSource.Segment(start, end), pos: start, failAt: s.failAt}
 }
 
 // A reader that fails mid-stream must poison the pass on every decode path:
@@ -157,7 +153,7 @@ func TestMidPassFailurePoisonsThePass(t *testing.T) {
 		{"segmented-mid", Options{Workers: 4, BatchSize: 16}, 500},
 		{"segmented-last-chunk", Options{Workers: 3, BatchSize: 64}, m - 1},
 	} {
-		repo := &failingSegRepo{SliceRepo: stream.NewSliceRepo(testInstance(64, m)), failAt: tc.failAt}
+		repo := &failingSegRepo{FuncRepo: segRepo(testInstance(64, m)), failAt: tc.failAt}
 		seen := 0
 		err := New(tc.opts).Run(repo, Func(func(batch []setcover.Set) {
 			for _, s := range batch {
@@ -182,7 +178,7 @@ func TestMidPassFailurePoisonsThePass(t *testing.T) {
 // A zero-observer segmented pass must still drain fully (the model's
 // partial-scan rule) and report failures.
 func TestSegmentedZeroObservers(t *testing.T) {
-	repo := &countingSegRepo{SliceRepo: stream.NewSliceRepo(testInstance(16, 300))}
+	repo := &countingSegRepo{FuncRepo: segRepo(testInstance(16, 300))}
 	if err := New(Options{Workers: 4, BatchSize: 32}).Run(repo); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +186,7 @@ func TestSegmentedZeroObservers(t *testing.T) {
 		t.Fatalf("seg begins=%d passes=%d, want 1/1", repo.segBegins, repo.Passes())
 	}
 
-	bad := &failingSegRepo{SliceRepo: stream.NewSliceRepo(testInstance(16, 300)), failAt: 100}
+	bad := &failingSegRepo{FuncRepo: segRepo(testInstance(16, 300)), failAt: 100}
 	if err := New(Options{Workers: 4, BatchSize: 32}).Run(bad); !errors.Is(err, errBoom) {
 		t.Fatalf("zero-observer poisoned pass returned %v", err)
 	}
@@ -223,28 +219,27 @@ func TestSegmentedFuncRepoSource(t *testing.T) {
 // reorder layer to the source, or a disk-backed repository's decode buffers
 // would stop being reused.
 type recycleSegRepo struct {
-	*stream.SliceRepo
+	*stream.FuncRepo
 	recycled atomic.Int64
 }
 
 func (r *recycleSegRepo) BeginSegmented() (stream.SegmentSource, bool) {
-	src, ok := r.SliceRepo.BeginSegmented()
-	return &recycleSegSource{src: src, repo: r}, ok
+	src, ok := r.FuncRepo.BeginSegmented()
+	return &recycleSegSource{SegmentSource: src, repo: r}, ok
 }
 
 type recycleSegSource struct {
-	src  stream.SegmentSource
+	stream.SegmentSource
 	repo *recycleSegRepo
 }
 
-func (s *recycleSegSource) Segment(start, end int) stream.Reader { return s.src.Segment(start, end) }
 func (s *recycleSegSource) Recycle(sets []setcover.Set) {
 	s.repo.recycled.Add(int64(len(sets)))
 }
 
 func TestSegmentedForwardsRecycle(t *testing.T) {
 	const m = 500
-	repo := &recycleSegRepo{SliceRepo: stream.NewSliceRepo(testInstance(16, m))}
+	repo := &recycleSegRepo{FuncRepo: segRepo(testInstance(16, m))}
 	if err := New(Options{Workers: 3, BatchSize: 64}).Run(repo, &recorder{}); err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestTraceEmittedPerPass(t *testing.T) {
 		if p.Err != nil {
 			t.Fatalf("healthy pass carries error %v", p.Err)
 		}
-		// SliceRepo's decode is trivial → sequential single-segment mode.
+		// SliceRepo passes go through Begin → sequential mode.
 		if p.Segmented {
 			t.Fatalf("slice pass reported segmented")
 		}
@@ -202,7 +202,7 @@ func TestTraceRunOverKindItems(t *testing.T) {
 type sliceSource[T any] struct{ items []T }
 
 func (s sliceSource[T]) NumItems() int { return len(s.items) }
-func (s sliceSource[T]) Begin() Cursor[T] {
+func (s sliceSource[T]) Begin() stream.Cursor[T] {
 	return &sliceCursor[T]{items: s.items}
 }
 

@@ -636,3 +636,62 @@ func TestFleetRelays429Unretried(t *testing.T) {
 		t.Fatalf("router retried a 429 onto the spare node %d times", second.Load())
 	}
 }
+
+// The router caps request bodies like a node does and answers an oversized
+// body 413 itself: one byte over the cap never reaches a backend, while a
+// body exactly at the cap is relayed whole.
+func TestRouterOversizedBodiesGet413(t *testing.T) {
+	var posts atomic.Int64
+	var lastLen atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+			n, _ := io.Copy(io.Discard, r.Body)
+			lastLen.Store(n)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintln(w, `{}`)
+	}))
+	defer backend.Close()
+	rt, err := NewRouter(Config{Nodes: []string{backend.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	defer rts.Close()
+
+	for _, c := range []struct {
+		path, obj string
+		limit     int
+	}{
+		{"/v1/solve", `{"instance":"x"}`, maxSolveBody},
+		{"/v1/instances/x/mutate", `{"ops":[{"op":"tombstone","id":0}]}`, maxMutateBody},
+	} {
+		for _, size := range []int{c.limit, c.limit + 1} {
+			body := c.obj[:len(c.obj)-1] + strings.Repeat(" ", size-len(c.obj)) + "}"
+			before := posts.Load()
+			resp, err := http.Post(rts.URL+c.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb errorBody
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			_ = json.Unmarshal(raw, &eb)
+			sent := posts.Load() - before
+			if size <= c.limit {
+				if resp.StatusCode != http.StatusOK || sent != 1 || lastLen.Load() != int64(size) {
+					t.Fatalf("%s %d bytes: status %d, %d backend POSTs of %d bytes; want 200 and one whole relay",
+						c.path, size, resp.StatusCode, sent, lastLen.Load())
+				}
+				continue
+			}
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || eb.Error == nil || eb.Error.Code != "bad_request" {
+				t.Fatalf("%s %d bytes: got %d %s, want 413 bad_request", c.path, size, resp.StatusCode, raw)
+			}
+			if sent != 0 {
+				t.Fatalf("%s %d bytes: oversized body reached the backend %d times", c.path, size, sent)
+			}
+		}
+	}
+}

@@ -186,9 +186,8 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(obs.RequestIDHeader, reqID)
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
+	body, ok := readBody(w, r, maxSolveBody)
+	if !ok {
 		return
 	}
 	// Lenient peek at the instance field only — full validation is the
@@ -321,9 +320,8 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(obs.RequestIDHeader, reqID)
 	name := r.PathValue("name")
-	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
+	body, ok := readBody(w, r, maxMutateBody)
+	if !ok {
 		return
 	}
 	key := rt.resolveDigest(r.Context(), name)
@@ -718,4 +716,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: &apiError{Code: code, Message: fmt.Sprintf(format, args...)}})
+}
+
+// Request body caps, in bytes: the same as a node's, so the router answers
+// an oversized body itself instead of spending a backend attempt on it.
+const (
+	maxSolveBody  = 1 << 20 // POST /v1/solve
+	maxMutateBody = 8 << 20 // POST /v1/instances/{name}/mutate
+)
+
+// readBody reads r's body up to limit bytes. A longer body is answered 413
+// and any other read failure 400, both with the error envelope; ok is false
+// when a response has been written.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		return body, true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "bad_request", "reading body: %v", err)
+	return nil, false
 }

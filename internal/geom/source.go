@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"repro/internal/engine"
-	"repro/internal/stream"
-)
+import "repro/internal/stream"
 
 // source.go adapts a ShapeStream to the pass engine's generic Source
 // capability, which is how the geometric algorithm's passes run on the same
@@ -35,7 +32,7 @@ type shapeSource struct {
 func (s shapeSource) NumItems() int { return s.repo.NumShapes() }
 
 // Begin starts one counted pass (delegating the counting to the repository).
-func (s shapeSource) Begin() engine.Cursor[StreamShape] {
+func (s shapeSource) Begin() stream.Cursor[StreamShape] {
 	return &shapeCursor{repo: s.repo, it: s.repo.Begin()}
 }
 
@@ -56,9 +53,4 @@ func (c *shapeCursor) Next() (StreamShape, bool) {
 // Err forwards the reader's optional mid-pass failure surface to the engine:
 // a ShapeReader that implements stream.ErrorReader fails the pass loudly
 // through the cursor, exactly like a set reader would.
-func (c *shapeCursor) Err() error {
-	if er, ok := c.it.(stream.ErrorReader); ok {
-		return er.Err()
-	}
-	return nil
-}
+func (c *shapeCursor) Err() error { return stream.ReaderErr(c.it) }

@@ -48,8 +48,8 @@ type PassTrace struct {
 	// non-set streams, where the engine cannot see inside the items).
 	Elems int64
 	// Bytes is the encoded size of the stream's data section — what one
-	// full pass decodes — when the backend is byte-backed
-	// (stream.ByteSized, i.e. SCB1 files); 0 otherwise.
+	// full pass decodes — when the backend is byte-backed (it reports a
+	// DataBytes size, i.e. SCB1 files); 0 otherwise.
 	Bytes int64
 	// Segmented reports the decode mode: true when the pass was decoded
 	// as parallel chunks, false for the sequential single-reader path.

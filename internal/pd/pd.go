@@ -158,10 +158,7 @@ func BatchedPrimalDual(repo stream.Repository, opts Options) (Result, error) {
 
 	eng := engine.New(opts.Engine)
 	tracker := stream.NewTracker()
-	var weightOf func(int) float64
-	if w, ok := repo.(stream.Weighted); ok && w.HasWeights() {
-		weightOf = w.Weight
-	}
+	weightOf := stream.WeightFunc(repo)
 	costOf := func(j int) float64 {
 		if weightOf == nil {
 			return 1

@@ -404,9 +404,10 @@ func (d *Repo) SetSpan(i int) (off, length int64, card int, ok bool) {
 	return d.offs[i], d.offs[i+1] - d.offs[i], int(d.cards[i]), true
 }
 
-// DataBytes implements stream.ByteSized: the byte length of the set-data
-// section — what one full pass decodes. 0 when the seek index is absent (the
-// span arithmetic needs it); the trace field it feeds is best-effort.
+// DataBytes returns the byte length of the set-data section — what one full
+// pass decodes; the pass engine stamps it into trace records. 0 when the
+// seek index is absent (the span arithmetic needs it); the trace field it
+// feeds is best-effort.
 func (d *Repo) DataBytes() int64 {
 	if d.offs == nil || d.m == 0 {
 		return 0
@@ -470,7 +471,7 @@ type segState struct {
 	shard int               // pool shard this decode state draws from, fixed at creation
 }
 
-// PlanSegments implements stream.SegmentPlanner: chunk boundaries are cut so
+// PlanSegments implements stream.SegmentSource: chunk boundaries are cut so
 // every chunk covers ≈equal ENCODED BYTES (read straight off the SCIX per-set
 // spans) rather than equal set COUNTS. On skewed families — one set carrying
 // half the file's bytes, say — count-uniform chunks hand one decoder nearly

@@ -130,12 +130,16 @@ func (d *Repo) loadWeights() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	d.weights = weights
+	// A zero-set family has no costs to carry: its validated section leaves
+	// the repository unweighted, so HasWeights agrees with WeightRange.
+	if len(weights) > 0 {
+		d.weights = weights
+	}
 	return sectionOff, nil
 }
 
 // HasWeights reports whether the file carries the SCWT per-set weight
-// section (the weighted problem).
+// section (the weighted problem) with at least one set.
 func (d *Repo) HasWeights() bool { return d.weights != nil }
 
 // Weight implements stream.Weighted: the decoded cost of set id, or 1 when

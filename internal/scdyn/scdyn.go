@@ -124,9 +124,20 @@ type Op struct {
 }
 
 // Repo is a mutable repository: an open SCB1 base plus the decoded delta
-// log. It implements stream.Mutable; reads go through generation-pinned
-// views (View, ViewAt). Safe for concurrent use — mutations serialize on an
-// internal mutex and never invalidate existing views.
+// log. Sets may be appended (new IDs at the end of the stream) and
+// tombstoned (the set keeps its ID but streams empty from then on); reads go
+// through generation-pinned views (View, ViewAt). Safe for concurrent use —
+// mutations serialize on an internal mutex and never invalidate existing
+// views, which is what lets a solve that started before a mutation finish
+// against pre-mutation content.
+//
+// The identity contract is the load-bearing part: every successful mutation
+// produces a NEW content digest (a hash chain over the base digest and every
+// delta record), so a mutated family can never alias a cache entry, a
+// routing decision, or a pooled handle that was keyed by the pre-mutation
+// digest. Generation counts applied mutations; (Generation, ContentDigest)
+// advance together and a given generation's digest never changes once
+// minted.
 type Repo struct {
 	mu sync.Mutex
 
@@ -151,7 +162,6 @@ type record struct {
 // openConfig collects Open options.
 type openConfig struct {
 	verifyBase bool
-	baseOpts   []scdisk.OpenOption
 }
 
 // Option configures Open.
@@ -173,7 +183,7 @@ func Open(path string, opts ...Option) (*Repo, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	base, err := scdisk.Open(path, cfg.baseOpts...)
+	base, err := scdisk.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("scdyn: open base: %w", err)
 	}
@@ -255,7 +265,7 @@ func (r *Repo) numSetsLocked(gen int) int {
 	return m
 }
 
-// Generation returns how many mutations have been applied (stream.Mutable).
+// Generation returns how many mutations have been applied.
 func (r *Repo) Generation() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -271,8 +281,7 @@ func (r *Repo) BaseDigest() string { return r.baseDigest }
 // about costs should refuse to mutate a weighted base.
 func (r *Repo) HasBaseWeights() bool { return r.base.HasWeights() }
 
-// ContentDigest returns the digest identifying the current family
-// (stream.Mutable).
+// ContentDigest returns the digest identifying the current family.
 func (r *Repo) ContentDigest() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -312,7 +321,9 @@ func (r *Repo) Records(from, to int) ([]Rec, error) {
 	return out, nil
 }
 
-// AppendSet implements stream.Mutable: one-record Apply.
+// AppendSet adds a set with the given sorted-unique elements in [0, n) and
+// returns its new ID (always the current NumSets) and the post-mutation
+// content digest: one-record Apply.
 func (r *Repo) AppendSet(elems []setcover.Elem) (id int, digest string, err error) {
 	digest, err = r.Apply([]Op{{Kind: OpAppend, Elems: elems}})
 	if err != nil {
@@ -321,7 +332,9 @@ func (r *Repo) AppendSet(elems []setcover.Elem) (id int, digest string, err erro
 	return r.NumSets() - 1, digest, nil
 }
 
-// Tombstone implements stream.Mutable: one-record Apply.
+// Tombstone empties the set with the given ID (it keeps its stream
+// position) and returns the post-mutation content digest: one-record Apply.
+// Tombstoning an unknown or already-tombstoned ID is an error.
 func (r *Repo) Tombstone(id int) (digest string, err error) {
 	return r.Apply([]Op{{Kind: OpTombstone, ID: id}})
 }
@@ -575,8 +588,5 @@ func boundedUvarint(br io.ByteReader, limit uint64) (uint64, error) {
 	return v, nil
 }
 
-// Compile-time capability assertions.
-var (
-	_ stream.Mutable    = (*Repo)(nil)
-	_ stream.Repository = (*View)(nil)
-)
+// Compile-time capability assertion.
+var _ stream.Repository = (*View)(nil)

@@ -59,7 +59,7 @@ func (e *APIError) Error() string { return fmt.Sprintf("%s: %s", e.Code, e.Messa
 
 // Error codes returned by the API.
 const (
-	CodeBadRequest      = "bad_request"      // 400: malformed body or parameters
+	CodeBadRequest      = "bad_request"      // 400: malformed body or parameters; 413: oversized body
 	CodeUnknownInstance = "unknown_instance" // 404: instance not in the catalog
 	CodeUnknownJob      = "unknown_job"      // 404: job id not found
 	CodeQueueFull       = "queue_full"       // 429: solve queue at capacity

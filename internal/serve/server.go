@@ -274,6 +274,29 @@ func (s *Server) engineOptions(req *SolveRequest) EngineRequest {
 // msOf converts a duration to the wire's fractional milliseconds.
 func msOf(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
+// Request body caps, in bytes.
+const (
+	maxSolveBody  = 1 << 20 // POST /v1/solve
+	maxMutateBody = 8 << 20 // POST /v1/instances/{name}/mutate
+)
+
+// readBody reads r's body up to limit bytes. A longer body is answered 413
+// and any other read failure 400, both with the error envelope; ok is false
+// when a response has been written.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		return body, true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, CodeBadRequest, "reading body: %v", err)
+	return nil, false
+}
+
 // handleSolve admits, caches, or rejects one solve request.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	handlerStart := time.Now()
@@ -287,9 +310,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(obs.RequestIDHeader, reqID)
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
+	body, ok := readBody(w, r, maxSolveBody)
+	if !ok {
 		return
 	}
 	req := &SolveRequest{}
@@ -699,9 +721,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	name := r.PathValue("name")
-	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
+	body, ok := readBody(w, r, maxMutateBody)
+	if !ok {
 		return
 	}
 	mreq := &MutateRequest{}

@@ -478,6 +478,49 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// paddedJSON pads the JSON object obj with whitespace to exactly size bytes.
+func paddedJSON(obj string, size int) []byte {
+	return []byte(obj[:len(obj)-1] + strings.Repeat(" ", size-len(obj)) + "}")
+}
+
+// A body exactly at an endpoint's cap is read whole and parsed; one byte
+// over is answered 413 with the error envelope, not cut short and misreported
+// as malformed JSON.
+func TestOversizedBodiesGet413(t *testing.T) {
+	cat, _ := testCatalog(t)
+	ts := httptest.NewServer(NewServer(cat, Config{}).Handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		path, obj string
+		limit     int
+	}{
+		{"/v1/solve", `{"instance":"nope"}`, maxSolveBody},
+		{"/v1/instances/nope/mutate", `{"ops":[{"op":"tombstone","id":0}]}`, maxMutateBody},
+	} {
+		for _, size := range []int{c.limit, c.limit + 1} {
+			resp, err := http.Post(ts.URL+c.path, "application/json", bytes.NewReader(paddedJSON(c.obj, size)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb errorBody
+			err = json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if err != nil || eb.Error == nil {
+				t.Fatalf("%s %d bytes: status %d, unstructured body (%v)", c.path, size, resp.StatusCode, err)
+			}
+			// At the cap the body parses and the unknown instance is what
+			// fails.
+			want, code := http.StatusNotFound, CodeUnknownInstance
+			if size > c.limit {
+				want, code = http.StatusRequestEntityTooLarge, CodeBadRequest
+			}
+			if resp.StatusCode != want || eb.Error.Code != code {
+				t.Fatalf("%s %d bytes: got %d %+v, want %d %s", c.path, size, resp.StatusCode, eb.Error, want, code)
+			}
+		}
+	}
+}
+
 // The instance listing exposes name, digest, dims; instances are addressable
 // by digest as well as name.
 func TestInstancesListingAndDigestAddressing(t *testing.T) {

@@ -7,18 +7,10 @@ import (
 	"repro/internal/setcover"
 )
 
-// segmentedRepos builds both always-segmentable repositories over the same
-// 10-set family.
+// segmentedRepos builds the always-segmentable repository over a 10-set
+// family.
 func segmentedRepos() map[string]Repository {
-	in := &setcover.Instance{N: 16}
-	for i := 0; i < 10; i++ {
-		in.Sets = append(in.Sets, setcover.Set{Elems: []setcover.Elem{
-			int32(i), int32((i + 3) % 16),
-		}})
-	}
-	in.Normalize()
 	return map[string]Repository{
-		"slice": NewSliceRepo(in),
 		"func": NewFuncRepo(16, 10, func(id int) setcover.Set {
 			s := &setcover.Instance{N: 16, Sets: []setcover.Set{{Elems: []setcover.Elem{
 				int32(id), int32((id + 3) % 16),

@@ -1,8 +1,13 @@
 // Package stream implements the data-stream model of the paper (Section 1):
 // the elements of U fit in memory, the sets r_1, ..., r_m live in a read-only
 // repository, and an algorithm may only access them through sequential
-// passes. The package provides:
+// passes. It is the one place the pass contract is declared. The package
+// provides:
 //
+//   - Cursor: one pass over a stream of any element type, with the optional
+//     BatchCursor fast path and RecyclerOf buffer hand-back. A set pass is
+//     the Cursor at T = setcover.Set (Reader, BatchReader, Recycler); the
+//     pass engine drives every other element type through the same family.
 //   - Repository: a pass-counted, read-only view of the set family. Every
 //     call to Begin starts (and counts) a new sequential scan.
 //   - SegmentedRepository: the optional capability for repositories whose
@@ -10,9 +15,11 @@
 //     (BeginSegmented still counts exactly one pass); the pass engine uses
 //     it to make the CPU-bound decode data-parallel without changing what
 //     any observer sees.
-//   - ErrorReader: the optional mid-pass failure surface. A reader whose
+//   - ErrorReader: the optional mid-pass failure surface. A cursor whose
 //     pass ends early (truncated or corrupt backing file) reports why, and
 //     the engine turns it into a failed pass instead of a silently short one.
+//   - Weighted: the optional per-set cost capability, read through
+//     WeightFunc.
 //   - Tracker: an explicit space meter. Streaming algorithms charge the words
 //     of read-write memory they hold; Peak() is the space column of the
 //     paper's Figure 1.1.
@@ -29,35 +36,60 @@ import (
 	"repro/internal/setcover"
 )
 
-// Reader yields the sets of one sequential pass, in stream order.
-type Reader interface {
-	// Next returns the next set of the pass. ok is false when the pass is
+// Cursor yields the items of one sequential pass, in stream order. A set
+// pass is a Cursor[setcover.Set] (Reader); the pass engine's generic entry
+// point reads any other element type (the geometric algorithm's shapes)
+// through the same family.
+type Cursor[T any] interface {
+	// Next returns the next item of the pass. ok is false when the pass is
 	// exhausted.
-	Next() (s setcover.Set, ok bool)
+	Next() (item T, ok bool)
 }
 
-// BatchReader is an optional fast path a Reader may implement: NextBatch
-// fills dst (up to cap(dst)) with the next sets of the pass and returns how
-// many were written, amortizing the per-set interface call of Next. Zero
+// BatchCursor is an optional fast path a Cursor may implement: NextBatch
+// fills dst (up to cap(dst)) with the next items of the pass and returns how
+// many were written, amortizing the per-item interface call of Next. Zero
 // means the pass is exhausted. internal/engine probes for this interface and
 // falls back to Next otherwise; the two must yield identical streams.
-type BatchReader interface {
-	NextBatch(dst []setcover.Set) int
+type BatchCursor[T any] interface {
+	NextBatch(dst []T) int
 }
 
-// ErrorReader is an optional interface a Reader may implement when its pass
+// RecyclerOf is an optional interface a Cursor may implement when its items
+// are decoded into buffers the cursor owns (disk-backed repositories):
+// Recycle hands a batch previously returned by NextBatch back to the cursor
+// once every consumer is done with it, so the buffers can be reused for later
+// batches instead of becoming garbage. Only internal/engine calls it, and
+// only after all observers have returned from Observe — which is exactly the
+// engine's documented no-retention discipline. Recycle may be called from a
+// different goroutine than NextBatch.
+type RecyclerOf[T any] interface {
+	Recycle(items []T)
+}
+
+// Reader yields the sets of one sequential pass, in stream order.
+type Reader = Cursor[setcover.Set]
+
+// BatchReader is the batched fast path of a set Reader.
+type BatchReader = BatchCursor[setcover.Set]
+
+// Recycler is the buffer hand-back of a set Reader.
+type Recycler = RecyclerOf[setcover.Set]
+
+// ErrorReader is an optional interface a Cursor may implement when its pass
 // can fail mid-stream (a disk-backed decode hitting truncation or
 // corruption): Err returns the error that ended the pass early, or nil for a
-// healthy pass. The pass engine probes it after draining a reader and turns a
+// healthy pass. The pass engine probes it after draining a cursor and turns a
 // non-nil result into a failed pass — a partial scan must never pass for a
-// full one. Readers that cannot fail simply do not implement it.
+// full one. Cursors that cannot fail simply do not implement it.
 type ErrorReader interface {
 	Err() error
 }
 
-// ReaderErr returns the mid-pass error of a reader that reports one, or nil.
-func ReaderErr(r Reader) error {
-	if er, ok := r.(ErrorReader); ok {
+// ReaderErr returns the mid-pass error of a cursor (of any element type)
+// that reports one through ErrorReader, or nil.
+func ReaderErr(c any) error {
+	if er, ok := c.(ErrorReader); ok {
 		return er.Err()
 	}
 	return nil
@@ -70,55 +102,21 @@ func ReaderErr(r Reader) error {
 // CPU-bound part of a pass (decoding) can run data-parallel; the pass engine
 // reassembles their outputs in stream order, so observers cannot tell a
 // segmented pass from a sequential one.
-type SegmentSource interface {
-	Segment(start, end int) Reader
-}
-
-// DecodeCost classifies how much CPU work a SegmentSource spends producing
-// one set — the signal the pass engine uses to decide whether chunked
-// parallel decode can win anything.
-type DecodeCost int
-
-const (
-	// DecodeCostHeavy is real per-set CPU work (varint decode of a disk
-	// page, running a generator function): parallel chunk decode pays for
-	// its fan-out. The zero value — an absent signal means heavy, so
-	// sources that do not implement DecodeCoster keep the segmented path.
-	DecodeCostHeavy DecodeCost = iota
-	// DecodeCostTrivial is a header memcpy or cheaper (SliceRepo hands out
-	// pre-built sets): there is nothing to parallelize, and the engine
-	// drives the pass as one sequential segment instead of paying the
-	// chunk fan-out and reorder overhead for no decode win.
-	DecodeCostTrivial
-)
-
-// DecodeCoster is the optional decode-cost signal a SegmentSource may
-// implement. The pass engine probes it after BeginSegmented (the pass is
-// already counted either way): a trivial source is read as the single
-// segment [0, m) on one goroutine, a heavy (or silent) source is decoded as
-// parallel chunks. Results are identical in both modes — this is purely a
-// wall-clock signal.
-type DecodeCoster interface {
-	DecodeCost() DecodeCost
-}
-
-// SegmentPlanner is the optional chunk-planning hook a SegmentSource may
-// implement when it knows the per-set decode COST — in practice the encoded
-// byte length, which a disk repository's seek index records. PlanSegments
-// returns the chunk boundaries for one segmented pass as a strictly
+//
+// PlanSegments returns the chunk boundaries for the pass as a strictly
 // increasing slice b with b[0] == 0 and b[len(b)-1] == m; chunk i is the set
 // range [b[i], b[i+1]), and targetChunks is the engine's hint for how many
-// chunks it would otherwise cut (ceil(m/BatchSize)).
-//
-// The point is load balance under skew: uniform set-count chunks serialize a
-// pass on one pathologically large set (the whole chunk containing it decodes
-// on a single goroutine while the others finish and idle), whereas
-// byte-balanced chunks give the big set its own chunk and keep the rest
-// ≈equal in bytes. The engine validates the returned boundaries and falls
-// back to uniform set-count chunks if they are malformed; either way the
-// reassembled stream is byte-identical — a plan moves wall-clock only.
-// Sources that cost all sets equally simply do not implement it.
-type SegmentPlanner interface {
+// chunks it would otherwise cut (ceil(m/BatchSize)). nil means uniform
+// set-count chunks, which is right for a source that costs every set the
+// same. A source that knows its per-set decode cost — a disk repository's
+// seek index records every set's encoded byte length — plans ≈equal-cost
+// chunks instead, so one pathologically large set no longer serializes a
+// pass on a single decoder while the others idle. The engine validates the
+// boundaries and falls back to uniform chunks if they are malformed; either
+// way the reassembled stream is byte-identical — a plan moves wall-clock
+// only.
+type SegmentSource interface {
+	Segment(start, end int) Reader
 	PlanSegments(targetChunks int) []int
 }
 
@@ -131,29 +129,6 @@ type SegmentPlanner interface {
 // fall back to Begin. A false return must not count a pass.
 type SegmentedRepository interface {
 	BeginSegmented() (src SegmentSource, ok bool)
-}
-
-// ByteSized is the optional capability a Repository may implement when its
-// stream has a well-defined encoded size: DataBytes returns the byte length
-// of the data section one full pass decodes (the SCB1 set-data section for a
-// disk repository). It is a measurement surface only — the pass engine
-// stamps it into trace records (internal/obs) so per-pass throughput can be
-// computed — and never affects what a pass yields. In-memory and generated
-// repositories, whose passes decode no bytes, simply do not implement it.
-type ByteSized interface {
-	DataBytes() int64
-}
-
-// Recycler is an optional interface a Reader may implement when its sets are
-// decoded into buffers the reader owns (disk-backed repositories): Recycle
-// hands a batch previously returned by NextBatch back to the reader once
-// every consumer is done with it, so the element buffers can be reused for
-// later batches instead of becoming garbage. Only internal/engine calls it,
-// and only after all observers have returned from Observe — which is exactly
-// the engine's documented no-retention discipline. Recycle may be called from
-// a different goroutine than NextBatch.
-type Recycler interface {
-	Recycle(sets []setcover.Set)
 }
 
 // Weighted is the optional per-set cost capability a Repository may
@@ -173,49 +148,29 @@ type Weighted interface {
 	Weight(id int) float64
 }
 
-// Mutable is the optional capability of a repository whose set family can
-// CHANGE after creation: sets may be appended (new IDs at the end of the
-// stream) and tombstoned (the set keeps its ID but streams empty from then
-// on). It is the write-side counterpart of Repository, implemented by
-// internal/scdyn over an SCB1 base file plus an additive delta log.
-//
-// The identity contract is the load-bearing part: every successful mutation
-// produces a NEW content digest (a hash chain over the base digest and every
-// delta record), so a mutated family can never alias a cache entry, a routing
-// decision, or a pooled handle that was keyed by the pre-mutation digest.
-// Generation counts applied mutations; (Generation, ContentDigest) advance
-// together and a given generation's digest never changes once minted.
-//
-// Mutations are serialized by the implementation and safe to call
-// concurrently with passes over previously obtained views — a view is a
-// snapshot pinned to the generation it was taken at, which is what lets a
-// solve that started before a mutation finish against pre-mutation content.
-type Mutable interface {
-	// AppendSet adds a set with the given sorted-unique elements in [0, n)
-	// and returns its new ID (always the current NumSets) and the
-	// post-mutation content digest.
-	AppendSet(elems []setcover.Elem) (id int, digest string, err error)
-	// Tombstone empties the set with the given ID (it keeps its stream
-	// position) and returns the post-mutation content digest. Tombstoning an
-	// unknown or already-tombstoned ID is an error.
-	Tombstone(id int) (digest string, err error)
-	// ContentDigest returns the digest identifying the CURRENT family.
-	ContentDigest() string
-	// Generation returns how many mutations have been applied.
-	Generation() int
+// WeightFunc returns r's per-set cost accessor: its Weighted weight when the
+// capability is present and populated, nil otherwise. Callers thread the nil
+// as "unweighted" so the unweighted hot path (and every number it reports)
+// stays untouched, while non-nil generalizes a pick rule from coverage to
+// cost-effectiveness (coverage per unit cost). All-ones weights reduce
+// byte-identically to the unweighted behavior: thresholds are multiplied by
+// exactly 1.0 and argmax comparisons cross-multiply integer gains that are
+// exact in float64.
+func WeightFunc(r Repository) func(int) float64 {
+	if w, ok := r.(Weighted); ok && w.HasWeights() {
+		return w.Weight
+	}
+	return nil
 }
 
 // HasWeights reports whether r carries a per-set cost vector.
-func HasWeights(r Repository) bool {
-	w, ok := r.(Weighted)
-	return ok && w.HasWeights()
-}
+func HasWeights(r Repository) bool { return WeightFunc(r) != nil }
 
 // WeightOf returns the cost of set id in r: its Weighted weight when the
 // capability is present and populated, 1 otherwise (the unweighted problem).
 func WeightOf(r Repository, id int) float64 {
-	if w, ok := r.(Weighted); ok && w.HasWeights() {
-		return w.Weight(id)
+	if w := WeightFunc(r); w != nil {
+		return w(id)
 	}
 	return 1
 }
@@ -223,14 +178,15 @@ func WeightOf(r Repository, id int) float64 {
 // CoverWeight returns the total cost of the sets whose IDs are listed in
 // cover. On unweighted repositories it equals len(cover).
 func CoverWeight(r Repository, cover []int) float64 {
-	if w, ok := r.(Weighted); ok && w.HasWeights() {
-		total := 0.0
-		for _, id := range cover {
-			total += w.Weight(id)
-		}
-		return total
+	w := WeightFunc(r)
+	if w == nil {
+		return float64(len(cover))
 	}
-	return float64(len(cover))
+	total := 0.0
+	for _, id := range cover {
+		total += w(id)
+	}
+	return total
 }
 
 // Repository is a read-only, sequentially scannable set family.
@@ -289,24 +245,6 @@ func (r *SliceRepo) Begin() Reader {
 	r.passes.Add(1)
 	return &sliceReader{sets: r.inst.Sets}
 }
-
-// BeginSegmented implements SegmentedRepository: an in-memory family can
-// always be read from any set index, so every pass is segmentable.
-func (r *SliceRepo) BeginSegmented() (SegmentSource, bool) {
-	r.passes.Add(1)
-	return sliceSegSource{sets: r.inst.Sets}, true
-}
-
-type sliceSegSource struct{ sets []setcover.Set }
-
-func (s sliceSegSource) Segment(start, end int) Reader {
-	return &sliceReader{sets: s.sets[:end], pos: start}
-}
-
-// DecodeCost implements DecodeCoster: handing out an in-memory set is a
-// header copy, so parallel chunk decode has nothing to win and the engine
-// reads the pass as one sequential segment at any worker count.
-func (s sliceSegSource) DecodeCost() DecodeCost { return DecodeCostTrivial }
 
 type sliceReader struct {
 	sets []setcover.Set
@@ -446,6 +384,10 @@ type funcSegSource struct{ repo *FuncRepo }
 func (s funcSegSource) Segment(start, end int) Reader {
 	return &funcReader{repo: s.repo, pos: start, end: end}
 }
+
+// PlanSegments returns nil: a generator costs every set alike, so the engine
+// cuts uniform chunks.
+func (s funcSegSource) PlanSegments(int) []int { return nil }
 
 type funcReader struct {
 	repo *FuncRepo
