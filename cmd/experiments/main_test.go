@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -23,20 +25,43 @@ func TestQuickE2EndToEnd(t *testing.T) {
 	}
 }
 
-// The -workers knob must not change any table (the engine's determinism
-// contract surfaces here as byte-identical reproduction output).
+// The committed quick reproduction (testdata/quick.txt) must regenerate
+// byte-for-byte at every pass-engine setting: a changed cover, pass count or
+// space charge in any table shows up here as a diff to review, and the
+// engine's determinism contract shows up as identical output across
+// -workers and -batch.
 func TestWorkersIdenticalTables(t *testing.T) {
-	render := func(workers string) string {
+	want, err := os.ReadFile("testdata/quick.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-workers", "1"}, {"-workers", "4"}, {"-workers", "2", "-batch", "7"}} {
 		var out, errb bytes.Buffer
-		if code := run([]string{"-quick", "-only", "E2", "-workers", workers}, &out, &errb); code != 0 {
-			t.Fatalf("workers=%s: exit %d\nstderr: %s", workers, code, errb.String())
+		if code := run(append([]string{"-quick"}, args...), &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d\nstderr: %s", args, code, errb.String())
 		}
-		return out.String()
+		if got := out.String(); got != string(want) {
+			t.Errorf("%v: quick tables differ from testdata/quick.txt:\n%s", args, firstDiff(string(want), got))
+		}
 	}
-	seq, par := render("1"), render("4")
-	if seq != par {
-		t.Fatalf("tables diverge across -workers:\n--- workers=1\n%s--- workers=4\n%s", seq, par)
+}
+
+// firstDiff renders the first line where got departs from want.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d\n  want: %q\n  got:  %q", i+1, wl, gl)
+		}
 	}
+	return "(identical)"
 }
 
 // Unknown experiment IDs must fail, not silently print nothing.

@@ -575,6 +575,9 @@ func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts ...engine.Option
 	}
 
 	var cover []int
+	proj := offline.NewProjections(weight)
+	// picked is a bitset over the m stream IDs: pass B probes it per set.
+	picked := bitset.New(m)
 	for round := 0; round < maxRounds && !uncovered.Empty(); round++ {
 		s := sample.UniformFromBitset(rng, uncovered, sampleSize)
 		tracker.Grow(stream.WordsForBitset(n))
@@ -583,28 +586,10 @@ func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts ...engine.Option
 		// cost, one word, on weighted repositories — the offline solve below
 		// needs it).
 		var projWords int64
-		var projIDs []int
-		var projElems [][]setcover.Elem
-		var projWs []float64
+		proj.Reset()
 		errA := eng.Run(repo, engine.Func(func(batch []setcover.Set) {
 			for _, set := range batch {
-				inS := s.IntersectionWithSlice(set.Elems)
-				if inS == 0 {
-					continue
-				}
-				proj := make([]setcover.Elem, 0, inS)
-				for _, e := range set.Elems {
-					if s.Test(int(e)) {
-						proj = append(proj, e)
-					}
-				}
-				projElems = append(projElems, proj)
-				projIDs = append(projIDs, set.ID)
-				w := stream.WordsForElems(len(proj)) + 1
-				if weight != nil {
-					projWs = append(projWs, weight(set.ID))
-					w++
-				}
+				w := proj.Add(set.ID, set.Elems, s)
 				projWords += w
 				tracker.Grow(w)
 			}
@@ -614,36 +599,16 @@ func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts ...engine.Option
 		}
 
 		// Offline greedy on the sampled sub-instance.
-		newIdx := make(map[setcover.Elem]setcover.Elem)
-		next := setcover.Elem(0)
-		s.ForEach(func(i int) bool {
-			newIdx[setcover.Elem(i)] = next
-			next++
-			return true
-		})
-		sub := &setcover.Instance{N: int(next)}
-		for i, proj := range projElems {
-			elems := make([]setcover.Elem, 0, len(proj))
-			for _, e := range proj {
-				elems = append(elems, newIdx[e])
-			}
-			sub.Sets = append(sub.Sets, setcover.Set{ID: len(sub.Sets), Elems: elems})
-			if projWs != nil {
-				sub.Weights = append(sub.Weights, projWs[i])
-			}
-		}
-		sub.Normalize()
-		subCover, err := (offline.Greedy{}).Solve(sub)
+		subCover, err := proj.Solve(s, offline.Greedy{})
 		if err != nil {
 			st.Passes = repo.Passes()
 			st.SpaceWords = tracker.Peak()
 			return st, ErrInfeasible
 		}
-		picked := make(map[int]bool, len(subCover))
-		for _, sid := range subCover {
-			orig := projIDs[sid]
-			if !picked[orig] {
-				picked[orig] = true
+		picked.Reset()
+		for _, orig := range subCover {
+			if !picked.Test(orig) {
+				picked.Set(orig)
 				cover = append(cover, orig)
 				tracker.Grow(1)
 			}
@@ -652,7 +617,7 @@ func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts ...engine.Option
 		// Pass B: remove everything the new picks cover.
 		if err := eng.Run(repo, engine.Func(func(batch []setcover.Set) {
 			for _, set := range batch {
-				if picked[set.ID] {
+				if picked.Test(set.ID) {
 					uncovered.SubtractSlice(set.Elems)
 				}
 			}

@@ -11,6 +11,7 @@ package bitset
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -301,6 +302,21 @@ func (b *Bitset) IntersectsSlice(elems []int32) bool {
 	return false
 }
 
+// AppendMembers appends the members of b among elems to dst, in order, and
+// returns the extended slice. Like IntersectionWithSlice it costs one load,
+// one shift and one mask per element, with no branch on the data: every
+// element is written and only members advance the output.
+func (b *Bitset) AppendMembers(dst, elems []int32) []int32 {
+	dst = slices.Grow(dst, len(elems))
+	out := dst[len(dst) : len(dst)+len(elems)]
+	k := 0
+	for _, e := range elems {
+		out[k] = e
+		k += int(b.words[uint32(e)/wordBits] >> (uint32(e) % wordBits) & 1)
+	}
+	return dst[:len(dst)+k]
+}
+
 // SubtractSlice removes every element of elems from b and returns how many
 // were actually removed (i.e., were present). Like IntersectionWithSlice it
 // costs one load, one mask and one store per element, with no branch on the
@@ -314,6 +330,32 @@ func (b *Bitset) SubtractSlice(elems []int32) int {
 		b.words[wi] = w &^ (1 << bit)
 	}
 	return removed
+}
+
+// Ranks numbers the members of a bitset 0..Count()-1 in increasing order:
+// the rank of a member is the number of members below it.
+type Ranks struct {
+	words  []uint64
+	before []int32 // before[w] counts the members in words[:w]
+}
+
+// Ranks builds b's rank directory, one prefix popcount per word. The
+// directory reads b's words in place and is valid until b changes.
+func (b *Bitset) Ranks() Ranks {
+	before := make([]int32, len(b.words))
+	c := int32(0)
+	for i, w := range b.words {
+		before[i] = c
+		c += int32(bits.OnesCount64(w))
+	}
+	return Ranks{words: b.words, before: before}
+}
+
+// Rank returns the number of members below i and whether i is a member.
+// i must be in [0, Len()).
+func (r Ranks) Rank(i int) (int, bool) {
+	w, bit := r.words[i/wordBits], uint(i)%wordBits
+	return int(r.before[i/wordBits]) + bits.OnesCount64(w&(1<<bit-1)), w>>bit&1 != 0
 }
 
 // String renders the set as {e1, e2, ...} for debugging.

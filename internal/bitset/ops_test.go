@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -101,6 +102,15 @@ func TestSliceOpsCrossCheck(t *testing.T) {
 			if got, want := b.IntersectsSlice(elems), naiveIntersectionWithSlice(b, elems) > 0; got != want {
 				t.Fatalf("n=%d sorted=%v: IntersectsSlice=%v, naive=%v", n, sorted, got, want)
 			}
+			members := []int32{-1} // a prefix AppendMembers must keep
+			for _, e := range elems {
+				if b.Test(int(e)) {
+					members = append(members, e)
+				}
+			}
+			if got := b.AppendMembers([]int32{-1}, elems); !slices.Equal(got, members) {
+				t.Fatalf("n=%d sorted=%v: AppendMembers=%v, naive=%v", n, sorted, got, members)
+			}
 
 			fast, slow := b.Clone(), b.Clone()
 			gotRemoved := fast.SubtractSlice(elems)
@@ -179,6 +189,29 @@ func TestForEachMatchesSlice(t *testing.T) {
 		}
 		if idx != len(viaSlice) {
 			t.Fatalf("n=%d: NextSet walk ended after %d of %d", n, idx, len(viaSlice))
+		}
+	}
+}
+
+// TestRanksMatchSlice pins Ranks against the enumeration order: the k-th
+// member of Slice has rank k, and a non-member's rank counts the members
+// below it.
+func TestRanksMatchSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 63, 64, 65, 129, 500} {
+		for _, p := range []float64{0, 0.3, 1} {
+			b := randomBitset(rng, n, p)
+			ranks := b.Ranks()
+			below := 0
+			for i := 0; i < n; i++ {
+				r, ok := ranks.Rank(i)
+				if r != below || ok != b.Test(i) {
+					t.Fatalf("n=%d p=%v: Rank(%d) = (%d, %v), want (%d, %v)", n, p, i, r, ok, below, b.Test(i))
+				}
+				if ok {
+					below++
+				}
+			}
 		}
 	}
 }

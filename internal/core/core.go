@@ -170,12 +170,10 @@ type guessRun struct {
 
 	// Per-iteration state (rebuilt each iteration).
 	sampleSize int
-	left       *bitset.Bitset    // L: uncovered sampled elements
-	projElems  [][]setcover.Elem // stored projections r∩L
-	projIDs    []int             // original stream IDs of stored projections
-	projWs     []float64         // stored weights (weighted repos only; nil otherwise)
-	newPicks   *bitset.Bitset    // over the m stream IDs: sets picked this iteration (heavy + offline)
-	iterWords  int64             // space charged for this iteration's state
+	left       *bitset.Bitset       // L: uncovered sampled elements
+	proj       *offline.Projections // stored projections r∩L
+	newPicks   *bitset.Bitset       // over the m stream IDs: sets picked this iteration (heavy + offline)
+	iterWords  int64                // space charged for this iteration's state
 }
 
 // IterSetCover runs the Figure 1.3 algorithm over the repository.
@@ -204,15 +202,14 @@ func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 		return res, nil
 	}
 
-	rng := rand.New(rand.NewSource(opts.Seed))
-	runs := makeRuns(n, opts, tracker)
-	eng := engine.New(opts.Engine)
-
 	// Weighted repositories generalize the Size Test to cost-effectiveness
 	// (see guessRun.observe) and hand per-set costs to the offline solver.
 	// weightOf stays nil on unweighted repositories so the hot path — and
 	// every number the unweighted algorithm reports — is untouched.
 	weightOf := stream.WeightFunc(repo)
+	rng := rand.New(rand.NewSource(opts.Seed))
+	runs := makeRuns(n, opts, weightOf, tracker)
+	eng := engine.New(opts.Engine)
 
 	iterations := int(math.Ceil(1 / opts.Delta))
 	maxIter := iterations
@@ -250,7 +247,7 @@ func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 		var iterProjWords int64
 		for _, g := range runs {
 			if !g.done && !g.failed {
-				iterProjWords += stream.WordsForElems(totalProjElems(g))
+				iterProjWords += stream.WordsForElems(g.proj.Elems())
 			}
 		}
 		if iterProjWords > projPeak {
@@ -392,7 +389,7 @@ func (o *patchObserver) Observe(batch []setcover.Set) {
 	}
 }
 
-func makeRuns(n int, opts Options, tracker *stream.Tracker) []*guessRun {
+func makeRuns(n int, opts Options, weight func(int) float64, tracker *stream.Tracker) []*guessRun {
 	kMin, kMax := opts.KMin, opts.KMax
 	if kMin <= 0 {
 		kMin = 1
@@ -408,7 +405,7 @@ func makeRuns(n int, opts Options, tracker *stream.Tracker) []*guessRun {
 		if k < kMin {
 			continue
 		}
-		g := &guessRun{k: k, uncovered: bitset.New(n)}
+		g := &guessRun{k: k, uncovered: bitset.New(n), proj: offline.NewProjections(weight)}
 		g.uncovered.Fill()
 		// Persistent state: the per-guess mutable copy of the uncovered set.
 		tracker.Grow(stream.WordsForBitset(n))
@@ -435,14 +432,6 @@ func anyDone(runs []*guessRun) bool {
 	return false
 }
 
-func totalProjElems(g *guessRun) int {
-	t := 0
-	for _, p := range g.projElems {
-		t += len(p)
-	}
-	return t
-}
-
 // beginIteration draws S, sets L ← S, and clears the projection store.
 func (g *guessRun) beginIteration(rng *rand.Rand, n, m int, opts Options, tracker *stream.Tracker) {
 	g.sampleSize = opts.Sizer(g.k, n, m, g.uncovered.Count())
@@ -451,9 +440,7 @@ func (g *guessRun) beginIteration(rng *rand.Rand, n, m int, opts Options, tracke
 	}
 	g.left = sample.UniformFromBitset(rng, g.uncovered, g.sampleSize)
 	g.sampleSize = g.left.Count() // clamp when uncovered < requested
-	g.projElems = g.projElems[:0]
-	g.projIDs = g.projIDs[:0]
-	g.projWs = g.projWs[:0]
+	g.proj.Reset()
 	// newPicks is a bitset over the m stream IDs rather than a map: pass 2
 	// probes it once per streamed set, and a word-indexed bit test beats a
 	// map lookup in that loop. The space METER is unchanged — it still
@@ -498,21 +485,7 @@ func (g *guessRun) observe(s setcover.Set, opts Options, weight func(int) float6
 		return
 	}
 	// Small: store the projection r∩L explicitly (Figure 1.3).
-	proj := make([]setcover.Elem, 0, inL)
-	for _, e := range s.Elems {
-		if g.left.Test(int(e)) {
-			proj = append(proj, e)
-		}
-	}
-	g.projElems = append(g.projElems, proj)
-	g.projIDs = append(g.projIDs, s.ID)
-	w := stream.WordsForElems(len(proj)) + 1 // projection + its stream ID
-	if weight != nil {
-		// The stored copy of the set's cost is working memory like the
-		// projection itself: one word. Unweighted runs never pay it.
-		g.projWs = append(g.projWs, weight(s.ID))
-		w++
-	}
+	w := g.proj.Add(s.ID, s.Elems, g.left)
 	g.iterWords += w
 	tracker.Grow(w)
 }
@@ -523,46 +496,19 @@ func (g *guessRun) solveOffline(opts Options, tracker *stream.Tracker) {
 	if g.left.Empty() {
 		return
 	}
-	// Build the projected instance over the elements of L.
-	newIdx := make(map[setcover.Elem]setcover.Elem, g.left.Count())
-	next := setcover.Elem(0)
-	g.left.ForEach(func(i int) bool {
-		newIdx[setcover.Elem(i)] = next
-		next++
-		return true
-	})
-	sub := &setcover.Instance{N: int(next)}
-	var origIDs []int
-	for i, proj := range g.projElems {
-		var elems []setcover.Elem
-		for _, e := range proj {
-			if ni, ok := newIdx[e]; ok {
-				elems = append(elems, ni)
-			}
-		}
-		if len(elems) > 0 {
-			sub.Sets = append(sub.Sets, setcover.Set{ID: len(sub.Sets), Elems: elems})
-			origIDs = append(origIDs, g.projIDs[i])
-			if g.projWs != nil {
-				sub.Weights = append(sub.Weights, g.projWs[i])
-			}
-		}
-	}
-	sub.Normalize()
 	// Charge the element remap table (the projections are already charged).
-	w := int64(len(newIdx))
+	w := int64(g.left.Count())
 	g.iterWords += w
 	tracker.Grow(w)
 
-	cover, err := opts.Offline.Solve(sub)
+	cover, err := g.proj.Solve(g.left, opts.Offline)
 	if err != nil {
 		// Sample contains an element no stored set covers: only possible if
 		// the instance itself cannot cover it. This guess cannot finish.
 		g.failed = true
 		return
 	}
-	for _, sid := range cover {
-		orig := origIDs[sid]
+	for _, orig := range cover {
 		if !g.newPicks.Test(orig) {
 			g.sol = append(g.sol, orig)
 			g.newPicks.Set(orig)
@@ -578,9 +524,6 @@ func (g *guessRun) endIteration(tracker *stream.Tracker) {
 	tracker.Shrink(g.iterWords)
 	g.iterWords = 0
 	g.left = nil
-	g.projElems = g.projElems[:0]
-	g.projIDs = g.projIDs[:0]
-	g.projWs = g.projWs[:0]
 	if g.newPicks != nil {
 		g.newPicks.Reset() // keep the allocation; next iteration reuses it
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -83,6 +84,61 @@ func TestE18RatioFalls(t *testing.T) {
 			t.Fatalf("space/input ratio not falling: %v", tbl.Rows)
 		}
 		prev = ratio
+	}
+}
+
+// E2's claims (Theorem 2.8): iterSetCover makes at most 2·⌈1/δ⌉ passes,
+// the stored projections are part of the space charged, and space falls as
+// δ falls.
+func TestE2PassesAndSpaceTradeOff(t *testing.T) {
+	tbl := E2DeltaSweep(1, true)
+	deltas := []float64{1, 0.5, 1.0 / 3.0, 0.25}
+	if len(tbl.Rows) != len(deltas) {
+		t.Fatalf("E2 has %d rows, want one per δ in %v", len(tbl.Rows), deltas)
+	}
+	prevSpace := math.Inf(1)
+	for i, row := range tbl.Rows {
+		if row[0] != f2c(deltas[i]) {
+			t.Fatalf("row %d is δ=%s, want %s", i, row[0], f2c(deltas[i]))
+		}
+		var passes, space, proj float64
+		for j, v := range []*float64{&passes, &space, &proj} {
+			if _, err := fmtSscan(row[1+j], v); err != nil {
+				t.Fatalf("δ=%s: bad cell %q in %v", row[0], row[1+j], row)
+			}
+		}
+		if maxPasses := 2 * math.Ceil(1/deltas[i]); passes > maxPasses {
+			t.Errorf("δ=%s: %v passes, want ≤ %v", row[0], passes, maxPasses)
+		}
+		if proj > space {
+			t.Errorf("δ=%s: proj space %v exceeds total space %v", row[0], proj, space)
+		}
+		if space >= prevSpace {
+			t.Errorf("δ=%s: space %v does not fall below %v", row[0], space, prevSpace)
+		}
+		prevSpace = space
+	}
+}
+
+// E9's claim (Lemma 2.3's Size Test): storing heavy sets instead of taking
+// them raises both the projection space and the total space.
+func TestE9SizeTestSavesSpace(t *testing.T) {
+	tbl := E9AblationSizeTest(1, true)
+	if len(tbl.Rows) != 2 {
+		t.Fatalf("E9 has %d rows, want with and without the Size Test", len(tbl.Rows))
+	}
+	var cells [2][2]float64 // [variant][proj, total]
+	for i, row := range tbl.Rows {
+		for j := range cells[i] {
+			if _, err := fmtSscan(row[1+j], &cells[i][j]); err != nil {
+				t.Fatalf("%s: bad cell %q in %v", row[0], row[1+j], row)
+			}
+		}
+	}
+	with, without := cells[0], cells[1]
+	if without[0] <= with[0] || without[1] <= with[1] {
+		t.Fatalf("without the Size Test (proj %v, total %v) must exceed with it (proj %v, total %v)",
+			without[0], without[1], with[0], with[1])
 	}
 }
 

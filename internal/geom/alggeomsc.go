@@ -321,18 +321,19 @@ type canonicalObserver struct {
 	st      *geomIterState
 	pts     []Point
 	tracker *stream.Tracker
+	proj    []int32 // scratch: the current shape's sample projection
 }
 
 func (o *canonicalObserver) Observe(batch []StreamShape) {
 	st := o.st
 	for _, sh := range batch {
-		proj := projectSorted(sh.Contained, st.s)
-		if len(proj) == 0 || float64(len(proj)) > st.w {
+		o.proj = st.s.AppendMembers(o.proj[:0], sh.Contained)
+		if len(o.proj) == 0 || float64(len(o.proj)) > st.w {
 			continue // empty or too heavy for the canonical family
 		}
 		st.rawSeen++
 		before := st.store.Words()
-		CanonicalPieces(st.store, st.tree, sh.Shape, proj, o.pts)
+		CanonicalPieces(st.store, st.tree, sh.Shape, o.proj, o.pts)
 		grown := st.store.Words() - before
 		if grown > 0 {
 			st.words += grown
@@ -348,6 +349,7 @@ type replacePieceObserver struct {
 	g       *geomRun
 	st      *geomIterState
 	tracker *stream.Tracker
+	proj    []int32 // scratch: the current shape's sample projection
 }
 
 func (o *replacePieceObserver) Observe(batch []StreamShape) {
@@ -356,14 +358,14 @@ func (o *replacePieceObserver) Observe(batch []StreamShape) {
 		if len(st.solS) == 0 {
 			return
 		}
-		proj := projectSorted(sh.Contained, st.s)
-		if len(proj) == 0 {
+		o.proj = st.s.AppendMembers(o.proj[:0], sh.Contained)
+		if len(o.proj) == 0 {
 			continue
 		}
 		matched := false
 		rest := st.solS[:0]
 		for _, piece := range st.solS {
-			if SubsetOfSorted(piece.Elems, proj) {
+			if SubsetOfSorted(piece.Elems, o.proj) {
 				matched = true
 			} else {
 				rest = append(rest, piece)
@@ -436,40 +438,16 @@ func geomAllDone(runs []*geomRun) bool {
 	return true
 }
 
-// projectSorted returns the members of all (sorted global indices) that lie
-// in the sample bitset.
-func projectSorted(all []int32, s *bitset.Bitset) []int32 {
-	var out []int32
-	for _, e := range all {
-		if s.Test(int(e)) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // solveCanonical covers the sampled points from the canonical pieces with
 // the offline solver, returning the chosen pieces. ok is false if some
 // sampled point is in no piece.
 func solveCanonical(s *bitset.Bitset, store *CanonicalStore, solver offline.Solver) ([]Piece, bool) {
-	newIdx := make(map[int32]setcover.Elem)
-	next := setcover.Elem(0)
-	s.ForEach(func(i int) bool {
-		newIdx[int32(i)] = next
-		next++
-		return true
-	})
-	sub := &setcover.Instance{N: int(next)}
+	proj := offline.NewProjections(nil)
 	pieces := store.Pieces()
-	for _, p := range pieces {
-		elems := make([]setcover.Elem, 0, len(p.Elems))
-		for _, e := range p.Elems {
-			elems = append(elems, newIdx[e])
-		}
-		sub.Sets = append(sub.Sets, setcover.Set{ID: len(sub.Sets), Elems: elems})
+	for i, p := range pieces {
+		proj.Add(i, p.Elems, s)
 	}
-	sub.Normalize()
-	ids, err := solver.Solve(sub)
+	ids, err := proj.Solve(s, solver)
 	if err != nil {
 		return nil, false
 	}

@@ -221,44 +221,6 @@ func (in *Instance) Bitsets() []*bitset.Bitset {
 	return out
 }
 
-// Restrict returns the projection of the instance onto the elements of mask:
-// a new instance whose universe is the elements of mask re-indexed to
-// [0, mask.Count()), keeping only non-empty projected sets. remap returns the
-// new index of an original element (or -1). origIDs[i] is the original stream
-// ID of projected set i.
-//
-// This is the "store r ∩ L explicitly in memory" operation of Figure 1.3 in
-// batch form; iterSetCover builds its offline sub-instance this way.
-func (in *Instance) Restrict(mask *bitset.Bitset) (proj Instance, origIDs []int) {
-	newIdx := make([]Elem, in.N)
-	for i := range newIdx {
-		newIdx[i] = -1
-	}
-	next := Elem(0)
-	mask.ForEach(func(i int) bool {
-		newIdx[i] = next
-		next++
-		return true
-	})
-	proj.N = int(next)
-	for _, s := range in.Sets {
-		var elems []Elem
-		for _, e := range s.Elems {
-			if ni := newIdx[e]; ni >= 0 {
-				elems = append(elems, ni)
-			}
-		}
-		if len(elems) > 0 {
-			proj.Sets = append(proj.Sets, Set{ID: len(proj.Sets), Elems: elems})
-			origIDs = append(origIDs, s.ID)
-			if in.Weights != nil {
-				proj.Weights = append(proj.Weights, in.Weights[s.ID])
-			}
-		}
-	}
-	return proj, origIDs
-}
-
 // Stats is the resource/quality report every algorithm in this repository
 // returns. It mirrors the three columns of the paper's Figure 1.1.
 type Stats struct {

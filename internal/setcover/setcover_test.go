@@ -154,32 +154,6 @@ func TestBitsets(t *testing.T) {
 	}
 }
 
-func TestRestrict(t *testing.T) {
-	in := small()
-	mask := bitset.FromSlice(6, []int32{2, 3, 5})
-	proj, origIDs := in.Restrict(mask)
-	if proj.N != 3 {
-		t.Fatalf("proj.N = %d, want 3", proj.N)
-	}
-	// Every original set intersects {2,3,5}, so all four project non-empty.
-	if len(proj.Sets) != 4 || len(origIDs) != 4 {
-		t.Fatalf("projected %d sets (orig %v), want 4", len(proj.Sets), origIDs)
-	}
-	if err := proj.Validate(); err != nil {
-		t.Fatalf("projected instance invalid: %v", err)
-	}
-	// Set 0 = {0,1,2} projects to {2} -> new index of 2 is 0.
-	if len(proj.Sets[0].Elems) != 1 || proj.Sets[0].Elems[0] != 0 {
-		t.Fatalf("projection of set 0 = %v, want [0]", proj.Sets[0].Elems)
-	}
-	// Empty projections are dropped.
-	mask2 := bitset.FromSlice(6, []int32{4})
-	proj2, orig2 := in.Restrict(mask2)
-	if len(proj2.Sets) != 1 || orig2[0] != 2 {
-		t.Fatalf("restrict to {4}: sets=%d orig=%v, want 1 set from orig 2", len(proj2.Sets), orig2)
-	}
-}
-
 func TestStats(t *testing.T) {
 	in := small()
 	st := Stats{Algorithm: "x", Cover: []int{0, 2}}
@@ -307,58 +281,6 @@ func TestPropIORoundTrip(t *testing.T) {
 			}
 			for j := range in.Sets[i].Elems {
 				if back.Sets[i].Elems[j] != in.Sets[i].Elems[j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Restrict preserves membership — element e survives into set s's
-// projection iff e is in the mask and in s.
-func TestPropRestrictMembership(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		in := &Instance{N: n}
-		for i := 0; i < 10; i++ {
-			var es []Elem
-			for e := 0; e < n; e++ {
-				if rng.Intn(2) == 0 {
-					es = append(es, Elem(e))
-				}
-			}
-			in.Sets = append(in.Sets, Set{Elems: es})
-		}
-		in.Normalize()
-		mask := bitset.New(n)
-		for e := 0; e < n; e++ {
-			if rng.Intn(2) == 0 {
-				mask.Set(e)
-			}
-		}
-		proj, origIDs := in.Restrict(mask)
-		// Rebuild old->new element mapping.
-		old2new := map[int]Elem{}
-		next := Elem(0)
-		mask.ForEach(func(i int) bool { old2new[i] = next; next++; return true })
-		for pi, ps := range proj.Sets {
-			orig := in.Sets[origIDs[pi]]
-			want := map[Elem]bool{}
-			for _, e := range orig.Elems {
-				if mask.Test(int(e)) {
-					want[old2new[int(e)]] = true
-				}
-			}
-			if len(want) != len(ps.Elems) {
-				return false
-			}
-			for _, e := range ps.Elems {
-				if !want[e] {
 					return false
 				}
 			}
