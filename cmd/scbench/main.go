@@ -58,8 +58,8 @@ type BenchCase struct {
 	// NsPerPass is the best-of-runs wall time of one pass (or one solve).
 	NsPerPass int64   `json:"ns_per_pass"`
 	MBPerSec  float64 `json:"mb_per_s"`
-	// PoolLocks is the decode-buffer pool's lock-acquisition delta over the
-	// best run — the contention signal the sharded pool is meant to keep low.
+	// PoolLocks is the arena list's lock-acquisition delta over the best
+	// run: three per batch of a sequential pass, none on a segmented one.
 	PoolLocks int64 `json:"pool_locks"`
 	Runs      int   `json:"runs"`
 	// The trace fields below come from one UNTIMED run with an engine tracer

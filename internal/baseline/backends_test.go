@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -164,6 +165,50 @@ func TestTruncatedFileFailsEveryBaseline(t *testing.T) {
 		if st.Valid || len(st.Cover) != 0 {
 			t.Fatalf("%s: failed run still reported a cover (size %d, valid=%v)",
 				algo.name, len(st.Cover), st.Valid)
+		}
+	}
+}
+
+// greedy-npass stops its argmax once a set reaches the bound, but the pass
+// still decodes every set after it: a corrupt set there must fail the solve
+// on both decode paths. Set 0 covers the universe, so it reaches the
+// first pass's bound n at once; set 1's count byte is overwritten with one
+// above n, keeping the index valid.
+func TestMultiPassGreedyCorruptSetAfterBoundHit(t *testing.T) {
+	const n = 8
+	in := &setcover.Instance{N: n, Sets: []setcover.Set{{}, {Elems: []setcover.Elem{1, 2}}, {Elems: []setcover.Elem{3}}}}
+	for e := 0; e < n; e++ {
+		in.Sets[0].Elems = append(in.Sets[0].Elems, setcover.Elem(e))
+	}
+	in.Normalize()
+	var buf bytes.Buffer
+	if err := scdisk.Write(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	clean, err := scdisk.NewRepoBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, _, _, ok := clean.SetSpan(1)
+	if !ok || data[off] != 2 {
+		t.Fatal("test construction broken: set 1's count is not the single byte 2")
+	}
+	data[off] = n + 1
+	for _, workers := range []int{1, 2} {
+		d, err := scdisk.NewRepoBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.HasIndex() {
+			t.Fatal("the index must still validate: only set data is corrupt")
+		}
+		st, err := MultiPassGreedy(d, engine.Options{Workers: workers, BatchSize: 1})
+		if !errors.Is(err, engine.ErrPassFailed) {
+			t.Fatalf("workers=%d: err = %v, want one wrapping engine.ErrPassFailed", workers, err)
+		}
+		if st.Valid || len(st.Cover) != 0 {
+			t.Fatalf("workers=%d: failed solve reported a cover %v", workers, st.Cover)
 		}
 	}
 }

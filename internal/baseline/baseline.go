@@ -162,7 +162,7 @@ func multiPassGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 	tracker.Grow(stream.WordsForElems(n))
 
 	var cover []int
-	best := &bestSetObserver{uncovered: uncovered, weight: stream.WeightFunc(repo)}
+	best := &bestSetObserver{uncovered: uncovered, weight: stream.WeightFunc(repo), bound: n}
 	for uncovered.Count() > allowed {
 		if len(cover) > n {
 			return st, fmt.Errorf("baseline: greedy-npass exceeded %d passes", n)
@@ -190,19 +190,31 @@ func multiPassGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 // maximum gain — maximum gain/weight on weighted repositories — against
 // uncovered, ties broken by stream position. BeginPass (an engine lifecycle
 // hook) resets the argmax so one observer serves every pick's pass.
+//
+// Gains only fall between passes, so the previous pass's best gain bounds
+// every gain in this one. On unweighted repositories the first set to reach
+// that bound is the pick — ties keep the earliest set — and Observe skips
+// the intersections for the rest of the pass. The engine still decodes and
+// delivers every set, so a full drain and decode-error detection are
+// unchanged. The weighted path keeps its full scan: its cross-multiplied
+// float compare makes "reached the bound" unsafe.
 type bestSetObserver struct {
 	uncovered *bitset.Bitset
 	weight    func(int) float64 // nil on unweighted repositories
 	gain, id  int
+	bound     int     // no gain this pass exceeds it: the previous pass's best, n at first
 	w         float64 // incumbent's weight (1 until a pick is found)
 	elems     []setcover.Elem
 }
 
 func (o *bestSetObserver) BeginPass() { o.gain, o.id, o.w = 0, -1, 1 }
-func (o *bestSetObserver) EndPass()   {}
+func (o *bestSetObserver) EndPass()   { o.bound = o.gain }
 func (o *bestSetObserver) Observe(batch []setcover.Set) {
 	if o.weight == nil {
 		for _, s := range batch {
+			if o.gain >= o.bound {
+				return
+			}
 			if g := o.uncovered.IntersectionWithSlice(s.Elems); g > o.gain {
 				o.gain, o.id = g, s.ID
 				o.elems = append(o.elems[:0], s.Elems...)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/setcover"
@@ -103,6 +104,9 @@ func TestMultiPassGreedyMatchesOfflineGreedySize(t *testing.T) {
 		}
 	}
 	check("weightedTestInstance", weightedTestInstance(t))
+	for i, in := range tieHeavyInstances(rand.New(rand.NewSource(13)), 60) {
+		check(fmt.Sprintf("tie-heavy instance %d", i), in)
+	}
 
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 300; i++ {
@@ -129,6 +133,148 @@ func TestMultiPassGreedyMatchesOfflineGreedySize(t *testing.T) {
 			}
 		}
 		check(fmt.Sprintf("instance %d (%s)", i, kind), in)
+	}
+}
+
+// tieHeavyInstances returns count unweighted families on which many sets
+// tie on gain, cycling through three shapes: equal-size random sets,
+// singletons with repeats, and disjoint equal-size blocks with duplicates
+// (after the first pick every remaining block reaches the previous pass's
+// gain, so the argmax stops at the first of them).
+func tieHeavyInstances(rng *rand.Rand, count int) []*setcover.Instance {
+	var out []*setcover.Instance
+	for i := 0; i < count; i++ {
+		n := 1 + rng.Intn(60)
+		in := &setcover.Instance{N: n}
+		switch i % 3 {
+		case 0:
+			size := 1 + rng.Intn(n)
+			for j := 1 + rng.Intn(100); j > 0; j-- {
+				s := setcover.Set{}
+				for _, e := range rng.Perm(n)[:size] {
+					s.Elems = append(s.Elems, setcover.Elem(e))
+				}
+				in.Sets = append(in.Sets, s)
+			}
+		case 1:
+			for j := 1 + rng.Intn(3*n); j > 0; j-- {
+				in.Sets = append(in.Sets, setcover.Set{Elems: []setcover.Elem{setcover.Elem(rng.Intn(n))}})
+			}
+		case 2:
+			b := 1 + rng.Intn(n)
+			for j := 0; j < 3*n; j += b {
+				lo := j % n
+				block := setcover.Set{}
+				for e := lo; e < min(lo+b, n); e++ {
+					block.Elems = append(block.Elems, setcover.Elem(e))
+				}
+				in.Sets = append(in.Sets, block)
+			}
+		}
+		in.Normalize()
+		out = append(out, in)
+	}
+	return out
+}
+
+// bestSetRef is bestSetObserver before its early stop: the full argmax scan
+// of every set in every pass, kept as the reference its picks must match.
+type bestSetRef struct {
+	uncovered *bitset.Bitset
+	weight    func(int) float64
+	gain, id  int
+	w         float64
+	elems     []setcover.Elem
+}
+
+func (o *bestSetRef) BeginPass() { o.gain, o.id, o.w = 0, -1, 1 }
+func (o *bestSetRef) EndPass()   {}
+func (o *bestSetRef) Observe(batch []setcover.Set) {
+	if o.weight == nil {
+		for _, s := range batch {
+			if g := o.uncovered.IntersectionWithSlice(s.Elems); g > o.gain {
+				o.gain, o.id = g, s.ID
+				o.elems = append(o.elems[:0], s.Elems...)
+			}
+		}
+		return
+	}
+	for _, s := range batch {
+		g := o.uncovered.IntersectionWithSlice(s.Elems)
+		if g == 0 {
+			continue
+		}
+		if w := o.weight(s.ID); float64(g)*o.w > float64(o.gain)*w {
+			o.gain, o.id, o.w = g, s.ID, w
+			o.elems = append(o.elems[:0], s.Elems...)
+		}
+	}
+}
+
+// refMultiPassGreedy is multiPassGreedy's pick loop over bestSetRef.
+func refMultiPassGreedy(repo stream.Repository, eps float64, eng *engine.Engine) ([]int, error) {
+	n := repo.UniverseSize()
+	allowed, err := allowedLeftovers(n, eps)
+	if err != nil {
+		return nil, err
+	}
+	uncovered := bitset.New(n)
+	uncovered.Fill()
+	ref := &bestSetRef{uncovered: uncovered, weight: stream.WeightFunc(repo)}
+	var cover []int
+	for uncovered.Count() > allowed {
+		if err := eng.Run(repo, ref); err != nil {
+			return nil, err
+		}
+		if ref.id < 0 {
+			return nil, setcover.ErrInfeasible
+		}
+		cover = append(cover, ref.id)
+		uncovered.SubtractSlice(ref.elems)
+	}
+	return cover, nil
+}
+
+// The early stop must not change a pick: on random families, weighted and
+// not, and on tie-heavy unweighted ones, greedy-npass picks exactly what the
+// full-scan reference picks, for ε = 0 and ε > 0, with batches small enough
+// that the bound is often reached mid-pass.
+func TestBestSetObserverMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	families := tieHeavyInstances(rng, 90)
+	for i := 0; i < 90; i++ {
+		n, m := 1+rng.Intn(80), 1+rng.Intn(120)
+		in := &setcover.Instance{N: n, Sets: make([]setcover.Set, m)}
+		for j := range in.Sets {
+			for k := rng.Intn(1 + rng.Intn(n)); k > 0; k-- {
+				in.Sets[j].Elems = append(in.Sets[j].Elems, setcover.Elem(rng.Intn(n)))
+			}
+		}
+		if i%2 == 1 {
+			in.Weights = make([]float64, m)
+			for j := range in.Weights {
+				in.Weights[j] = float64(1 + rng.Intn(4))
+			}
+		}
+		in.Normalize()
+		families = append(families, in)
+	}
+	opts := engine.Options{Workers: 2, BatchSize: 5}
+	for i, in := range families {
+		for _, eps := range []float64{0, 0.1, 0.3} {
+			repo := stream.NewSliceRepo(in)
+			want, werr := refMultiPassGreedy(repo, eps, engine.New(opts))
+			got, gerr := MultiPassGreedyPartial(repo, eps, opts)
+			if werr != nil || gerr != nil {
+				if !errors.Is(werr, setcover.ErrInfeasible) || !errors.Is(gerr, setcover.ErrInfeasible) {
+					t.Fatalf("family %d eps=%v: reference err %v, greedy-npass err %v", i, eps, werr, gerr)
+				}
+				continue
+			}
+			if !slices.Equal(got.Cover, want) {
+				t.Fatalf("family %d eps=%v: greedy-npass picked %v, full scan %v", i, eps, got.Cover, want)
+			}
+		}
 	}
 }
 

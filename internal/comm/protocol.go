@@ -58,8 +58,8 @@ func (p *ProtocolRepo) Crossings() int { return p.crossings }
 // Begin implements stream.Repository. The returned reader carries the full
 // engine contract through the simulation: the stream.BatchReader fast path
 // (crossings are accounted per batch span, identically to the per-set path),
-// stream.Recycler forwarding (a disk-backed inner pass keeps its pooled
-// decode buffers), and the stream.ErrorReader failure surface — so a
+// stream.Recycler forwarding (a disk-backed inner pass keeps reusing its
+// batch arenas), and the stream.ErrorReader failure surface — so a
 // protocol-wrapped pass driven by engine.Run behaves exactly like the
 // unwrapped one, plus the hand-off accounting.
 //

@@ -64,12 +64,15 @@
 // SliceRepo-backed set) past the Observe call; copy what must survive —
 // which is exactly the discipline the space model charges for anyway.
 //
-// That discipline is also what enables the pooled decode path for disk-backed
-// repositories: when a pass's reader implements stream.Recycler, the engine
-// hands each batch back to it (Recycle) after the last observer has finished
-// with it, so a decoding reader (internal/scdisk) reuses its element buffers
-// across batches and a full pass runs in O(Workers · BatchSize · avg-set-size)
-// live heap instead of allocating every set afresh.
+// That discipline is also what enables pooled decoding for disk-backed
+// repositories. When a sequential pass's reader implements stream.Recycler,
+// the engine hands each batch back to it (Recycle) after the last observer
+// has finished with it, so a decoding reader (internal/scdisk) reuses the
+// batch's element arena. A segmented pass decodes each chunk into one arena
+// carried by a pooled chunk record, which returns to the pool once every
+// batch viewing it has been recycled (segmented.go). Either way a full pass
+// runs in O(Workers · BatchSize · avg-set-size) live heap instead of
+// allocating every set afresh.
 package engine
 
 import (
@@ -175,14 +178,13 @@ func (o Options) normalized() Options {
 }
 
 // Engine executes passes. It is stateless between Runs and safe to reuse,
-// also from several goroutines at once; the batch pool and the segmented
-// decoders' chunk records are shared across set-system Runs to keep
-// steady-state allocation flat (generic RunOver passes pool per call — their
-// element types differ per instantiation).
+// also from several goroutines at once; the batch pool is shared across
+// set-system Runs to keep steady-state allocation flat (generic RunOver
+// passes pool per call — their element types differ per instantiation), and
+// the segmented decoders' chunk records across every engine (segmented.go).
 type Engine struct {
-	opts   Options
-	pool   sync.Pool
-	chunks sync.Pool // *segChunk, see segmented.go
+	opts Options
+	pool sync.Pool
 	// passSeq numbers this engine's traced passes (obs.PassTrace.Index).
 	// Incremented only when a tracer is installed; engines are constructed
 	// per solve wherever per-call options (and thus tracers) thread in, so
@@ -195,9 +197,6 @@ func New(opts Options) *Engine {
 	e := &Engine{opts: opts.normalized()}
 	e.pool.New = func() any {
 		return &batchOf[setcover.Set]{items: make([]setcover.Set, 0, e.opts.BatchSize)}
-	}
-	e.chunks.New = func() any {
-		return &segChunk{sets: make([]setcover.Set, 0, e.opts.BatchSize)}
 	}
 	return e
 }
@@ -266,7 +265,7 @@ func (e *Engine) beginPass(repo stream.Repository) (r stream.Reader, segmented b
 	if e.opts.Workers > 1 && !e.opts.DisableSegmented {
 		if sr, ok := repo.(stream.SegmentedRepository); ok {
 			if src, ok := sr.BeginSegmented(); ok {
-				return newSegmentedReader(src, repo.NumSets(), e.opts.Workers, e.opts.BatchSize, &e.chunks), true
+				return newSegmentedReader(src, repo.NumSets(), e.opts.Workers, e.opts.BatchSize), true
 			}
 		}
 	}

@@ -7,10 +7,11 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/scdisk"
+	"repro/internal/setcover"
 	"repro/internal/stream"
 )
 
-// spanSegRepo wraps a segmentable repository and records every Segment call,
+// spanSegRepo wraps a segmentable repository and records every chunk decode,
 // so tests observe which mode the engine actually picked: the chunked
 // parallel mode shows up as many chunk-sized spans.
 type spanSegRepo struct {
@@ -32,11 +33,11 @@ type spanSegSource struct {
 	repo *spanSegRepo
 }
 
-func (s *spanSegSource) Segment(start, end int) stream.Reader {
+func (s *spanSegSource) DecodeSegment(start, end int, sets []setcover.Set, arena []setcover.Elem) ([]setcover.Set, []setcover.Elem, error) {
 	s.repo.mu.Lock()
 	s.repo.spans = append(s.repo.spans, [2]int{start, end})
 	s.repo.mu.Unlock()
-	return s.SegmentSource.Segment(start, end)
+	return s.SegmentSource.DecodeSegment(start, end, sets, arena)
 }
 
 // beginCountingRepo counts the passes a SliceRepo starts through Begin.

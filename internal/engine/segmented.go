@@ -29,18 +29,19 @@ import (
 // stream order with no sequence numbers and no sorting. The channels ARE the
 // reorder window: each holds at most segWindow finished chunks, so a fast
 // decoder blocks after running segWindow chunks ahead of delivery and the
-// in-flight decoded state stays O(workers · segWindow) chunks — with uniform
-// cuts that is O(workers · segWindow · chunkSize) sets, with a byte-balanced
-// plan the equivalent bound in bytes.
+// in-flight decoded state stays O(workers · segWindow) chunks, plus the
+// chunks viewed by batches still with observers — with uniform cuts that is
+// O(workers · segWindow · chunkSize) sets, with a byte-balanced plan the
+// equivalent bound in bytes.
 //
 // Determinism: chunk boundaries depend only on (m, chunkSize) and the
 // source's deterministic plan, each chunk is decoded by exactly one goroutine
-// from an independent reader, and delivery is in stream order, so observers
+// into its own chunk record, and delivery is in stream order, so observers
 // receive byte-identical streams at every worker count — the engine's
 // contract, now including the decode layer.
 //
-// Failure: a chunk whose reader errors (or comes up short — a partial chunk
-// is a truncation even if the reader doesn't say so) is published with its
+// Failure: a chunk whose decode errors (or comes up short — a partial chunk
+// is a truncation even if the source doesn't say so) is published with its
 // error. The consumer stops delivering at the first failed chunk, closes the
 // stop channel so the remaining decoders abandon their work, and reports the
 // error through Err — poisoning the pass rather than passing off a prefix of
@@ -52,40 +53,66 @@ const segWindow = 2
 
 // segChunk is one decoded contiguous range of the stream, or the error that
 // interrupted it. A failed chunk may still carry the sets decoded before the
-// failure; they are never delivered. Chunk records are pooled on the Engine
-// and outlive the pass: a decoder owns a record from Get until it sends it,
-// and must read everything it needs from it (its error) before the send,
-// because the consumer may hand the record to another decoder — of this
-// pass or a concurrent one — as soon as it has copied the sets out.
+// failure; they are never delivered. Chunk records are pooled in chunkPool
+// and outlive the pass, arena and all: every delivered set is a
+// capacity-clipped view into arena, so an observer that appends to one
+// reallocates instead of overwriting the next set.
+//
+// Ownership: a decoder owns a record from Get until it sends it, and must
+// read everything it needs from it (its error) before the send. The
+// consumer then owns it: it copies the set headers into batches, and once
+// the last one is copied the record waits on the held list until the batch
+// holding that last set is recycled. Only then does it go back to the pool,
+// where a decoder of this pass or a concurrent one may overwrite its arena.
 type segChunk struct {
-	sets []setcover.Set
-	err  error
+	sets  []setcover.Set
+	arena []setcover.Elem
+	err   error
+	// last is the index, in NextBatch calls, of the batch holding the
+	// chunk's last set; next links the held list.
+	last int
+	next *segChunk
 }
+
+// chunkPool holds the chunk records of every engine's segmented passes.
+// Engines are built per solve, so a per-engine pool would decode each
+// solve's first pass into fresh arenas.
+var chunkPool = sync.Pool{New: func() any { return new(segChunk) }}
+
+// maxChunkArena caps, in elements (4 MB), the arena a pooled chunk record
+// keeps: a chunk holding one huge set drops its arena instead of pinning it
+// in the pool.
+const maxChunkArena = 1 << 20
 
 // segmentedReader adapts W parallel chunk decoders into a single in-order
 // stream.Reader. It implements stream.BatchReader (the engine's fill path),
-// stream.Recycler (forwarding to the source when it recycles), and
+// stream.Recycler (releasing chunk records whose sets are all consumed), and
 // stream.ErrorReader (the poisoned-pass surface). It is engine-internal: the
-// Set values it yields reference decode buffers owned by the underlying
-// source, so the usual no-retention discipline applies.
+// Set values it yields view arenas of pooled chunk records, so the usual
+// no-retention discipline applies.
 type segmentedReader struct {
 	chans   []chan *segChunk
 	stop    chan struct{}
-	rec     stream.Recycler
-	chunks  *sync.Pool // *segChunk, the engine's
 	wg      sync.WaitGroup
 	next    int // channel index the next in-order chunk arrives on
 	cur     *segChunk
 	curPos  int
+	batches int // batches NextBatch has returned
 	done    bool
 	err     error
 	stopped bool
+
+	// mu guards the held list and recycled: Recycle runs on the delivery
+	// goroutines while NextBatch appends.
+	mu         sync.Mutex
+	head, tail *segChunk // fully copied-out chunks, in stream order
+	recycled   int       // Recycle calls so far
 }
 
 // newSegmentedReader starts `workers` decode goroutines over the m sets of
 // src, cut into chunks by planBounds, decoding into chunk records drawn from
-// pool.
-func newSegmentedReader(src stream.SegmentSource, m, workers, chunkSize int, pool *sync.Pool) *segmentedReader {
+// chunkPool.
+func newSegmentedReader(src stream.SegmentSource, m, workers, chunkSize int) *segmentedReader {
 	bounds := planBounds(src, m, chunkSize)
 	chunks := len(bounds) - 1
 	if workers > chunks {
@@ -95,11 +122,9 @@ func newSegmentedReader(src stream.SegmentSource, m, workers, chunkSize int, poo
 		workers = 1
 	}
 	r := &segmentedReader{
-		chans:  make([]chan *segChunk, workers),
-		stop:   make(chan struct{}),
-		chunks: pool,
+		chans: make([]chan *segChunk, workers),
+		stop:  make(chan struct{}),
 	}
-	r.rec, _ = src.(stream.Recycler)
 	for w := range r.chans {
 		r.chans[w] = make(chan *segChunk, segWindow)
 	}
@@ -147,17 +172,16 @@ func (r *segmentedReader) decode(src stream.SegmentSource, w, workers int, bound
 	defer close(r.chans[w])
 	for c := w; c < len(bounds)-1; c += workers {
 		start, end := bounds[c], bounds[c+1]
-		it := src.Segment(start, end)
-		ck := r.chunks.Get().(*segChunk)
-		ck.sets = fillChunk(it, end-start, ck.sets)
-		if ck.err = stream.ReaderErr(it); ck.err == nil && len(ck.sets) != end-start {
+		ck := chunkPool.Get().(*segChunk)
+		ck.sets, ck.arena, ck.err = src.DecodeSegment(start, end, ck.sets, ck.arena)
+		if ck.err == nil && len(ck.sets) != end-start {
 			ck.err = fmt.Errorf("engine: segment [%d,%d) ended after %d sets", start, end, len(ck.sets))
 		}
 		failed := ck.err != nil // read before the send: see segChunk
 		select {
 		case r.chans[w] <- ck:
 		case <-r.stop:
-			r.discard(ck)
+			releaseChunk(ck)
 			return
 		}
 		if failed {
@@ -166,52 +190,21 @@ func (r *segmentedReader) decode(src stream.SegmentSource, w, workers int, bound
 	}
 }
 
-// fillChunk drains a segment reader into buf, a pooled chunk record's set
-// storage, up to want sets (a healthy segment yields exactly that many).
-func fillChunk(it stream.Reader, want int, buf []setcover.Set) []setcover.Set {
-	buf = buf[:0]
-	if cap(buf) < want {
-		// A cost-balanced plan may pack more sets than chunkSize into one
-		// chunk (many small sets balancing one huge one); the pooled records
-		// grow to the largest chunk seen and stay there.
-		buf = make([]setcover.Set, 0, want)
+// releaseChunk returns a chunk record to chunkPool; the next decode into
+// it overwrites its sets and arena. An arena over maxChunkArena is dropped,
+// and so are the set headers viewing it.
+func releaseChunk(ck *segChunk) {
+	if cap(ck.arena) > maxChunkArena {
+		clear(ck.sets)
+		ck.arena = nil
 	}
-	br, batched := it.(stream.BatchReader)
-	for len(buf) < want {
-		if batched {
-			k := br.NextBatch(buf[len(buf):cap(buf)])
-			if k == 0 {
-				break
-			}
-			buf = buf[:len(buf)+k]
-			continue
-		}
-		s, ok := it.Next()
-		if !ok {
-			break
-		}
-		buf = append(buf, s)
-	}
-	return buf
-}
-
-// discard returns an undelivered chunk's buffers to their owners.
-func (r *segmentedReader) discard(ck *segChunk) {
-	if r.rec != nil && len(ck.sets) > 0 {
-		r.rec.Recycle(ck.sets)
-	}
-	r.release(ck)
-}
-
-// release empties a chunk record and returns it to the engine's pool.
-func (r *segmentedReader) release(ck *segChunk) {
-	ck.sets, ck.err = ck.sets[:0], nil
-	r.chunks.Put(ck)
+	ck.err, ck.next = nil, nil
+	chunkPool.Put(ck)
 }
 
 // NextBatch implements stream.BatchReader: it copies the next in-order run
-// of Set headers into dst. The element slices are shared with the chunk's
-// decode buffers until Recycle hands them back.
+// of Set headers into dst. A chunk whose last set it copies joins the held
+// list until Recycle learns that batch is done.
 func (r *segmentedReader) NextBatch(dst []setcover.Set) int {
 	dst = dst[:cap(dst)]
 	n := 0
@@ -223,11 +216,45 @@ func (r *segmentedReader) NextBatch(dst []setcover.Set) int {
 		n += c
 		r.curPos += c
 		if r.curPos == len(r.cur.sets) {
-			r.release(r.cur)
+			r.hold(r.cur)
 			r.cur = nil
 		}
 	}
+	if n > 0 {
+		r.batches++
+	}
 	return n
+}
+
+// hold appends a copied-out chunk to the held list, tagged with the batch
+// NextBatch is filling.
+func (r *segmentedReader) hold(ck *segChunk) {
+	ck.last = r.batches
+	r.mu.Lock()
+	if r.tail == nil {
+		r.head = ck
+	} else {
+		r.tail.next = ck
+	}
+	r.tail = ck
+	r.mu.Unlock()
+}
+
+// Recycle implements stream.Recycler. The engine recycles each batch once,
+// and observers finish batches in stream order, so when the k-th call
+// arrives batches 0..k-1 are done, whichever batch this call names: every
+// held chunk whose last set sits in one of them goes back to the pool.
+func (r *segmentedReader) Recycle([]setcover.Set) {
+	r.mu.Lock()
+	r.recycled++
+	for r.head != nil && r.head.last < r.recycled {
+		ck := r.head
+		if r.head = ck.next; r.head == nil {
+			r.tail = nil
+		}
+		releaseChunk(ck)
+	}
+	r.mu.Unlock()
 }
 
 // advance receives the next in-order chunk. It returns false when the stream
@@ -246,7 +273,7 @@ func (r *segmentedReader) advance() bool {
 	r.next = (r.next + 1) % len(r.chans)
 	if ck.err != nil {
 		r.err = ck.err
-		r.discard(ck)
+		releaseChunk(ck)
 		r.finish()
 		return false
 	}
@@ -256,7 +283,7 @@ func (r *segmentedReader) advance() bool {
 
 // finish stops the decoders, drains their channels, and waits for them to
 // exit, so a completed (or poisoned) pass leaks no goroutines and returns
-// every undelivered decode buffer.
+// every undelivered chunk record. Delivered ones go back through Recycle.
 func (r *segmentedReader) finish() {
 	r.done = true
 	if r.stopped {
@@ -266,7 +293,7 @@ func (r *segmentedReader) finish() {
 	close(r.stop)
 	for _, ch := range r.chans {
 		for ck := range ch {
-			r.discard(ck)
+			releaseChunk(ck)
 		}
 	}
 	r.wg.Wait()
@@ -281,14 +308,6 @@ func (r *segmentedReader) Next() (setcover.Set, bool) {
 		return setcover.Set{}, false
 	}
 	return one[0], true
-}
-
-// Recycle implements stream.Recycler by forwarding consumed element buffers
-// to the segment source's pool.
-func (r *segmentedReader) Recycle(sets []setcover.Set) {
-	if r.rec != nil {
-		r.rec.Recycle(sets)
-	}
 }
 
 // Err implements stream.ErrorReader: the error that poisoned the pass.

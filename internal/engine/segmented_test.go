@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -132,8 +133,14 @@ type failingSegSource struct {
 	failAt int
 }
 
-func (s failingSegSource) Segment(start, end int) stream.Reader {
-	return &failingSegReader{inner: s.SegmentSource.Segment(start, end), pos: start, failAt: s.failAt}
+// DecodeSegment fails a chunk holding set failAt, returning the sets before
+// it the way a decoder that hit a corrupt set does.
+func (s failingSegSource) DecodeSegment(start, end int, sets []setcover.Set, arena []setcover.Elem) ([]setcover.Set, []setcover.Elem, error) {
+	if s.failAt < start || s.failAt >= end {
+		return s.SegmentSource.DecodeSegment(start, end, sets, arena)
+	}
+	sets, arena, _ = s.SegmentSource.DecodeSegment(start, s.failAt, sets, arena)
+	return sets, arena, errBoom
 }
 
 // A reader that fails mid-stream must poison the pass on every decode path:
@@ -214,36 +221,77 @@ func TestSegmentedFuncRepoSource(t *testing.T) {
 	}
 }
 
-// recycleSegRepo tracks that every set delivered by a segmented pass comes
-// back through Recycle — the engine must forward recycling through the
-// reorder layer to the source, or a disk-backed repository's decode buffers
-// would stop being reused.
-type recycleSegRepo struct {
+// arenaSegRepo decodes every chunk into the arena the engine passes in, the
+// way scdisk does, and counts the chunks that arrive with an arena a
+// previous chunk grew.
+type arenaSegRepo struct {
 	*stream.FuncRepo
-	recycled atomic.Int64
+	reused atomic.Int64
 }
 
-func (r *recycleSegRepo) BeginSegmented() (stream.SegmentSource, bool) {
+func (r *arenaSegRepo) BeginSegmented() (stream.SegmentSource, bool) {
 	src, ok := r.FuncRepo.BeginSegmented()
-	return &recycleSegSource{SegmentSource: src, repo: r}, ok
+	return &arenaSegSource{SegmentSource: src, repo: r}, ok
 }
 
-type recycleSegSource struct {
+type arenaSegSource struct {
 	stream.SegmentSource
-	repo *recycleSegRepo
+	repo *arenaSegRepo
 }
 
-func (s *recycleSegSource) Recycle(sets []setcover.Set) {
-	s.repo.recycled.Add(int64(len(sets)))
+// PlanSegments cuts chunks of 1, 16, 3 and 9 sets in turn, so a batch
+// straddles chunks and sometimes spans several.
+func (s *arenaSegSource) PlanSegments(int) []int {
+	b := []int{0}
+	for i := 0; b[len(b)-1] < s.repo.NumSets(); i++ {
+		b = append(b, min(b[len(b)-1]+[]int{1, 16, 3, 9}[i%4], s.repo.NumSets()))
+	}
+	return b
 }
 
+func (s *arenaSegSource) DecodeSegment(start, end int, sets []setcover.Set, arena []setcover.Elem) ([]setcover.Set, []setcover.Elem, error) {
+	if cap(arena) > 0 {
+		s.repo.reused.Add(1)
+	}
+	sets, _, err := s.SegmentSource.DecodeSegment(start, end, sets, nil)
+	arena = arena[:0]
+	for i, st := range sets {
+		a := len(arena)
+		arena = append(arena, st.Elems...)
+		sets[i].Elems = arena[a:len(arena):len(arena)]
+	}
+	return sets, arena, err
+}
+
+// The engine turns Recycle calls into chunk-record releases: a record goes
+// back to the pool, arena and all, only once every batch viewing it has been
+// recycled. Batches of 7 straddle uneven chunks, several observers on several
+// delivery goroutines recycle in racing order, and every observer must still
+// read every set intact — a record released early would have its arena
+// overwritten by a later chunk while a batch still views it. The second pass
+// must decode into arenas the first pass released.
 func TestSegmentedForwardsRecycle(t *testing.T) {
 	const m = 500
-	repo := &recycleSegRepo{FuncRepo: segRepo(testInstance(16, m))}
-	if err := New(Options{Workers: 3, BatchSize: 64}).Run(repo, &recorder{}); err != nil {
-		t.Fatal(err)
+	in := testInstance(16, m)
+	repo := &arenaSegRepo{FuncRepo: segRepo(in)}
+	e := New(Options{Workers: 3, BatchSize: 7})
+	check := Func(func(batch []setcover.Set) {
+		for _, s := range batch {
+			if !slices.Equal(s.Elems, in.Sets[s.ID].Elems) {
+				t.Errorf("set %d delivered as %v, want %v", s.ID, s.Elems, in.Sets[s.ID].Elems)
+			}
+		}
+	})
+	for pass := 0; pass < 2; pass++ {
+		obs := []*recorder{{}, {}, {}}
+		if err := e.Run(repo, obs[0], obs[1], check, obs[2]); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range obs {
+			r.verify(t, m, 7)
+		}
 	}
-	if got := repo.recycled.Load(); got != m {
-		t.Fatalf("source got %d sets back through Recycle, want %d", got, m)
+	if repo.reused.Load() == 0 {
+		t.Fatal("no chunk decoded into a released arena: chunk records never went back to the pool")
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/setcover"
+	"repro/internal/stream"
 )
 
 func digestTestInstance(t *testing.T, seed int64) *setcover.Instance {
@@ -134,9 +136,9 @@ func TestDigestPlainFileFallback(t *testing.T) {
 	}
 }
 
-// The batched stash path must decode the identical stream the per-set pool
-// path did, under recycling pressure: run several batched+recycled passes and
-// compare against a fresh sequential decode.
+// The batched arena path must decode the identical stream a fresh
+// sequential decode does, under recycling pressure: run several
+// batched+recycled passes and compare against the instance.
 func TestBatchedStashDecodeMatchesSequential(t *testing.T) {
 	in := digestTestInstance(t, 11)
 	p := filepath.Join(t.TempDir(), "s.scb")
@@ -183,66 +185,76 @@ func TestBatchedStashDecodeMatchesSequential(t *testing.T) {
 	}
 }
 
-// fill must hand out at most `want` buffers, clear the pool's references to
-// them, and putBufs must respect the cap limits — the invariants that keep
-// the batched path's memory profile identical to the per-set one.
+// A batch is one arena from the list and every set in it a capacity-clipped
+// view, so an observer appending to one set cannot overwrite the next. The
+// byte cap holds however many arenas come back: the list keeps what fits
+// under arenaListBytes and drops the rest.
 func TestElemPoolFillBatched(t *testing.T) {
-	var p elemPool
-	sets := make([]setcover.Set, 10)
-	for i := range sets {
-		sets[i] = setcover.Set{Elems: make([]setcover.Elem, 0, 8)}
+	in := digestTestInstance(t, 12)
+	d, err := Open(writeTemp(t, in))
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.put(sets, 0)
-	if n := len(p.shards[0].free); n != 10 {
-		t.Fatalf("shard 0 holds %d buffers, want 10", n)
+	defer d.Close()
+	it := d.Begin()
+	batch := make([]setcover.Set, 0, 16)
+	batch = batch[:it.(stream.BatchReader).NextBatch(batch)]
+	if len(batch) < 2 {
+		t.Fatalf("first batch holds %d sets", len(batch))
 	}
-	got := p.fill(nil, 4, 0)
-	if len(got) != 4 || len(p.shards[0].free) != 6 {
-		t.Fatalf("fill(4): got %d, shard %d; want 4, 6", len(got), len(p.shards[0].free))
+	for i, s := range batch {
+		if cap(s.Elems) != len(s.Elems) {
+			t.Fatalf("set %d: view capacity %d past its %d elements", i, cap(s.Elems), len(s.Elems))
+		}
 	}
-	got = p.fill(got[:0], 100, 0)
-	if len(got) != 6 || len(p.shards[0].free) != 0 {
-		t.Fatalf("fill(100): got %d, shard %d; want 6, 0", len(got), len(p.shards[0].free))
+	next := slices.Clone(batch[1].Elems)
+	_ = append(batch[0].Elems, -1)
+	if !slices.Equal(batch[1].Elems, next) {
+		t.Fatal("appending to one set overwrote the next")
 	}
-	// Oversized buffers are dropped by putBufs, ordinary ones return.
-	got = append(got[:2], make([]setcover.Elem, 0, maxPooledElemCap+1))
-	p.putBufs(got, 0)
-	if n := len(p.shards[0].free); n != 2 {
-		t.Fatalf("putBufs kept %d buffers, want 2 (oversized dropped)", n)
+
+	var l arenaList
+	const per = 1 << 16 // elements: 256 KB an arena
+	for i := 0; i < 2*arenaListBytes/(4*per); i++ {
+		l.put(make([]setcover.Elem, 0, per))
+		if l.bytes > arenaListBytes {
+			t.Fatalf("after %d returns the list holds %d bytes, cap %d", i+1, l.bytes, arenaListBytes)
+		}
+	}
+	if want := arenaListBytes / (4 * per); len(l.free) != want || l.bytes != arenaListBytes {
+		t.Fatalf("list kept %d arenas (%d bytes), want %d (%d bytes)", len(l.free), l.bytes, want, arenaListBytes)
+	}
+	if a := l.get(); cap(a) != per || l.bytes != arenaListBytes-4*per {
+		t.Fatalf("get returned capacity %d and left %d bytes", cap(a), l.bytes)
 	}
 }
 
-// A decoder whose own shard runs dry must still find buffers returned to
-// other shards (the cross-shard sweep), and every path must count its lock
-// acquisitions — the two properties the sharded pool adds over the single
-// mutex it replaced.
+// The arena a pass returns is the one the next pass decodes into, and every
+// acquisition of the one list lock is counted: a sequential pass costs three
+// per batch (take, hold, recycle).
 func TestElemPoolShardSweepAndLockCount(t *testing.T) {
-	var p elemPool
-	sets := []setcover.Set{{Elems: make([]setcover.Elem, 0, 8)}, {Elems: make([]setcover.Elem, 0, 8)}}
-	p.put(sets, 3)
-	if n := p.lockAcquisitions(); n != 1 {
-		t.Fatalf("put cost %d lock acquisitions, want 1", n)
+	in := digestTestInstance(t, 13)
+	d, err := Open(writeTemp(t, in))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// fill from shard 0: shard 0 is empty, the sweep must reach shard 3 —
-	// and the empty-shard peek must keep untouched shards lock-free.
-	got := p.fill(nil, 2, 0)
-	if len(got) != 2 {
-		t.Fatalf("cross-shard fill got %d buffers, want 2", len(got))
+	defer d.Close()
+	sets, _ := drainPass(d.Begin(), 16, nil)
+	batches := (sets + 15) / 16
+	if got, want := d.PoolLockAcquisitions(), int64(3*batches); got != want {
+		t.Fatalf("a %d-batch pass locked the list %d times, want %d", batches, got, want)
 	}
-	if n := p.lockAcquisitions(); n != 2 {
-		t.Fatalf("put+sweep cost %d lock acquisitions, want 2 (empty shards peeked, not locked)", n)
+	if len(d.arenas.free) != 1 {
+		t.Fatalf("after a sequential pass the list holds %d arenas, want the one it cycled", len(d.arenas.free))
 	}
-	if n := len(p.shards[3].free); n != 0 {
-		t.Fatalf("shard 3 still holds %d buffers after sweep", n)
+	kept := d.arenas.free[0][:1]
+	batch := make([]setcover.Set, 0, 16)
+	it := d.Begin()
+	if batch = batch[:it.(stream.BatchReader).NextBatch(batch)]; len(batch) == 0 || len(batch[0].Elems) == 0 {
+		t.Fatal("second pass decoded nothing")
 	}
-	// Per-shard cap: a shard never grows past maxPooledPerShard.
-	big := make([]setcover.Set, maxPooledPerShard+10)
-	for i := range big {
-		big[i] = setcover.Set{Elems: make([]setcover.Elem, 0, 4)}
-	}
-	p.put(big, 5)
-	if n := len(p.shards[5].free); n != maxPooledPerShard {
-		t.Fatalf("shard 5 holds %d buffers, cap is %d", n, maxPooledPerShard)
+	if &batch[0].Elems[0] != &kept[0] {
+		t.Fatal("the second pass did not decode into the arena the first pass returned")
 	}
 }
 

@@ -145,18 +145,16 @@ func drainPlanned(t *testing.T, d *Repo, bounds []int) ([]setcover.Set, error) {
 	if !ok {
 		t.Fatal("HasIndex but BeginSegmented declined")
 	}
-	var seg []setcover.Set
+	var seg, sets []setcover.Set
+	var arena []setcover.Elem
 	for c := 0; c+1 < len(bounds); c++ {
-		r := src.Segment(bounds[c], bounds[c+1])
-		for {
-			s, ok := r.Next()
-			if !ok {
-				break
-			}
+		var err error
+		sets, arena, err = src.DecodeSegment(bounds[c], bounds[c+1], sets[:0], arena)
+		for _, s := range sets {
 			cp := append([]setcover.Elem(nil), s.Elems...)
 			seg = append(seg, setcover.Set{ID: s.ID, Elems: cp})
 		}
-		if err := stream.ReaderErr(r); err != nil {
+		if err != nil {
 			return seg, err
 		}
 	}

@@ -2,6 +2,7 @@ package scdisk
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -246,11 +247,15 @@ func TestSkewedSegmentedConformance(t *testing.T) {
 }
 
 // Concurrent segmented passes share pooled scratch: the engine's chunk
-// records and the repository's segment decode state. 4 goroutines each run 5
-// segmented passes through ONE engine over ONE repository, on the
-// positional-read and the mmap path, and every pass must deliver the
-// sequential stream. Run under -race this catches a decoder that touches a
-// chunk record after handing it to the consumer.
+// records with their arenas, and the repository's segment readers. 4
+// goroutines each run 5 segmented passes through ONE engine over ONE
+// repository, on the positional-read and the mmap path, and every pass must
+// deliver the sequential stream. Run under -race this catches a decoder that
+// touches a chunk record after handing it to the consumer. The
+// three-observer variants recycle batches from three delivery goroutines, in
+// racing order, and their batches of 7 straddle chunk boundaries: a chunk
+// record released while a batch still views its arena shows up as a set that
+// differs from the reference.
 func TestConcurrentSegmentedPasses(t *testing.T) {
 	data, ref := skewedFile(t, 2000, 3000)
 	path := filepath.Join(t.TempDir(), "skewed.scb")
@@ -258,22 +263,29 @@ func TestConcurrentSegmentedPasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name string
-		opts []OpenOption
-	}{{"readat", nil}, {"mmap", []OpenOption{ReadOnlyMmap()}}} {
+		name      string
+		opts      []OpenOption
+		batch     int
+		observers int
+	}{
+		{"readat", nil, 16, 1},
+		{"mmap", []OpenOption{ReadOnlyMmap()}, 16, 1},
+		{"readat-3-observers", nil, 7, 3},
+		{"mmap-3-observers", []OpenOption{ReadOnlyMmap()}, 7, 3},
+	} {
 		t.Run(c.name, func(t *testing.T) {
 			d, err := Open(path, c.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			eng := engine.New(engine.Options{Workers: 3, BatchSize: 16})
+			eng := engine.New(engine.Options{Workers: 3, BatchSize: c.batch})
 			const goroutines, passes = 4, 5
 			errc := make(chan error, goroutines)
 			for g := 0; g < goroutines; g++ {
 				go func() {
 					for p := 0; p < passes; p++ {
-						if err := sequentialPass(eng, d, ref); err != nil {
+						if err := sequentialPass(eng, d, ref, c.observers); err != nil {
 							errc <- fmt.Errorf("pass %d: %w", p, err)
 							return
 						}
@@ -293,26 +305,32 @@ func TestConcurrentSegmentedPasses(t *testing.T) {
 	}
 }
 
-// sequentialPass runs one pass of eng over d and reports the first way the
-// delivered stream differs from ref.
-func sequentialPass(eng *engine.Engine, d *Repo, ref []setcover.Set) error {
-	var bad error
-	seen := 0
-	err := eng.Run(d, engine.Func(func(sets []setcover.Set) {
-		for _, s := range sets {
-			if bad == nil && (s.ID != seen || !slices.Equal(s.Elems, ref[seen].Elems)) {
-				bad = fmt.Errorf("set %d delivered at position %d with %d elements, want %d", s.ID, seen, len(s.Elems), len(ref[seen].Elems))
+// sequentialPass runs one pass of eng over d with the given number of
+// observers, each checking every set against ref, and reports the first way
+// a delivered stream differs from ref.
+func sequentialPass(eng *engine.Engine, d *Repo, ref []setcover.Set, observers int) error {
+	bad := make([]error, observers)
+	seen := make([]int, observers)
+	obs := make([]engine.Observer, observers)
+	for o := range obs {
+		obs[o] = engine.Func(func(sets []setcover.Set) {
+			for _, s := range sets {
+				if i := seen[o]; bad[o] == nil && (s.ID != i || !slices.Equal(s.Elems, ref[i].Elems)) {
+					bad[o] = fmt.Errorf("observer %d: set %d delivered at position %d with %d elements, want %d", o, s.ID, i, len(s.Elems), len(ref[i].Elems))
+				}
+				seen[o]++
 			}
-			seen++
-		}
-	}))
-	if err != nil {
+		})
+	}
+	if err := eng.Run(d, obs...); err != nil {
 		return err
 	}
-	if bad == nil && seen != len(ref) {
-		bad = fmt.Errorf("saw %d of %d sets", seen, len(ref))
+	for o := range obs {
+		if bad[o] == nil && seen[o] != len(ref) {
+			bad[o] = fmt.Errorf("observer %d saw %d of %d sets", o, seen[o], len(ref))
+		}
 	}
-	return bad
+	return errors.Join(bad...)
 }
 
 // Open(ReadOnlyMmap) must behave identically to plain Open in every
@@ -403,13 +421,7 @@ func TestByteBackedSegmentSpanVerify(t *testing.T) {
 	if !ok {
 		t.Fatal("BeginSegmented declined")
 	}
-	r := src.Segment(10, 12)
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-	}
-	if stream.ReaderErr(r) == nil {
+	if _, _, err := src.DecodeSegment(10, 12, nil, nil); err == nil {
 		t.Fatal("lying interior boundary decoded cleanly on the byte path")
 	}
 
@@ -428,17 +440,9 @@ func TestByteBackedSegmentSpanVerify(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: BeginSegmented declined", name)
 		}
-		r := src.Segment(10, 12)
-		sets := 0
-		for {
-			if _, ok := r.Next(); !ok {
-				break
-			}
-			sets++
-		}
-		err = stream.ReaderErr(r)
-		if sets != 2 || err == nil || !strings.Contains(err.Error(), "index span mismatch") {
-			t.Fatalf("%s: overlong span gave %d sets and err %v, want 2 sets then a span mismatch", name, sets, err)
+		sets, _, err := src.DecodeSegment(10, 12, nil, nil)
+		if len(sets) != 2 || err == nil || !strings.Contains(err.Error(), "index span mismatch") {
+			t.Fatalf("%s: overlong span gave %d sets and err %v, want 2 sets then a span mismatch", name, len(sets), err)
 		}
 	}
 }

@@ -29,29 +29,24 @@ const readerBufSize = 256 << 10
 // full sequential pass gets, pooled and reused across chunks.
 const segBufSize = 64 << 10
 
-// maxPooledElems caps the recycle pool so a burst of passes cannot pin
-// unbounded decode buffers.
-const maxPooledElems = 4096
-
-// maxPooledElemCap caps the CAPACITY of an individual recycled buffer: one
-// pathologically large set must not pin a huge decode buffer in the pool for
-// the repository's lifetime. Oversized buffers are dropped on put and
-// reclaimed by the GC; 64Ki elements (256 KB) comfortably covers ordinary
-// sets while bounding pool memory at maxPooledElems·maxPooledElemCap·4 bytes
-// in the worst case.
-const maxPooledElemCap = 64 << 10
+// arenaListBytes caps the arena list of a repository, in bytes of element
+// capacity. Sequential passes hold one arena per batch in flight, so the
+// list stays far below it; the cap matters when an arena comes back grown by
+// one huge set: an arena that would take the list past the cap is dropped,
+// and one larger than the cap on its own is never kept.
+const arenaListBytes = 4 << 20
 
 // Repo is the disk-backed stream.Repository: a pass-counted, read-only view
 // of an SCB1 file. Every Begin starts an independent sequential decode of the
 // file — concurrent passes each own their decode window over the shared
 // io.ReaderAt — and a pass keeps only the sets currently in flight resident.
 //
-// Repo additionally implements stream.BatchReader (batched decode straight
-// into engine batches) and stream.Recycler on its readers (the engine hands
-// consumed batches back so decode buffers are reused; see DESIGN.md §6),
-// and — when the index footer is present — stream.SegmentedRepository: the
-// pass engine splits one pass into contiguous chunks seeked via the index
-// and decodes them on several goroutines (DESIGN.md §5), which is where an
+// Repo additionally implements stream.BatchReader (each batch decoded into
+// one element arena) and stream.Recycler on its readers (the engine hands
+// consumed batches back so their arenas are reused; see DESIGN.md §6), and —
+// when the index footer is present — stream.SegmentedRepository: the pass
+// engine splits one pass into contiguous chunks seeked via the index and
+// decodes them on several goroutines (DESIGN.md §5), which is where an
 // indexed file's passes get their multi-core decode throughput.
 type Repo struct {
 	r       io.ReaderAt
@@ -80,12 +75,11 @@ type Repo struct {
 	weights []float64
 
 	passes atomic.Int64
-	free   elemPool
-	// segStates pools the decode state of segment readers (*segState) for
-	// the repository's lifetime: each decode goroutine of a segmented pass
-	// reuses one window and one stash across its chunks, and the next pass
-	// reuses them again.
-	segStates sync.Pool
+	arenas arenaList
+	// segReaders pools the chunk readers of segmented passes (*reader) for
+	// the repository's lifetime: a chunk decode reuses one reader and its
+	// window, and the next pass reuses them again.
+	segReaders sync.Pool
 }
 
 // OpenOption customizes Open.
@@ -375,10 +369,11 @@ func (d *Repo) Close() error {
 // byte-backed) image rather than through positional reads.
 func (d *Repo) Mapped() bool { return d.data != nil }
 
-// PoolLockAcquisitions returns how many times any pass has locked a decode
-// buffer pool shard since the repository was opened — the contention signal
-// cmd/scbench reports per benchmark case.
-func (d *Repo) PoolLockAcquisitions() int64 { return d.free.lockAcquisitions() }
+// PoolLockAcquisitions returns how many times a sequential pass has locked
+// the repository's arena list since it was opened — the contention signal
+// cmd/scbench reports per benchmark case. Segmented passes keep their arenas
+// in the engine's chunk records and take no lock here.
+func (d *Repo) PoolLockAcquisitions() int64 { return d.arenas.locks.Load() }
 
 // UniverseSize returns n.
 func (d *Repo) UniverseSize() int { return d.n }
@@ -418,57 +413,46 @@ func (d *Repo) DataBytes() int64 {
 // Begin starts a new sequential pass over the whole family.
 func (d *Repo) Begin() stream.Reader {
 	d.passes.Add(1)
-	r := d.newReader(0, d.m, d.dataOff, d.size, nil, readerBufSize)
-	r.shard = d.free.shard()
-	return r
+	it := &reader{}
+	it.reset(d, 0, d.m, d.dataOff, d.size, readerBufSize)
+	return it
 }
 
-// newReader returns a reader of sets [pos, end) whose encoded bytes are the
-// file span [off, limit). On a byte-backed repository the window is the span
-// itself. Otherwise it starts empty, with room for min(span, size) bytes —
-// reusing buf's storage when that is large enough — and ReadAt fills it as
-// decoding needs. A sequential pass's span runs to the end of the file (index
-// footer, trailing bytes); decoding stops after end-pos sets, so the excess
-// is never decoded.
-func (d *Repo) newReader(pos, end int, off, limit int64, buf []byte, size int) *reader {
-	r := &reader{d: d, pos: pos, end: end, next: off, limit: limit}
+// reset points it at sets [pos, end), whose encoded bytes are the file span
+// [off, limit). On a byte-backed repository the window is the span itself.
+// Otherwise it starts empty, with room for min(span, size) bytes — reusing
+// the storage of its previous window when that is large enough — and
+// ReadAt fills it as decoding needs. A sequential pass's span runs to the end
+// of the file (index footer, trailing bytes); decoding stops after end-pos
+// sets, so the excess is never decoded.
+func (it *reader) reset(d *Repo, pos, end int, off, limit int64, size int) {
+	win := it.win
+	*it = reader{d: d, pos: pos, end: end, next: off, limit: limit}
 	if d.data != nil {
-		r.win, r.next = d.data[off:limit], limit
-	} else if w := int(min(limit-off, int64(size))); cap(buf) >= w {
-		r.win = buf[:0]
+		it.win, it.next = d.data[off:limit], limit
+	} else if w := int(min(limit-off, int64(size))); cap(win) >= w {
+		it.win = win[:0]
 	} else {
-		r.win = make([]byte, 0, w)
+		it.win = make([]byte, 0, w)
 	}
-	return r
 }
 
 // BeginSegmented implements stream.SegmentedRepository: one counted pass
-// whose contiguous chunks are decoded by independent readers, each seeked to
-// its byte offset through the index. Without the index footer a plain SCB1
-// file cannot be split (set boundaries are only discovered by decoding), so
-// ok is false, no pass is counted, and callers fall back to Begin.
+// whose contiguous chunks are decoded independently, each seeked to its byte
+// offset through the index. Without the index footer a plain SCB1 file
+// cannot be split (set boundaries are only discovered by decoding), so ok is
+// false, no pass is counted, and callers fall back to Begin.
 func (d *Repo) BeginSegmented() (stream.SegmentSource, bool) {
 	if d.offs == nil {
 		return nil, false
 	}
 	d.passes.Add(1)
-	return &segSource{d: d}, true
+	return segSource{d: d}, true
 }
 
-// segSource opens chunk readers for one segmented pass. Their decode state
-// comes from the repository's segStates pool (segState).
+// segSource decodes the chunks of one segmented pass.
 type segSource struct {
 	d *Repo
-}
-
-// segState is the reusable decode state of one chunk reader: the decode
-// window and the buffer stash backing the batched pool draw. A chunk is a
-// few tens of KB, so pooling it per repository saves allocating both
-// ~m/BatchSize times per pass.
-type segState struct {
-	win   []byte            // positional-read window storage; nil on the byte path
-	stash [][]setcover.Elem // emptied between chunks; capacity is what's reused
-	shard int               // pool shard this decode state draws from, fixed at creation
 }
 
 // PlanSegments implements stream.SegmentSource: chunk boundaries are cut so
@@ -480,7 +464,7 @@ type segState struct {
 // shapes only: the engine still delivers chunks in stream order, so the
 // observed stream is byte-identical to the sequential one (pinned by the
 // segmented conformance and fuzz suites).
-func (s *segSource) PlanSegments(targetChunks int) []int {
+func (s segSource) PlanSegments(targetChunks int) []int {
 	return planByteChunks(s.d.offs, targetChunks)
 }
 
@@ -520,36 +504,51 @@ func planByteChunks(offs []int64, target int) []int {
 	return append(bounds, m)
 }
 
-// Segment returns a reader for sets [start, end), positioned by one seek.
-// The reader verifies it consumes its byte span exactly (reader.finish): the
-// index's per-set byte lengths are validated in aggregate at open, but a
-// crafted index could still lie about interior boundaries while keeping the
-// total right, and seeking with a wrong boundary decodes garbage mid-set.
-// A span mismatch fails the chunk; since the engine delivers chunks in
-// stream order and stops at the first failure, observers can never see sets
-// past an unvalidated boundary — segmented decode either matches the
-// sequential stream byte for byte or fails loudly.
-func (s *segSource) Segment(start, end int) stream.Reader {
-	st, _ := s.d.segStates.Get().(*segState)
-	if st == nil {
-		st = &segState{shard: s.d.free.shard()}
+// DecodeSegment implements stream.SegmentSource: it decodes sets
+// [start, end), positioned by one seek, into one arena sized from the SCIX
+// cardinalities. The sum is clipped to the chunk's byte span — every element
+// takes at least one byte, so a lying index cannot demand more memory than
+// the file holds — and a set that still does not fit moves to a bigger
+// arena (reader.decode).
+//
+// The chunk must consume its byte span exactly: the index's per-set byte
+// lengths are validated in aggregate at open, but a crafted index could
+// still lie about interior boundaries while keeping the total right, and
+// seeking with a wrong boundary decodes garbage mid-set. A span mismatch
+// fails the chunk; since the engine delivers chunks in stream order and
+// stops at the first failure, observers can never see sets past an
+// unvalidated boundary — segmented decode either matches the sequential
+// stream byte for byte or fails loudly.
+func (s segSource) DecodeSegment(start, end int, sets []setcover.Set, arena []setcover.Elem) ([]setcover.Set, []setcover.Elem, error) {
+	d := s.d
+	it, _ := d.segReaders.Get().(*reader)
+	if it == nil {
+		it = &reader{}
 	}
-	r := s.d.newReader(start, end, s.d.offs[start], s.d.offs[end], st.win, segBufSize)
-	r.seg, r.stash, r.shard = st, st.stash, st.shard
-	return r
+	defer d.segReaders.Put(it)
+	it.reset(d, start, end, d.offs[start], d.offs[end], segBufSize)
+	need := 0
+	for _, c := range d.cards[start:end] {
+		need += int(c)
+	}
+	if need = min(need, int(d.offs[end]-d.offs[start])); cap(arena) < need {
+		arena = make([]setcover.Elem, 0, need)
+	}
+	sets = slices.Grow(sets[:0], end-start)[:end-start]
+	k, arena := it.decode(sets, arena[:0])
+	if it.err == nil && (it.wpos < len(it.win) || it.next < it.limit) {
+		it.fail(fmt.Errorf("segment ending at set %d: bytes left after the last set — index span mismatch", end))
+	}
+	if d.data != nil {
+		it.win = nil // a window into the image: nothing to reuse
+	}
+	return sets[:k], arena, it.err
 }
 
-// Recycle implements stream.Recycler at the source level: the pass engine's
-// reorder layer hands consumed batches back here, and the element buffers
-// rejoin the repository pool the chunk decoders draw from. Returns rotate
-// across shards so the concurrent decoders (each pinned to its own shard)
-// all find refills without fighting over one lock.
-func (s *segSource) Recycle(sets []setcover.Set) { s.d.free.put(sets, s.d.free.shard()) }
-
 // reader decodes one span of the file: a whole pass (Begin) or one chunk of
-// a segmented pass (segSource.Segment). Each reader owns its decode window,
-// so concurrent spans never share decode state, and each carries its own
-// error — pass failures are scoped to the pass.
+// a segmented pass (segSource.DecodeSegment). Each reader owns its decode
+// window, so concurrent spans never share decode state, and each carries its
+// own error — pass failures are scoped to the pass.
 type reader struct {
 	d *Repo
 	// win[wpos:] are the span bytes loaded and not yet decoded; [next, limit)
@@ -560,23 +559,21 @@ type reader struct {
 	next, limit int64
 	pos         int
 	end         int
-	shard       int // pool shard this reader draws from and returns to
-	failed      bool
 	err         error
-	// seg is a segment reader's pooled decode state until finish verifies
-	// the span and returns it; nil for a sequential pass.
-	seg *segState
-	// stash holds recycled decode buffers drawn from the repository pool a
-	// batch at a time (one lock per NextBatch instead of one per set);
-	// leftovers flow back on finish.
-	stash [][]setcover.Elem
+	// held[head:] are the arenas of the batches NextBatch returned and
+	// Recycle has not yet handed back, oldest first; guarded by the
+	// repository's arena-list lock. Recycle compacts the queue once half
+	// of it is consumed, so it stays as long as the batches in flight.
+	held [][]setcover.Elem
+	head int
 }
 
-// decodeNext decodes the next set from the front of the window. Only a set
-// cut off by the end of the window (io.ErrUnexpectedEOF) while the span
-// still has bytes refills the window and decodes again; any other error, or
-// truncation at the end of the span, fails the pass. Both backends run this
-// one decode call, so their streams are byte-identical.
+// decodeNext decodes the next set from the front of the window into buf's
+// storage. Only a set cut off by the end of the window
+// (io.ErrUnexpectedEOF) while the span still has bytes refills the window
+// and decodes again; any other error, or truncation at the end of the span,
+// fails the pass. Both backends run this one decode call, so their streams
+// are byte-identical.
 func (it *reader) decodeNext(buf []setcover.Elem) ([]setcover.Elem, error) {
 	for {
 		elems, k, err := setcover.DecodeSetBytes(it.win[it.wpos:], it.d.n, buf)
@@ -591,6 +588,33 @@ func (it *reader) decodeNext(buf []setcover.Elem) ([]setcover.Elem, error) {
 			return nil, err
 		}
 	}
+}
+
+// decode decodes sets into dst until dst is full, the span ends or a set
+// fails, with their elements appended to arena, and returns how many it
+// wrote and the arena. Each set is a capacity-clipped view of the arena, so
+// an observer that appends to one reallocates instead of overwriting the
+// next set. A set that does not fit moves to a fresh arena of at least
+// twice the capacity; the sets before it keep viewing the old one, and the
+// fresh one is what the caller keeps.
+func (it *reader) decode(dst []setcover.Set, arena []setcover.Elem) (int, []setcover.Elem) {
+	k := 0
+	for ; k < len(dst) && it.err == nil && it.pos < it.end; k++ {
+		a := len(arena)
+		elems, err := it.decodeNext(arena[a:])
+		if err != nil {
+			it.fail(err)
+			break
+		}
+		if len(elems) <= cap(arena)-a {
+			arena = arena[:a+len(elems)]
+		} else {
+			arena, a = append(make([]setcover.Elem, 0, max(2*cap(arena), len(elems))), elems...), 0
+		}
+		dst[k] = setcover.Set{ID: it.pos, Elems: arena[a:len(arena):len(arena)]}
+		it.pos++
+	}
+	return k, arena
 }
 
 // refill slides the undecoded tail of the window to its front, doubles the
@@ -615,11 +639,10 @@ func (it *reader) refill() error {
 }
 
 // Next decodes the next set into a freshly allocated element slice. The
-// batched path (NextBatch) is the one that reuses recycled buffers; Next is
-// kept allocation-fresh so direct scanners may retain what they are handed.
+// batched path (NextBatch) is the one that reuses arenas; Next is kept
+// allocation-fresh so direct scanners may retain what they are handed.
 func (it *reader) Next() (setcover.Set, bool) {
-	if it.failed || it.pos >= it.end {
-		it.finish()
+	if it.err != nil || it.pos >= it.end {
 		return setcover.Set{}, false
 	}
 	elems, err := it.decodeNext(nil)
@@ -632,190 +655,93 @@ func (it *reader) Next() (setcover.Set, bool) {
 	return s, true
 }
 
-// NextBatch decodes up to cap(dst) sets, drawing element buffers from the
-// repository's recycle pool. Callers (the pass engine) must hand the batch
+// NextBatch decodes up to cap(dst) sets into one arena drawn from the
+// repository's arena list. Callers (the pass engine) must hand the batch
 // back via Recycle once every consumer is done with it; a caller that does
 // not recycle simply forfeits reuse.
 func (it *reader) NextBatch(dst []setcover.Set) int {
-	dst = dst[:cap(dst)]
-	// Top the stash up to a batch's worth of recycled buffers in ONE pool
-	// lock, instead of hitting the mutex once per decoded set. In steady
-	// state (engine recycles every batch) the stash drains exactly as the
-	// batch fills, so the pool sees two lock acquisitions per batch.
-	if need := len(dst) - len(it.stash); need > 0 && !it.failed && it.pos < it.end {
-		it.stash = it.d.free.fill(it.stash, need, it.shard)
+	if it.err != nil || it.pos >= it.end {
+		return 0
 	}
-	k := 0
-	for k < len(dst) && !it.failed && it.pos < it.end {
-		var buf []setcover.Elem
-		if n := len(it.stash); n > 0 {
-			buf = it.stash[n-1]
-			it.stash[n-1] = nil
-			it.stash = it.stash[:n-1]
-		}
-		elems, err := it.decodeNext(buf)
-		if err != nil {
-			it.fail(err)
-			break
-		}
-		dst[k] = setcover.Set{ID: it.pos, Elems: elems}
-		it.pos++
-		k++
+	l := &it.d.arenas
+	k, arena := it.decode(dst[:cap(dst)], l.get())
+	l.lock()
+	if k > 0 {
+		it.held = append(it.held, arena)
+	} else {
+		l.put(arena) // nothing views it: the first set failed
 	}
-	if it.failed || it.pos >= it.end {
-		it.finish()
-	}
+	l.mu.Unlock()
 	return k
 }
 
-// finish closes out the span: segment readers verify the byte span was
-// consumed exactly (see segSource.Segment) — the window is drained and the
-// span has no bytes left to load — then the decode state goes back to the
-// repository's pool.
-func (it *reader) finish() {
-	if len(it.stash) > 0 {
-		// Unused recycled buffers (short final batch, failed span) rejoin the
-		// pool rather than leaking with the reader.
-		it.d.free.putBufs(it.stash, it.shard)
-		it.stash = it.stash[:0]
-	}
-	st := it.seg
-	if st == nil {
+// Recycle implements stream.Recycler: it returns the oldest arena the
+// reader holds to the repository's list. The engine recycles each batch
+// once, and when the k-th call arrives the first k batches are done, so the
+// oldest arena is free whichever batch the call names.
+func (it *reader) Recycle([]setcover.Set) {
+	l := &it.d.arenas
+	l.lock()
+	defer l.mu.Unlock()
+	if it.head == len(it.held) {
 		return
 	}
-	it.seg = nil // fail below re-enters finish
-	if !it.failed && (it.wpos < len(it.win) || it.next < it.limit) {
-		it.fail(fmt.Errorf("segment ending at set %d: bytes left after the last set — index span mismatch", it.end))
+	a := it.held[it.head]
+	it.held[it.head] = nil
+	if it.head++; 2*it.head >= len(it.held) {
+		n := copy(it.held, it.held[it.head:])
+		clear(it.held[n:])
+		it.held, it.head = it.held[:n], 0
 	}
-	st.stash = it.stash // emptied above; keeps its capacity for the next chunk
-	if it.d.data == nil {
-		st.win = it.win // possibly grown by a large set; reused by the next chunk
-	}
-	it.d.segStates.Put(st)
+	l.put(a)
 }
-
-// Recycle implements stream.Recycler: consumed batches return their element
-// buffers to the repository pool, to the same shard this reader fills from —
-// a single-worker sequential pass therefore touches exactly one shard, with
-// the same two-locks-per-batch profile the unsharded pool had.
-func (it *reader) Recycle(sets []setcover.Set) { it.d.free.put(sets, it.shard) }
 
 // Err returns the decode error that ended this pass early, if any.
 func (it *reader) Err() error { return it.err }
 
 func (it *reader) fail(err error) {
-	err = fmt.Errorf("scdisk: set %d: %w", it.pos, err)
-	it.failed = true
-	it.err = err
-	it.finish()
+	it.err = fmt.Errorf("scdisk: set %d: %w", it.pos, err)
 }
 
-// poolShards is how many independent free lists the decode-buffer pool splits
-// into. A power of two; sized so a realistic decoder count (the engine caps
-// segmented workers well below this on the machines we target) maps each
-// decoder to its own lock.
-const poolShards = 8
-
-// maxPooledPerShard splits the global pool cap evenly; a full shard drops
-// returns even if another shard has room — the cap is a memory safety bound,
-// not an exact budget.
-const maxPooledPerShard = maxPooledElems / poolShards
-
-// elemPool is the shared free list of decode buffers, sharded so concurrent
-// chunk decoders are not serialized on one mutex. Mutexes rather than
-// sync.Pool: buffers must survive GC cycles between passes for the
-// steady-state allocation profile tests rely on.
-//
-// Both directions are batched — fill hands a whole batch's worth of buffers
-// to a decoder in one lock acquisition and put returns a consumed batch in
-// one — and each reader is pinned to one shard (round-robin at creation), so
-// a single-worker pass costs two acquisitions per ~BatchSize sets on one
-// shard, while W segmented decoders spread over min(W, poolShards) disjoint
-// locks. fill falls back to sweeping the other shards (each peeked through an
-// atomic length before paying for its lock) only when its own runs dry, which
-// is what keeps the steady-state reuse guarantee regardless of how returns
-// distribute. Every acquisition is counted; cmd/scbench reports the delta per
-// case, so pool contention is a measured quantity, not a guess.
-type elemPool struct {
-	rr     atomic.Uint64 // round-robin cursor assigning shards to readers and source-level returns
-	locks  atomic.Int64  // total lock acquisitions (bench visibility)
-	shards [poolShards]poolShard
+// arenaList is the repository's free list of batch arenas for sequential
+// passes: one mutex-guarded list holding at most arenaListBytes of element
+// capacity. A pass takes an arena per batch and Recycle returns it. Mutex
+// rather than sync.Pool: arenas must survive GC cycles between passes for
+// the steady-state allocation profile the memory-bound tests rely on. Every
+// acquisition is counted; cmd/scbench reports the delta per case.
+type arenaList struct {
+	mu    sync.Mutex
+	locks atomic.Int64
+	free  [][]setcover.Elem
+	bytes int // element capacity of free, in bytes
 }
 
-// poolShard is one free list; padded so neighboring shard locks do not share
-// a cache line.
-type poolShard struct {
-	n    atomic.Int32 // == len(free), maintained under mu, read racily by fill's sweep
-	mu   sync.Mutex
-	free [][]setcover.Elem
-	_    [24]byte
+// lock acquires the list's mutex, counted.
+func (l *arenaList) lock() {
+	l.mu.Lock()
+	l.locks.Add(1)
 }
 
-// shard returns the next shard index round-robin: readers call it once at
-// creation, segSource.Recycle per returned batch.
-func (p *elemPool) shard() int {
-	return int(p.rr.Add(1) % poolShards)
-}
-
-// lock acquires a shard's mutex, counted.
-func (p *elemPool) lock(s *poolShard) {
-	s.mu.Lock()
-	p.locks.Add(1)
-}
-
-// lockAcquisitions returns the total shard-lock acquisitions so far.
-func (p *elemPool) lockAcquisitions() int64 { return p.locks.Load() }
-
-// fill appends up to want recycled buffers to dst and returns the extended
-// slice, drawing from the caller's shard first and sweeping the others only
-// if it runs dry; fewer (or none) come back when the whole pool is low, and
-// the decoder allocates fresh for the difference.
-func (p *elemPool) fill(dst [][]setcover.Elem, want, shard int) [][]setcover.Elem {
-	target := len(dst) + want
-	for i := 0; i < poolShards && len(dst) < target; i++ {
-		s := &p.shards[(shard+i)%poolShards]
-		if s.n.Load() == 0 {
-			continue // cheap peek: don't pay for a lock on an empty shard
-		}
-		p.lock(s)
-		if k := min(target-len(dst), len(s.free)); k > 0 {
-			tail := s.free[len(s.free)-k:]
-			dst = append(dst, tail...)
-			for j := range tail {
-				tail[j] = nil // do not pin recycled buffers through the free-list's spare capacity
-			}
-			s.free = s.free[:len(s.free)-k]
-			s.n.Store(int32(len(s.free)))
-		}
-		s.mu.Unlock()
+// get pops a free arena, or returns nil when the list is empty.
+func (l *arenaList) get() []setcover.Elem {
+	l.lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return nil
 	}
-	return dst
+	a := l.free[n-1]
+	l.free[n-1] = nil // do not pin a handed-out arena through spare capacity
+	l.free = l.free[:n-1]
+	l.bytes -= 4 * cap(a)
+	return a
 }
 
-func (p *elemPool) put(sets []setcover.Set, shard int) {
-	s := &p.shards[shard%poolShards]
-	p.lock(s)
-	defer s.mu.Unlock()
-	for _, set := range sets {
-		// Oversized buffers (grown by one pathologically large set) are
-		// dropped rather than pinned for the repository's lifetime.
-		if c := cap(set.Elems); c > 0 && c <= maxPooledElemCap && len(s.free) < maxPooledPerShard {
-			s.free = append(s.free, set.Elems[:0])
-		}
+// put keeps a, emptied, unless that would take the list past
+// arenaListBytes. The caller holds the lock.
+func (l *arenaList) put(a []setcover.Elem) {
+	if b := 4 * cap(a); b > 0 && l.bytes+b <= arenaListBytes {
+		l.free = append(l.free, a[:0])
+		l.bytes += b
 	}
-	s.n.Store(int32(len(s.free)))
-}
-
-// putBufs returns raw, unused buffers (a reader's stash at end of span) under
-// one lock, with the same caps as put.
-func (p *elemPool) putBufs(bufs [][]setcover.Elem, shard int) {
-	s := &p.shards[shard%poolShards]
-	p.lock(s)
-	defer s.mu.Unlock()
-	for _, b := range bufs {
-		if c := cap(b); c > 0 && c <= maxPooledElemCap && len(s.free) < maxPooledPerShard {
-			s.free = append(s.free, b[:0])
-		}
-	}
-	s.n.Store(int32(len(s.free)))
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -420,12 +421,11 @@ var (
 	_ stream.Recycler            = (*reader)(nil)
 	_ stream.ErrorReader         = (*reader)(nil)
 	_ stream.SegmentedRepository = (*Repo)(nil)
-	_ stream.Recycler            = (*segSource)(nil)
 )
 
-// A segmented pass must reproduce the instance exactly: chunk readers seeked
-// via the index, read back in order, must concatenate to the sequential
-// stream, while counting exactly one pass.
+// A segmented pass must reproduce the instance exactly: chunks seeked via
+// the index, decoded in order into one reused arena, must concatenate to the
+// sequential stream, while counting exactly one pass.
 func TestSegmentedPassRoundTrip(t *testing.T) {
 	in := testInstance(t)
 	d, err := Open(writeTemp(t, in))
@@ -443,21 +443,16 @@ func TestSegmentedPassRoundTrip(t *testing.T) {
 	}
 	const chunk = 37 // deliberately not a divisor of m
 	got := &setcover.Instance{N: d.UniverseSize()}
+	var sets []setcover.Set
+	var arena []setcover.Elem
 	for start := 0; start < in.M(); start += chunk {
-		end := start + chunk
-		if end > in.M() {
-			end = in.M()
-		}
-		it := src.Segment(start, end)
-		for {
-			s, ok := it.Next()
-			if !ok {
-				break
-			}
-			got.Sets = append(got.Sets, s)
-		}
-		if err := stream.ReaderErr(it); err != nil {
+		end := min(start+chunk, in.M())
+		sets, arena, err = src.DecodeSegment(start, end, sets[:0], arena)
+		if err != nil {
 			t.Fatalf("segment [%d,%d): %v", start, end, err)
+		}
+		for _, s := range sets {
+			got.Sets = append(got.Sets, setcover.Set{ID: s.ID, Elems: slices.Clone(s.Elems)})
 		}
 	}
 	sameInstance(t, in, got)
@@ -486,23 +481,22 @@ func TestSegmentedUnavailableWithoutIndex(t *testing.T) {
 	}
 }
 
-// The recycle pool must drop oversized buffers on put: one huge set must not
-// pin its decode buffer for the repository's lifetime.
+// An arena over the byte cap is dropped on return, never kept: one huge set
+// must not pin its arena for the repository's lifetime. An arena exactly at
+// the cap is kept, and then nothing else fits beside it.
 func TestElemPoolDropsOversizedBuffers(t *testing.T) {
-	var p elemPool
-	small := make([]setcover.Elem, 0, 16)
-	huge := make([]setcover.Elem, 0, maxPooledElemCap+1)
-	p.put([]setcover.Set{{Elems: huge}, {Elems: small}}, 0)
-	got := p.fill(nil, 2, 0)
-	if len(got) != 1 || cap(got[0]) != 16 {
-		t.Fatalf("pool kept %d buffers (first cap %v), want just the small one (16)",
-			len(got), got)
+	var l arenaList
+	l.put(make([]setcover.Elem, 0, arenaListBytes/4+1))
+	if len(l.free) != 0 || l.bytes != 0 {
+		t.Fatalf("list kept an arena over the cap: %d arenas, %d bytes", len(l.free), l.bytes)
 	}
-	// Boundary: exactly maxPooledElemCap is still pooled.
-	edge := make([]setcover.Elem, 0, maxPooledElemCap)
-	p.put([]setcover.Set{{Elems: edge}}, 0)
-	if got := p.fill(nil, 1, 0); len(got) != 1 || cap(got[0]) != maxPooledElemCap {
-		t.Fatalf("pool dropped a buffer at the cap boundary")
+	l.put(make([]setcover.Elem, 0, arenaListBytes/4))
+	l.put(make([]setcover.Elem, 0, 16))
+	if len(l.free) != 1 || l.bytes != arenaListBytes {
+		t.Fatalf("list holds %d arenas and %d bytes, want the one at the cap (%d bytes)", len(l.free), l.bytes, arenaListBytes)
+	}
+	if a := l.get(); cap(a) != arenaListBytes/4 || l.bytes != 0 {
+		t.Fatalf("get returned capacity %d and left %d bytes", cap(a), l.bytes)
 	}
 }
 

@@ -2,6 +2,7 @@ package setcover
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -211,12 +212,18 @@ func WriteBinary(w io.Writer, in *Instance) error {
 
 // ReadBinary reads r whole, parses it as an instance in the binary format
 // and validates it. Trailing bytes after the m-th set (e.g. an scdisk index
-// footer) are ignored.
+// footer) are ignored. A reader that reports its unread length
+// (bytes.Reader, bytes.Buffer, strings.Reader) is read into one buffer
+// sized from it instead of a growing one.
 func ReadBinary(r io.Reader) (*Instance, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead) // ReadFrom keeps MinRead bytes free
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, err
 	}
+	data := buf.Bytes()
 	n, m, pos, err := DecodeBinaryHeader(data)
 	if err != nil {
 		return nil, err

@@ -21,7 +21,7 @@ func segmentedRepos() map[string]Repository {
 	}
 }
 
-// BeginSegmented must count exactly one pass and its Segment readers must
+// BeginSegmented must count exactly one pass and its chunk decodes must
 // reproduce, chunk by chunk, exactly the stream Begin yields.
 func TestBeginSegmentedYieldsTheStreamInChunks(t *testing.T) {
 	for name, r := range segmentedRepos() {
@@ -37,13 +37,13 @@ func TestBeginSegmentedYieldsTheStreamInChunks(t *testing.T) {
 			t.Fatalf("%s: BeginSegmented counted %d passes, want 1", name, r.Passes())
 		}
 		var ids []int
+		var sets []setcover.Set
 		for _, bounds := range [][2]int{{0, 3}, {3, 4}, {4, 10}, {10, 10}} {
-			it := src.Segment(bounds[0], bounds[1])
-			for {
-				s, ok := it.Next()
-				if !ok {
-					break
-				}
+			var err error
+			if sets, _, err = src.DecodeSegment(bounds[0], bounds[1], sets[:0], nil); err != nil {
+				t.Fatalf("%s: chunk %v: %v", name, bounds, err)
+			}
+			for _, s := range sets {
 				ids = append(ids, s.ID)
 			}
 		}
@@ -56,36 +56,32 @@ func TestBeginSegmentedYieldsTheStreamInChunks(t *testing.T) {
 			}
 		}
 		if r.Passes() != 1 {
-			t.Fatalf("%s: Segment calls moved the pass counter to %d", name, r.Passes())
+			t.Fatalf("%s: chunk decodes moved the pass counter to %d", name, r.Passes())
 		}
 	}
 }
 
-// Segment readers must implement the BatchReader fast path and stop at their
-// end bound, not at the end of the family.
+// A chunk decode must append exactly the sets [start, end) to the slice it
+// is handed, stopping at its end bound, not at the end of the family, and
+// hand the arena back untouched when the sets carry their own storage.
 func TestSegmentReadersRespectBounds(t *testing.T) {
 	for name, r := range segmentedRepos() {
 		src, _ := r.(SegmentedRepository).BeginSegmented()
-		it := src.Segment(2, 5)
-		br, ok := it.(BatchReader)
-		if !ok {
-			t.Fatalf("%s: segment reader does not implement BatchReader", name)
+		arena := make([]setcover.Elem, 0, 4)
+		sets, gotArena, err := src.DecodeSegment(2, 5, make([]setcover.Set, 0, 8), arena)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		buf := make([]setcover.Set, 0, 8) // larger than the segment
-		k := br.NextBatch(buf)
-		if k != 3 {
-			t.Fatalf("%s: NextBatch returned %d sets, want 3", name, k)
+		if len(sets) != 3 {
+			t.Fatalf("%s: chunk [2,5) decoded %d sets, want 3", name, len(sets))
 		}
-		for i, s := range buf[:k] {
+		for i, s := range sets {
 			if s.ID != 2+i {
-				t.Fatalf("%s: batch position %d carries set %d", name, i, s.ID)
+				t.Fatalf("%s: chunk position %d carries set %d", name, i, s.ID)
 			}
 		}
-		if br.NextBatch(buf) != 0 {
-			t.Fatalf("%s: exhausted segment yielded more sets", name)
-		}
-		if _, ok := it.Next(); ok {
-			t.Fatalf("%s: exhausted segment Next returned ok", name)
+		if cap(gotArena) != cap(arena) {
+			t.Fatalf("%s: arena capacity %d came back as %d", name, cap(arena), cap(gotArena))
 		}
 	}
 }

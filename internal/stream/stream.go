@@ -59,10 +59,14 @@ type BatchCursor[T any] interface {
 // are decoded into buffers the cursor owns (disk-backed repositories):
 // Recycle hands a batch previously returned by NextBatch back to the cursor
 // once every consumer is done with it, so the buffers can be reused for later
-// batches instead of becoming garbage. Only internal/engine calls it, and
-// only after all observers have returned from Observe — which is exactly the
-// engine's documented no-retention discipline. Recycle may be called from a
-// different goroutine than NextBatch.
+// batches instead of becoming garbage. Only internal/engine calls it, once per
+// batch and only after all observers have returned from Observe — which is
+// exactly the engine's documented no-retention discipline. Recycle may be
+// called from a different goroutine than NextBatch, and calls for different
+// batches may race, but observers finish batches in stream order: when the
+// k-th Recycle call starts, the first k batches are done. A cursor may
+// therefore release its buffers oldest first, one batch per call, whichever
+// batch the call names.
 type RecyclerOf[T any] interface {
 	Recycle(items []T)
 }
@@ -95,13 +99,18 @@ func ReaderErr(c any) error {
 	return nil
 }
 
-// SegmentSource hands out readers over contiguous chunks of one counted
-// pass. Segment may be called from several goroutines at once; each returned
-// reader is driven by a single goroutine and yields exactly the sets
-// [start, end) of the stream, in stream order. Chunk readers exist so the
-// CPU-bound part of a pass (decoding) can run data-parallel; the pass engine
-// reassembles their outputs in stream order, so observers cannot tell a
-// segmented pass from a sequential one.
+// SegmentSource decodes contiguous chunks of one counted pass.
+// DecodeSegment decodes the sets [start, end) of the stream, in stream
+// order, into the storage of sets and returns them, together with the
+// element arena their Elems view. The caller owns both slices and passes
+// them back for a later chunk, so a source reuses their capacity instead of
+// allocating per set; it retains neither. A source whose sets come with
+// storage of their own (a generator's fresh slices) returns arena untouched.
+// On failure DecodeSegment returns the sets decoded before it with the
+// error. It may be called from several goroutines at once, each with its own
+// slices. Chunk decoding exists so the CPU-bound part of a pass can run
+// data-parallel; the pass engine reassembles the chunks in stream order, so
+// observers cannot tell a segmented pass from a sequential one.
 //
 // PlanSegments returns the chunk boundaries for the pass as a strictly
 // increasing slice b with b[0] == 0 and b[len(b)-1] == m; chunk i is the set
@@ -116,17 +125,17 @@ func ReaderErr(c any) error {
 // way the reassembled stream is byte-identical — a plan moves wall-clock
 // only.
 type SegmentSource interface {
-	Segment(start, end int) Reader
+	DecodeSegment(start, end int, sets []setcover.Set, arena []setcover.Elem) ([]setcover.Set, []setcover.Elem, error)
 	PlanSegments(targetChunks int) []int
 }
 
 // SegmentedRepository is an optional capability a Repository may implement
 // when its passes can be split into independently decodable set ranges:
 // BeginSegmented starts ONE counted pass (exactly like Begin) whose stream
-// will be read through SegmentSource.Segment readers instead of a single
-// sequential reader. ok reports whether segmentation is available for this
-// pass — a disk repository without its seek index returns false and callers
-// fall back to Begin. A false return must not count a pass.
+// will be decoded through SegmentSource.DecodeSegment chunks instead of a
+// single sequential reader. ok reports whether segmentation is available for
+// this pass — a disk repository without its seek index returns false and
+// callers fall back to Begin. A false return must not count a pass.
 type SegmentedRepository interface {
 	BeginSegmented() (src SegmentSource, ok bool)
 }
@@ -362,7 +371,7 @@ func (r *FuncRepo) ResetPasses() { r.passes.Store(0) }
 // Begin starts a new pass.
 func (r *FuncRepo) Begin() Reader {
 	r.passes.Add(1)
-	return &funcReader{repo: r, end: r.m}
+	return &funcReader{repo: r}
 }
 
 // BeginSegmented implements SegmentedRepository: generation is random-access
@@ -381,8 +390,16 @@ func (r *FuncRepo) BeginSegmented() (SegmentSource, bool) {
 
 type funcSegSource struct{ repo *FuncRepo }
 
-func (s funcSegSource) Segment(start, end int) Reader {
-	return &funcReader{repo: s.repo, pos: start, end: end}
+// DecodeSegment generates sets [start, end); each comes with its own
+// elements, so the arena is not used.
+func (s funcSegSource) DecodeSegment(start, end int, sets []setcover.Set, arena []setcover.Elem) ([]setcover.Set, []setcover.Elem, error) {
+	sets = sets[:0]
+	for id := start; id < end; id++ {
+		st := s.repo.gen(id)
+		st.ID = id
+		sets = append(sets, st)
+	}
+	return sets, arena, nil
 }
 
 // PlanSegments returns nil: a generator costs every set alike, so the engine
@@ -392,11 +409,10 @@ func (s funcSegSource) PlanSegments(int) []int { return nil }
 type funcReader struct {
 	repo *FuncRepo
 	pos  int
-	end  int
 }
 
 func (it *funcReader) Next() (setcover.Set, bool) {
-	if it.pos >= it.end {
+	if it.pos >= it.repo.m {
 		return setcover.Set{}, false
 	}
 	s := it.repo.gen(it.pos)
@@ -409,7 +425,7 @@ func (it *funcReader) Next() (setcover.Set, bool) {
 func (it *funcReader) NextBatch(dst []setcover.Set) int {
 	dst = dst[:cap(dst)]
 	n := 0
-	for n < len(dst) && it.pos < it.end {
+	for n < len(dst) && it.pos < it.repo.m {
 		s := it.repo.gen(it.pos)
 		s.ID = it.pos
 		dst[n] = s
