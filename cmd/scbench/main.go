@@ -76,6 +76,11 @@ type BenchCase struct {
 	// TraceBytes is the per-pass byte count the tracer observed — a
 	// cross-check against Bytes computed from the set-span index.
 	TraceBytes int64 `json:"trace_bytes,omitempty"`
+	// Chunks is how many chunks the first pass was cut into, and WaitMs how
+	// long its delivering goroutine waited for the next in-order chunk; both
+	// absent for sequential passes.
+	Chunks int     `json:"chunks,omitempty"`
+	WaitMs float64 `json:"wait_ms,omitempty"`
 }
 
 // BenchReport is the BENCH_scan.json schema.
@@ -605,6 +610,8 @@ func traceFill(bc *BenchCase, rec *obs.Recorder) {
 	if len(passes) > 0 {
 		bc.Segmented = passes[0].Segmented
 		bc.TraceBytes = passes[0].Bytes
+		bc.Chunks = passes[0].Chunks
+		bc.WaitMs = float64(passes[0].Wait) / 1e6
 	}
 }
 

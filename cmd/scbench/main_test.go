@@ -115,6 +115,9 @@ func TestMeasureSmoke(t *testing.T) {
 			if bc.Sets != 200 || bc.Bytes <= 0 || bc.NsPerPass <= 0 || bc.MBPerSec <= 0 {
 				t.Fatalf("%s w=%d: implausible case %+v", be.name, w, bc)
 			}
+			if segmented := w > 1; bc.Segmented != segmented || (bc.Chunks > 0) != segmented || (!segmented && bc.WaitMs != 0) {
+				t.Fatalf("%s w=%d: traced segmented=%v chunks=%d wait=%vms", be.name, w, bc.Segmented, bc.Chunks, bc.WaitMs)
+			}
 		}
 		bc, err := measureSolve("solve/smoke/"+be.name, d, 2)
 		if err != nil {

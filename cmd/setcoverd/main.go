@@ -177,7 +177,9 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 			return fatal(fmt.Errorf("-pprof-addr: %w", err))
 		}
 		fmt.Fprintf(stdout, "setcoverd: pprof on http://%s/debug/pprof/\n", pln.Addr().String())
-		go func() { _ = http.Serve(pln, nil) }()
+		pprofServer := newHTTPServer(nil)
+		go func() { _ = pprofServer.Serve(pln) }()
+		defer pprofServer.Close()
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -190,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		ready <- url
 	}
 
-	httpServer := &http.Server{Handler: srv.Handler()}
+	httpServer := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpServer.Serve(ln) }()
 
@@ -215,6 +217,23 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 	}
 	fmt.Fprintln(stdout, "setcoverd: drained, bye")
 	return 0
+}
+
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers, and idleTimeout how long a keep-alive connection may wait for its
+// next request. Neither bounds a request once its headers are in: a
+// ReadTimeout or WriteTimeout would cut long solves and NDJSON streams, so
+// the servers set none.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds each HTTP server run starts: the API server and the
+// pprof server (a nil handler serves http.DefaultServeMux). Tests wrap it to
+// inspect the servers run builds.
+var newHTTPServer = func(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // newLogger builds the daemon's structured logger: text or JSON lines on

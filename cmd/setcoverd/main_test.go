@@ -477,3 +477,67 @@ func TestDaemonBadLogLevel(t *testing.T) {
 		t.Fatalf("unhelpful error:\n%s", &out)
 	}
 }
+
+// Every HTTP server run builds, the API and the pprof listener alike, bounds
+// header reads and idle keep-alives, and none bounds a whole request or
+// response, which would cut long solves and NDJSON streams. The pprof
+// listener closes when run returns.
+func TestDaemonServerTimeouts(t *testing.T) {
+	if readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatalf("timeouts %v/%v, want both > 0", readHeaderTimeout, idleTimeout)
+	}
+	var mu sync.Mutex
+	var built []*http.Server
+	orig := newHTTPServer
+	newHTTPServer = func(h http.Handler) *http.Server {
+		s := orig(h)
+		mu.Lock()
+		built = append(built, s)
+		mu.Unlock()
+		return s
+	}
+	defer func() { newHTTPServer = orig }()
+
+	out := &syncBuffer{}
+	ready := make(chan string, 1)
+	stop := make(chan struct{})
+	code := make(chan int, 1)
+	go func() {
+		code <- run([]string{"-addr", "127.0.0.1:0", "-gen", "g:n=60,m=120,k=6,seed=2", "-pprof-addr", "127.0.0.1:0"}, out, out, ready, stop)
+	}()
+	select {
+	case <-ready:
+	case c := <-code:
+		t.Fatalf("daemon exited with %d before listening:\n%s", c, out)
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+	close(stop)
+	if c := <-code; c != 0 {
+		t.Fatalf("daemon exit code %d:\n%s", c, out)
+	}
+	var pprofURL string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if _, rest, ok := strings.Cut(line, "pprof on "); ok {
+			pprofURL = strings.TrimSpace(rest)
+		}
+	}
+	if resp, err := (&http.Client{Timeout: 5 * time.Second}).Get(pprofURL); err == nil {
+		resp.Body.Close()
+		t.Errorf("pprof listener %s still answers after run returned", pprofURL)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(built) != 2 {
+		t.Fatalf("run built %d HTTP servers, want 2 (API and pprof)", len(built))
+	}
+	for i, s := range built {
+		if s.ReadHeaderTimeout != readHeaderTimeout || s.IdleTimeout != idleTimeout {
+			t.Errorf("server %d: ReadHeaderTimeout %v IdleTimeout %v, want %v/%v",
+				i, s.ReadHeaderTimeout, s.IdleTimeout, readHeaderTimeout, idleTimeout)
+		}
+		if s.ReadTimeout != 0 || s.WriteTimeout != 0 {
+			t.Errorf("server %d: ReadTimeout %v WriteTimeout %v, want none", i, s.ReadTimeout, s.WriteTimeout)
+		}
+	}
+}

@@ -106,7 +106,9 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 			return fatal(fmt.Errorf("-pprof-addr: %w", err))
 		}
 		fmt.Fprintf(stdout, "setcoverrt: pprof on http://%s/debug/pprof/\n", pln.Addr().String())
-		go func() { _ = http.Serve(pln, nil) }()
+		pprofServer := newHTTPServer(nil)
+		go func() { _ = pprofServer.Serve(pln) }()
+		defer pprofServer.Close()
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -119,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		ready <- url
 	}
 
-	httpServer := &http.Server{Handler: rt.Handler()}
+	httpServer := newHTTPServer(rt.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpServer.Serve(ln) }()
 
@@ -144,6 +146,23 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 	}
 	fmt.Fprintln(stdout, "setcoverrt: drained, bye")
 	return 0
+}
+
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers, and idleTimeout how long a keep-alive connection may wait for its
+// next request. Neither bounds a request once its headers are in: a
+// ReadTimeout or WriteTimeout would cut long solves and NDJSON streams, so
+// the servers set none.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds each HTTP server run starts: the API server and the
+// pprof server (a nil handler serves http.DefaultServeMux). Tests wrap it to
+// inspect the servers run builds.
+var newHTTPServer = func(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // newLogger builds the router's structured logger: text or JSON lines on

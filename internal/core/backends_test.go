@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/scdisk"
 	"repro/internal/setcover"
 	"repro/internal/stream"
@@ -52,7 +53,13 @@ func conformanceInstances(t testing.TB) map[string]*setcover.Instance {
 		t.Fatal(err)
 	}
 	uniform := gen.Uniform(300, 600, 0.03, 17)
-	return map[string]*setcover.Instance{"planted": planted, "uniform": uniform}
+	// 147 KB of SCB1 set data: about 9 chunks of a segmented disk pass, where
+	// the two instances above fit in one.
+	large, _, _, err := gen.Planted(gen.PlantedConfig{N: 2000, M: 6000, K: 80, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*setcover.Instance{"planted": planted, "uniform": uniform, "planted-large": large}
 }
 
 func sameStats(t *testing.T, label string, want, got setcover.Stats) {
@@ -81,6 +88,9 @@ func sameStats(t *testing.T, label string, want, got setcover.Stats) {
 // GOMAXPROCS} — which also pits the segmented parallel decode (workers > 1)
 // against the sequential reference (workers = 1) on every backend — and
 // with segmented decode force-disabled, which must change nothing either.
+// The large instance's segmented disk passes are traced, and each must have
+// been cut into at least 4 chunks, so chunk handoff and record recycling
+// across chunks stay under this test.
 func TestIterSetCoverBackendConformance(t *testing.T) {
 	engines := []engine.Options{
 		{Workers: 1},
@@ -99,9 +109,25 @@ func TestIterSetCoverBackendConformance(t *testing.T) {
 			opts := Options{Delta: 0.5, Seed: 7, FinalPatch: true, Engine: eng}
 			for backend, mk := range repos {
 				label := fmt.Sprintf("%s/%s/workers=%d/noseg=%v", instName, backend, eng.Workers, eng.DisableSegmented)
+				var rec *obs.Recorder
+				opts := opts
+				if instName == "planted-large" && backend == "disk" && eng.Workers >= 2 && !eng.DisableSegmented {
+					rec = &obs.Recorder{}
+					opts.Engine.Tracer = rec
+				}
 				res, err := IterSetCover(mk(), opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
+				}
+				if rec != nil {
+					if len(rec.Passes()) == 0 {
+						t.Errorf("%s: no pass traced", label)
+					}
+					for _, p := range rec.Passes() {
+						if !p.Segmented || p.Chunks < 4 {
+							t.Errorf("%s: pass %d segmented=%v in %d chunks, want segmented in >= 4", label, p.Index, p.Segmented, p.Chunks)
+						}
+					}
 				}
 				sameStats(t, label, ref.Stats, res.Stats)
 				if res.BestK != ref.BestK || res.Iterations != ref.Iterations {

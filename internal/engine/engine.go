@@ -32,9 +32,11 @@
 // stream is decoded as contiguous chunks on Workers goroutines and
 // reassembled in stream order before delivery (segmented.go) — the
 // CPU-bound decode of a disk-backed pass scales with cores while every
-// observer still sees the exact sequential stream. An in-memory SliceRepo,
-// whose "decode" is a header memcpy, offers nothing to parallelize and is
-// read through Begin.
+// observer still sees the exact sequential stream. Chunks are sized in
+// encoded bytes (about 16 KB each) when the repository reports its data
+// size, as SCB1 files do, and in BatchSize sets otherwise. An in-memory
+// SliceRepo, whose "decode" is a header memcpy, offers nothing to
+// parallelize and is read through Begin.
 //
 // Pass failure is first-class: Run returns an error when the pass could not
 // be fully drained (a truncated or corrupt backing file, surfaced through
@@ -71,8 +73,9 @@
 // batch's element arena. A segmented pass decodes each chunk into one arena
 // carried by a pooled chunk record, which returns to the pool once every
 // batch viewing it has been recycled (segmented.go). Either way a full pass
-// runs in O(Workers · BatchSize · avg-set-size) live heap instead of
-// allocating every set afresh.
+// runs in bounded live heap — O(Workers · BatchSize · avg-set-size) for
+// batches, plus O(Workers · segWindow) decoded chunks in flight — instead
+// of allocating every set afresh.
 package engine
 
 import (
@@ -129,8 +132,11 @@ type Options struct {
 	// goroutines over contiguous chunks, reassembled in stream order before
 	// delivery (see segmented.go). <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// BatchSize is the number of sets per Observe call, and the chunk size
-	// of the segmented decoder. <= 0 means DefaultBatchSize.
+	// BatchSize is the number of sets per Observe call. It is also the
+	// chunk size, in sets, of a segmented pass over a repository that
+	// reports no encoded size; one that does (DataBytes: SCB1 files) is cut
+	// into chunks of about 16 KB of encoded bytes instead, whatever
+	// BatchSize is. <= 0 means DefaultBatchSize.
 	BatchSize int
 	// DisableSegmented forces the single-reader decode path even when
 	// Workers > 1 and the repository supports segmented passes. Results are
@@ -220,13 +226,8 @@ func (e *Engine) BatchSize() int { return e.opts.BatchSize }
 // one that did.
 func (e *Engine) Run(repo stream.Repository, observers ...Observer) error {
 	tr := e.newTrace(traceKindSets, repo)
-	return runPass(func() stream.Reader {
-		r, segmented := e.beginPass(repo)
-		if tr != nil {
-			tr.rec.Segmented = segmented
-		}
-		return r
-	}, repo.NumSets(), observers, e.opts.Workers,
+	return runPass(func() stream.Reader { return e.beginPass(repo, tr) },
+		repo.NumSets(), observers, e.opts.Workers,
 		func() *batchOf[setcover.Set] { return e.pool.Get().(*batchOf[setcover.Set]) },
 		func(b *batchOf[setcover.Set]) { e.pool.Put(b) },
 		tr)
@@ -249,25 +250,43 @@ func (e *Engine) newTrace(kind string, src any) *passTrace {
 		Workers:   e.opts.Workers,
 		BatchSize: e.opts.BatchSize,
 	}
-	if bs, ok := src.(interface{ DataBytes() int64 }); ok {
-		tr.rec.Bytes = bs.DataBytes()
-	}
+	tr.rec.Bytes = dataBytes(src)
 	return tr
+}
+
+// dataBytes is the encoded size of src's data section when it reports one
+// (an SCB1 file's set-data section), 0 otherwise.
+func dataBytes(src any) int64 {
+	if bs, ok := src.(interface{ DataBytes() int64 }); ok {
+		return bs.DataBytes()
+	}
+	return 0
 }
 
 // beginPass starts the pass, choosing the decode mode: segmented
 // data-parallel decode whenever more than one worker is configured and the
 // repository supports it (the CPU-bound varint decode of a disk pass is the
 // hot path segmentation exists for), the plain single reader otherwise.
-// Exactly one pass is counted in either mode. segmented reports which mode
-// was chosen and feeds the pass trace.
-func (e *Engine) beginPass(repo stream.Repository) (r stream.Reader, segmented bool) {
+// Exactly one pass is counted in either mode. A segmented pass stamps its
+// mode and chunk count into tr, when tracing.
+func (e *Engine) beginPass(repo stream.Repository, tr *passTrace) stream.Reader {
 	if e.opts.Workers > 1 && !e.opts.DisableSegmented {
 		if sr, ok := repo.(stream.SegmentedRepository); ok {
 			if src, ok := sr.BeginSegmented(); ok {
-				return newSegmentedReader(src, repo.NumSets(), e.opts.Workers, e.opts.BatchSize), true
+				return newSegmentedReader(src, repo.NumSets(), e.opts.Workers, e.chunkTarget(repo), tr)
 			}
 		}
 	}
-	return repo.Begin(), false
+	return repo.Begin()
+}
+
+// chunkTarget is how many chunks a segmented pass over repo is cut into:
+// one per segChunkBytes of encoded data when the repository reports its
+// data-section size (DataBytes), one per BatchSize sets otherwise. Never
+// below 1.
+func (e *Engine) chunkTarget(repo stream.Repository) int {
+	if b := dataBytes(repo); b > 0 {
+		return int((b + segChunkBytes - 1) / segChunkBytes)
+	}
+	return max(1, (repo.NumSets()+e.opts.BatchSize-1)/e.opts.BatchSize)
 }

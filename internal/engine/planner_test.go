@@ -88,25 +88,26 @@ func TestValidBounds(t *testing.T) {
 }
 
 // planBounds must produce the uniform cut when the source returns no plan —
-// and the uniform cut must tile [0, m] exactly for awkward m/chunk ratios.
+// and the uniform cut must tile [0, m] exactly for awkward m/target ratios,
+// in at most target chunks of at most ceil(m/target) sets.
 func TestPlanBoundsUniformFallback(t *testing.T) {
 	src, ok := segRepo(testInstance(8, 10)).BeginSegmented()
 	if !ok {
 		t.Fatal("FuncRepo must segment")
 	}
-	for _, tc := range []struct{ m, chunk, chunks int }{
-		{10, 3, 4}, {10, 5, 2}, {10, 100, 1}, {1, 1, 1}, {0, 4, 0},
+	for _, tc := range []struct{ m, target, chunks int }{
+		{10, 4, 4}, {10, 6, 5}, {10, 2, 2}, {10, 1, 1}, {10, 100, 10}, {1, 1, 1}, {0, 4, 0},
 	} {
-		b := planBounds(src, tc.m, tc.chunk)
+		b := planBounds(src, tc.m, tc.target)
 		if !validBounds(b, tc.m) {
-			t.Fatalf("m=%d chunk=%d: invalid bounds %v", tc.m, tc.chunk, b)
+			t.Fatalf("m=%d target=%d: invalid bounds %v", tc.m, tc.target, b)
 		}
 		if len(b)-1 != tc.chunks {
-			t.Fatalf("m=%d chunk=%d: %d chunks, want %d", tc.m, tc.chunk, len(b)-1, tc.chunks)
+			t.Fatalf("m=%d target=%d: %d chunks, want %d", tc.m, tc.target, len(b)-1, tc.chunks)
 		}
 		for i := 1; i < len(b); i++ {
-			if w := b[i] - b[i-1]; w > tc.chunk {
-				t.Fatalf("m=%d chunk=%d: chunk %d has width %d", tc.m, tc.chunk, i-1, w)
+			if w := b[i] - b[i-1]; w > (tc.m+tc.target-1)/tc.target {
+				t.Fatalf("m=%d target=%d: chunk %d has width %d", tc.m, tc.target, i-1, w)
 			}
 		}
 	}

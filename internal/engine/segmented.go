@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/setcover"
 	"repro/internal/stream"
@@ -14,42 +16,59 @@ import (
 // decoded by `workers` goroutines, and reassembled in stream order before
 // any observer sees a set.
 //
+// Chunk count: a repository that reports its encoded size (DataBytes — an
+// SCB1 file's set-data section) is cut into one chunk per segChunkBytes of
+// it; any other source into one chunk per BatchSize sets (Engine.chunkTarget).
 // Chunk boundaries come from planBounds: the segment source's own
-// cost-balanced plan (stream.SegmentSource.PlanSegments — scdisk cuts
-// ≈equal-BYTE chunks from its seek index, so one huge set no longer
-// serializes a decoder on skewed families), or uniform cuts of chunkSize
-// sets when the source returns nil or a malformed plan. Either way the
-// boundaries are fixed before any decoder starts, shared by all of them,
-// and affect wall-clock only.
+// cost-balanced plan for that many chunks (stream.SegmentSource.PlanSegments
+// — scdisk cuts ≈equal-BYTE chunks from its seek index, so one huge set no
+// longer serializes a decoder on skewed families), or that many uniform cuts
+// when the source returns nil or a malformed plan. Either way the boundaries
+// are fixed before any decoder starts, shared by all of them, and affect
+// wall-clock only.
 //
-// Chunk ownership is strided: decoder w owns chunks w, w+W, w+2W, ... and
-// publishes them, in its own order, on its own bounded channel. The consumer
+// Chunks are claimed, not owned: each decoder takes the next unclaimed chunk
+// from a shared counter, so a decoder that finishes early moves on to the next
+// chunk instead of idling behind a slower decoder's. Chunk c is published on
+// slot c mod K of a ring of K one-chunk slots, and the consumer
 // (segmentedReader.NextBatch, driven by the engine's delivery loop) takes
-// chunk c from channel c mod W, so round-robin receive reconstructs global
-// stream order with no sequence numbers and no sorting. The channels ARE the
-// reorder window: each holds at most segWindow finished chunks, so a fast
-// decoder blocks after running segWindow chunks ahead of delivery and the
+// chunk c from that slot, so in-order receive reconstructs stream order with
+// no sorting. K tokens are the reorder window: a decoder takes one before it
+// claims a chunk and the consumer returns it when it takes that chunk, so at
+// most K chunks are claimed and not yet delivered — which is also why chunk
+// c's slot is always empty when c is published. K = workers · (segWindow + 1):
+// segWindow finished chunks per decoder plus the one each is decoding. The
 // in-flight decoded state stays O(workers · segWindow) chunks, plus the
-// chunks viewed by batches still with observers — with uniform cuts that is
-// O(workers · segWindow · chunkSize) sets, with a byte-balanced plan the
-// equivalent bound in bytes.
+// chunks viewed by batches still with observers — O(workers · segWindow ·
+// segChunkBytes) encoded bytes for a byte-sized source, O(workers ·
+// segWindow · BatchSize) sets for any other.
 //
-// Determinism: chunk boundaries depend only on (m, chunkSize) and the
+// Determinism: chunk boundaries depend only on the chunk count — fixed by
+// DataBytes, or by (m, BatchSize), never by the worker count — and the
 // source's deterministic plan, each chunk is decoded by exactly one goroutine
-// into its own chunk record, and delivery is in stream order, so observers
-// receive byte-identical streams at every worker count — the engine's
-// contract, now including the decode layer.
+// (whichever claims it) into its own chunk record, and delivery is in stream
+// order, so observers receive byte-identical streams at every worker count —
+// the engine's contract, now including the decode layer.
 //
 // Failure: a chunk whose decode errors (or comes up short — a partial chunk
 // is a truncation even if the source doesn't say so) is published with its
-// error. The consumer stops delivering at the first failed chunk, closes the
-// stop channel so the remaining decoders abandon their work, and reports the
-// error through Err — poisoning the pass rather than passing off a prefix of
-// the stream as the whole thing.
+// error, and its decoder claims no more. The consumer stops delivering at the
+// first failed chunk, closes the stop channel so the remaining decoders
+// abandon their work, and reports the error through Err — poisoning the pass
+// rather than passing off a prefix of the stream as the whole thing.
 
-// segWindow is the per-decoder reorder window, in chunks: how far ahead of
-// in-order delivery one decoder may run before blocking.
-const segWindow = 2
+// segWindow is the reorder window per decoder, in chunks: how many finished
+// chunks each decoder may leave waiting for delivery. A window of 1 keeps the
+// extra peak heap of segChunkBytes chunks at half what a window of 2 costs
+// (DESIGN.md §5).
+const segWindow = 1
+
+// segChunkBytes is the encoded size a chunk aims for when the repository
+// reports one (DataBytes). Each chunk is one handoff from a decoder to the
+// delivering goroutine, and each in-flight chunk holds its decoded sets, so
+// the size trades handoffs per pass against peak heap; DESIGN.md §5 has the
+// measurements behind 16 KB.
+const segChunkBytes = 16 << 10
 
 // segChunk is one decoded contiguous range of the stream, or the error that
 // interrupted it. A failed chunk may still carry the sets decoded before the
@@ -84,69 +103,86 @@ var chunkPool = sync.Pool{New: func() any { return new(segChunk) }}
 // in the pool.
 const maxChunkArena = 1 << 20
 
-// segmentedReader adapts W parallel chunk decoders into a single in-order
+// segmentedReader adapts parallel chunk decoders into a single in-order
 // stream.Reader. It implements stream.BatchReader (the engine's fill path),
 // stream.Recycler (releasing chunk records whose sets are all consumed), and
 // stream.ErrorReader (the poisoned-pass surface). It is engine-internal: the
 // Set values it yields view arenas of pooled chunk records, so the usual
 // no-retention discipline applies.
 type segmentedReader struct {
-	chans   []chan *segChunk
+	slots   []chan *segChunk // chunk c arrives on slots[c % len(slots)]
+	tokens  chan struct{}    // one per chunk that may be claimed ahead of delivery
+	claimed atomic.Int64     // chunks claimed by decoders so far
+	chunks  int
 	stop    chan struct{}
 	wg      sync.WaitGroup
-	next    int // channel index the next in-order chunk arrives on
+	next    int // the next in-order chunk
 	cur     *segChunk
 	curPos  int
 	batches int // batches NextBatch has returned
 	done    bool
 	err     error
-	stopped bool
 
 	// mu guards the held list and recycled: Recycle runs on the delivery
 	// goroutines while NextBatch appends.
 	mu         sync.Mutex
 	head, tail *segChunk // fully copied-out chunks, in stream order
 	recycled   int       // Recycle calls so far
+
+	// tr, when tracing, accumulates the time advance spends blocked on the
+	// next in-order chunk. advance runs on the goroutine that emits the
+	// record after the pass, so the field is never written concurrently.
+	tr *passTrace
 }
 
 // newSegmentedReader starts `workers` decode goroutines over the m sets of
-// src, cut into chunks by planBounds, decoding into chunk records drawn from
-// chunkPool.
-func newSegmentedReader(src stream.SegmentSource, m, workers, chunkSize int) *segmentedReader {
-	bounds := planBounds(src, m, chunkSize)
+// src, cut into `target` chunks by planBounds, decoding into chunk records
+// drawn from chunkPool. When tracing, it stamps the mode and the chunk count
+// into tr.
+func newSegmentedReader(src stream.SegmentSource, m, workers, target int, tr *passTrace) *segmentedReader {
+	bounds := planBounds(src, m, target)
 	chunks := len(bounds) - 1
+	if tr != nil {
+		tr.rec.Segmented, tr.rec.Chunks = true, chunks
+	}
 	if workers > chunks {
 		workers = chunks
 	}
 	if workers < 1 {
 		workers = 1
 	}
+	k := workers * (segWindow + 1)
 	r := &segmentedReader{
-		chans: make([]chan *segChunk, workers),
-		stop:  make(chan struct{}),
+		slots:  make([]chan *segChunk, k),
+		tokens: make(chan struct{}, k),
+		chunks: chunks,
+		stop:   make(chan struct{}),
+		tr:     tr,
 	}
-	for w := range r.chans {
-		r.chans[w] = make(chan *segChunk, segWindow)
+	for i := range r.slots {
+		r.slots[i] = make(chan *segChunk, 1)
+		r.tokens <- struct{}{}
 	}
 	r.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go r.decode(src, w, workers, bounds)
+		go r.decode(src, bounds)
 	}
 	return r
 }
 
-// planBounds fixes the chunk boundaries of one segmented pass: the source's
-// own cost-balanced plan when it offers a valid one (PlanSegments), uniform
-// chunkSize cuts otherwise. The uniform fallback also guards against a
-// source returning malformed boundaries — the plan is an untrusted hint,
-// never a correctness input.
-func planBounds(src stream.SegmentSource, m, chunkSize int) []int {
-	target := (m + chunkSize - 1) / chunkSize
+// planBounds fixes the chunk boundaries of one segmented pass over m sets:
+// the source's own cost-balanced plan for target (≥ 1) chunks when it offers
+// a valid one (PlanSegments), target uniform cuts of ceil(m/target) sets
+// otherwise. The uniform fallback also guards against a source returning
+// malformed boundaries — the plan is an untrusted hint, never a correctness
+// input.
+func planBounds(src stream.SegmentSource, m, target int) []int {
 	if b := src.PlanSegments(target); validBounds(b, m) {
 		return b
 	}
+	size := (m + target - 1) / target
 	b := make([]int, 0, target+1)
-	for start := 0; start < m; start += chunkSize {
+	for start := 0; start < m; start += size {
 		b = append(b, start)
 	}
 	return append(b, m)
@@ -166,11 +202,20 @@ func validBounds(b []int, m int) bool {
 	return true
 }
 
-// decode runs one decoder goroutine: chunks w, w+workers, ... in order.
-func (r *segmentedReader) decode(src stream.SegmentSource, w, workers int, bounds []int) {
+// decode runs one decoder goroutine: it claims the next chunk, one token
+// each, until every chunk is claimed, the pass stops, or its chunk fails.
+func (r *segmentedReader) decode(src stream.SegmentSource, bounds []int) {
 	defer r.wg.Done()
-	defer close(r.chans[w])
-	for c := w; c < len(bounds)-1; c += workers {
+	for {
+		select {
+		case <-r.tokens:
+		case <-r.stop:
+			return
+		}
+		c := int(r.claimed.Add(1)) - 1
+		if c >= r.chunks {
+			return
+		}
 		start, end := bounds[c], bounds[c+1]
 		ck := chunkPool.Get().(*segChunk)
 		ck.sets, ck.arena, ck.err = src.DecodeSegment(start, end, ck.sets, ck.arena)
@@ -178,12 +223,8 @@ func (r *segmentedReader) decode(src stream.SegmentSource, w, workers int, bound
 			ck.err = fmt.Errorf("engine: segment [%d,%d) ended after %d sets", start, end, len(ck.sets))
 		}
 		failed := ck.err != nil // read before the send: see segChunk
-		select {
-		case r.chans[w] <- ck:
-		case <-r.stop:
-			releaseChunk(ck)
-			return
-		}
+		// The send never blocks: chunk c's token guarantees its slot is empty.
+		r.slots[c%len(r.slots)] <- ck
 		if failed {
 			return
 		}
@@ -263,14 +304,20 @@ func (r *segmentedReader) advance() bool {
 	if r.done {
 		return false
 	}
-	ck, ok := <-r.chans[r.next]
-	if !ok {
-		// Decoder next%W has no further chunk, so no decoder has any later
-		// chunk either (ownership is strided): the pass is fully delivered.
+	if r.next == r.chunks {
 		r.finish()
 		return false
 	}
-	r.next = (r.next + 1) % len(r.chans)
+	var t0 time.Time
+	if r.tr != nil {
+		t0 = time.Now()
+	}
+	ck := <-r.slots[r.next%len(r.slots)]
+	if r.tr != nil {
+		r.tr.rec.Wait += time.Since(t0)
+	}
+	r.next++
+	r.tokens <- struct{}{}
 	if ck.err != nil {
 		r.err = ck.err
 		releaseChunk(ck)
@@ -281,22 +328,20 @@ func (r *segmentedReader) advance() bool {
 	return true
 }
 
-// finish stops the decoders, drains their channels, and waits for them to
-// exit, so a completed (or poisoned) pass leaks no goroutines and returns
-// every undelivered chunk record. Delivered ones go back through Recycle.
+// finish stops the decoders, waits for them to exit, and empties the slots,
+// so a completed (or poisoned) pass leaks no goroutines and returns every
+// undelivered chunk record. Delivered ones go back through Recycle.
 func (r *segmentedReader) finish() {
 	r.done = true
-	if r.stopped {
-		return
-	}
-	r.stopped = true
 	close(r.stop)
-	for _, ch := range r.chans {
-		for ck := range ch {
+	r.wg.Wait()
+	for _, slot := range r.slots {
+		select {
+		case ck := <-slot:
 			releaseChunk(ck)
+		default:
 		}
 	}
-	r.wg.Wait()
 }
 
 // Next implements stream.Reader. The engine always uses NextBatch; Next

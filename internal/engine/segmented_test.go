@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/setcover"
 	"repro/internal/stream"
@@ -293,5 +295,79 @@ func TestSegmentedForwardsRecycle(t *testing.T) {
 	}
 	if repo.reused.Load() == 0 {
 		t.Fatal("no chunk decoded into a released arena: chunk records never went back to the pool")
+	}
+}
+
+// windowSegRepo cuts its passes into chunks of windowChunk sets and records,
+// as each chunk's decode starts, how many sets the observer has seen.
+type windowSegRepo struct {
+	*stream.FuncRepo
+	seen   atomic.Int64
+	mu     sync.Mutex
+	starts map[int]int64 // chunk index → sets seen when its decode began
+}
+
+const windowChunk = 10
+
+func (r *windowSegRepo) BeginSegmented() (stream.SegmentSource, bool) {
+	src, ok := r.FuncRepo.BeginSegmented()
+	return &windowSegSource{SegmentSource: src, repo: r}, ok
+}
+
+type windowSegSource struct {
+	stream.SegmentSource
+	repo *windowSegRepo
+}
+
+func (s *windowSegSource) PlanSegments(int) []int {
+	b := []int{0}
+	for b[len(b)-1] < s.repo.NumSets() {
+		b = append(b, min(b[len(b)-1]+windowChunk, s.repo.NumSets()))
+	}
+	return b
+}
+
+func (s *windowSegSource) DecodeSegment(start, end int, sets []setcover.Set, arena []setcover.Elem) ([]setcover.Set, []setcover.Elem, error) {
+	s.repo.mu.Lock()
+	s.repo.starts[start/windowChunk] = s.repo.seen.Load()
+	s.repo.mu.Unlock()
+	return s.SegmentSource.DecodeSegment(start, end, sets, arena)
+}
+
+// Decoders claim chunks dynamically but never run more than the reorder
+// window ahead of delivery: chunk c starts decoding only after the consumer
+// has taken chunk c-K, K = Workers·(segWindow+1), so the observer (one, so
+// it runs on the delivering goroutine) has seen every set before it. A slow
+// observer lets the decoders race ahead as far as the window allows, and
+// every chunk must still be decoded exactly once.
+func TestSegmentedClaimsStayWithinWindow(t *testing.T) {
+	const m = 200
+	for _, workers := range []int{2, 3} {
+		k := workers * (segWindow + 1)
+		repo := &windowSegRepo{FuncRepo: segRepo(testInstance(16, m)), starts: map[int]int64{}}
+		slow := Func(func(batch []setcover.Set) {
+			time.Sleep(20 * time.Microsecond)
+			for _, s := range batch {
+				if int64(s.ID) != repo.seen.Load() {
+					t.Errorf("workers=%d: set %d delivered at position %d", workers, s.ID, repo.seen.Load())
+				}
+				repo.seen.Add(1)
+			}
+		})
+		if err := New(Options{Workers: workers, BatchSize: 1}).Run(repo, slow); err != nil {
+			t.Fatal(err)
+		}
+		if repo.seen.Load() != m {
+			t.Fatalf("workers=%d: observer saw %d of %d sets", workers, repo.seen.Load(), m)
+		}
+		if len(repo.starts) != m/windowChunk {
+			t.Fatalf("workers=%d: %d chunks decoded, want %d", workers, len(repo.starts), m/windowChunk)
+		}
+		for c, seen := range repo.starts {
+			if c >= k && seen < int64((c-k)*windowChunk) {
+				t.Errorf("workers=%d: chunk %d started with %d sets seen, want >= %d (window %d chunks)",
+					workers, c, seen, (c-k)*windowChunk, k)
+			}
+		}
 	}
 }

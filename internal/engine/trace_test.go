@@ -71,12 +71,22 @@ func TestTraceEmittedPerPass(t *testing.T) {
 	}
 }
 
-// A disk-backed pass at Workers > 1 must report the segmented decode mode
-// and the data-section byte size; the same pass at Workers = 1 must report
-// sequential mode with the same byte size. Either way covers the whole
-// stream.
+// sizedSpanRepo is a spanSegRepo that reports the data-section size of the
+// disk repository it wraps, so the engine cuts its segmented passes by bytes.
+type sizedSpanRepo struct {
+	*spanSegRepo
+	d *scdisk.Repo
+}
+
+func (r sizedSpanRepo) DataBytes() int64 { return r.d.DataBytes() }
+
+// A disk-backed pass at Workers > 1 must report the segmented decode mode,
+// the data-section byte size, and the number of chunks it decoded — one per
+// segChunkBytes of data, so this file of a few segChunkBytes takes several;
+// the same pass at Workers = 1 must report sequential mode with the same
+// byte size and no chunks or chunk wait. Either way covers the whole stream.
 func TestTraceSegmentedModeAndBytes(t *testing.T) {
-	const m = 600
+	const m = 20000
 	in := testInstance(32, m)
 	path := filepath.Join(t.TempDir(), "trace.scb")
 	if err := scdisk.WriteFile(path, in); err != nil {
@@ -87,8 +97,8 @@ func TestTraceSegmentedModeAndBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if d.DataBytes() <= 0 {
-		t.Fatalf("DataBytes = %d, want > 0", d.DataBytes())
+	if d.DataBytes() <= 2*segChunkBytes {
+		t.Fatalf("DataBytes = %d, want > %d for a multi-chunk pass", d.DataBytes(), 2*segChunkBytes)
 	}
 
 	for _, tc := range []struct {
@@ -99,8 +109,9 @@ func TestTraceSegmentedModeAndBytes(t *testing.T) {
 		{workers: 1, wantSegmented: false},
 	} {
 		rec := &obs.Recorder{}
+		repo := sizedSpanRepo{spanSegRepo: &spanSegRepo{Repository: d}, d: d}
 		e := New(Options{Workers: tc.workers, BatchSize: 64, Tracer: rec})
-		if err := e.Run(d, &recorder{}); err != nil {
+		if err := e.Run(repo, &recorder{}); err != nil {
 			t.Fatal(err)
 		}
 		got := rec.Passes()
@@ -117,6 +128,15 @@ func TestTraceSegmentedModeAndBytes(t *testing.T) {
 		if p.Items != m || p.Elems != totalElems(in) {
 			t.Fatalf("workers=%d: Items=%d Elems=%d, want %d/%d",
 				tc.workers, p.Items, p.Elems, m, totalElems(in))
+		}
+		if p.Chunks != len(repo.spans) {
+			t.Fatalf("workers=%d: Chunks = %d, but %d segments were decoded", tc.workers, p.Chunks, len(repo.spans))
+		}
+		if want := int((d.DataBytes() + segChunkBytes - 1) / segChunkBytes); tc.wantSegmented && p.Chunks != want {
+			t.Fatalf("workers=%d: Chunks = %d, want ceil(DataBytes/segChunkBytes) = %d", tc.workers, p.Chunks, want)
+		}
+		if !tc.wantSegmented && p.Wait != 0 {
+			t.Fatalf("workers=%d: sequential pass reports chunk wait %v", tc.workers, p.Wait)
 		}
 	}
 }

@@ -54,6 +54,14 @@ type PassTrace struct {
 	// Segmented reports the decode mode: true when the pass was decoded
 	// as parallel chunks, false for the sequential single-reader path.
 	Segmented bool
+	// Chunks is how many chunks a segmented pass was cut into: each is
+	// decoded once and handed to the delivering goroutine once. 0 for
+	// sequential passes.
+	Chunks int
+	// Wait is the time the delivering goroutine of a segmented pass spent
+	// blocked on the next in-order chunk — decode it could not overlap
+	// with delivery. 0 for sequential passes.
+	Wait time.Duration
 	// Workers and BatchSize are the engine options the pass ran under
 	// (after defaulting).
 	Workers   int

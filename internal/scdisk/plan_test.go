@@ -255,9 +255,11 @@ func TestSkewedSegmentedConformance(t *testing.T) {
 // three-observer variants recycle batches from three delivery goroutines, in
 // racing order, and their batches of 7 straddle chunk boundaries: a chunk
 // record released while a batch still views its arena shows up as a set that
-// differs from the reference.
+// differs from the reference. The file's 275 KB of set data make 17 chunks,
+// several times what the decoders' reorder windows hold, so decoders keep
+// drawing records from the pool while earlier chunks are still viewed.
 func TestConcurrentSegmentedPasses(t *testing.T) {
-	data, ref := skewedFile(t, 2000, 3000)
+	data, ref := skewedFile(t, 2000, 20000)
 	path := filepath.Join(t.TempDir(), "skewed.scb")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

@@ -25,8 +25,9 @@ import (
 const readerBufSize = 256 << 10
 
 // segBufSize caps the first decode window of one segmented-pass chunk reader:
-// chunks are a few hundred sets (~tens of KB), so a smaller window than a
-// full sequential pass gets, pooled and reused across chunks.
+// the engine cuts an indexed file's passes into chunks of about 16 KB of set
+// data (a chunk holding one huge set may be larger), so one window usually
+// loads a whole chunk in one ReadAt; it is pooled and reused across chunks.
 const segBufSize = 64 << 10
 
 // arenaListBytes caps the arena list of a repository, in bytes of element

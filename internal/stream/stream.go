@@ -114,10 +114,11 @@ func ReaderErr(c any) error {
 //
 // PlanSegments returns the chunk boundaries for the pass as a strictly
 // increasing slice b with b[0] == 0 and b[len(b)-1] == m; chunk i is the set
-// range [b[i], b[i+1]), and targetChunks is the engine's hint for how many
-// chunks it would otherwise cut (ceil(m/BatchSize)). nil means uniform
-// set-count chunks, which is right for a source that costs every set the
-// same. A source that knows its per-set decode cost — a disk repository's
+// range [b[i], b[i+1]), and targetChunks (≥ 1) is how many chunks the engine
+// wants: one per 16 KB of encoded data when the repository reports its size
+// (a DataBytes method), ceil(m/BatchSize) otherwise. nil means targetChunks
+// uniform set-count chunks, which is right for a source that costs every set
+// the same. A source that knows its per-set decode cost — a disk repository's
 // seek index records every set's encoded byte length — plans ≈equal-cost
 // chunks instead, so one pathologically large set no longer serializes a
 // pass on a single decoder while the others idle. The engine validates the
