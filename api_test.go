@@ -168,3 +168,85 @@ func TestPublicAPIDefaults(t *testing.T) {
 		t.Fatal("exact rho should be 1")
 	}
 }
+
+// Stats.Passes counts one solve's own passes: every algorithm family solved
+// twice on one handle — an in-memory repository and an SCB1 file — must
+// report the same pass count both times, although the handle's lifetime
+// counter keeps growing across them.
+func TestPassesPerSolveOnSharedHandle(t *testing.T) {
+	in, _, _, err := Planted(PlantedConfig{N: 200, M: 600, K: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "shared.scb")
+	if err := WriteInstanceFile(path, in); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+
+	stats := func(st Stats, err error) (int, error) { return st.Passes, err }
+	solves := []struct {
+		name  string
+		solve func(Repository) (int, error)
+	}{
+		{"greedy1", func(r Repository) (int, error) { return stats(OnePassGreedy(r)) }},
+		{"greedyn", func(r Repository) (int, error) { return stats(MultiPassGreedy(r)) }},
+		{"threshold", func(r Repository) (int, error) { return stats(ThresholdGreedy(r)) }},
+		{"er14", func(r Repository) (int, error) { return stats(EmekRosen(r)) }},
+		{"cw16", func(r Repository) (int, error) { return stats(ChakrabartiWirth(r, 3)) }},
+		{"dimv14", func(r Repository) (int, error) {
+			return stats(DIMV14(r, DIMV14Options{Delta: 0.5, Seed: 1}))
+		}},
+		{"sg09", func(r Repository) (int, error) { return stats(SahaGetoorSetCover(r)) }},
+		{"maxkcover", func(r Repository) (int, error) {
+			res, err := MaxKCoverStreaming(r, 10)
+			return res.Passes, err
+		}},
+		{"iter", func(r Repository) (int, error) {
+			res, err := IterSetCover(r, Options{Delta: 0.5, Seed: 1})
+			return res.Passes, err
+		}},
+		{"pd", func(r Repository) (int, error) {
+			res, err := BatchedPrimalDual(r, PDOptions{ElemBatch: 64})
+			return res.Passes, err
+		}},
+		{"dyn", func(r Repository) (int, error) { return stats(DynamicSolve(r, EngineOptions{})) }},
+	}
+	for _, repo := range []Repository{NewRepository(in), disk} {
+		for _, s := range solves {
+			first, err := s.solve(repo)
+			if err != nil {
+				t.Fatalf("%s on %T: %v", s.name, repo, err)
+			}
+			again, err := s.solve(repo)
+			if err != nil {
+				t.Fatalf("%s on %T, second solve: %v", s.name, repo, err)
+			}
+			if first < 1 || again != first {
+				t.Errorf("%s on %T: passes %d then %d on one handle, want the same positive count", s.name, repo, first, again)
+			}
+		}
+	}
+
+	gi, _, err := PlantedDisks(200, 400, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := NewShapeRepo(gi)
+	shapes.Precompute()
+	var geomPasses [2]int
+	for i := range geomPasses {
+		res, err := AlgGeomSC(shapes, GeomOptions{Delta: 0.25, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		geomPasses[i] = res.Passes
+	}
+	if geomPasses[0] < 1 || geomPasses[1] != geomPasses[0] {
+		t.Errorf("AlgGeomSC: passes %v on one shape handle, want the same positive count", geomPasses)
+	}
+}

@@ -5,7 +5,8 @@
 // The matrix crosses family shape (uniform vs byte-skewed), read backend
 // (positional reads vs mmap), and decode parallelism (workers, exercising the
 // byte-balanced segmented planner), plus greedy solve cases that put the
-// bitset hot loops on the clock. Each case reports nanoseconds per pass,
+// bitset hot loops on the clock and a batched primal-dual case that times
+// its dual rounds between passes. Each case reports nanoseconds per pass,
 // MB/s, and the decode-buffer pool's lock-acquisition delta.
 //
 // Because absolute throughput is machine-bound, every report carries a
@@ -41,6 +42,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/pd"
 	"repro/internal/scdisk"
 	"repro/internal/scdyn"
 	"repro/internal/setcover"
@@ -313,7 +315,7 @@ func runMatrix(quick bool, runs int, progress io.Writer) (*BenchReport, error) {
 			// One solve case per (family, backend): greedy over the full
 			// stream, the bitset-hot-loop workload.
 			name := fmt.Sprintf("solve/greedy1/%s/%s", family, be.name)
-			bc, err := measureSolve(name, d, runs)
+			bc, err := measureSolve(name, d, runs, greedy1)
 			if err != nil {
 				d.Close()
 				return nil, err
@@ -333,7 +335,7 @@ func runMatrix(quick bool, runs int, progress io.Writer) (*BenchReport, error) {
 			return nil, err
 		}
 		name := fmt.Sprintf("solve/greedy1/weighted-skewed/%s", be.name)
-		bc, err := measureSolve(name, d, runs)
+		bc, err := measureSolve(name, d, runs, greedy1)
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -343,6 +345,22 @@ func runMatrix(quick bool, runs int, progress io.Writer) (*BenchReport, error) {
 		rep.Cases = append(rep.Cases, bc)
 		d.Close()
 	}
+	// The batched primal-dual with default options on the uniform family:
+	// its dual rounds between the per-batch gather passes are the
+	// algorithm-compute layer this cell puts on the clock.
+	d, err := scdisk.Open(files["uniform"])
+	if err != nil {
+		return nil, err
+	}
+	bc, err := measureSolve("solve/pd/uniform/readat", d, runs, primalDual)
+	d.Close()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(progress, "scbench: %-28s %8.2fms %8.1f MB/s  pool_locks=%d\n",
+		bc.Name, float64(bc.NsPerPass)/1e6, bc.MBPerSec, bc.PoolLocks)
+	rep.Cases = append(rep.Cases, bc)
+
 	// The dynamic-maintenance pair: a from-scratch solve of a mutable uniform
 	// family versus an incremental re-solve after a 1% mutation batch. The
 	// pair is the recorded evidence for the dynamic layer's contract — the
@@ -646,11 +664,28 @@ func measureScan(name string, d *scdisk.Repo, workers, runs int) (BenchCase, err
 	return bc, nil
 }
 
-func measureSolve(name string, d *scdisk.Repo, runs int) (BenchCase, error) {
+// solveFunc is one solve case's call: no engine options on the timed runs,
+// a tracer on the traced one.
+type solveFunc func(d *scdisk.Repo, engOpts ...engine.Options) (setcover.Stats, error)
+
+func greedy1(d *scdisk.Repo, engOpts ...engine.Options) (setcover.Stats, error) {
+	return baseline.OnePassGreedy(d, engOpts...)
+}
+
+func primalDual(d *scdisk.Repo, engOpts ...engine.Options) (setcover.Stats, error) {
+	var opts pd.Options
+	if len(engOpts) > 0 {
+		opts.Engine = engOpts[0]
+	}
+	res, err := pd.BatchedPrimalDual(d, opts)
+	return res.Stats, err
+}
+
+func measureSolve(name string, d *scdisk.Repo, runs int, solve solveFunc) (BenchCase, error) {
 	bc := BenchCase{Name: name, Sets: d.NumSets(), Bytes: dataBytes(d), Runs: runs}
 	refCover := -1
 	err := measure(&bc, d, runs, func() error {
-		st, err := baseline.OnePassGreedy(d)
+		st, err := solve(d)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -665,7 +700,7 @@ func measureSolve(name string, d *scdisk.Repo, runs int) (BenchCase, error) {
 		return bc, err
 	}
 	rec := &obs.Recorder{}
-	if _, err := baseline.OnePassGreedy(d, engine.Options{Tracer: rec}); err != nil {
+	if _, err := solve(d, engine.Options{Tracer: rec}); err != nil {
 		return bc, fmt.Errorf("%s: traced run: %w", name, err)
 	}
 	traceFill(&bc, rec)

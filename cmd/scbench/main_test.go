@@ -119,12 +119,14 @@ func TestMeasureSmoke(t *testing.T) {
 				t.Fatalf("%s w=%d: traced segmented=%v chunks=%d wait=%vms", be.name, w, bc.Segmented, bc.Chunks, bc.WaitMs)
 			}
 		}
-		bc, err := measureSolve("solve/smoke/"+be.name, d, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bc.NsPerPass <= 0 {
-			t.Fatalf("%s: implausible solve case %+v", be.name, bc)
+		for _, solve := range []solveFunc{greedy1, primalDual} {
+			bc, err := measureSolve("solve/smoke/"+be.name, d, 2, solve)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bc.NsPerPass <= 0 || bc.Passes < 1 {
+				t.Fatalf("%s: implausible solve case %+v", be.name, bc)
+			}
 		}
 		d.Close()
 	}

@@ -75,8 +75,8 @@ func engineFor(engOpts []engine.Options) *engine.Engine {
 
 // failPass closes out a Stats whose physical pass failed mid-stream: the
 // algorithm saw only a prefix of F, so no cover is reported.
-func failPass(st setcover.Stats, repo stream.Repository, tracker *stream.Tracker, err error) (setcover.Stats, error) {
-	st.Passes = repo.Passes()
+func failPass(st setcover.Stats, repo stream.Repository, passes0 int, tracker *stream.Tracker, err error) (setcover.Stats, error) {
+	st.Passes = repo.Passes() - passes0
 	st.SpaceWords = tracker.Peak()
 	return st, fmt.Errorf("baseline: %w", err)
 }
@@ -99,6 +99,7 @@ func allowedLeftovers(n int, eps float64) (int, error) {
 func OnePassGreedy(repo stream.Repository, engOpts ...engine.Options) (setcover.Stats, error) {
 	eng := engineFor(engOpts)
 	st := setcover.Stats{Algorithm: "greedy-1pass"}
+	passes0 := repo.Passes()
 	tracker := stream.NewTracker()
 
 	weight := stream.WeightFunc(repo)
@@ -117,18 +118,18 @@ func OnePassGreedy(repo stream.Repository, engOpts ...engine.Options) (setcover.
 			tracker.Grow(w)
 		}
 	})); err != nil {
-		return failPass(st, repo, tracker, err)
+		return failPass(st, repo, passes0, tracker, err)
 	}
 	cover, err := (offline.Greedy{}).Solve(stored)
 	if err != nil {
-		st.Passes = repo.Passes()
+		st.Passes = repo.Passes() - passes0
 		st.SpaceWords = tracker.Peak()
 		return st, err
 	}
 	tracker.Grow(stream.WordsForIDs(len(cover)))
 	st.Cover = cover
 	st.Valid = true
-	st.Passes = repo.Passes()
+	st.Passes = repo.Passes() - passes0
 	st.SpaceWords = tracker.Peak()
 	return st, nil
 }
@@ -149,6 +150,7 @@ func MultiPassGreedyPartial(repo stream.Repository, eps float64, engOpts ...engi
 
 func multiPassGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (setcover.Stats, error) {
 	st := setcover.Stats{Algorithm: "greedy-npass", Extra: eps}
+	passes0 := repo.Passes()
 	n := repo.UniverseSize()
 	allowed, err := allowedLeftovers(n, eps)
 	if err != nil {
@@ -168,10 +170,10 @@ func multiPassGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 			return st, fmt.Errorf("baseline: greedy-npass exceeded %d passes", n)
 		}
 		if err := eng.Run(repo, best); err != nil {
-			return failPass(st, repo, tracker, err)
+			return failPass(st, repo, passes0, tracker, err)
 		}
 		if best.id < 0 {
-			st.Passes = repo.Passes()
+			st.Passes = repo.Passes() - passes0
 			st.SpaceWords = tracker.Peak()
 			return st, ErrInfeasible
 		}
@@ -181,7 +183,7 @@ func multiPassGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 	}
 	st.Cover = cover
 	st.Valid = true
-	st.Passes = repo.Passes()
+	st.Passes = repo.Passes() - passes0
 	st.SpaceWords = tracker.Peak()
 	return st, nil
 }
@@ -254,6 +256,7 @@ func ThresholdGreedyPartial(repo stream.Repository, eps float64, engOpts ...engi
 
 func thresholdGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (setcover.Stats, error) {
 	st := setcover.Stats{Algorithm: "threshold-greedy[SG09]", Extra: eps}
+	passes0 := repo.Passes()
 	n := repo.UniverseSize()
 	allowed, err := allowedLeftovers(n, eps)
 	if err != nil {
@@ -303,7 +306,7 @@ func thresholdGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 	})
 	for left > allowed {
 		if err := eng.Run(repo, accept); err != nil {
-			return failPass(st, repo, tracker, err)
+			return failPass(st, repo, passes0, tracker, err)
 		}
 		if tau <= 1 {
 			break
@@ -313,7 +316,7 @@ func thresholdGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 			tau = 1 // the last pass must accept any set with positive gain
 		}
 	}
-	st.Passes = repo.Passes()
+	st.Passes = repo.Passes() - passes0
 	st.SpaceWords = tracker.Peak()
 	if left > allowed {
 		return st, ErrInfeasible
@@ -346,6 +349,7 @@ func EmekRosenPartial(repo stream.Repository, eps float64, engOpts ...engine.Opt
 
 func emekRosen(repo stream.Repository, eps float64, eng *engine.Engine) (setcover.Stats, error) {
 	st := setcover.Stats{Algorithm: "emek-rosen[ER14]", Extra: eps}
+	passes0 := repo.Passes()
 	n := repo.UniverseSize()
 	allowed, err := allowedLeftovers(n, eps)
 	if err != nil {
@@ -392,11 +396,11 @@ func emekRosen(repo stream.Repository, eps float64, eng *engine.Engine) (setcove
 			}
 		}
 	})); err != nil {
-		return failPass(st, repo, tracker, err)
+		return failPass(st, repo, passes0, tracker, err)
 	}
 	patch, infeasible := patchLeftovers(uncovered, firstCover, allowed)
 	tracker.Grow(int64(len(patch)))
-	st.Passes = repo.Passes()
+	st.Passes = repo.Passes() - passes0
 	st.SpaceWords = tracker.Peak()
 	if infeasible {
 		return st, ErrInfeasible
@@ -429,6 +433,7 @@ func chakrabartiWirth(repo stream.Repository, passes int, eps float64, eng *engi
 		return setcover.Stats{}, fmt.Errorf("baseline: ChakrabartiWirth needs passes >= 1, got %d", passes)
 	}
 	st := setcover.Stats{Algorithm: fmt.Sprintf("chakrabarti-wirth[CW16] p=%d", passes), Extra: float64(passes)}
+	passes0 := repo.Passes()
 	n := repo.UniverseSize()
 	allowed, err := allowedLeftovers(n, eps)
 	if err != nil {
@@ -479,12 +484,12 @@ func chakrabartiWirth(repo stream.Repository, passes int, eps float64, eng *engi
 				}
 			}
 		})); err != nil {
-			return failPass(st, repo, tracker, err)
+			return failPass(st, repo, passes0, tracker, err)
 		}
 	}
 	patch, infeasible := patchLeftovers(uncovered, firstCover, allowed)
 	tracker.Grow(int64(len(patch)))
-	st.Passes = repo.Passes()
+	st.Passes = repo.Passes() - passes0
 	st.SpaceWords = tracker.Peak()
 	if infeasible {
 		return st, ErrInfeasible
@@ -558,6 +563,7 @@ func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts ...engine.Option
 	eng := engineFor(engOpts)
 	weight := stream.WeightFunc(repo)
 	st := setcover.Stats{Algorithm: "dimv14-sampling", Extra: opts.Delta}
+	passes0 := repo.Passes()
 	n, m := repo.UniverseSize(), repo.NumSets()
 	if opts.Delta <= 0 || opts.Delta > 1 {
 		return st, fmt.Errorf("baseline: delta %v out of (0,1]", opts.Delta)
@@ -607,13 +613,13 @@ func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts ...engine.Option
 			}
 		}))
 		if errA != nil {
-			return failPass(st, repo, tracker, errA)
+			return failPass(st, repo, passes0, tracker, errA)
 		}
 
 		// Offline greedy on the sampled sub-instance.
 		subCover, err := proj.Solve(s, offline.Greedy{})
 		if err != nil {
-			st.Passes = repo.Passes()
+			st.Passes = repo.Passes() - passes0
 			st.SpaceWords = tracker.Peak()
 			return st, ErrInfeasible
 		}
@@ -634,11 +640,11 @@ func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts ...engine.Option
 				}
 			}
 		})); err != nil {
-			return failPass(st, repo, tracker, err)
+			return failPass(st, repo, passes0, tracker, err)
 		}
 		tracker.Shrink(projWords + stream.WordsForBitset(n))
 	}
-	st.Passes = repo.Passes()
+	st.Passes = repo.Passes() - passes0
 	st.SpaceWords = tracker.Peak()
 	if !uncovered.Empty() {
 		return st, errors.New("baseline: dimv14 sampling did not converge")

@@ -154,8 +154,8 @@ type Result struct {
 // (truncated or corrupt repository): every guess saw only a prefix of F, so
 // no cover can be reported — the run fails loudly with the resources it
 // consumed, never with a plausible-looking partial answer.
-func (res Result) failPass(repo stream.Repository, tracker *stream.Tracker, err error) (Result, error) {
-	res.Passes = repo.Passes()
+func (res Result) failPass(repo stream.Repository, passes0 int, tracker *stream.Tracker, err error) (Result, error) {
+	res.Passes = repo.Passes() - passes0
 	res.SpaceWords = tracker.Peak()
 	return res, fmt.Errorf("core: %w", err)
 }
@@ -193,6 +193,7 @@ func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 	}
 	tracker := stream.NewTracker()
 	res := Result{Stats: setcover.Stats{Algorithm: AlgorithmName, Extra: opts.Delta}}
+	passes0 := repo.Passes()
 	// Allowed leftovers for the ε-partial variant (0 for full covers).
 	targetUncovered := int(opts.PartialEps * float64(n))
 
@@ -242,7 +243,7 @@ func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 		if err := eng.Run(repo, liveObservers(runs, func(g *guessRun) engine.Observer {
 			return &sizeTestObserver{g: g, opts: &opts, weight: weightOf, tracker: tracker}
 		})...); err != nil {
-			return res.failPass(repo, tracker, err)
+			return res.failPass(repo, passes0, tracker, err)
 		}
 		var iterProjWords int64
 		for _, g := range runs {
@@ -266,7 +267,7 @@ func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 		if err := eng.Run(repo, liveObservers(runs, func(g *guessRun) engine.Observer {
 			return &recomputeObserver{g: g}
 		})...); err != nil {
-			return res.failPass(repo, tracker, err)
+			return res.failPass(repo, passes0, tracker, err)
 		}
 
 		// Close the iteration: release per-iteration memory (Lemma 2.2:
@@ -293,7 +294,7 @@ func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 		if err := eng.Run(repo, liveObservers(runs, func(g *guessRun) engine.Observer {
 			return &patchObserver{g: g, target: targetUncovered, tracker: tracker}
 		})...); err != nil {
-			return res.failPass(repo, tracker, err)
+			return res.failPass(repo, passes0, tracker, err)
 		}
 	}
 
@@ -304,7 +305,7 @@ func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 			best = i
 		}
 	}
-	res.Passes = repo.Passes()
+	res.Passes = repo.Passes() - passes0
 	res.SpaceWords = tracker.Peak()
 	res.StoredProjectionWordsPeak = projPeak
 	if best < 0 {

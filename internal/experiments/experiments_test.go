@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -139,6 +140,55 @@ func TestE9SizeTestSavesSpace(t *testing.T) {
 	if without[0] <= with[0] || without[1] <= with[1] {
 		t.Fatalf("without the Size Test (proj %v, total %v) must exceed with it (proj %v, total %v)",
 			without[0], without[1], with[0], with[1])
+	}
+}
+
+// E19's claim: dedicated reveal spends one gather pass per batch of
+// 2^{d−1} elements plus the verification pass, ⌈n/2^{d−1}⌉ + 1, while
+// trivial reveal pays n + 1 — so for every (vcdim, weights) pair dedicated
+// takes fewer passes than trivial. Quick and full configurations both.
+func TestE19DedicatedRevealSavesPasses(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		tbl := E19PrimalDual(1, quick)
+		col := map[string]int{}
+		for i, h := range tbl.Head {
+			col[h] = i
+		}
+		num := func(row []string, name string) int {
+			v, err := strconv.Atoi(row[col[name]])
+			if err != nil {
+				t.Fatalf("quick=%v: bad %s cell in %v", quick, name, row)
+			}
+			return v
+		}
+		passes := map[string]map[string]int{} // "vcdim/weights" → mode → passes
+		for _, row := range tbl.Rows {
+			d, n, got := num(row, "vcdim"), num(row, "n"), num(row, "passes")
+			mode := row[col["mode"]]
+			want := n + 1
+			if mode == "dedicated" {
+				batch := 1 << (d - 1)
+				want = (n+batch-1)/batch + 1
+			}
+			if got != want {
+				t.Errorf("quick=%v %v: %d passes, want %d", quick, row, got, want)
+			}
+			key := row[col["vcdim"]] + "/" + row[col["weights"]]
+			if passes[key] == nil {
+				passes[key] = map[string]int{}
+			}
+			passes[key][mode] = got
+		}
+		for key, byMode := range passes {
+			ded, okD := byMode["dedicated"]
+			triv, okT := byMode["trivial"]
+			if !okD || !okT || ded >= triv {
+				t.Errorf("quick=%v %s: dedicated %d passes vs trivial %d (present %v/%v), want fewer", quick, key, ded, triv, okD, okT)
+			}
+		}
+		if want := map[bool]int{true: 2, false: 4}[quick]; len(passes) != want {
+			t.Errorf("quick=%v: %d (vcdim, weights) pairs, want %d", quick, len(passes), want)
+		}
 	}
 }
 

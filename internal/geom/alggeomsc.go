@@ -74,8 +74,8 @@ type GeomResult struct {
 // with the resources it consumed, never with a plausible-looking partial
 // answer. The error chain carries engine.ErrPassFailed for service-layer
 // classification.
-func (res GeomResult) failPass(repo ShapeStream, tracker *stream.Tracker, err error) (GeomResult, error) {
-	res.Passes = repo.Passes()
+func (res GeomResult) failPass(repo ShapeStream, passes0 int, tracker *stream.Tracker, err error) (GeomResult, error) {
+	res.Passes = repo.Passes() - passes0
 	res.SpaceWords = tracker.Peak()
 	return res, fmt.Errorf("geom: %w", err)
 }
@@ -137,6 +137,7 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 		opts.HeavyW = 3
 	}
 	res := GeomResult{Stats: setcover.Stats{Algorithm: GeomAlgorithmName, Extra: opts.Delta}}
+	passes0 := repo.Passes()
 	if n == 0 {
 		res.Valid = true
 		return res, nil
@@ -161,7 +162,7 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 		if err := engine.RunOver(eng, src, liveGeomObservers(runs, func(g *geomRun) engine.ObserverOf[StreamShape] {
 			return &heavyShapeObserver{g: g, n: n, tracker: tracker}
 		})...); err != nil {
-			return res.failPass(repo, tracker, err)
+			return res.failPass(repo, passes0, tracker, err)
 		}
 		for _, g := range runs {
 			if !g.done && g.left.Empty() {
@@ -203,7 +204,7 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 		if err := engine.RunOver(eng, src, liveGeomObservers(runs, func(g *geomRun) engine.ObserverOf[StreamShape] {
 			return &canonicalObserver{st: states[g], pts: pts, tracker: tracker}
 		})...); err != nil {
-			return res.failPass(repo, tracker, err)
+			return res.failPass(repo, passes0, tracker, err)
 		}
 		for _, g := range runs {
 			if g.done {
@@ -237,7 +238,7 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 		if err := engine.RunOver(eng, src, liveGeomObservers(runs, func(g *geomRun) engine.ObserverOf[StreamShape] {
 			return &replacePieceObserver{g: g, st: states[g], tracker: tracker}
 		})...); err != nil {
-			return res.failPass(repo, tracker, err)
+			return res.failPass(repo, passes0, tracker, err)
 		}
 
 		for _, g := range runs {
@@ -258,7 +259,7 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 		if err := engine.RunOver(eng, src, liveGeomObservers(runs, func(g *geomRun) engine.ObserverOf[StreamShape] {
 			return &patchShapeObserver{g: g, tracker: tracker}
 		})...); err != nil {
-			return res.failPass(repo, tracker, err)
+			return res.failPass(repo, passes0, tracker, err)
 		}
 	}
 
@@ -268,7 +269,7 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 			best = i
 		}
 	}
-	res.Passes = repo.Passes()
+	res.Passes = repo.Passes() - passes0
 	res.SpaceWords = tracker.Peak()
 	if best < 0 {
 		return res, ErrGeomNoCover

@@ -124,8 +124,9 @@ func Streaming(repo stream.Repository, k int, engOpts ...engine.Options) (Result
 	n := repo.UniverseSize()
 	tracker := stream.NewTracker()
 	if n == 0 || k == 0 {
-		return Result{Passes: repo.Passes(), SpaceWords: tracker.Peak()}, nil
+		return Result{SpaceWords: tracker.Peak()}, nil
 	}
+	passes0 := repo.Passes()
 
 	var guesses []*coverageGuess
 	obs := make([]engine.Observer, 0)
@@ -141,7 +142,7 @@ func Streaming(repo stream.Repository, k int, engOpts ...engine.Options) (Result
 	// (truncated or corrupt repository) delivered only a prefix of F, so the
 	// selection is meaningless and the failure propagates.
 	if err := eng.Run(repo, obs...); err != nil {
-		return Result{Passes: repo.Passes(), SpaceWords: tracker.Peak()},
+		return Result{Passes: repo.Passes() - passes0, SpaceWords: tracker.Peak()},
 			fmt.Errorf("maxcover: %w", err)
 	}
 
@@ -154,7 +155,7 @@ func Streaming(repo stream.Repository, k int, engOpts ...engine.Options) (Result
 	return Result{
 		Sets:       append([]int(nil), best.sets...),
 		Covered:    best.covered,
-		Passes:     repo.Passes(),
+		Passes:     repo.Passes() - passes0,
 		SpaceWords: tracker.Peak(),
 	}, nil
 }
@@ -208,6 +209,7 @@ func (rs *sgRoundObserver) Observe(batch []setcover.Set) {
 func SahaGetoorSetCover(repo stream.Repository, engOpts ...engine.Options) (setcover.Stats, error) {
 	eng := engineFor(engOpts)
 	st := setcover.Stats{Algorithm: "saha-getoor[SG09]"}
+	passes0 := repo.Passes()
 	n := repo.UniverseSize()
 	tracker := stream.NewTracker()
 	if n == 0 {
@@ -258,7 +260,7 @@ func SahaGetoorSetCover(repo stream.Repository, engOpts ...engine.Options) (setc
 			obs = append(obs, rs)
 		}
 		if err := eng.Run(repo, obs...); err != nil {
-			st.Passes = repo.Passes()
+			st.Passes = repo.Passes() - passes0
 			st.SpaceWords = tracker.Peak()
 			return st, fmt.Errorf("maxcover: %w", err)
 		}
@@ -289,7 +291,7 @@ func SahaGetoorSetCover(repo stream.Repository, engOpts ...engine.Options) (setc
 			best = i
 		}
 	}
-	st.Passes = repo.Passes()
+	st.Passes = repo.Passes() - passes0
 	st.SpaceWords = tracker.Peak()
 	if best < 0 {
 		return st, setcover.ErrInfeasible

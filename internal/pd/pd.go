@@ -15,9 +15,19 @@
 //
 // where d = m, c_j is set j's cost (1 unweighted), and Y_j = Σ_{e∈S_j} y_e
 // over revealed elements. x_j is a pure function of Y_j, so only sets whose
-// dual sum changed are recomputed. x_j reaches 1 exactly when Y_j = c_j,
-// which bounds the rounds per batch by ceil(max_e min_{j∋e} c_j / ε) + 2 —
-// the convergence cap below is not a tunable, it is that bound.
+// dual sum changed are recomputed, once per round. x_j reaches 1 exactly
+// when Y_j = c_j, which bounds the rounds per batch by
+// ceil(max_e min_{j∋e} c_j / ε) + 2 — the convergence cap below is not a
+// tunable, it is that bound.
+//
+// Every Y_j starts at 0 and only grows by += ε, so the loop keeps the raise
+// count r_j instead and turns it back into Y_j through one table of k-fold
+// sums built by the same repeated addition; on unweighted repositories x_j
+// then depends on r_j alone and is memoized per count. Elements whose
+// coverage sum reached 1 leave the batch's active list for good (see
+// raiseBatch). Every x_j, Y_j and coverage sum it computes equals, bit for
+// bit, the one the plain loop (add ε to a float Y_j per raise, sum every
+// batch element every round) would compute.
 //
 // The fractional solution is rounded by frequency: every element is covered
 // by at most f sets (f tracked from the gathered incidence), so each revealed
@@ -131,6 +141,7 @@ type Result struct {
 func BatchedPrimalDual(repo stream.Repository, opts Options) (Result, error) {
 	res := Result{Stats: setcover.Stats{Algorithm: AlgorithmName}}
 	n, m := repo.UniverseSize(), repo.NumSets()
+	passes0 := repo.Passes()
 
 	eps := opts.Epsilon
 	if eps == 0 {
@@ -165,13 +176,16 @@ func BatchedPrimalDual(repo stream.Repository, opts Options) (Result, error) {
 		}
 		return weightOf(j)
 	}
+	// fail closes out a run that stops early, with the resources it used.
+	fail := func(err error) (Result, error) {
+		res.Passes = repo.Passes() - passes0
+		res.SpaceWords = tracker.Peak()
+		return res, err
+	}
 
-	// Primal x and dual sums Y live for the whole run: 2m words.
-	x := make([]float64, m)
-	Y := make([]float64, m)
+	// Primal x and the raise counts live for the whole run: 2m words.
+	du := newDuals(m, eps, weightOf)
 	tracker.Grow(2 * int64(m))
-	d := float64(m)
-	lnFactor := math.Log(1 + d)
 
 	maxFreq := 0
 	for lo := 0; lo < n; lo += batch {
@@ -195,18 +209,14 @@ func BatchedPrimalDual(repo stream.Repository, opts Options) (Result, error) {
 				}
 			}
 		})); err != nil {
-			res.Passes = repo.Passes()
-			res.SpaceWords = tracker.Peak()
-			return res, fmt.Errorf("pd: %w", err)
+			return fail(fmt.Errorf("pd: %w", err))
 		}
 		// Charge the incidence plus the round cap's input: the costliest
 		// cheapest-option over the batch.
 		maxMinCost := 0.0
 		for i, sets := range inc {
 			if len(sets) == 0 {
-				res.Passes = repo.Passes()
-				res.SpaceWords = tracker.Peak()
-				return res, fmt.Errorf("%w: element %d in no set", setcover.ErrInfeasible, lo+i)
+				return fail(fmt.Errorf("%w: element %d in no set", setcover.ErrInfeasible, lo+i))
 			}
 			if len(sets) > maxFreq {
 				maxFreq = len(sets)
@@ -224,39 +234,20 @@ func BatchedPrimalDual(repo stream.Repository, opts Options) (Result, error) {
 		}
 		tracker.Grow(incWords)
 
-		// Dual-raise rounds. An element still undercovered after
-		// ceil(minCost/ε) rounds would have pushed its cheapest set's Y past
-		// its cost, forcing x ≥ 1 — so the cap below is unreachable unless
-		// the arithmetic is broken, and hitting it is a loud bug, not a
-		// tuning problem.
-		roundCap := int(math.Ceil(maxMinCost/eps)) + 2
-		touched := make([]int32, 0, 64)
-		for round := 0; ; round++ {
-			if round > roundCap {
-				res.Passes = repo.Passes()
-				res.SpaceWords = tracker.Peak()
-				return res, fmt.Errorf("pd: batch [%d,%d) did not converge in %d rounds (eps=%g)", lo, hi, roundCap, eps)
-			}
-			touched = touched[:0]
-			for _, sets := range inc {
-				cov := 0.0
-				for _, j := range sets {
-					cov += x[j]
-				}
-				if cov < 1 {
-					for _, j := range sets {
-						Y[j] += eps
-						touched = append(touched, j)
-					}
-				}
-			}
-			if len(touched) == 0 {
-				break
-			}
-			res.Rounds++
-			for _, j := range touched {
-				x[j] = (math.Exp(lnFactor/costOf(int(j))*Y[j]) - 1) / d
-			}
+		// An element still undercovered after ceil(minCost/ε) rounds would
+		// have pushed its cheapest set's Y past its cost, forcing x ≥ 1 — so
+		// the cap is unreachable unless the arithmetic is broken, and
+		// hitting it is a loud bug, not a tuning problem. A cap beyond the
+		// int range (ε tiny against the costs) fails before the first round.
+		steps := math.Ceil(maxMinCost / eps)
+		if !(steps < math.MaxInt64) {
+			return fail(fmt.Errorf("pd: batch [%d,%d) needs a round cap of %.4g, beyond the int range (eps=%g)", lo, hi, steps+2, eps))
+		}
+		roundCap := int(steps) + 2
+		rounds, ok := du.raiseBatch(inc, roundCap)
+		res.Rounds += rounds
+		if !ok {
+			return fail(fmt.Errorf("pd: batch [%d,%d) did not converge in %d rounds (eps=%g)", lo, hi, roundCap, eps))
 		}
 		tracker.Shrink(incWords)
 	}
@@ -267,7 +258,7 @@ func BatchedPrimalDual(repo stream.Repository, opts Options) (Result, error) {
 	var cover []int
 	picked := bitset.New(m)
 	for j := 0; j < m; j++ {
-		if x[j] >= threshold {
+		if du.x[j] >= threshold {
 			cover = append(cover, j)
 			picked.Set(j)
 		}
@@ -286,14 +277,12 @@ func BatchedPrimalDual(repo stream.Repository, opts Options) (Result, error) {
 			}
 		}
 	})); err != nil {
-		res.Passes = repo.Passes()
-		res.SpaceWords = tracker.Peak()
-		return res, fmt.Errorf("pd: %w", err)
+		return fail(fmt.Errorf("pd: %w", err))
 	}
 
 	res.Cover = cover
 	res.Valid = uncovered.Empty()
-	res.Passes = repo.Passes()
+	res.Passes = repo.Passes() - passes0
 	res.SpaceWords = tracker.Peak()
 	res.MaxFrequency = maxFreq
 	res.CoverWeight = stream.CoverWeight(repo, cover)

@@ -224,10 +224,14 @@ func (in *Instance) Bitsets() []*bitset.Bitset {
 // Stats is the resource/quality report every algorithm in this repository
 // returns. It mirrors the three columns of the paper's Figure 1.1.
 type Stats struct {
-	Algorithm  string  // human-readable name
-	Cover      []int   // set IDs of the reported solution
-	Valid      bool    // whether Cover actually covers U (verified)
-	Passes     int     // sequential scans of the repository
+	Algorithm string // human-readable name
+	Cover     []int  // set IDs of the reported solution
+	Valid     bool   // whether Cover actually covers U (verified)
+	// Passes is the number of sequential scans this solve began: the
+	// difference of the repository's lifetime pass counter between entry
+	// and return. Solves sharing one handle concurrently still count each
+	// other's passes; serve checks a handle out to one solve at a time.
+	Passes     int
 	SpaceWords int64   // peak read-write memory charged, in 64-bit words
 	Extra      float64 // algorithm-specific scalar (e.g., delta), 0 if unused
 }
