@@ -5,8 +5,9 @@
 // The matrix crosses family shape (uniform vs byte-skewed), read backend
 // (positional reads vs mmap), and decode parallelism (workers, exercising the
 // byte-balanced segmented planner), plus greedy solve cases that put the
-// bitset hot loops on the clock and a batched primal-dual case that times
-// its dual rounds between passes. Each case reports nanoseconds per pass,
+// bitset hot loops on the clock, and an iterSetCover δ=½ case and a batched
+// primal-dual case that time their compute between passes (offline
+// sub-solves, dual rounds). Each case reports nanoseconds per pass,
 // MB/s, and the decode-buffer pool's lock-acquisition delta.
 //
 // Because absolute throughput is machine-bound, every report carries a
@@ -39,6 +40,7 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/obs"
@@ -345,21 +347,27 @@ func runMatrix(quick bool, runs int, progress io.Writer) (*BenchReport, error) {
 		rep.Cases = append(rep.Cases, bc)
 		d.Close()
 	}
-	// The batched primal-dual with default options on the uniform family:
-	// its dual rounds between the per-batch gather passes are the
-	// algorithm-compute layer this cell puts on the clock.
+	// iterSetCover δ=½ and the batched primal-dual, each with default
+	// options on the uniform family: iter's projection store and offline
+	// sub-solves, and pd's dual rounds between its per-batch gather passes,
+	// are the algorithm-compute layer these cells put on the clock.
 	d, err := scdisk.Open(files["uniform"])
 	if err != nil {
 		return nil, err
 	}
-	bc, err := measureSolve("solve/pd/uniform/readat", d, runs, primalDual)
-	d.Close()
-	if err != nil {
-		return nil, err
+	defer d.Close()
+	for _, c := range []struct {
+		name  string
+		solve solveFunc
+	}{{"solve/iter/uniform/readat", iterHalf}, {"solve/pd/uniform/readat", primalDual}} {
+		bc, err := measureSolve(c.name, d, runs, c.solve)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(progress, "scbench: %-28s %8.2fms %8.1f MB/s  pool_locks=%d\n",
+			bc.Name, float64(bc.NsPerPass)/1e6, bc.MBPerSec, bc.PoolLocks)
+		rep.Cases = append(rep.Cases, bc)
 	}
-	fmt.Fprintf(progress, "scbench: %-28s %8.2fms %8.1f MB/s  pool_locks=%d\n",
-		bc.Name, float64(bc.NsPerPass)/1e6, bc.MBPerSec, bc.PoolLocks)
-	rep.Cases = append(rep.Cases, bc)
 
 	// The dynamic-maintenance pair: a from-scratch solve of a mutable uniform
 	// family versus an incremental re-solve after a 1% mutation batch. The
@@ -670,6 +678,15 @@ type solveFunc func(d *scdisk.Repo, engOpts ...engine.Options) (setcover.Stats, 
 
 func greedy1(d *scdisk.Repo, engOpts ...engine.Options) (setcover.Stats, error) {
 	return baseline.OnePassGreedy(d, engOpts...)
+}
+
+func iterHalf(d *scdisk.Repo, engOpts ...engine.Options) (setcover.Stats, error) {
+	opts := core.DefaultOptions()
+	if len(engOpts) > 0 {
+		opts.Engine = engOpts[0]
+	}
+	res, err := core.IterSetCover(d, opts)
+	return res.Stats, err
 }
 
 func primalDual(d *scdisk.Repo, engOpts ...engine.Options) (setcover.Stats, error) {

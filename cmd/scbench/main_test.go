@@ -119,7 +119,7 @@ func TestMeasureSmoke(t *testing.T) {
 				t.Fatalf("%s w=%d: traced segmented=%v chunks=%d wait=%vms", be.name, w, bc.Segmented, bc.Chunks, bc.WaitMs)
 			}
 		}
-		for _, solve := range []solveFunc{greedy1, primalDual} {
+		for _, solve := range []solveFunc{greedy1, primalDual, iterHalf} {
 			bc, err := measureSolve("solve/smoke/"+be.name, d, 2, solve)
 			if err != nil {
 				t.Fatal(err)

@@ -104,19 +104,21 @@ func OnePassGreedy(repo stream.Repository, engOpts ...engine.Options) (setcover.
 
 	weight := stream.WeightFunc(repo)
 	stored := &setcover.Instance{N: repo.UniverseSize()}
+	// One charge per batch: the pass only grows, so the peak is the same.
 	if err := eng.Run(repo, engine.Func(func(batch []setcover.Set) {
+		var w int64
 		for _, s := range batch {
 			cp := make([]setcover.Elem, len(s.Elems))
 			copy(cp, s.Elems)
 			stored.Sets = append(stored.Sets, setcover.Set{ID: s.ID, Elems: cp})
-			w := stream.WordsForElems(len(cp)) + 1
+			w += stream.WordsForElems(len(cp)) + 1
 			if weight != nil {
 				// Storing the input includes storing its costs: one word each.
 				stored.Weights = append(stored.Weights, weight(s.ID))
 				w++
 			}
-			tracker.Grow(w)
 		}
+		tracker.Grow(w)
 	})); err != nil {
 		return failPass(st, repo, passes0, tracker, err)
 	}
@@ -602,15 +604,15 @@ func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts ...engine.Option
 
 		// Pass A: store every set's projection onto the sample (plus its
 		// cost, one word, on weighted repositories — the offline solve below
-		// needs it).
+		// needs it), charged once per batch.
 		var projWords int64
-		proj.Reset()
 		errA := eng.Run(repo, engine.Func(func(batch []setcover.Set) {
+			var w int64
 			for _, set := range batch {
-				w := proj.Add(set.ID, set.Elems, s)
-				projWords += w
-				tracker.Grow(w)
+				w += proj.Add(set.ID, set.Elems, s)
 			}
+			projWords += w
+			tracker.Grow(w)
 		}))
 		if errA != nil {
 			return failPass(st, repo, passes0, tracker, errA)

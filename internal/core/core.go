@@ -344,10 +344,15 @@ type sizeTestObserver struct {
 	tracker *stream.Tracker
 }
 
+// Observe charges the batch's words with one Grow. Charges within a pass
+// only grow, so the tracker's peak is the same as with one charge per set.
 func (o *sizeTestObserver) Observe(batch []setcover.Set) {
+	var w int64
 	for _, s := range batch {
-		o.g.observe(s, *o.opts, o.weight, o.tracker)
+		w += o.g.observe(s, o.opts, o.weight)
 	}
+	o.g.iterWords += w
+	o.tracker.Grow(w)
 }
 
 // recomputeObserver runs pass 2 of an iteration: subtract everything this
@@ -459,36 +464,36 @@ func (g *guessRun) beginIteration(rng *rand.Rand, n, m int, opts Options, tracke
 	tracker.Grow(g.iterWords)
 }
 
-// observe processes one streamed set during pass 1 (the Size Test). weight
-// is nil on unweighted repositories; when present, the Size Test generalizes
-// from coverage to cost-effectiveness — a set is heavy when it covers at
-// least (|S|/k)·cost(r) sampled leftovers, i.e. when its coverage per unit
-// cost clears the same |S|/k bar the unweighted test sets. A unit-weight
-// vector multiplies the threshold by exactly 1.0, so the weighted path is
+// observe processes one streamed set during pass 1 (the Size Test) and
+// returns the words it stored. weight is nil on unweighted repositories;
+// when present, the Size Test generalizes from coverage to
+// cost-effectiveness — a set is heavy when it covers at least
+// (|S|/k)·cost(r) sampled leftovers, i.e. when its coverage per unit cost
+// clears the same |S|/k bar the unweighted test sets. A unit-weight vector
+// multiplies the threshold by exactly 1.0, so the weighted path is
 // byte-identical to the unweighted one on all-ones weights.
-func (g *guessRun) observe(s setcover.Set, opts Options, weight func(int) float64, tracker *stream.Tracker) {
-	inL := g.left.IntersectionWithSlice(s.Elems)
-	if inL == 0 {
-		return
+//
+// The set is walked once: its projection r∩L is stored first, and the
+// count just stored is |r∩L|. A heavy set is popped again.
+func (g *guessRun) observe(s setcover.Set, opts *Options, weight func(int) float64) int64 {
+	stored := g.proj.Elems()
+	w := g.proj.Add(s.ID, s.Elems, g.left)
+	if w == 0 {
+		return 0
 	}
 	threshold := float64(g.sampleSize) / float64(g.k)
 	if weight != nil {
 		threshold *= weight(s.ID)
 	}
-	if !opts.DisableSizeTest && float64(inL) >= threshold {
-		// Heavy: take it now, no storage needed beyond its ID.
-		g.sol = append(g.sol, s.ID)
-		g.newPicks.Set(s.ID)
-		g.left.SubtractSlice(s.Elems)
-		w := int64(2) // one ID in sol, one in newPicks
-		g.iterWords += w
-		tracker.Grow(w)
-		return
+	if opts.DisableSizeTest || float64(g.proj.Elems()-stored) < threshold {
+		return w // small: the projection stays stored (Figure 1.3)
 	}
-	// Small: store the projection r∩L explicitly (Figure 1.3).
-	w := g.proj.Add(s.ID, s.Elems, g.left)
-	g.iterWords += w
-	tracker.Grow(w)
+	// Heavy: take it now, no storage needed beyond its ID.
+	g.proj.Pop()
+	g.sol = append(g.sol, s.ID)
+	g.newPicks.Set(s.ID)
+	g.left.SubtractSlice(s.Elems)
+	return 2 // one ID in sol, one in newPicks
 }
 
 // solveOffline covers the sampled leftovers L from the stored projections

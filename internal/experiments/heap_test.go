@@ -11,39 +11,91 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/maxcover"
 	"repro/internal/obs"
 	"repro/internal/offline"
+	"repro/internal/pd"
 	"repro/internal/scdisk"
+	"repro/internal/scdyn"
+	"repro/internal/setcover"
 	"repro/internal/stream"
 )
 
 // TestLiveHeapTracksSpaceMeter checks the space meter against real memory
-// for the two algorithms that keep a projection store: the live heap at
-// every pass end, above a baseline taken before the solve, stays within
-// 2× the peak words the meter charged (8 bytes a word). The lower bounds
-// this repository reproduces are stated in that meter, so a store whose
-// heap outgrows its charge would make the space column meaningless.
+// for every set-stream algorithm `setcover -algo` accepts: the live heap at
+// every pass end, above a baseline, stays within 2× the peak words the
+// meter charged (8 bytes a word). iter δ=⅓ is also sampled at the entry of
+// every offline solve, through a sampling offline.Solver, because pass ends
+// miss the projection store's peak between passes. The lower bounds this
+// repository reproduces are stated in that meter, so a store whose heap
+// outgrows its charge would make the space column meaningless.
 //
 // The input is E18's family (planted, m = 2n, OPT = 16), read from an SCB1
-// file so the repository itself holds no sets in the heap. One warm-up pass
-// fills the decode pool, stream infrastructure the meter does not charge,
-// before the baseline is taken.
+// file so the repository itself holds no sets in the heap. The baseline is
+// taken at the end of a warm-up pass, which fills the decode arenas and
+// holds the same per-pass objects a sample sees (engine, reader, trace
+// record), stream infrastructure the meter does not charge. Each reading
+// collects twice, so pooled batch buffers, also uncharged infrastructure,
+// are in no reading: with one collection a buffer still in a pool's victim
+// cache moves a reading by about 8 KB either way.
+//
+// A solve's fixed objects (its engine, closures, slice and bitset headers)
+// come to about half a kilobyte that no word of the meter stands for, and
+// the runtime's own caches move a reading by up to another half. A solve
+// charged under minWords words (2 KB) is below that resolution, so it is
+// logged but not held to the bound. On this family that is threshold alone
+// (32, 91 and 133 words), whose ratios read 1.9–2.4, 1.4–2.0 and 1.6–1.7
+// over repeated runs; every other reading charges 544 words or more.
 //
 // The test reads the process-wide live heap, so it must not run in
 // parallel with other tests.
 func TestLiveHeapTracksSpaceMeter(t *testing.T) {
-	const bound = 2.0
+	const bound, minWords = 2.0, 256
+	stats := func(st setcover.Stats, err error) (int64, error) { return st.SpaceWords, err }
+	iter := func(repo stream.Repository, eng engine.Options, off offline.Solver) (int64, error) {
+		res, err := core.IterSetCover(repo, core.Options{Delta: 1.0 / 3.0, Offline: off, Seed: 1, Engine: eng})
+		return res.SpaceWords, err
+	}
+	// Each solve charges its words through eng, whose Tracer samples the
+	// heap at pass ends; sample takes one more sample anywhere.
 	solvers := []struct {
 		name  string
-		solve func(stream.Repository, engine.Options) (int64, error)
+		solve func(repo stream.Repository, eng engine.Options, sample func()) (int64, error)
 	}{
-		{"iter δ=1/3", func(repo stream.Repository, eng engine.Options) (int64, error) {
-			res, err := core.IterSetCover(repo, core.Options{Delta: 1.0 / 3.0, Offline: offline.Greedy{}, Seed: 1, Engine: eng})
+		{"iter δ=1/3", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
+			return iter(repo, eng, offline.Greedy{})
+		}},
+		{"iter δ=1/3 offline-solve entry", func(repo stream.Repository, eng engine.Options, sample func()) (int64, error) {
+			eng.Tracer = nil
+			return iter(repo, eng, samplingSolver{offline.Greedy{}, sample})
+		}},
+		{"dimv14 δ=1/2", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
+			return stats(baseline.DIMV14(repo, baseline.DIMV14Options{Delta: 0.5, Seed: 1}, eng))
+		}},
+		{"greedy1", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
+			return stats(baseline.OnePassGreedy(repo, eng))
+		}},
+		{"greedyn", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
+			return stats(baseline.MultiPassGreedy(repo, eng))
+		}},
+		{"threshold", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
+			return stats(baseline.ThresholdGreedy(repo, eng))
+		}},
+		{"er14", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
+			return stats(baseline.EmekRosen(repo, eng))
+		}},
+		{"cw16 p=2", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
+			return stats(baseline.ChakrabartiWirth(repo, 2, eng))
+		}},
+		{"sg09", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
+			return stats(maxcover.SahaGetoorSetCover(repo, eng))
+		}},
+		{"pd", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
+			res, err := pd.BatchedPrimalDual(repo, pd.Options{Engine: eng})
 			return res.SpaceWords, err
 		}},
-		{"dimv14 δ=1/2", func(repo stream.Repository, eng engine.Options) (int64, error) {
-			st, err := baseline.DIMV14(repo, baseline.DIMV14Options{Delta: 0.5, Seed: 1}, eng)
-			return st.SpaceWords, err
+		{"dyn", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
+			return stats(scdyn.Solve(repo, eng))
 		}},
 	}
 	dir := t.TempDir()
@@ -60,43 +112,58 @@ func TestLiveHeapTracksSpaceMeter(t *testing.T) {
 			heap, words := peakLiveHeap(t, path, s.solve)
 			ratio := float64(heap) / float64(8*words)
 			t.Logf("n=%d %s: live heap %d B, meter %d words, ratio %.2f", n, s.name, heap, words, ratio)
-			if ratio > bound {
+			if ratio > bound && words >= minWords {
 				t.Errorf("n=%d %s: live heap is %.2f× the space meter, want ≤ %.1f×", n, s.name, ratio, bound)
 			}
 		}
 	}
 }
 
+// samplingSolver samples the live heap as each offline solve begins, with
+// the projection store filled and the sub-instance built.
+type samplingSolver struct {
+	offline.Solver
+	sample func()
+}
+
+func (s samplingSolver) Solve(in *setcover.Instance) ([]int, error) {
+	s.sample()
+	return s.Solver.Solve(in)
+}
+
 // peakLiveHeap solves the SCB1 file at path at Workers 1 and returns the
-// peak live heap above the pre-solve baseline, sampled after a GC at every
-// pass end, with the solve's charged space words.
-func peakLiveHeap(t *testing.T, path string, solve func(stream.Repository, engine.Options) (int64, error)) (peak uint64, words int64) {
+// peak live heap above the baseline, sampled at every pass end and wherever
+// the solve calls sample, with the solve's charged space words.
+func peakLiveHeap(t *testing.T, path string, solve func(stream.Repository, engine.Options, func()) (int64, error)) (peak uint64, words int64) {
 	t.Helper()
 	repo, err := scdisk.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer repo.Close()
-	eng := engine.Options{Workers: 1}
-	if err := engine.New(eng).Run(repo); err != nil {
-		t.Fatal(err)
-	}
-	base := liveHeapBytes()
-	eng.Tracer = obs.TracerFunc(func(obs.PassTrace) {
+	var base uint64
+	sample := func() {
 		if h := liveHeapBytes(); h > base {
 			peak = max(peak, h-base)
 		}
-	})
-	words, err = solve(repo, eng)
+	}
+	atPassEnd := obs.TracerFunc(func(obs.PassTrace) { sample() })
+	eng := engine.Options{Workers: 1, Tracer: obs.TracerFunc(func(obs.PassTrace) { base = liveHeapBytes() })}
+	if err := engine.New(eng).Run(repo); err != nil {
+		t.Fatal(err)
+	}
+	eng.Tracer = atPassEnd
+	words, err = solve(repo, eng, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return peak, words
 }
 
-// liveHeapBytes collects garbage and returns the bytes of live heap objects
-// the collection marked.
+// liveHeapBytes collects garbage twice, which empties every sync.Pool, and
+// returns the bytes of live heap objects the last collection marked.
 func liveHeapBytes() uint64 {
+	runtime.GC()
 	runtime.GC()
 	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	metrics.Read(s)

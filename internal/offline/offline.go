@@ -116,12 +116,13 @@ func GreedyPicks(sets []setcover.Set, weights []float64, covered *bitset.Bitset,
 		return eg - ew
 	}
 	gains := make([]int32, len(sets))
-	// beats reports whether set a has a better ratio than set b.
+	// beats reports whether set a has a better ratio than set b. Unit
+	// costs compare the integer gains themselves.
 	beats := func(a, b int32) bool {
-		x, y := float64(gains[a]), float64(gains[b])
-		if weights != nil {
-			x, y = x*weights[b], y*weights[a]
+		if weights == nil {
+			return gains[a] > gains[b] || gains[a] == gains[b] && a < b
 		}
+		x, y := float64(gains[a])*weights[b], float64(gains[b])*weights[a]
 		return x > y || x == y && a < b
 	}
 
@@ -130,10 +131,19 @@ func GreedyPicks(sets []setcover.Set, weights []float64, covered *bitset.Bitset,
 	// then fill, so it costs one int32 per incidence and nothing more. The
 	// count pass leaves start[e] at the end of e's range and the fill pass
 	// counts it back down, so index[start[e]:start[e+1]] lists the sets
-	// holding e.
+	// holding e. From an empty cover every incidence is uncovered, and
+	// both passes skip the membership test.
 	n := covered.Len()
 	start := make([]int32, n+1)
+	fresh := covered.Empty()
 	for id, s := range sets {
+		if fresh {
+			gains[id] = int32(len(s.Elems))
+			for _, e := range s.Elems {
+				start[e]++
+			}
+			continue
+		}
 		for _, e := range s.Elems {
 			if !covered.Test(int(e)) {
 				gains[id]++
@@ -150,7 +160,7 @@ func GreedyPicks(sets []setcover.Set, weights []float64, covered *bitset.Bitset,
 			continue
 		}
 		for _, e := range s.Elems {
-			if !covered.Test(int(e)) {
+			if fresh || !covered.Test(int(e)) {
 				start[e]--
 				index[start[e]] = int32(id)
 			}

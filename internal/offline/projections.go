@@ -59,27 +59,43 @@ func (p *Projections) Add(id int, elems []setcover.Elem, mask *bitset.Bitset) in
 	return w
 }
 
+// Pop removes the projection the last Add stored, with its ID and cost.
+// The store must not be empty.
+func (p *Projections) Pop() {
+	last := len(p.ends) - 1
+	start := 0
+	if last > 0 {
+		start = int(p.ends[last-1])
+	}
+	p.elems, p.ends, p.ids = p.elems[:start], p.ends[:last], p.ids[:last]
+	if p.weight != nil {
+		p.costs = p.costs[:last]
+	}
+}
+
 // Elems returns the total number of stored elements.
 func (p *Projections) Elems() int { return len(p.elems) }
 
 // Solve covers mask from the stored projections with solver and returns the
 // chosen stream IDs in the solver's order. Elements are numbered by their
 // rank in mask. Stored elements no longer in mask are dropped (L may shrink
-// after Add), and so are projections left empty. The solver's sets are
-// views into one exact-size arena.
+// after Add), and so are projections left empty.
+//
+// The ranks overwrite the stored elements in place, and the IDs and costs
+// of the kept projections move down in place: each write index trails its
+// read index. The solver's sets are capacity-clipped views into the arena
+// and its weights a view into the costs, valid until the next Add or Reset.
+// Solve leaves the store empty.
 func (p *Projections) Solve(mask *bitset.Bitset, solver Solver) ([]int, error) {
-	// The arena repeats elements across projections; the count includes
-	// every occurrence, which is the size the solver's sets need.
-	arena := make([]setcover.Elem, mask.IntersectionWithSlice(p.elems))
+	defer p.Reset()
 	ranks := mask.Ranks()
-	sub := &setcover.Instance{N: mask.Count()}
-	var ids []int
+	sub := &setcover.Instance{N: mask.Count(), Sets: make([]setcover.Set, 0, len(p.ends))}
 	at, start := 0, 0
 	for i, end := range p.ends {
 		from := at
 		for _, e := range p.elems[start:end] {
 			if r, ok := ranks.Rank(int(e)); ok {
-				arena[at] = setcover.Elem(r)
+				p.elems[at] = setcover.Elem(r)
 				at++
 			}
 		}
@@ -87,18 +103,22 @@ func (p *Projections) Solve(mask *bitset.Bitset, solver Solver) ([]int, error) {
 		if at == from {
 			continue
 		}
-		sub.Sets = append(sub.Sets, setcover.Set{ID: len(sub.Sets), Elems: arena[from:at:at]})
-		ids = append(ids, p.ids[i])
+		j := len(sub.Sets)
+		sub.Sets = append(sub.Sets, setcover.Set{ID: j, Elems: p.elems[from:at:at]})
+		p.ids[j] = p.ids[i]
 		if p.weight != nil {
-			sub.Weights = append(sub.Weights, p.costs[i])
+			p.costs[j] = p.costs[i]
 		}
+	}
+	if p.weight != nil {
+		sub.Weights = p.costs[:len(sub.Sets):len(sub.Sets)]
 	}
 	cover, err := solver.Solve(sub)
 	if err != nil {
 		return nil, err
 	}
 	for i, sid := range cover {
-		cover[i] = ids[sid]
+		cover[i] = p.ids[sid]
 	}
 	return cover, nil
 }

@@ -106,11 +106,25 @@ func randomFamily(rng *rand.Rand, n, m int) []setcover.Set {
 	return sets
 }
 
+// wantCharge is what Add must charge for a projection of k elements.
+func wantCharge(k int, weighted bool) int64 {
+	if k == 0 {
+		return 0
+	}
+	w := stream.WordsForElems(k) + 1
+	if weighted {
+		w++
+	}
+	return w
+}
+
 // Property: the sub-instance Projections hands its solver equals the one
 // the map-and-Normalize code builds, including when the mask loses members
 // between Add and Solve (iterSetCover's L shrinks during pass 1); Solve
-// returns stream IDs in the solver's order; Add charges the packed
-// projection plus its ID word, plus a cost word when weighted.
+// returns stream IDs in the solver's order and leaves the store empty; Add
+// charges the packed projection plus its ID word, plus a cost word when
+// weighted; and a set that is added and popped at once (the Size Test's
+// heavy set) leaves nothing behind: no element, ID or cost.
 func TestPropProjectionsMatchRestrict(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	costs := func(id int) float64 { return 1 + float64(id%7)/4 }
@@ -134,19 +148,37 @@ func TestPropProjectionsMatchRestrict(t *testing.T) {
 		}
 
 		// Fill twice: Reset must leave nothing of the first fill behind.
+		// Each fill also adds a set that is not in the family at a random
+		// position and pops it at once.
 		for fill := 0; fill < 2; fill++ {
 			store.Reset()
 			stored := 0
-			for _, s := range sets {
-				k := addMask.IntersectionWithSlice(s.Elems)
-				want := int64(0)
-				if k > 0 {
-					want = stream.WordsForElems(k) + 1
-					if weight != nil {
-						want++
+			popAt := rng.Intn(len(sets) + 1)
+			for i := 0; i <= len(sets); i++ {
+				if i == popAt {
+					extra := randomFamily(rng, n, 1)[0]
+					if ms := addMask.Slice(); len(ms) > 0 {
+						extra.Elems = append(extra.Elems, setcover.Elem(ms[rng.Intn(len(ms))]))
+						slices.Sort(extra.Elems)
+						extra.Elems = slices.Compact(extra.Elems)
+					}
+					k := addMask.IntersectionWithSlice(extra.Elems)
+					if got, want := store.Add(m+1+fill, extra.Elems, addMask), wantCharge(k, weight != nil); got != want {
+						t.Fatalf("trial %d: Add(extra set) charged %d words, want %d", trial, got, want)
+					}
+					if k > 0 {
+						store.Pop()
+					}
+					if store.Elems() != stored {
+						t.Fatalf("trial %d: Elems() = %d after Pop, want %d", trial, store.Elems(), stored)
 					}
 				}
-				if got := store.Add(s.ID, s.Elems, addMask); got != want {
+				if i == len(sets) {
+					break
+				}
+				s := sets[i]
+				k := addMask.IntersectionWithSlice(s.Elems)
+				if got, want := store.Add(s.ID, s.Elems, addMask), wantCharge(k, weight != nil); got != want {
 					t.Fatalf("trial %d: Add(set %d) charged %d words, want %d", trial, s.ID, got, want)
 				}
 				stored += k
@@ -160,6 +192,9 @@ func TestPropProjectionsMatchRestrict(t *testing.T) {
 		got, err := store.Solve(solveMask, &solver)
 		if err != nil {
 			t.Fatalf("trial %d: Solve: %v", trial, err)
+		}
+		if store.Elems() != 0 {
+			t.Fatalf("trial %d: Elems() = %d after Solve, want an empty store", trial, store.Elems())
 		}
 		want, origIDs := restrictRef(sets, weight, addMask, solveMask)
 		sub := solver.sub

@@ -36,6 +36,20 @@ type farSum struct {
 	y float64
 }
 
+// stallSum returns y_s, the value at which the repeated sum y += ε stops
+// growing: the smallest power of two whose ulp is at least 2ε, that is
+// 2^(53+⌈log₂ε⌉). Every binade below it has an ulp under 2ε, so each add
+// there moves the sum up by at least one ulp and never past the next power
+// of two; at y_s the add rounds back (a tie keeps y_s's even mantissa). It
+// is +Inf when that power of two is beyond the float range.
+func stallSum(eps float64) float64 {
+	frac, exp := math.Frexp(eps) // eps = frac·2^exp, frac ∈ [½, 1)
+	if frac == 0.5 {
+		exp-- // eps is the power of two 2^(exp-1)
+	}
+	return math.Ldexp(1, exp+53)
+}
+
 func newDuals(m int, eps float64, weightOf func(int) float64) *duals {
 	d := float64(m)
 	return &duals{

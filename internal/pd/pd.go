@@ -46,6 +46,7 @@
 package pd
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -103,6 +104,10 @@ func ParseMode(s string) (Mode, error) {
 	}
 	return 0, fmt.Errorf("pd: unknown mode %q (want dedicated or trivial)", s)
 }
+
+// ErrDualStall reports an ε so small that the repeated dual sums stop
+// growing before some element can be covered: the solve could never end.
+var ErrDualStall = errors.New("pd: dual sums stall below coverage")
 
 // Options configures BatchedPrimalDual. The zero value is usable: dedicated
 // mode, ε = DefaultEpsilon, ElemBatch = DefaultElemBatch, engine defaults.
@@ -185,6 +190,7 @@ func BatchedPrimalDual(repo stream.Repository, opts Options) (Result, error) {
 
 	// Primal x and the raise counts live for the whole run: 2m words.
 	du := newDuals(m, eps, weightOf)
+	ys := stallSum(eps)
 	tracker.Grow(2 * int64(m))
 
 	maxFreq := 0
@@ -242,6 +248,22 @@ func BatchedPrimalDual(repo stream.Repository, opts Options) (Result, error) {
 		steps := math.Ceil(maxMinCost / eps)
 		if !(steps < math.MaxInt64) {
 			return fail(fmt.Errorf("pd: batch [%d,%d) needs a round cap of %.4g, beyond the int range (eps=%g)", lo, hi, steps+2, eps))
+		}
+		// The cap also assumes the sums reach maxMinCost one ε at a time,
+		// but they stop growing at ys. Below maxMinCost, an element whose
+		// coverage with every one of its sets at ys is under 1 can never be
+		// covered, as x only grows with Y.
+		if ys <= maxMinCost {
+			for i, sets := range inc {
+				cov := 0.0
+				for _, j := range sets {
+					cov += du.xAt(costOf(int(j)), ys)
+				}
+				if cov < 1 {
+					return fail(fmt.Errorf("%w: batch [%d,%d): sums of eps=%g stop growing at %g, where element %d reaches coverage %.4g",
+						ErrDualStall, lo, hi, eps, ys, lo+i, cov))
+				}
+			}
 		}
 		roundCap := int(steps) + 2
 		rounds, ok := du.raiseBatch(inc, roundCap)

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
@@ -320,6 +321,57 @@ func TestRoundCapOverflow(t *testing.T) {
 	}
 	if res.Rounds != 0 || res.Passes != 1 {
 		t.Fatalf("rounds=%d passes=%d, want 0 rounds after the one gather pass", res.Rounds, res.Passes)
+	}
+}
+
+// An ε whose dual sums stall below coverage fails after the first gather
+// pass instead of running about 10^17 rounds: at ε = 1e-17 every sum stops
+// at 0.125, where a lone set's x is about 0.09.
+func TestDualStallFailsFast(t *testing.T) {
+	in := &setcover.Instance{N: 3, Sets: []setcover.Set{{ID: 0, Elems: []setcover.Elem{0, 1, 2}}}}
+	start := time.Now()
+	res, err := BatchedPrimalDual(stream.NewSliceRepo(in), Options{Epsilon: 1e-17})
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("eps=1e-17 took %v, want under 1s", took)
+	}
+	if !errors.Is(err, ErrDualStall) {
+		t.Fatalf("err = %v, want ErrDualStall", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "eps=1e-17") || !strings.Contains(msg, "at 0.125") {
+		t.Fatalf("error %q must name eps=1e-17 and the stall value 0.125", msg)
+	}
+	if res.Rounds != 0 || res.Passes != 1 {
+		t.Fatalf("rounds=%d passes=%d, want 0 rounds after the one gather pass", res.Rounds, res.Passes)
+	}
+}
+
+// stallSum is exactly where y += ε stops: y_s + ε rounds back to y_s, and
+// the float just below y_s still grows.
+func TestStallSum(t *testing.T) {
+	for _, c := range []struct {
+		eps, ys float64
+	}{
+		{1e-17, 0.125},
+		{2e-17, 0.25},
+		{1e-16, 1},
+		{1e-3, 1 << 44},
+		{0.5, 1 << 52},
+		{0x1p-60, 0x1p-7},
+		{5e-324, 0x1p-1021},
+	} {
+		ys := stallSum(c.eps)
+		if ys != c.ys {
+			t.Errorf("stallSum(%g) = %g, want %g", c.eps, ys, c.ys)
+		}
+		if ys+c.eps != ys {
+			t.Errorf("eps=%g: %g + eps grows", c.eps, ys)
+		}
+		if below := math.Nextafter(ys, 0); below+c.eps <= below {
+			t.Errorf("eps=%g: the float below %g does not grow", c.eps, ys)
+		}
+	}
+	if ys := stallSum(math.MaxFloat64); !math.IsInf(ys, 1) {
+		t.Errorf("stallSum(MaxFloat64) = %g, want +Inf", ys)
 	}
 }
 

@@ -47,6 +47,7 @@ func FuzzNewRepo(f *testing.F) {
 	f.Add(plain.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("SCB1"))
+	f.Add(headerOnlySCB1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := NewRepo(bytes.NewReader(data), int64(len(data)))

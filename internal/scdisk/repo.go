@@ -168,6 +168,12 @@ func NewRepo(r io.ReaderAt, size int64) (*Repo, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every set takes at least its count byte. Solvers size state by m, so
+	// a header claiming more sets than the file has bytes fails here, not
+	// after they allocate for it.
+	if int64(m) > size-int64(k) {
+		return nil, fmt.Errorf("scdisk: header claims %d sets but only %d bytes follow it", m, size-int64(k))
+	}
 	d := &Repo{r: r, size: size, n: n, m: m, dataOff: int64(k)}
 	if err := d.loadIndex(); err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -365,6 +366,31 @@ func TestCoincidentalTrailerMagicStillOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectPlainDegrade(t, data, in)
+}
+
+// headerOnlySCB1 is a plain SCB1 header with no set data: n = 8 and
+// m = 4,194,304 (the varint 80 80 80 02), nine bytes in all.
+var headerOnlySCB1 = []byte("SCB1\x08\x80\x80\x80\x02")
+
+// A header that claims more sets than the file has bytes fails at open:
+// every set takes at least its count byte, and solvers size their state by
+// m before the first pass could find the data missing.
+func TestHeaderClaimingMoreSetsThanBytesFailsOpen(t *testing.T) {
+	if _, m, _, err := setcover.DecodeBinaryHeader(headerOnlySCB1); err != nil || m != 1<<22 {
+		t.Fatalf("test construction broken: header decodes to m=%d, err=%v", m, err)
+	}
+	_, err := NewRepo(bytes.NewReader(headerOnlySCB1), int64(len(headerOnlySCB1)))
+	if err == nil || !strings.Contains(err.Error(), "claims 4194304 sets but only 0 bytes") {
+		t.Fatalf("NewRepo = %v, want the set-count bound error", err)
+	}
+	if _, err := NewRepoBytes(headerOnlySCB1); err == nil {
+		t.Fatal("NewRepoBytes accepted the header-only file")
+	}
+	// One count byte per set is exactly enough: m empty sets open.
+	ok := append([]byte("SCB1\x08\x03"), 0, 0, 0)
+	if _, err := NewRepo(bytes.NewReader(ok), int64(len(ok))); err != nil {
+		t.Fatalf("three empty sets: %v", err)
+	}
 }
 
 // Concurrent passes must not interfere: each reader owns its window.

@@ -64,6 +64,7 @@ const (
 	CodeUnknownJob      = "unknown_job"      // 404: job id not found
 	CodeQueueFull       = "queue_full"       // 429: solve queue at capacity
 	CodeInfeasible      = "infeasible"       // 422: the instance has no (partial) cover
+	CodeDualStall       = "dual_stall"       // 422: pd's eps is too small for its dual sums to reach coverage
 	CodeSolveFailed     = "solve_failed"     // 500: solver error
 	CodePassFailed      = "pass_failed"      // 502: a pass died mid-stream (bad storage)
 	CodeWeightMismatch  = "weight_mismatch"  // 400: the weights assertion block does not match the instance

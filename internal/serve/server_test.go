@@ -409,6 +409,28 @@ func TestInfeasibleInstanceReturns422(t *testing.T) {
 	}
 }
 
+// A pd eps whose dual sums stall below coverage is the caller's fault too:
+// 422 with its own code, and the solve gives its slot back.
+func TestPDStallingEpsReturns422(t *testing.T) {
+	cat, _ := testCatalog(t)
+	srv := NewServer(cat, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	code, _, apiErr := postSolve(t, ts.URL, map[string]any{"instance": "planted", "algo": "pd", "eps": 1e-17})
+	if code != 422 || apiErr == nil || apiErr.Code != CodeDualStall {
+		t.Fatalf("want 422 %s, got status %d err %+v", CodeDualStall, code, apiErr)
+	}
+	// The job publishes its failure just before it leaves the running
+	// gauge, so poll for the gauge to settle.
+	deadline := time.Now().Add(5 * time.Second)
+	for getMetrics(t, ts.URL)["setcoverd_jobs_running"] != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("setcoverd_jobs_running never returned to 0 after the failed solve")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // Parameter and addressing errors must be structured 4xx, spent before any
 // queue slot.
 func TestRequestValidation(t *testing.T) {

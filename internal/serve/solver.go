@@ -447,6 +447,8 @@ func classify(err error) (int, string) {
 	switch {
 	case errors.Is(err, setcover.ErrInfeasible):
 		return 422, CodeInfeasible
+	case errors.Is(err, pd.ErrDualStall):
+		return 422, CodeDualStall
 	case errors.Is(err, engine.ErrPassFailed):
 		return 502, CodePassFailed
 	default:
