@@ -23,10 +23,10 @@
 //     guesses" (Lemma 2.1) running as actual goroutines, and segmented
 //     parallel decode of the stream itself on capable repositories — tune
 //     it with Options.Engine / GeomOptions.Engine (EngineOptions) or the
-//     per-call trailing argument of the baselines and max-cover entry
-//     points. Passes that fail mid-stream (truncated or corrupt storage,
-//     or a stream that silently ends short) surface as errors from every
-//     solve entry point, never as covers built from a partial scan.
+//     EngineOptions argument of the baselines and max-cover entry points.
+//     Passes that fail mid-stream (truncated or corrupt storage, or a
+//     stream that silently ends short) surface as errors from every solve
+//     entry point, never as covers built from a partial scan.
 //
 // Quick start:
 //
@@ -232,11 +232,11 @@ var Reduce = offline.Reduce
 // for ratio reporting; exponential worst case).
 var OptSize = offline.OptSize
 
-// Baselines (the upper-bound rows of Figure 1.1). Every baseline accepts an
-// optional trailing EngineOptions value configuring the pass executor for
-// that call alone — the form concurrent solves with different configurations
-// must use (internal/serve does). With no options the engine defaults apply
-// (GOMAXPROCS workers). On repositories carrying per-set costs (see
+// Baselines (the upper-bound rows of Figure 1.1). Every baseline takes an
+// EngineOptions value configuring the pass executor for that call alone, so
+// concurrent solves can run with different configurations (internal/serve
+// does). The zero value means engine defaults (GOMAXPROCS workers). On
+// repositories carrying per-set costs (see
 // OpenFile and InstanceWriter.SetWeights) every baseline generalizes its
 // pick rule from coverage to cost-effectiveness; unit weights reduce
 // byte-identically to the unweighted behavior.
@@ -255,8 +255,8 @@ var (
 	// the same space as IterSetCover).
 	DIMV14 = baseline.DIMV14
 	// SahaGetoorSetCover is the faithful [SG09] algorithm: SetCover via
-	// repeated one-pass Max k-Cover. Like the baselines it accepts an
-	// optional trailing EngineOptions value for this call alone.
+	// repeated one-pass Max k-Cover. Like the baselines it takes an
+	// EngineOptions value for this call alone.
 	SahaGetoorSetCover = maxcover.SahaGetoorSetCover
 
 	// Partial (ε-Partial Set Cover) variants: cover at least a (1-ε)
@@ -267,7 +267,7 @@ var (
 	MultiPassGreedyPartial  = baseline.MultiPassGreedyPartial
 
 	// Max k-Cover primitives ([SG09]'s building block). The streaming
-	// variant accepts an optional trailing EngineOptions value per call.
+	// variant takes an EngineOptions value per call.
 	MaxKCoverGreedy    = maxcover.Greedy
 	MaxKCoverStreaming = maxcover.Streaming
 )

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/algos"
 )
 
 // End-to-end smoke test of the public façade: generate, stream, solve with
@@ -30,14 +32,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("passes = %d, want <= 4 at delta 1/2", res.Passes)
 	}
 
-	er, err := EmekRosen(NewRepository(in))
+	er, err := EmekRosen(NewRepository(in), EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !in.IsCover(er.Cover) {
 		t.Fatal("EmekRosen cover invalid")
 	}
-	cw, err := ChakrabartiWirth(NewRepository(in), 2)
+	cw, err := ChakrabartiWirth(NewRepository(in), 2, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +117,10 @@ func TestPublicAPITruncatedFileFailsLoudly(t *testing.T) {
 	if res, err := IterSetCover(d, Options{Delta: 0.5, Seed: 1}); err == nil {
 		t.Fatalf("IterSetCover returned a cover of %d sets from a truncated stream", len(res.Cover))
 	}
-	if st, err := EmekRosen(d); err == nil {
+	if st, err := EmekRosen(d, EngineOptions{}); err == nil {
 		t.Fatalf("EmekRosen returned a cover of %d sets from a truncated stream", len(st.Cover))
 	}
-	if st, err := SahaGetoorSetCover(d); err == nil {
+	if st, err := SahaGetoorSetCover(d, EngineOptions{}); err == nil {
 		t.Fatalf("SahaGetoorSetCover returned a cover of %d sets from a truncated stream", len(st.Cover))
 	}
 	if _, _, err := VerifyCover(d, []int{0, 1, 2}, EngineOptions{}); err == nil {
@@ -188,34 +190,25 @@ func TestPassesPerSolveOnSharedHandle(t *testing.T) {
 	}
 	defer disk.Close()
 
-	stats := func(st Stats, err error) (int, error) { return st.Passes, err }
-	solves := []struct {
+	type solve struct {
 		name  string
 		solve func(Repository) (int, error)
-	}{
-		{"greedy1", func(r Repository) (int, error) { return stats(OnePassGreedy(r)) }},
-		{"greedyn", func(r Repository) (int, error) { return stats(MultiPassGreedy(r)) }},
-		{"threshold", func(r Repository) (int, error) { return stats(ThresholdGreedy(r)) }},
-		{"er14", func(r Repository) (int, error) { return stats(EmekRosen(r)) }},
-		{"cw16", func(r Repository) (int, error) { return stats(ChakrabartiWirth(r, 3)) }},
-		{"dimv14", func(r Repository) (int, error) {
-			return stats(DIMV14(r, DIMV14Options{Delta: 0.5, Seed: 1}))
-		}},
-		{"sg09", func(r Repository) (int, error) { return stats(SahaGetoorSetCover(r)) }},
-		{"maxkcover", func(r Repository) (int, error) {
-			res, err := MaxKCoverStreaming(r, 10)
-			return res.Passes, err
-		}},
-		{"iter", func(r Repository) (int, error) {
-			res, err := IterSetCover(r, Options{Delta: 0.5, Seed: 1})
-			return res.Passes, err
-		}},
-		{"pd", func(r Repository) (int, error) {
-			res, err := BatchedPrimalDual(r, PDOptions{ElemBatch: 64})
-			return res.Passes, err
-		}},
-		{"dyn", func(r Repository) (int, error) { return stats(DynamicSolve(r, EngineOptions{})) }},
 	}
+	// Every algorithm of the table (cw16 at p = 3, pd at 64-element
+	// batches), plus the max-k-cover primitive.
+	p := algos.Defaults()
+	p.Passes, p.PD.ElemBatch = 3, 64
+	var solves []solve
+	for _, e := range algos.All() {
+		solves = append(solves, solve{e.Name, func(r Repository) (int, error) {
+			res, err := e.Solve(r, p)
+			return res.Passes, err
+		}})
+	}
+	solves = append(solves, solve{"maxkcover", func(r Repository) (int, error) {
+		res, err := MaxKCoverStreaming(r, 10, EngineOptions{})
+		return res.Passes, err
+	}})
 	for _, repo := range []Repository{NewRepository(in), disk} {
 		for _, s := range solves {
 			first, err := s.solve(repo)

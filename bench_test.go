@@ -25,7 +25,7 @@ var benchSink experiments.Table
 // paper's Figure 1.1 (every upper-bound algorithm on one instance).
 func BenchmarkFig11_AlgorithmTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E1Figure11(int64(i)+1, false)
+		benchSink = experiments.E1Figure11(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -34,7 +34,7 @@ func BenchmarkFig11_AlgorithmTable(b *testing.B) {
 // trade-off curve for iterSetCover.
 func BenchmarkThm28_DeltaSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E2DeltaSweep(int64(i)+1, false)
+		benchSink = experiments.E2DeltaSweep(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -52,7 +52,7 @@ func BenchmarkFig12_QuadraticRectangles(b *testing.B) {
 // disks, rectangles, and fat triangles with space flat in m.
 func BenchmarkThm46_Geometric(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E4Geometric(int64(i)+1, false)
+		benchSink = experiments.E4Geometric(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -61,7 +61,7 @@ func BenchmarkThm46_Geometric(b *testing.B) {
 // counting table (Lemma 4.4).
 func BenchmarkLem44_CanonicalCounts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E5CanonicalCounts(int64(i)+1, false)
+		benchSink = experiments.E5CanonicalCounts(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -70,7 +70,7 @@ func BenchmarkLem44_CanonicalCounts(b *testing.B) {
 // (Figure 3.1 / Theorem 3.8).
 func BenchmarkThm38_RecoverBits(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E6RecoverBits(int64(i)+1, false)
+		benchSink = experiments.E6RecoverBits(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -79,7 +79,7 @@ func BenchmarkThm38_RecoverBits(b *testing.B) {
 // check (Lemmas 5.5–5.7).
 func BenchmarkThm54_ISCReduction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E7ISCReduction(int64(i)+1, false)
+		benchSink = experiments.E7ISCReduction(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -87,7 +87,7 @@ func BenchmarkThm54_ISCReduction(b *testing.B) {
 // BenchmarkThm66_SparseLB regenerates the Section 6 sparse-instance table.
 func BenchmarkThm66_SparseLB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E8SparseLB(int64(i)+1, false)
+		benchSink = experiments.E8SparseLB(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -95,7 +95,7 @@ func BenchmarkThm66_SparseLB(b *testing.B) {
 // BenchmarkAblation_SizeTest regenerates the E9 size-test ablation.
 func BenchmarkAblation_SizeTest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E9AblationSizeTest(int64(i)+1, false)
+		benchSink = experiments.E9AblationSizeTest(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -103,7 +103,7 @@ func BenchmarkAblation_SizeTest(b *testing.B) {
 // BenchmarkAblation_Sampling regenerates the E10 sampling ablation.
 func BenchmarkAblation_Sampling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E10AblationSampling(int64(i)+1, false)
+		benchSink = experiments.E10AblationSampling(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -111,7 +111,7 @@ func BenchmarkAblation_Sampling(b *testing.B) {
 // BenchmarkAblation_OfflineSolver regenerates the E11 ρ ablation.
 func BenchmarkAblation_OfflineSolver(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E11AblationOffline(int64(i)+1, false)
+		benchSink = experiments.E11AblationOffline(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -119,7 +119,7 @@ func BenchmarkAblation_OfflineSolver(b *testing.B) {
 // BenchmarkLem25_RelativeApprox regenerates the Lemma 2.5 sampling check.
 func BenchmarkLem25_RelativeApprox(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E12RelativeApprox(int64(i)+1, false)
+		benchSink = experiments.E12RelativeApprox(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -127,7 +127,7 @@ func BenchmarkLem25_RelativeApprox(b *testing.B) {
 // BenchmarkExt_PartialCover regenerates the ε-Partial Set Cover table (E13).
 func BenchmarkExt_PartialCover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E13PartialCover(int64(i)+1, false)
+		benchSink = experiments.E13PartialCover(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -136,7 +136,7 @@ func BenchmarkExt_PartialCover(b *testing.B) {
 // ablation on the Figure 1.2 stream (E14).
 func BenchmarkExt_CanonicalAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E14CanonicalAblation(int64(i)+1, false)
+		benchSink = experiments.E14CanonicalAblation(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -145,7 +145,7 @@ func BenchmarkExt_CanonicalAblation(b *testing.B) {
 // streaming-to-communication table (E15).
 func BenchmarkObs59_ProtocolSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E15ProtocolSimulation(int64(i)+1, false)
+		benchSink = experiments.E15ProtocolSimulation(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -153,7 +153,7 @@ func BenchmarkObs59_ProtocolSimulation(b *testing.B) {
 // BenchmarkSG09_MaxKCover regenerates the Max k-Cover table (E16).
 func BenchmarkSG09_MaxKCover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E16MaxKCover(int64(i)+1, false)
+		benchSink = experiments.E16MaxKCover(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -161,7 +161,7 @@ func BenchmarkSG09_MaxKCover(b *testing.B) {
 // BenchmarkExt_TightnessTraps regenerates the worst-case trap table (E17).
 func BenchmarkExt_TightnessTraps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E17Tightness(int64(i)+1, false)
+		benchSink = experiments.E17Tightness(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -169,7 +169,7 @@ func BenchmarkExt_TightnessTraps(b *testing.B) {
 // BenchmarkThm28_ScalingSeries regenerates the n-sweep series (E18).
 func BenchmarkThm28_ScalingSeries(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E18Scaling(int64(i)+1, false)
+		benchSink = experiments.E18Scaling(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }
@@ -178,7 +178,7 @@ func BenchmarkThm28_ScalingSeries(b *testing.B) {
 // over the VC worst-case families (E19).
 func BenchmarkBatchedPrimalDual(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSink = experiments.E19PrimalDual(int64(i)+1, false)
+		benchSink = experiments.E19PrimalDual(int64(i)+1, false, EngineOptions{})
 	}
 	reportRows(b)
 }

@@ -39,12 +39,10 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
+	"repro/internal/algos"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/obs"
-	"repro/internal/pd"
 	"repro/internal/scdisk"
 	"repro/internal/scdyn"
 	"repro/internal/setcover"
@@ -317,7 +315,7 @@ func runMatrix(quick bool, runs int, progress io.Writer) (*BenchReport, error) {
 			// One solve case per (family, backend): greedy over the full
 			// stream, the bitset-hot-loop workload.
 			name := fmt.Sprintf("solve/greedy1/%s/%s", family, be.name)
-			bc, err := measureSolve(name, d, runs, greedy1)
+			bc, err := measureSolve(name, d, runs, "greedy1")
 			if err != nil {
 				d.Close()
 				return nil, err
@@ -337,7 +335,7 @@ func runMatrix(quick bool, runs int, progress io.Writer) (*BenchReport, error) {
 			return nil, err
 		}
 		name := fmt.Sprintf("solve/greedy1/weighted-skewed/%s", be.name)
-		bc, err := measureSolve(name, d, runs, greedy1)
+		bc, err := measureSolve(name, d, runs, "greedy1")
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -356,11 +354,8 @@ func runMatrix(quick bool, runs int, progress io.Writer) (*BenchReport, error) {
 		return nil, err
 	}
 	defer d.Close()
-	for _, c := range []struct {
-		name  string
-		solve solveFunc
-	}{{"solve/iter/uniform/readat", iterHalf}, {"solve/pd/uniform/readat", primalDual}} {
-		bc, err := measureSolve(c.name, d, runs, c.solve)
+	for _, algo := range []string{"iter", "pd"} {
+		bc, err := measureSolve("solve/"+algo+"/uniform/readat", d, runs, algo)
 		if err != nil {
 			return nil, err
 		}
@@ -672,37 +667,23 @@ func measureScan(name string, d *scdisk.Repo, workers, runs int) (BenchCase, err
 	return bc, nil
 }
 
-// solveFunc is one solve case's call: no engine options on the timed runs,
-// a tracer on the traced one.
-type solveFunc func(d *scdisk.Repo, engOpts ...engine.Options) (setcover.Stats, error)
-
-func greedy1(d *scdisk.Repo, engOpts ...engine.Options) (setcover.Stats, error) {
-	return baseline.OnePassGreedy(d, engOpts...)
-}
-
-func iterHalf(d *scdisk.Repo, engOpts ...engine.Options) (setcover.Stats, error) {
-	opts := core.DefaultOptions()
-	if len(engOpts) > 0 {
-		opts.Engine = engOpts[0]
-	}
-	res, err := core.IterSetCover(d, opts)
-	return res.Stats, err
-}
-
-func primalDual(d *scdisk.Repo, engOpts ...engine.Options) (setcover.Stats, error) {
-	var opts pd.Options
-	if len(engOpts) > 0 {
-		opts.Engine = engOpts[0]
-	}
-	res, err := pd.BatchedPrimalDual(d, opts)
-	return res.Stats, err
-}
-
-func measureSolve(name string, d *scdisk.Repo, runs int, solve solveFunc) (BenchCase, error) {
+// measureSolve times the table's algo at its default parameters: engine
+// defaults on the timed runs, a tracer on the traced one.
+func measureSolve(name string, d *scdisk.Repo, runs int, algo string) (BenchCase, error) {
 	bc := BenchCase{Name: name, Sets: d.NumSets(), Bytes: dataBytes(d), Runs: runs}
+	e, ok := algos.Lookup(algo)
+	if !ok {
+		return bc, fmt.Errorf("%s: unknown algorithm %q", name, algo)
+	}
+	solve := func(eng engine.Options) (setcover.Stats, error) {
+		p := algos.Defaults()
+		p.Engine = eng
+		res, err := e.Solve(d, p)
+		return res.Stats, err
+	}
 	refCover := -1
 	err := measure(&bc, d, runs, func() error {
-		st, err := solve(d)
+		st, err := solve(engine.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -717,7 +698,7 @@ func measureSolve(name string, d *scdisk.Repo, runs int, solve solveFunc) (Bench
 		return bc, err
 	}
 	rec := &obs.Recorder{}
-	if _, err := solve(d, engine.Options{Tracer: rec}); err != nil {
+	if _, err := solve(engine.Options{Tracer: rec}); err != nil {
 		return bc, fmt.Errorf("%s: traced run: %w", name, err)
 	}
 	traceFill(&bc, rec)

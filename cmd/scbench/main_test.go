@@ -119,8 +119,8 @@ func TestMeasureSmoke(t *testing.T) {
 				t.Fatalf("%s w=%d: traced segmented=%v chunks=%d wait=%vms", be.name, w, bc.Segmented, bc.Chunks, bc.WaitMs)
 			}
 		}
-		for _, solve := range []solveFunc{greedy1, primalDual, iterHalf} {
-			bc, err := measureSolve("solve/smoke/"+be.name, d, 2, solve)
+		for _, algo := range []string{"greedy1", "pd", "iter"} {
+			bc, err := measureSolve("solve/smoke/"+be.name, d, 2, algo)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -44,8 +44,10 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	ssc "repro"
+	"repro/internal/algos"
 )
 
 func main() {
@@ -58,13 +60,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("setcover", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		algo       = fs.String("algo", "iter", "algorithm: iter|greedy1|greedyn|threshold|sg09|er14|cw16|dimv14|pd|dyn")
+		algo       = fs.String("algo", algos.DefaultAlgo, "algorithm: "+strings.Join(algos.Names(), "|"))
 		inPath     = fs.String("in", "-", "instance file ('-' = stdin)")
 		format     = fs.String("format", "text", "instance access: text|binary (in-memory) | disk (stream the SCB1 file out-of-core)")
-		delta      = fs.Float64("delta", 0.5, "delta for iter/dimv14 (passes 2/delta, space ~ m*n^delta)")
-		passes     = fs.Int("passes", 2, "pass budget for cw16")
+		delta      = fs.Float64("delta", algos.DefaultDelta, "delta for iter/dimv14 (passes 2/delta, space ~ m*n^delta)")
+		passes     = fs.Int("passes", algos.DefaultPasses, "pass budget for cw16")
 		eps        = fs.Float64("eps", 0, "partial-cover slack: cover at least a (1-eps) fraction")
-		seed       = fs.Int64("seed", 1, "random seed")
+		seed       = fs.Int64("seed", algos.DefaultSeed, "random seed")
 		exact      = fs.Bool("exact-offline", false, "use the exact offline solver inside iter (rho = 1)")
 		workers    = fs.Int("workers", 0, "pass-engine worker goroutines: observer fan-out and, at >1 on indexed files, segmented parallel decode (0 = GOMAXPROCS)")
 		batch      = fs.Int("batch", 0, "pass-engine batch size (0 = default)")
@@ -87,9 +89,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// -workers/-batch tune the pass engine for every algorithm: iter takes
-	// them through Options.Engine below, the baselines as per-call engine
-	// options. Results are identical at every setting.
+	// -workers/-batch tune the pass engine for every algorithm. Results are
+	// identical at every setting.
 	engOpts := ssc.EngineOptions{Workers: *workers, BatchSize: *batch, DisableSegmented: *noSeg}
 
 	// Open the repository: disk mode streams the file out-of-core, the other
@@ -136,56 +137,34 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return fatal(fmt.Errorf("unknown format %q", *format))
 	}
 
-	var st ssc.Stats
-	var err error
-	switch *algo {
-	case "iter":
-		opts := ssc.Options{Delta: *delta, Seed: *seed, PartialEps: *eps,
-			Engine: engOpts}
-		if *exact {
-			opts.Offline = ssc.ExactSolver{}
-		}
-		var res ssc.Result
-		res, err = ssc.IterSetCover(repo, opts)
-		if err == nil {
-			st = res.Stats
-			fmt.Fprintf(stdout, "best guess k: %d\n", res.BestK)
-		}
-	case "greedy1":
-		st, err = ssc.OnePassGreedy(repo, engOpts)
-	case "greedyn":
-		st, err = ssc.MultiPassGreedyPartial(repo, *eps, engOpts)
-	case "threshold":
-		st, err = ssc.ThresholdGreedyPartial(repo, *eps, engOpts)
-	case "sg09":
-		st, err = ssc.SahaGetoorSetCover(repo, engOpts)
-	case "er14":
-		st, err = ssc.EmekRosenPartial(repo, *eps, engOpts)
-	case "cw16":
-		st, err = ssc.ChakrabartiWirthPartial(repo, *passes, *eps, engOpts)
-	case "dimv14":
-		st, err = ssc.DIMV14(repo, ssc.DIMV14Options{Delta: *delta, Seed: *seed}, engOpts)
-	case "dyn":
-		st, err = ssc.DynamicSolve(repo, engOpts)
-	case "pd":
-		var mode ssc.PDMode
-		if mode, err = ssc.ParsePDMode(*pdMode); err == nil {
-			var res ssc.PDResult
-			res, err = ssc.BatchedPrimalDual(repo, ssc.PDOptions{
-				Mode: mode, Epsilon: *pdEps, ElemBatch: *pdBatch, Engine: engOpts,
-			})
-			if err == nil {
-				st = res.Stats
-				fmt.Fprintf(stdout, "pd: %d batches, %d dual rounds, max frequency %d\n",
-					res.Batches, res.Rounds, res.MaxFrequency)
-			}
-		}
-	default:
-		err = fmt.Errorf("unknown algorithm %q", *algo)
+	e, ok := algos.Lookup(*algo)
+	if !ok {
+		return fatal(fmt.Errorf("unknown algorithm %q", *algo))
 	}
+	p := algos.Params{Delta: *delta, Eps: *eps, Passes: *passes, Seed: *seed,
+		PD: ssc.PDOptions{Epsilon: *pdEps, ElemBatch: *pdBatch}, Engine: engOpts}
+	if *exact {
+		p.Offline = ssc.ExactSolver{}
+	}
+	if e.UsesPD {
+		mode, err := ssc.ParsePDMode(*pdMode)
+		if err != nil {
+			return fatal(err)
+		}
+		p.PD.Mode = mode
+	}
+	res, err := e.Solve(repo, p)
 	if err != nil {
 		return fatal(err)
 	}
+	if e.ReportsBestK {
+		fmt.Fprintf(stdout, "best guess k: %d\n", res.BestK)
+	}
+	if e.UsesPD {
+		fmt.Fprintf(stdout, "pd: %d batches, %d dual rounds, max frequency %d\n",
+			res.Batches, res.Rounds, res.MaxFrequency)
+	}
+	st := res.Stats
 
 	if origID != nil {
 		// Map reduced set IDs back to the original instance's IDs.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	ssc "repro"
+	"repro/internal/algos"
 )
 
 // genFile writes a planted instance to dir in the indexed SCB1 format and
@@ -26,10 +27,11 @@ func genFile(t *testing.T, dir string) (string, *ssc.Instance) {
 }
 
 // End to end: generate → write binary → solve from disk → the reported cover
-// is verified (exit 0) and the summary is printed.
+// is verified (exit 0) and the summary is printed, for every algorithm of
+// the table.
 func TestSolveFromDiskEndToEnd(t *testing.T) {
 	path, _ := genFile(t, t.TempDir())
-	for _, algo := range []string{"iter", "greedy1", "greedyn", "threshold", "sg09", "er14", "cw16", "dimv14"} {
+	for _, algo := range algos.Names() {
 		var out, errb bytes.Buffer
 		code := run([]string{"-algo", algo, "-format", "disk", "-in", path}, strings.NewReader(""), &out, &errb)
 		if code != 0 {
@@ -116,7 +118,7 @@ func TestDiskModeTruncatedFileFails(t *testing.T) {
 	if err := os.WriteFile(trunc, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []string{"iter", "greedy1", "er14", "sg09"} {
+	for _, algo := range algos.Names() {
 		var out, errb bytes.Buffer
 		code := run([]string{"-algo", algo, "-format", "disk", "-in", trunc},
 			strings.NewReader(""), &out, &errb)

@@ -173,7 +173,7 @@ func TestDaemonGeneratorInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ssc.OnePassGreedy(ssc.NewFuncRepository(500, 1200, genSet))
+	want, err := ssc.OnePassGreedy(ssc.NewFuncRepository(500, 1200, genSet), ssc.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func ExampleEmekRosen() {
 	if err != nil {
 		panic(err)
 	}
-	st, err := ssc.EmekRosen(ssc.NewRepository(in))
+	st, err := ssc.EmekRosen(ssc.NewRepository(in), ssc.EngineOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -44,13 +44,13 @@ func main() {
 		rows = append(rows, row{name, st})
 	}
 
-	st, err := ssc.EmekRosen(ssc.NewRepository(in))
+	st, err := ssc.EmekRosen(ssc.NewRepository(in), ssc.EngineOptions{})
 	add("1 pass (ER14)", st, err)
-	st, err = ssc.ChakrabartiWirth(ssc.NewRepository(in), 2)
+	st, err = ssc.ChakrabartiWirth(ssc.NewRepository(in), 2, ssc.EngineOptions{})
 	add("2 passes (CW16)", st, err)
-	st, err = ssc.ChakrabartiWirth(ssc.NewRepository(in), 4)
+	st, err = ssc.ChakrabartiWirth(ssc.NewRepository(in), 4, ssc.EngineOptions{})
 	add("4 passes (CW16)", st, err)
-	st, err = ssc.ThresholdGreedy(ssc.NewRepository(in))
+	st, err = ssc.ThresholdGreedy(ssc.NewRepository(in), ssc.EngineOptions{})
 	add("log n passes (SG09)", st, err)
 	res, err := ssc.IterSetCover(ssc.NewRepository(in), ssc.Options{Delta: 0.5, Seed: 11})
 	add("4 passes (iterSetCover)", res.Stats, err)

@@ -37,13 +37,13 @@ func main() {
 		}
 		report(in, "iterSetCover δ=1/2", eps, res.Cover)
 
-		st, err := ssc.EmekRosenPartial(ssc.NewRepository(in), eps)
+		st, err := ssc.EmekRosenPartial(ssc.NewRepository(in), eps, ssc.EngineOptions{})
 		if err != nil {
 			log.Fatalf("er14 eps=%v: %v", eps, err)
 		}
 		report(in, "Emek-Rosén (1 pass)", eps, st.Cover)
 
-		st, err = ssc.ChakrabartiWirthPartial(ssc.NewRepository(in), 3, eps)
+		st, err = ssc.ChakrabartiWirthPartial(ssc.NewRepository(in), 3, eps, ssc.EngineOptions{})
 		if err != nil {
 			log.Fatalf("cw16 eps=%v: %v", eps, err)
 		}

@@ -36,7 +36,7 @@ func main() {
 		res.Passes, res.SpaceWords, res.BestK)
 
 	// Compare with the one-pass store-everything greedy strawman.
-	greedy, err := ssc.OnePassGreedy(ssc.NewRepository(in))
+	greedy, err := ssc.OnePassGreedy(ssc.NewRepository(in), ssc.EngineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -47,10 +47,10 @@ func main() {
 			return r.Stats, err
 		}},
 		{"greedy (store all)", func() (ssc.Stats, error) {
-			return ssc.OnePassGreedy(ssc.NewRepository(in))
+			return ssc.OnePassGreedy(ssc.NewRepository(in), ssc.EngineOptions{})
 		}},
 		{"Emek-Rosén (1 pass)", func() (ssc.Stats, error) {
-			return ssc.EmekRosen(ssc.NewRepository(in))
+			return ssc.EmekRosen(ssc.NewRepository(in), ssc.EngineOptions{})
 		}},
 	}
 

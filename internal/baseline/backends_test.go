@@ -57,20 +57,20 @@ func TestBaselineBackendConformance(t *testing.T) {
 
 	algos := []struct {
 		name string
-		run  func(stream.Repository, ...engine.Options) (setcover.Stats, error)
+		run  func(stream.Repository, engine.Options) (setcover.Stats, error)
 	}{
 		{"greedy-1pass", OnePassGreedy},
 		{"greedy-npass", MultiPassGreedy},
 		{"threshold-greedy", ThresholdGreedy},
 		{"emek-rosen", EmekRosen},
-		{"chakrabarti-wirth", func(r stream.Repository, eo ...engine.Options) (setcover.Stats, error) {
-			return ChakrabartiWirth(r, 3, eo...)
+		{"chakrabarti-wirth", func(r stream.Repository, eo engine.Options) (setcover.Stats, error) {
+			return ChakrabartiWirth(r, 3, eo)
 		}},
-		{"dimv14", func(r stream.Repository, eo ...engine.Options) (setcover.Stats, error) {
-			return DIMV14(r, DIMV14Options{Delta: 0.5, Seed: 5}, eo...)
+		{"dimv14", func(r stream.Repository, eo engine.Options) (setcover.Stats, error) {
+			return DIMV14(r, DIMV14Options{Delta: 0.5, Seed: 5}, eo)
 		}},
-		{"saha-getoor", func(r stream.Repository, _ ...engine.Options) (setcover.Stats, error) {
-			return maxcover.SahaGetoorSetCover(r)
+		{"saha-getoor", func(r stream.Repository, _ engine.Options) (setcover.Stats, error) {
+			return maxcover.SahaGetoorSetCover(r, engine.Options{})
 		}},
 	}
 
@@ -138,18 +138,18 @@ func TestTruncatedFileFailsEveryBaseline(t *testing.T) {
 		name string
 		run  func(stream.Repository) (setcover.Stats, error)
 	}{
-		{"greedy-1pass", func(r stream.Repository) (setcover.Stats, error) { return OnePassGreedy(r) }},
-		{"greedy-npass", func(r stream.Repository) (setcover.Stats, error) { return MultiPassGreedy(r) }},
-		{"threshold-greedy", func(r stream.Repository) (setcover.Stats, error) { return ThresholdGreedy(r) }},
-		{"emek-rosen", func(r stream.Repository) (setcover.Stats, error) { return EmekRosen(r) }},
+		{"greedy-1pass", func(r stream.Repository) (setcover.Stats, error) { return OnePassGreedy(r, engine.Options{}) }},
+		{"greedy-npass", func(r stream.Repository) (setcover.Stats, error) { return MultiPassGreedy(r, engine.Options{}) }},
+		{"threshold-greedy", func(r stream.Repository) (setcover.Stats, error) { return ThresholdGreedy(r, engine.Options{}) }},
+		{"emek-rosen", func(r stream.Repository) (setcover.Stats, error) { return EmekRosen(r, engine.Options{}) }},
 		{"chakrabarti-wirth", func(r stream.Repository) (setcover.Stats, error) {
-			return ChakrabartiWirth(r, 3)
+			return ChakrabartiWirth(r, 3, engine.Options{})
 		}},
 		{"dimv14", func(r stream.Repository) (setcover.Stats, error) {
-			return DIMV14(r, DIMV14Options{Delta: 0.5, Seed: 5})
+			return DIMV14(r, DIMV14Options{Delta: 0.5, Seed: 5}, engine.Options{})
 		}},
 		{"saha-getoor", func(r stream.Repository) (setcover.Stats, error) {
-			return maxcover.SahaGetoorSetCover(r)
+			return maxcover.SahaGetoorSetCover(r, engine.Options{})
 		}},
 	}
 	for _, algo := range algos {
@@ -230,16 +230,16 @@ func TestPartialBaselineBackendConformance(t *testing.T) {
 		run  func(stream.Repository) (setcover.Stats, error)
 	}{
 		{"greedyn-partial", func(r stream.Repository) (setcover.Stats, error) {
-			return MultiPassGreedyPartial(r, eps)
+			return MultiPassGreedyPartial(r, eps, engine.Options{})
 		}},
 		{"threshold-partial", func(r stream.Repository) (setcover.Stats, error) {
-			return ThresholdGreedyPartial(r, eps)
+			return ThresholdGreedyPartial(r, eps, engine.Options{})
 		}},
 		{"er14-partial", func(r stream.Repository) (setcover.Stats, error) {
-			return EmekRosenPartial(r, eps)
+			return EmekRosenPartial(r, eps, engine.Options{})
 		}},
 		{"cw16-partial", func(r stream.Repository) (setcover.Stats, error) {
-			return ChakrabartiWirthPartial(r, 2, eps)
+			return ChakrabartiWirthPartial(r, 2, eps, engine.Options{})
 		}},
 	}
 	for _, algo := range algos {
@@ -360,7 +360,7 @@ func TestTracerInjectionConformance(t *testing.T) {
 	}
 	algos := []struct {
 		name string
-		run  func(stream.Repository, ...engine.Options) (setcover.Stats, error)
+		run  func(stream.Repository, engine.Options) (setcover.Stats, error)
 	}{
 		{"greedy-1pass", OnePassGreedy},
 		{"greedy-npass", MultiPassGreedy},
@@ -421,7 +421,7 @@ func TestTracerInjectionConformance(t *testing.T) {
 // pins); per-call options can, and results are identical at every setting by
 // the engine's determinism contract. This test exists so a grep for SetEngine
 // finds the story instead of silence, and pins the replacement default path:
-// a baseline called WITHOUT options must match the per-call reference.
+// a baseline called with zero options must match the per-call reference.
 func TestSetEngineRemoved(t *testing.T) {
 	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 200, M: 400, K: 10, Seed: 3})
 	if err != nil {
@@ -431,7 +431,7 @@ func TestSetEngineRemoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := EmekRosen(stream.NewSliceRepo(in)) // no options: immutable default engine
+	st, err := EmekRosen(stream.NewSliceRepo(in), engine.Options{}) // zero options: engine defaults
 	if err != nil {
 		t.Fatal(err)
 	}

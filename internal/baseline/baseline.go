@@ -45,34 +45,6 @@ import (
 // ErrInfeasible mirrors setcover.ErrInfeasible for streaming baselines.
 var ErrInfeasible = setcover.ErrInfeasible
 
-// defaultEng is the pass executor a baseline uses when the caller passes no
-// per-call engine options. Each baseline registers one observer per pass, so
-// observer delivery is sequential regardless of the worker count (the engine
-// never runs more delivery workers than observers) — but the decode side of a
-// pass still parallelizes: with the default GOMAXPROCS workers, a segmentable
-// repository (an indexed SCB1 file, or any in-memory backend) is decoded by
-// several goroutines and reassembled in stream order, so results are
-// identical and only wall-clock changes.
-//
-// The deprecated process-wide SetEngine mutator was removed: per-call
-// engine.Options (OnePassGreedy(repo, opts) etc.) is the only way to
-// configure a solve, so concurrent solves can no longer race on a global
-// default. See backends_test.go's removal note.
-var defaultEng = engine.New(engine.Options{})
-
-// engineFor resolves the executor for one solve: the caller's per-call
-// options when given (at most one, validated by engine.PerCall), the
-// immutable process default otherwise. Per-call engines are constructed
-// fresh, so concurrent solves with different configurations never share
-// mutable executor state.
-func engineFor(engOpts []engine.Options) *engine.Engine {
-	opts, ok := engine.PerCall("baseline", engOpts)
-	if !ok {
-		return defaultEng
-	}
-	return engine.New(opts)
-}
-
 // failPass closes out a Stats whose physical pass failed mid-stream: the
 // algorithm saw only a prefix of F, so no cover is reported.
 func failPass(st setcover.Stats, repo stream.Repository, passes0 int, tracker *stream.Tracker, err error) (setcover.Stats, error) {
@@ -83,7 +55,7 @@ func failPass(st setcover.Stats, repo stream.Repository, passes0 int, tracker *s
 
 // allowedLeftovers converts ε into an element budget.
 func allowedLeftovers(n int, eps float64) (int, error) {
-	if eps < 0 || eps >= 1 {
+	if !(eps >= 0 && eps < 1) {
 		return 0, fmt.Errorf("baseline: partial eps %v out of [0,1)", eps)
 	}
 	return int(eps * float64(n)), nil
@@ -94,10 +66,10 @@ func allowedLeftovers(n int, eps float64) (int, error) {
 // row of Figure 1.1. It is the space-hungry strawman every sublinear
 // algorithm is measured against.
 //
-// engOpts (at most one, like every baseline here) configures the pass
-// executor for THIS call; omitted, the immutable process default applies.
-func OnePassGreedy(repo stream.Repository, engOpts ...engine.Options) (setcover.Stats, error) {
-	eng := engineFor(engOpts)
+// engOpts configures the pass executor for this call, like every baseline
+// here; the zero value means engine defaults.
+func OnePassGreedy(repo stream.Repository, engOpts engine.Options) (setcover.Stats, error) {
+	eng := engine.New(engOpts)
 	st := setcover.Stats{Algorithm: "greedy-1pass"}
 	passes0 := repo.Passes()
 	tracker := stream.NewTracker()
@@ -140,17 +112,14 @@ func OnePassGreedy(repo stream.Repository, engOpts ...engine.Options) (setcover.
 // the set with maximum gain against the in-memory uncovered bitset, then
 // commits it. This is the "Greedy algorithm, ln n approx, n passes, O(n)
 // space" row of Figure 1.1. Passes equal the cover size.
-func MultiPassGreedy(repo stream.Repository, engOpts ...engine.Options) (setcover.Stats, error) {
-	return multiPassGreedy(repo, 0, engineFor(engOpts))
+func MultiPassGreedy(repo stream.Repository, engOpts engine.Options) (setcover.Stats, error) {
+	return MultiPassGreedyPartial(repo, 0, engOpts)
 }
 
 // MultiPassGreedyPartial is MultiPassGreedy for ε-Partial Set Cover: it
 // stops once at most eps·n elements remain uncovered.
-func MultiPassGreedyPartial(repo stream.Repository, eps float64, engOpts ...engine.Options) (setcover.Stats, error) {
-	return multiPassGreedy(repo, eps, engineFor(engOpts))
-}
-
-func multiPassGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (setcover.Stats, error) {
+func MultiPassGreedyPartial(repo stream.Repository, eps float64, engOpts engine.Options) (setcover.Stats, error) {
+	eng := engine.New(engOpts)
 	st := setcover.Stats{Algorithm: "greedy-npass", Extra: eps}
 	passes0 := repo.Passes()
 	n := repo.UniverseSize()
@@ -247,16 +216,13 @@ func (o *bestSetObserver) Observe(batch []setcover.Set) {
 // pass j accepts on the spot any set covering at least τ_j = n/2^j new
 // elements, halving τ until 1. O(log n) passes, O(log n)-approximation,
 // Õ(n) space.
-func ThresholdGreedy(repo stream.Repository, engOpts ...engine.Options) (setcover.Stats, error) {
-	return thresholdGreedy(repo, 0, engineFor(engOpts))
+func ThresholdGreedy(repo stream.Repository, engOpts engine.Options) (setcover.Stats, error) {
+	return ThresholdGreedyPartial(repo, 0, engOpts)
 }
 
 // ThresholdGreedyPartial is ThresholdGreedy for ε-Partial Set Cover.
-func ThresholdGreedyPartial(repo stream.Repository, eps float64, engOpts ...engine.Options) (setcover.Stats, error) {
-	return thresholdGreedy(repo, eps, engineFor(engOpts))
-}
-
-func thresholdGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (setcover.Stats, error) {
+func ThresholdGreedyPartial(repo stream.Repository, eps float64, engOpts engine.Options) (setcover.Stats, error) {
+	eng := engine.New(engOpts)
 	st := setcover.Stats{Algorithm: "threshold-greedy[SG09]", Extra: eps}
 	passes0 := repo.Passes()
 	n := repo.UniverseSize()
@@ -338,18 +304,15 @@ func thresholdGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 // Approximation: every set covers < √n of the final uncovered elements (a
 // set's uncovered-gain only shrinks over the pass), so OPT ≥ u/√n where u is
 // the number of leftovers; the algorithm pays ≤ √n picks + u ≤ √n + √n·OPT.
-func EmekRosen(repo stream.Repository, engOpts ...engine.Options) (setcover.Stats, error) {
-	return emekRosen(repo, 0, engineFor(engOpts))
+func EmekRosen(repo stream.Repository, engOpts engine.Options) (setcover.Stats, error) {
+	return EmekRosenPartial(repo, 0, engOpts)
 }
 
 // EmekRosenPartial is EmekRosen for ε-Partial Set Cover ([ER14] prove their
 // upper and lower bounds for this generalization): up to eps·n elements may
 // stay uncovered, so the patch phase stops early.
-func EmekRosenPartial(repo stream.Repository, eps float64, engOpts ...engine.Options) (setcover.Stats, error) {
-	return emekRosen(repo, eps, engineFor(engOpts))
-}
-
-func emekRosen(repo stream.Repository, eps float64, eng *engine.Engine) (setcover.Stats, error) {
+func EmekRosenPartial(repo stream.Repository, eps float64, engOpts engine.Options) (setcover.Stats, error) {
+	eng := engine.New(engOpts)
 	st := setcover.Stats{Algorithm: "emek-rosen[ER14]", Extra: eps}
 	passes0 := repo.Passes()
 	n := repo.UniverseSize()
@@ -420,20 +383,17 @@ func emekRosen(repo stream.Repository, eps float64, eng *engine.Engine) (setcove
 // τ_j = n^{(p+1-j)/(p+1)} new elements; after p passes the leftovers are
 // patched with remembered first covers, giving a (p+1)·n^{1/(p+1)}-style
 // approximation in Θ̃(n) space.
-func ChakrabartiWirth(repo stream.Repository, passes int, engOpts ...engine.Options) (setcover.Stats, error) {
-	return chakrabartiWirth(repo, passes, 0, engineFor(engOpts))
+func ChakrabartiWirth(repo stream.Repository, passes int, engOpts engine.Options) (setcover.Stats, error) {
+	return ChakrabartiWirthPartial(repo, passes, 0, engOpts)
 }
 
 // ChakrabartiWirthPartial is ChakrabartiWirth for ε-Partial Set Cover
 // ([CW16] prove their trade-off for this generalization too).
-func ChakrabartiWirthPartial(repo stream.Repository, passes int, eps float64, engOpts ...engine.Options) (setcover.Stats, error) {
-	return chakrabartiWirth(repo, passes, eps, engineFor(engOpts))
-}
-
-func chakrabartiWirth(repo stream.Repository, passes int, eps float64, eng *engine.Engine) (setcover.Stats, error) {
+func ChakrabartiWirthPartial(repo stream.Repository, passes int, eps float64, engOpts engine.Options) (setcover.Stats, error) {
 	if passes < 1 {
 		return setcover.Stats{}, fmt.Errorf("baseline: ChakrabartiWirth needs passes >= 1, got %d", passes)
 	}
+	eng := engine.New(engOpts)
 	st := setcover.Stats{Algorithm: fmt.Sprintf("chakrabarti-wirth[CW16] p=%d", passes), Extra: float64(passes)}
 	passes0 := repo.Passes()
 	n := repo.UniverseSize()
@@ -561,14 +521,14 @@ type DIMV14Options struct {
 // covering everything takes Θ(log n) rounds = Θ(log n) passes at the same
 // Õ(m·n^δ) space — the exponential pass blow-up relative to iterSetCover
 // that Theorem 2.8 eliminates.
-func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts ...engine.Options) (setcover.Stats, error) {
-	eng := engineFor(engOpts)
+func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts engine.Options) (setcover.Stats, error) {
+	eng := engine.New(engOpts)
 	weight := stream.WeightFunc(repo)
 	st := setcover.Stats{Algorithm: "dimv14-sampling", Extra: opts.Delta}
 	passes0 := repo.Passes()
 	n, m := repo.UniverseSize(), repo.NumSets()
-	if opts.Delta <= 0 || opts.Delta > 1 {
-		return st, fmt.Errorf("baseline: delta %v out of (0,1]", opts.Delta)
+	if _, err := sample.Iterations(opts.Delta); err != nil {
+		return st, fmt.Errorf("baseline: %w", err)
 	}
 	if opts.Scale <= 0 {
 		opts.Scale = 1

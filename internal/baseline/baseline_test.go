@@ -33,7 +33,7 @@ func infeasibleRepo() *stream.SliceRepo {
 
 func TestOnePassGreedy(t *testing.T) {
 	repo, opt := plantedRepo(t, 300, 600, 6, 1)
-	st, err := OnePassGreedy(repo)
+	st, err := OnePassGreedy(repo, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +57,14 @@ func TestOnePassGreedy(t *testing.T) {
 }
 
 func TestOnePassGreedyInfeasible(t *testing.T) {
-	if _, err := OnePassGreedy(infeasibleRepo()); !errors.Is(err, setcover.ErrInfeasible) {
+	if _, err := OnePassGreedy(infeasibleRepo(), engine.Options{}); !errors.Is(err, setcover.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
 
 func TestMultiPassGreedy(t *testing.T) {
 	repo, opt := plantedRepo(t, 300, 600, 6, 2)
-	st, err := MultiPassGreedy(repo)
+	st, err := MultiPassGreedy(repo, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestMultiPassGreedy(t *testing.T) {
 func TestMultiPassGreedyMatchesOfflineGreedySize(t *testing.T) {
 	check := func(label string, in *setcover.Instance) {
 		t.Helper()
-		multi, merr := MultiPassGreedy(stream.NewSliceRepo(in))
-		one, oerr := OnePassGreedy(stream.NewSliceRepo(in))
+		multi, merr := MultiPassGreedy(stream.NewSliceRepo(in), engine.Options{})
+		one, oerr := OnePassGreedy(stream.NewSliceRepo(in), engine.Options{})
 		if merr != nil || oerr != nil {
 			if !errors.Is(merr, setcover.ErrInfeasible) || !errors.Is(oerr, setcover.ErrInfeasible) {
 				t.Fatalf("%s: greedy-npass err %v, greedy-1pass err %v", label, merr, oerr)
@@ -279,14 +279,14 @@ func TestBestSetObserverMatchesFullScan(t *testing.T) {
 }
 
 func TestMultiPassGreedyInfeasible(t *testing.T) {
-	if _, err := MultiPassGreedy(infeasibleRepo()); !errors.Is(err, setcover.ErrInfeasible) {
+	if _, err := MultiPassGreedy(infeasibleRepo(), engine.Options{}); !errors.Is(err, setcover.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
 
 func TestThresholdGreedy(t *testing.T) {
 	repo, opt := plantedRepo(t, 512, 1024, 8, 4)
-	st, err := ThresholdGreedy(repo)
+	st, err := ThresholdGreedy(repo, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,14 +308,14 @@ func TestThresholdGreedy(t *testing.T) {
 }
 
 func TestThresholdGreedyInfeasible(t *testing.T) {
-	if _, err := ThresholdGreedy(infeasibleRepo()); !errors.Is(err, setcover.ErrInfeasible) {
+	if _, err := ThresholdGreedy(infeasibleRepo(), engine.Options{}); !errors.Is(err, setcover.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
 
 func TestEmekRosen(t *testing.T) {
 	repo, opt := plantedRepo(t, 400, 800, 5, 5)
-	st, err := EmekRosen(repo)
+	st, err := EmekRosen(repo, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,14 +337,14 @@ func TestEmekRosen(t *testing.T) {
 
 func TestEmekRosenEmptyUniverse(t *testing.T) {
 	repo := stream.NewSliceRepo(&setcover.Instance{N: 0})
-	st, err := EmekRosen(repo)
+	st, err := EmekRosen(repo, engine.Options{})
 	if err != nil || !st.Valid || len(st.Cover) != 0 {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
 }
 
 func TestEmekRosenInfeasible(t *testing.T) {
-	if _, err := EmekRosen(infeasibleRepo()); !errors.Is(err, setcover.ErrInfeasible) {
+	if _, err := EmekRosen(infeasibleRepo(), engine.Options{}); !errors.Is(err, setcover.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -352,7 +352,7 @@ func TestEmekRosenInfeasible(t *testing.T) {
 func TestChakrabartiWirth(t *testing.T) {
 	for _, p := range []int{1, 2, 3} {
 		repo, _ := plantedRepo(t, 400, 800, 5, 6)
-		st, err := ChakrabartiWirth(repo, p)
+		st, err := ChakrabartiWirth(repo, p, engine.Options{})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -372,12 +372,12 @@ func TestChakrabartiWirthMorePassesHelp(t *testing.T) {
 	// The approximation should (weakly) improve with more passes on an
 	// instance with structure. Use a bigger instance for signal.
 	repo1, _ := plantedRepo(t, 1024, 2048, 16, 7)
-	st1, err := ChakrabartiWirth(repo1, 1)
+	st1, err := ChakrabartiWirth(repo1, 1, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	repo3, _ := plantedRepo(t, 1024, 2048, 16, 7)
-	st3, err := ChakrabartiWirth(repo3, 3)
+	st3, err := ChakrabartiWirth(repo3, 3, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,14 +388,14 @@ func TestChakrabartiWirthMorePassesHelp(t *testing.T) {
 
 func TestChakrabartiWirthBadPasses(t *testing.T) {
 	repo, _ := plantedRepo(t, 16, 16, 2, 1)
-	if _, err := ChakrabartiWirth(repo, 0); err == nil {
+	if _, err := ChakrabartiWirth(repo, 0, engine.Options{}); err == nil {
 		t.Fatal("p=0 should error")
 	}
 }
 
 func TestDIMV14(t *testing.T) {
 	repo, opt := plantedRepo(t, 512, 1024, 8, 8)
-	st, err := DIMV14(repo, DIMV14Options{Delta: 0.5, Scale: 1, Seed: 1})
+	st, err := DIMV14(repo, DIMV14Options{Delta: 0.5, Scale: 1, Seed: 1}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestDIMV14UsesMorePassesThanTwoOverDelta(t *testing.T) {
 	// that are not trivially coverable by one sampled round. Use a small
 	// scale to keep per-round progress limited.
 	repo, _ := plantedRepo(t, 2048, 2048, 16, 9)
-	st, err := DIMV14(repo, DIMV14Options{Delta: 0.5, Scale: 0.05, Seed: 2})
+	st, err := DIMV14(repo, DIMV14Options{Delta: 0.5, Scale: 0.05, Seed: 2}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,20 +425,25 @@ func TestDIMV14UsesMorePassesThanTwoOverDelta(t *testing.T) {
 
 func TestDIMV14BadDelta(t *testing.T) {
 	repo, _ := plantedRepo(t, 16, 16, 2, 1)
-	if _, err := DIMV14(repo, DIMV14Options{Delta: 0}); err == nil {
-		t.Fatal("delta=0 should error")
+	for _, d := range []float64{0, math.NaN(), 1e-300} {
+		if _, err := DIMV14(repo, DIMV14Options{Delta: d}, engine.Options{}); err == nil {
+			t.Errorf("delta=%v should error", d)
+		}
+	}
+	if repo.Passes() != 0 {
+		t.Errorf("bad deltas spent %d passes", repo.Passes())
 	}
 }
 
 func TestDIMV14Infeasible(t *testing.T) {
-	if _, err := DIMV14(infeasibleRepo(), DIMV14Options{Delta: 0.5, Seed: 1}); err == nil {
+	if _, err := DIMV14(infeasibleRepo(), DIMV14Options{Delta: 0.5, Seed: 1}, engine.Options{}); err == nil {
 		t.Fatal("infeasible should error")
 	}
 }
 
 func TestDIMV14EmptyUniverse(t *testing.T) {
 	repo := stream.NewSliceRepo(&setcover.Instance{N: 0})
-	st, err := DIMV14(repo, DIMV14Options{Delta: 0.5, Seed: 1})
+	st, err := DIMV14(repo, DIMV14Options{Delta: 0.5, Seed: 1}, engine.Options{})
 	if err != nil || !st.Valid {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
@@ -453,19 +458,19 @@ func TestPropAllBaselinesCover(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		run := func(f func(r stream.Repository, eo ...engine.Options) (setcover.Stats, error)) bool {
-			st, err := f(stream.NewSliceRepo(in))
+		run := func(f func(r stream.Repository, eo engine.Options) (setcover.Stats, error)) bool {
+			st, err := f(stream.NewSliceRepo(in), engine.Options{})
 			return err == nil && in.IsCover(st.Cover)
 		}
 		return run(OnePassGreedy) &&
 			run(MultiPassGreedy) &&
 			run(ThresholdGreedy) &&
 			run(EmekRosen) &&
-			run(func(r stream.Repository, eo ...engine.Options) (setcover.Stats, error) {
-				return ChakrabartiWirth(r, 2, eo...)
+			run(func(r stream.Repository, eo engine.Options) (setcover.Stats, error) {
+				return ChakrabartiWirth(r, 2, eo)
 			}) &&
-			run(func(r stream.Repository, eo ...engine.Options) (setcover.Stats, error) {
-				return DIMV14(r, DIMV14Options{Delta: 0.5, Scale: 1, Seed: seed}, eo...)
+			run(func(r stream.Repository, eo engine.Options) (setcover.Stats, error) {
+				return DIMV14(r, DIMV14Options{Delta: 0.5, Scale: 1, Seed: seed}, eo)
 			})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
@@ -479,7 +484,7 @@ func BenchmarkEmekRosen(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		repo.ResetPasses()
-		if _, err := EmekRosen(repo); err != nil {
+		if _, err := EmekRosen(repo, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -491,7 +496,7 @@ func BenchmarkThresholdGreedy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		repo.ResetPasses()
-		if _, err := ThresholdGreedy(repo); err != nil {
+		if _, err := ThresholdGreedy(repo, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

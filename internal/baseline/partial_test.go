@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/engine"
@@ -18,28 +19,28 @@ func TestPartialVariantsContract(t *testing.T) {
 	}
 	type pair struct {
 		name    string
-		full    func(stream.Repository, ...engine.Options) (setcover.Stats, error)
-		partial func(stream.Repository, float64, ...engine.Options) (setcover.Stats, error)
+		full    func(stream.Repository, engine.Options) (setcover.Stats, error)
+		partial func(stream.Repository, float64, engine.Options) (setcover.Stats, error)
 	}
 	pairs := []pair{
 		{"emek-rosen", EmekRosen, EmekRosenPartial},
 		{"threshold", ThresholdGreedy, ThresholdGreedyPartial},
 		{"greedy-npass", MultiPassGreedy, MultiPassGreedyPartial},
-		{"cw16", func(r stream.Repository, eo ...engine.Options) (setcover.Stats, error) {
-			return ChakrabartiWirth(r, 3, eo...)
+		{"cw16", func(r stream.Repository, eo engine.Options) (setcover.Stats, error) {
+			return ChakrabartiWirth(r, 3, eo)
 		},
-			func(r stream.Repository, eps float64, eo ...engine.Options) (setcover.Stats, error) {
-				return ChakrabartiWirthPartial(r, 3, eps, eo...)
+			func(r stream.Repository, eps float64, eo engine.Options) (setcover.Stats, error) {
+				return ChakrabartiWirthPartial(r, 3, eps, eo)
 			}},
 	}
 	for _, p := range pairs {
-		full, err := p.full(stream.NewSliceRepo(in))
+		full, err := p.full(stream.NewSliceRepo(in), engine.Options{})
 		if err != nil {
 			t.Fatalf("%s full: %v", p.name, err)
 		}
 		prev := len(full.Cover)
 		for _, eps := range []float64{0.01, 0.05, 0.2} {
-			st, err := p.partial(stream.NewSliceRepo(in), eps)
+			st, err := p.partial(stream.NewSliceRepo(in), eps, engine.Options{})
 			if err != nil {
 				t.Fatalf("%s eps=%v: %v", p.name, eps, err)
 			}
@@ -54,7 +55,7 @@ func TestPartialVariantsContract(t *testing.T) {
 			prev = len(st.Cover)
 		}
 		// eps=0 must coincide with the full variant.
-		zero, err := p.partial(stream.NewSliceRepo(in), 0)
+		zero, err := p.partial(stream.NewSliceRepo(in), 0, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s eps=0: %v", p.name, err)
 		}
@@ -66,10 +67,14 @@ func TestPartialVariantsContract(t *testing.T) {
 
 func TestPartialBadEps(t *testing.T) {
 	in, _, _, _ := gen.Planted(gen.PlantedConfig{N: 20, M: 20, K: 2, Seed: 1})
-	for _, eps := range []float64{-0.1, 1, 1.5} {
-		if _, err := EmekRosenPartial(stream.NewSliceRepo(in), eps); err == nil {
+	for _, eps := range []float64{-0.1, 1, 1.5, math.NaN()} {
+		if _, err := EmekRosenPartial(stream.NewSliceRepo(in), eps, engine.Options{}); err == nil {
 			t.Errorf("eps=%v accepted", eps)
 		}
+	}
+	// A tiny ε is legal: it allows no leftover, so the cover is full.
+	if st, err := EmekRosenPartial(stream.NewSliceRepo(in), 1e-300, engine.Options{}); err != nil || !in.IsCover(st.Cover) {
+		t.Errorf("eps=1e-300: err %v, full cover %v", err, in.IsCover(st.Cover))
 	}
 }
 
@@ -80,10 +85,10 @@ func TestPartialToleratesUncoverableElements(t *testing.T) {
 		{Elems: []setcover.Elem{0, 1, 2, 3, 4, 5, 6, 7, 8}}, // element 9 uncoverable
 	}}
 	in.Normalize()
-	if _, err := EmekRosen(stream.NewSliceRepo(in)); err == nil {
+	if _, err := EmekRosen(stream.NewSliceRepo(in), engine.Options{}); err == nil {
 		t.Fatal("full cover should be infeasible")
 	}
-	st, err := EmekRosenPartial(stream.NewSliceRepo(in), 0.1)
+	st, err := EmekRosenPartial(stream.NewSliceRepo(in), 0.1, engine.Options{})
 	if err != nil {
 		t.Fatalf("eps=0.1 should tolerate one uncoverable element: %v", err)
 	}

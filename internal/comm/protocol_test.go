@@ -121,7 +121,7 @@ func TestObservation59EndToEnd(t *testing.T) {
 
 	// The one-pass ER14 algorithm costs only `players` hand-offs.
 	repo2 := NewProtocolRepo(stream.NewSliceRepo(in), players)
-	st, err := baseline.EmekRosen(repo2)
+	st, err := baseline.EmekRosen(repo2, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestObservation59EndToEnd(t *testing.T) {
 	// faithful repeated-max-cover algorithm simulates as an O(log n)-round
 	// protocol (the Figure 1.1 row Observation 5.9 prices).
 	repo3 := NewProtocolRepo(stream.NewSliceRepo(in), players)
-	sg, err := maxcover.SahaGetoorSetCover(repo3)
+	sg, err := maxcover.SahaGetoorSetCover(repo3, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +217,13 @@ func TestFlakyProtocolRepoFailsEveryAlgorithm(t *testing.T) {
 		return NewProtocolRepo(&flakyRepo{Repository: stream.NewSliceRepo(in), failAfter: 60}, 4)
 	}
 
-	if st, err := maxcover.SahaGetoorSetCover(mk()); !errors.Is(err, engine.ErrPassFailed) {
+	if st, err := maxcover.SahaGetoorSetCover(mk(), engine.Options{}); !errors.Is(err, engine.ErrPassFailed) {
 		t.Fatalf("SG09 over flaky protocol repo: err=%v, want ErrPassFailed", err)
 	} else if st.Valid || len(st.Cover) != 0 {
 		t.Fatalf("SG09 failed run still reported a cover (size %d, valid=%v)", len(st.Cover), st.Valid)
 	}
 
-	if res, err := maxcover.Streaming(mk(), 4); !errors.Is(err, engine.ErrPassFailed) {
+	if res, err := maxcover.Streaming(mk(), 4, engine.Options{}); !errors.Is(err, engine.ErrPassFailed) {
 		t.Fatalf("Streaming over flaky protocol repo: err=%v, want ErrPassFailed", err)
 	} else if len(res.Sets) != 0 {
 		t.Fatalf("Streaming failed run still reported %d sets", len(res.Sets))
@@ -233,7 +233,7 @@ func TestFlakyProtocolRepoFailsEveryAlgorithm(t *testing.T) {
 		t.Fatalf("IterSetCover over flaky protocol repo: err=%v, want ErrPassFailed", err)
 	}
 
-	if st, err := baseline.OnePassGreedy(mk()); !errors.Is(err, engine.ErrPassFailed) {
+	if st, err := baseline.OnePassGreedy(mk(), engine.Options{}); !errors.Is(err, engine.ErrPassFailed) {
 		t.Fatalf("OnePassGreedy over flaky protocol repo: err=%v, want ErrPassFailed", err)
 	} else if st.Valid || len(st.Cover) != 0 {
 		t.Fatalf("OnePassGreedy failed run still reported a cover")
@@ -248,7 +248,7 @@ func TestProtocolOnReducedInstance(t *testing.T) {
 	isc := RandomISC(4, 2, 1.2, rng)
 	inst, meta := BuildSetCover(isc)
 	repo := NewProtocolRepo(stream.NewSliceRepo(inst), 2*meta.P)
-	st, err := baseline.OnePassGreedy(repo)
+	st, err := baseline.OnePassGreedy(repo, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,10 +179,11 @@ type guessRun struct {
 // IterSetCover runs the Figure 1.3 algorithm over the repository.
 func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 	n, m := repo.UniverseSize(), repo.NumSets()
-	if opts.Delta <= 0 || opts.Delta > 1 {
-		return Result{}, fmt.Errorf("core: delta %v out of (0,1]", opts.Delta)
+	iterations, err := sample.Iterations(opts.Delta)
+	if err != nil {
+		return Result{}, fmt.Errorf("core: %w", err)
 	}
-	if opts.PartialEps < 0 || opts.PartialEps >= 1 {
+	if !(opts.PartialEps >= 0 && opts.PartialEps < 1) {
 		return Result{}, fmt.Errorf("core: partial eps %v out of [0,1)", opts.PartialEps)
 	}
 	if opts.Offline == nil {
@@ -212,7 +213,6 @@ func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 	runs := makeRuns(n, opts, weightOf, tracker)
 	eng := engine.New(opts.Engine)
 
-	iterations := int(math.Ceil(1 / opts.Delta))
 	maxIter := iterations
 	if opts.AdaptiveIterations {
 		maxIter = opts.MaxIterations

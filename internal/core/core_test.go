@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -133,12 +134,17 @@ func TestInfeasibleInstance(t *testing.T) {
 	}
 }
 
+// A δ outside (0, 1], NaN, or so small that ⌈1/δ⌉ overflows an int fails
+// before the first pass, with an error that names δ.
 func TestBadDelta(t *testing.T) {
 	repo, _ := plantedRepo(t, 16, 16, 2, 1)
-	for _, d := range []float64{0, -0.5, 1.5} {
-		if _, err := IterSetCover(repo, Options{Delta: d}); err == nil {
-			t.Errorf("delta=%v accepted", d)
+	for _, d := range []float64{0, -0.5, 1.5, math.NaN(), 1e-300} {
+		if _, err := IterSetCover(repo, Options{Delta: d}); err == nil || !strings.Contains(err.Error(), "delta") {
+			t.Errorf("delta=%v: err %v, want an error naming delta", d, err)
 		}
+	}
+	if repo.Passes() != 0 {
+		t.Errorf("bad deltas spent %d passes", repo.Passes())
 	}
 }
 

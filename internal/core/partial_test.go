@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/gen"
@@ -37,10 +38,14 @@ func TestPartialEpsCoversFraction(t *testing.T) {
 
 func TestPartialEpsValidation(t *testing.T) {
 	in, _, _, _ := gen.Planted(gen.PlantedConfig{N: 32, M: 32, K: 2, Seed: 1})
-	for _, eps := range []float64{-0.5, 1, 2} {
+	for _, eps := range []float64{-0.5, 1, 2, math.NaN()} {
 		if _, err := IterSetCover(stream.NewSliceRepo(in), Options{Delta: 0.5, PartialEps: eps}); err == nil {
 			t.Errorf("eps=%v accepted", eps)
 		}
+	}
+	// A tiny ε is legal: it allows no leftover, so the cover is full.
+	if res, err := IterSetCover(stream.NewSliceRepo(in), Options{Delta: 0.5, PartialEps: 1e-300}); err != nil || !in.IsCover(res.Cover) {
+		t.Errorf("eps=1e-300: err %v, full cover %v", err, in.IsCover(res.Cover))
 	}
 }
 

@@ -80,7 +80,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -151,25 +150,6 @@ type Options struct {
 	// conformance suites pin this). Per-pass overhead when nil is a single
 	// pointer comparison.
 	Tracer obs.Tracer
-}
-
-// PerCall validates a variadic per-call option list — the trailing
-// `engOpts ...engine.Options` idiom shared by the baselines, the max-cover
-// entry points, and the experiment builders: at most one set may be passed
-// (the variadic exists only so option-less call sites stay source
-// compatible). It returns the options and whether any were given; each
-// caller chooses its own fallback for the no-options case (baseline keeps a
-// deprecated process default, maxcover uses engine defaults). caller names
-// the package in the misuse panic.
-func PerCall(caller string, engOpts []Options) (Options, bool) {
-	switch len(engOpts) {
-	case 0:
-		return Options{}, false
-	case 1:
-		return engOpts[0], true
-	default:
-		panic(fmt.Sprintf("%s: %d engine option sets passed; want at most 1", caller, len(engOpts)))
-	}
 }
 
 // normalized fills in defaults.

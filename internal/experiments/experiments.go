@@ -91,31 +91,13 @@ func (t *Table) Markdown(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// engineFor resolves the pass-engine configuration for one experiment build:
-// the caller's per-call options when given (at most one, validated by
-// engine.PerCall), the engine defaults otherwise (GOMAXPROCS workers, which
-// on multicore hosts also turns on segmented parallel decode for segmentable
-// repositories). Every experiment threads the result into each algorithm
-// call it makes — IterSetCover and AlgGeomSC through their Options.Engine,
-// baselines and maxcover through their per-call trailing argument — so a
-// build never depends on process-global executor state. The deprecated
-// process-wide SetEngine mutator was removed (see experiments_test.go's
-// removal note).
-func engineFor(engOpts []engine.Options) engine.Options {
-	opts, ok := engine.PerCall("experiments", engOpts)
-	if !ok {
-		return engine.Options{}
-	}
-	return opts
-}
-
 // Spec names one experiment and builds its table on demand, so callers that
 // want a subset (cmd/experiments -only) can skip the cost of the rest.
-// engOpts (at most one) configures the pass engine for the build; tables are
-// identical at every setting.
+// eng configures the pass engine for the build; tables are identical at
+// every setting.
 type Spec struct {
 	ID    string
-	Build func(seed int64, quick bool, engOpts ...engine.Options) Table
+	Build func(seed int64, quick bool, eng engine.Options) Table
 }
 
 // Registry returns every experiment in DESIGN.md §4 order WITHOUT running
@@ -124,7 +106,7 @@ func Registry() []Spec {
 	return []Spec{
 		{"E1", E1Figure11},
 		{"E2", E2DeltaSweep},
-		{"E3", func(_ int64, quick bool, _ ...engine.Options) Table { return E3Figure12(quick) }},
+		{"E3", func(_ int64, quick bool, _ engine.Options) Table { return E3Figure12(quick) }},
 		{"E4", E4Geometric},
 		{"E5", E5CanonicalCounts},
 		{"E6", E6RecoverBits},
@@ -146,20 +128,20 @@ func Registry() []Spec {
 
 // All runs every experiment in DESIGN.md §4 order, built with the given
 // seed. Quick mode shrinks the workloads (used by unit tests; the full sizes
-// run in cmd/experiments and the benchmarks). engOpts (at most one)
-// configures the pass engine for every build.
-func All(seed int64, quick bool, engOpts ...engine.Options) []Table {
+// run in cmd/experiments and the benchmarks). eng configures the pass engine
+// for every build.
+func All(seed int64, quick bool, eng engine.Options) []Table {
 	specs := Registry()
 	out := make([]Table, 0, len(specs))
 	for _, s := range specs {
-		out = append(out, s.Build(seed, quick, engOpts...))
+		out = append(out, s.Build(seed, quick, eng))
 	}
 	return out
 }
 
 // RunAll renders every experiment to w.
-func RunAll(w io.Writer, seed int64, quick bool, markdown bool, engOpts ...engine.Options) {
-	for _, t := range All(seed, quick, engOpts...) {
+func RunAll(w io.Writer, seed int64, quick bool, markdown bool, eng engine.Options) {
+	for _, t := range All(seed, quick, eng) {
 		if markdown {
 			t.Markdown(w)
 		} else {

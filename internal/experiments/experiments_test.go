@@ -13,7 +13,7 @@ import (
 
 // Every experiment must build (quick mode) and produce a well-formed table.
 func TestAllExperimentsQuick(t *testing.T) {
-	tables := All(1, true)
+	tables := All(1, true, engine.Options{})
 	if len(tables) != 19 {
 		t.Fatalf("expected 19 experiments, got %d", len(tables))
 	}
@@ -39,7 +39,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 
 // E1 must produce valid covers for every algorithm.
 func TestE1AllValid(t *testing.T) {
-	tbl := E1Figure11(3, true)
+	tbl := E1Figure11(3, true, engine.Options{})
 	validCol := len(tbl.Head) - 1
 	for _, row := range tbl.Rows {
 		if row[validCol] != "yes" {
@@ -50,7 +50,7 @@ func TestE1AllValid(t *testing.T) {
 
 // E7's iff column must be "yes" — the reduction is exact.
 func TestE7IffHolds(t *testing.T) {
-	tbl := E7ISCReduction(5, true)
+	tbl := E7ISCReduction(5, true, engine.Options{})
 	iffCol := len(tbl.Head) - 1
 	for _, row := range tbl.Rows {
 		if row[iffCol] != "yes" {
@@ -61,7 +61,7 @@ func TestE7IffHolds(t *testing.T) {
 
 // E6 must fully recover the family at quick sizes.
 func TestE6Recovers(t *testing.T) {
-	tbl := E6RecoverBits(7, true)
+	tbl := E6RecoverBits(7, true, engine.Options{})
 	for _, row := range tbl.Rows {
 		if row[3] != "yes" && !strings.Contains(row[3], "skipped") {
 			t.Fatalf("recovery failed: %v", row)
@@ -71,7 +71,7 @@ func TestE6Recovers(t *testing.T) {
 
 // E18's headline: the space/input ratio must fall as n grows.
 func TestE18RatioFalls(t *testing.T) {
-	tbl := E18Scaling(2, true)
+	tbl := E18Scaling(2, true, engine.Options{})
 	if len(tbl.Rows) < 2 {
 		t.Fatal("need at least two sizes")
 	}
@@ -92,7 +92,7 @@ func TestE18RatioFalls(t *testing.T) {
 // the stored projections are part of the space charged, and space falls as
 // δ falls.
 func TestE2PassesAndSpaceTradeOff(t *testing.T) {
-	tbl := E2DeltaSweep(1, true)
+	tbl := E2DeltaSweep(1, true, engine.Options{})
 	deltas := []float64{1, 0.5, 1.0 / 3.0, 0.25}
 	if len(tbl.Rows) != len(deltas) {
 		t.Fatalf("E2 has %d rows, want one per δ in %v", len(tbl.Rows), deltas)
@@ -124,7 +124,7 @@ func TestE2PassesAndSpaceTradeOff(t *testing.T) {
 // E9's claim (Lemma 2.3's Size Test): storing heavy sets instead of taking
 // them raises both the projection space and the total space.
 func TestE9SizeTestSavesSpace(t *testing.T) {
-	tbl := E9AblationSizeTest(1, true)
+	tbl := E9AblationSizeTest(1, true, engine.Options{})
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("E9 has %d rows, want with and without the Size Test", len(tbl.Rows))
 	}
@@ -149,7 +149,7 @@ func TestE9SizeTestSavesSpace(t *testing.T) {
 // takes fewer passes than trivial. Quick and full configurations both.
 func TestE19DedicatedRevealSavesPasses(t *testing.T) {
 	for _, quick := range []bool{true, false} {
-		tbl := E19PrimalDual(1, quick)
+		tbl := E19PrimalDual(1, quick, engine.Options{})
 		col := map[string]int{}
 		for i, h := range tbl.Head {
 			col[h] = i
@@ -222,7 +222,7 @@ func TestRenderAndMarkdown(t *testing.T) {
 
 func TestRunAll(t *testing.T) {
 	var buf bytes.Buffer
-	RunAll(&buf, 1, true, false)
+	RunAll(&buf, 1, true, false, engine.Options{})
 	if !strings.Contains(buf.String(), "E12") {
 		t.Fatal("RunAll did not render all experiments")
 	}
@@ -232,8 +232,8 @@ func TestRunAll(t *testing.T) {
 // determinism contract is what makes -workers a pure wall-clock knob).
 // The deprecated experiments.SetEngine process-wide shim was removed along
 // with baseline.SetEngine (see internal/baseline's TestSetEngineRemoved for
-// the full removal note); a build with no per-call options now always uses
-// the engine defaults, which the last comparison pins.
+// the full removal note); a build with zero options uses the engine
+// defaults, which the last comparison pins.
 func TestPerCallEngineOptions(t *testing.T) {
 	same := func(a, b Table) {
 		t.Helper()
@@ -251,5 +251,91 @@ func TestPerCallEngineOptions(t *testing.T) {
 	ref := E16MaxKCover(3, true, engine.Options{Workers: 1})
 	same(ref, E16MaxKCover(3, true, engine.Options{Workers: 2, BatchSize: 64}))
 	same(ref, E16MaxKCover(3, true, engine.Options{Workers: 2, DisableSegmented: true}))
-	same(ref, E16MaxKCover(3, true)) // no per-call options: engine defaults
+	same(ref, E16MaxKCover(3, true, engine.Options{})) // zero options: engine defaults
+}
+
+// cell parses the number in row's column named col of tbl.
+func cell(t *testing.T, tbl Table, row []string, col string) float64 {
+	t.Helper()
+	for i, h := range tbl.Head {
+		if h == col {
+			var v float64
+			if _, err := fmtSscan(row[i], &v); err != nil {
+				t.Fatalf("%s: bad %s cell %q in %v", tbl.ID, col, row[i], row)
+			}
+			return v
+		}
+	}
+	t.Fatalf("%s: no column %q in %v", tbl.ID, col, tbl.Head)
+	return 0
+}
+
+// E11's claim (the ρ/δ factor of Theorem 2.8): the exact offline solver
+// (ρ = 1) inside iterSetCover returns a cover no larger than greedy's
+// (ρ = ln n), at the same number of passes. Quick and full configurations.
+func TestE11ExactNoLargerThanGreedy(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		tbl := E11AblationOffline(1, quick, engine.Options{})
+		if len(tbl.Rows) != 2 || tbl.Rows[0][0] != "greedy" || tbl.Rows[1][0] != "exact" {
+			t.Fatalf("quick=%v: E11 rows %v, want greedy then exact", quick, tbl.Rows)
+		}
+		greedy, exact := tbl.Rows[0], tbl.Rows[1]
+		if c, g := cell(t, tbl, exact, "cover"), cell(t, tbl, greedy, "cover"); c > g {
+			t.Errorf("quick=%v: exact cover %v larger than greedy's %v", quick, c, g)
+		}
+		if p, g := cell(t, tbl, exact, "passes"), cell(t, tbl, greedy, "passes"); p != g {
+			t.Errorf("quick=%v: exact takes %v passes, greedy %v", quick, p, g)
+		}
+	}
+}
+
+// E13's claim (ε-Partial Set Cover): every algorithm at every ε covers at
+// least a 1-ε fraction of U. The table prints coverage to two decimals, and
+// every 1-ε of the sweep has two decimals, so a row that meets 1-ε prints
+// at least 1-ε. Quick and full configurations.
+func TestE13CoverageAtLeastOneMinusEps(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		tbl := E13PartialCover(1, quick, engine.Options{})
+		if len(tbl.Rows) != 9 {
+			t.Fatalf("quick=%v: E13 has %d rows, want 3 algorithms × 3 ε", quick, len(tbl.Rows))
+		}
+		for _, row := range tbl.Rows {
+			eps, cov := cell(t, tbl, row, "eps"), cell(t, tbl, row, "coverage")
+			if cov < 1-eps {
+				t.Errorf("quick=%v %v: coverage %v below 1-ε = %v", quick, row, cov, 1-eps)
+			}
+		}
+	}
+}
+
+// E16's claim (the [SG09] primitive's guarantee): one-pass streaming
+// max-k-cover at k = OPT covers at least a quarter of the planted universe,
+// in one pass. Quick and full configurations.
+func TestE16StreamingCoversQuarter(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		tbl := E16MaxKCover(1, quick, engine.Options{})
+		var n int
+		if len(tbl.Notes) == 0 {
+			t.Fatalf("quick=%v: E16 has no instance note", quick)
+		}
+		if _, err := fmt.Sscanf(tbl.Notes[0], "planted instance: n=%d", &n); err != nil {
+			t.Fatalf("quick=%v: note %q: %v", quick, tbl.Notes[0], err)
+		}
+		found := false
+		for _, row := range tbl.Rows {
+			if row[0] != "one-pass streaming max-k-cover" {
+				continue
+			}
+			found = true
+			if covered := cell(t, tbl, row, "covered / cover"); covered < float64(n)/4 {
+				t.Errorf("quick=%v: streaming max-k-cover covers %v of n = %d, want ≥ n/4", quick, covered, n)
+			}
+			if p := cell(t, tbl, row, "passes"); p != 1 {
+				t.Errorf("quick=%v: streaming max-k-cover took %v passes, want 1", quick, p)
+			}
+		}
+		if !found {
+			t.Fatalf("quick=%v: E16 has no streaming max-k-cover row: %v", quick, tbl.Rows)
+		}
+	}
 }

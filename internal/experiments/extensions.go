@@ -17,8 +17,7 @@ import (
 // E13PartialCover measures the ε-Partial Set Cover generalization that
 // [ER14] and [CW16] prove their bounds for (Section 1): as ε grows, the
 // cover shrinks while coverage stays above 1-ε.
-func E13PartialCover(seed int64, quick bool, engOpts ...engine.Options) Table {
-	eng := engineFor(engOpts)
+func E13PartialCover(seed int64, quick bool, eng engine.Options) Table {
 	n, m, k := 2000, 4000, 25
 	if quick {
 		n, m, k = 500, 1000, 8
@@ -58,8 +57,7 @@ func addPartialRow(t *Table, in *setcover.Instance, st setcover.Stats, err error
 // with and without the Lemma 4.2 rectangle splitting: without it, the
 // distinct stored projections (and the space) blow up, which is exactly why
 // the canonical representation exists.
-func E14CanonicalAblation(seed int64, quick bool, engOpts ...engine.Options) Table {
-	eng := engineFor(engOpts)
+func E14CanonicalAblation(seed int64, quick bool, eng engine.Options) Table {
 	n := 128
 	if quick {
 		n = 48
@@ -100,8 +98,7 @@ func E14CanonicalAblation(seed int64, quick bool, engOpts ...engine.Options) Tab
 // communication bits. Comparing against the instance's description size
 // shows which algorithms would beat the naive protocol (and by Theorem 5.4,
 // exact ones cannot at few passes).
-func E15ProtocolSimulation(seed int64, quick bool, engOpts ...engine.Options) Table {
-	eng := engineFor(engOpts)
+func E15ProtocolSimulation(seed int64, quick bool, eng engine.Options) Table {
 	t := Table{
 		ID:    "E15",
 		Title: "Observation 5.9: streaming algorithms as communication protocols",
@@ -169,8 +166,7 @@ func E15ProtocolSimulation(seed int64, quick bool, engOpts ...engine.Options) Ta
 
 // E16MaxKCover exercises the [SG09] primitive directly: offline greedy vs
 // the one-pass streaming thresholding, plus the full SG09 SetCover loop.
-func E16MaxKCover(seed int64, quick bool, engOpts ...engine.Options) Table {
-	eng := engineFor(engOpts)
+func E16MaxKCover(seed int64, quick bool, eng engine.Options) Table {
 	n, m, k := 2000, 4000, 20
 	if quick {
 		n, m, k = 400, 800, 8

@@ -44,8 +44,7 @@ func E3Figure12(quick bool) Table {
 // E4Geometric reproduces Theorem 4.6: algGeomSC on disks, rectangles and fat
 // triangles uses Õ(n) space (flat in m), constant passes, and an O(ρ)
 // approximation against the planted cover.
-func E4Geometric(seed int64, quick bool, engOpts ...engine.Options) Table {
-	eng := engineFor(engOpts)
+func E4Geometric(seed int64, quick bool, eng engine.Options) Table {
 	n, k := 2000, 16
 	ms := []int{8000, 16000}
 	if quick {
@@ -97,7 +96,7 @@ func E4Geometric(seed int64, quick bool, engOpts ...engine.Options) Table {
 // E5CanonicalCounts reproduces Lemma 4.4's counting: the number of distinct
 // canonical pieces of w-shallow shapes stays near-linear in n across shape
 // classes and shallowness levels.
-func E5CanonicalCounts(seed int64, quick bool, _ ...engine.Options) Table {
+func E5CanonicalCounts(seed int64, quick bool, _ engine.Options) Table {
 	n, numShapes := 2000, 20000
 	if quick {
 		n, numShapes = 500, 4000

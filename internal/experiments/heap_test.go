@@ -7,22 +7,18 @@ import (
 	"runtime/metrics"
 	"testing"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
+	"repro/internal/algos"
 	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/maxcover"
 	"repro/internal/obs"
 	"repro/internal/offline"
-	"repro/internal/pd"
 	"repro/internal/scdisk"
-	"repro/internal/scdyn"
 	"repro/internal/setcover"
 	"repro/internal/stream"
 )
 
 // TestLiveHeapTracksSpaceMeter checks the space meter against real memory
-// for every set-stream algorithm `setcover -algo` accepts: the live heap at
+// for every algorithm of the table (internal/algos): the live heap at
 // every pass end, above a baseline, stays within 2× the peak words the
 // meter charged (8 bytes a word). iter δ=⅓ is also sampled at the entry of
 // every offline solve, through a sampling offline.Solver, because pass ends
@@ -51,53 +47,33 @@ import (
 // parallel with other tests.
 func TestLiveHeapTracksSpaceMeter(t *testing.T) {
 	const bound, minWords = 2.0, 256
-	stats := func(st setcover.Stats, err error) (int64, error) { return st.SpaceWords, err }
-	iter := func(repo stream.Repository, eng engine.Options, off offline.Solver) (int64, error) {
-		res, err := core.IterSetCover(repo, core.Options{Delta: 1.0 / 3.0, Offline: off, Seed: 1, Engine: eng})
-		return res.SpaceWords, err
-	}
 	// Each solve charges its words through eng, whose Tracer samples the
-	// heap at pass ends; sample takes one more sample anywhere.
-	solvers := []struct {
+	// heap at pass ends; sample takes one more sample anywhere. Every
+	// algorithm of the table runs at the defaults, iter at δ=⅓.
+	type solver struct {
 		name  string
 		solve func(repo stream.Repository, eng engine.Options, sample func()) (int64, error)
-	}{
-		{"iter δ=1/3", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
-			return iter(repo, eng, offline.Greedy{})
-		}},
-		{"iter δ=1/3 offline-solve entry", func(repo stream.Repository, eng engine.Options, sample func()) (int64, error) {
-			eng.Tracer = nil
-			return iter(repo, eng, samplingSolver{offline.Greedy{}, sample})
-		}},
-		{"dimv14 δ=1/2", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
-			return stats(baseline.DIMV14(repo, baseline.DIMV14Options{Delta: 0.5, Seed: 1}, eng))
-		}},
-		{"greedy1", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
-			return stats(baseline.OnePassGreedy(repo, eng))
-		}},
-		{"greedyn", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
-			return stats(baseline.MultiPassGreedy(repo, eng))
-		}},
-		{"threshold", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
-			return stats(baseline.ThresholdGreedy(repo, eng))
-		}},
-		{"er14", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
-			return stats(baseline.EmekRosen(repo, eng))
-		}},
-		{"cw16 p=2", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
-			return stats(baseline.ChakrabartiWirth(repo, 2, eng))
-		}},
-		{"sg09", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
-			return stats(maxcover.SahaGetoorSetCover(repo, eng))
-		}},
-		{"pd", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
-			res, err := pd.BatchedPrimalDual(repo, pd.Options{Engine: eng})
-			return res.SpaceWords, err
-		}},
-		{"dyn", func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
-			return stats(scdyn.Solve(repo, eng))
-		}},
 	}
+	var solvers []solver
+	for _, e := range algos.All() {
+		p, name := algos.Defaults(), e.Name
+		if e.Name == "iter" {
+			p.Delta, name = 1.0/3.0, "iter δ=1/3"
+		}
+		solvers = append(solvers, solver{name, func(repo stream.Repository, eng engine.Options, _ func()) (int64, error) {
+			p.Engine = eng
+			res, err := e.Solve(repo, p)
+			return res.SpaceWords, err
+		}})
+	}
+	iter, _ := algos.Lookup("iter")
+	solvers = append(solvers, solver{"iter δ=1/3 offline-solve entry", func(repo stream.Repository, eng engine.Options, sample func()) (int64, error) {
+		p := algos.Defaults()
+		p.Delta, p.Offline, p.Engine = 1.0/3.0, samplingSolver{offline.Greedy{}, sample}, eng
+		p.Engine.Tracer = nil
+		res, err := iter.Solve(repo, p)
+		return res.SpaceWords, err
+	}})
 	dir := t.TempDir()
 	for _, n := range []int{1024, 2048, 4096} {
 		path := filepath.Join(dir, fmt.Sprintf("e18-%d.scb", n))

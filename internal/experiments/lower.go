@@ -14,7 +14,7 @@ import (
 // through a disjointness oracle, which is why a single-pass randomized
 // streaming algorithm with a better-than-3/2 approximation needs Ω(mn) bits
 // of state.
-func E6RecoverBits(seed int64, quick bool, _ ...engine.Options) Table {
+func E6RecoverBits(seed int64, quick bool, _ engine.Options) Table {
 	configs := [][2]int{{4, 24}, {6, 32}, {8, 40}}
 	if quick {
 		configs = [][2]int{{3, 16}, {4, 24}}
@@ -52,7 +52,7 @@ func E6RecoverBits(seed int64, quick bool, _ ...engine.Options) Table {
 // reduced SetCover instance has optimum (2p+1)n+1 exactly when the ISC
 // output is 1. It also reports the Observation 5.9 accounting that turns a
 // streaming algorithm into a communication protocol.
-func E7ISCReduction(seed int64, quick bool, _ ...engine.Options) Table {
+func E7ISCReduction(seed int64, quick bool, _ engine.Options) Table {
 	draws := 16
 	if quick {
 		draws = 6
@@ -105,7 +105,7 @@ func E7ISCReduction(seed int64, quick bool, _ ...engine.Options) Table {
 // Limited Pointer Chasing instances yields SetCover instances whose sets
 // have size Õ(t) — the s-sparse regime of Theorem 6.6 — while the embedded
 // equalities survive the overlay.
-func E8SparseLB(seed int64, quick bool, _ ...engine.Options) Table {
+func E8SparseLB(seed int64, quick bool, _ engine.Options) Table {
 	n, p := 128, 2
 	ts := []int{2, 4, 8}
 	if quick {

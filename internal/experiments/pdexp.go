@@ -14,8 +14,7 @@ import (
 // trivial baseline reveals elements one at a time and pays n passes for the
 // same update rule. Rows are produced for unit and log-uniform per-set
 // costs — the weighted rows exercise the SCWT-backed cost model end to end.
-func E19PrimalDual(seed int64, quick bool, engOpts ...engine.Options) Table {
-	eng := engineFor(engOpts)
+func E19PrimalDual(seed int64, quick bool, eng engine.Options) Table {
 	t := Table{
 		ID:    "E19",
 		Title: "Batched primal-dual on the VC worst case: dedicated vs trivial reveal",

@@ -15,8 +15,7 @@ import (
 // the input grows like m·(n/k), iterSetCover's space like m·n^δ, so the
 // space-to-input ratio must fall as n grows — the sublinearity only
 // asymptotics can show.
-func E18Scaling(seed int64, quick bool, engOpts ...engine.Options) Table {
-	eng := engineFor(engOpts)
+func E18Scaling(seed int64, quick bool, eng engine.Options) Table {
 	sizes := []int{1024, 2048, 4096, 8192}
 	if quick {
 		sizes = []int{512, 1024}

@@ -17,8 +17,7 @@ import (
 // paper cites). iterSetCover with the exact offline solver (ρ = 1) escapes
 // the greedy trap; nothing one-pass escapes the ER trap (Theorem 3.8 says
 // even randomization cannot help below Ω(mn) space).
-func E17Tightness(seed int64, quick bool, engOpts ...engine.Options) Table {
-	eng := engineFor(engOpts)
+func E17Tightness(seed int64, quick bool, eng engine.Options) Table {
 	t := Table{
 		ID:    "E17",
 		Title: "Tightness traps: where each algorithm's factor actually bites",

@@ -23,8 +23,7 @@ import (
 // passes; ER14 1 pass with poor approximation; CW16 few passes; DIMV14 same
 // space as iterSetCover but many more passes; iterSetCover 2/δ passes with
 // Õ(m·n^δ) space and log-factor approximation).
-func E1Figure11(seed int64, quick bool, engOpts ...engine.Options) Table {
-	eng := engineFor(engOpts)
+func E1Figure11(seed int64, quick bool, eng engine.Options) Table {
 	n, m, k := 2000, 4000, 25
 	if quick {
 		n, m, k = 400, 800, 8
@@ -94,8 +93,7 @@ func E1Figure11(seed int64, quick bool, engOpts ...engine.Options) Table {
 
 // E2DeltaSweep reproduces Theorem 2.8's trade-off curve: as δ shrinks,
 // passes grow like 2/δ while space shrinks like m·n^δ.
-func E2DeltaSweep(seed int64, quick bool, engOpts ...engine.Options) Table {
-	eng := engineFor(engOpts)
+func E2DeltaSweep(seed int64, quick bool, eng engine.Options) Table {
 	n, m, k := 4096, 8192, 32
 	if quick {
 		n, m, k = 512, 1024, 8
@@ -126,8 +124,7 @@ func E2DeltaSweep(seed int64, quick bool, engOpts ...engine.Options) Table {
 
 // E9AblationSizeTest measures what the Size Test buys (Lemma 2.3): without
 // it, heavy sets are stored instead of taken, and projection storage grows.
-func E9AblationSizeTest(seed int64, quick bool, engOpts ...engine.Options) Table {
-	eng := engineFor(engOpts)
+func E9AblationSizeTest(seed int64, quick bool, eng engine.Options) Table {
 	n, m, k := 2048, 4096, 8
 	if quick {
 		n, m, k = 512, 1024, 4
@@ -166,8 +163,7 @@ func E9AblationSizeTest(seed int64, quick bool, engOpts ...engine.Options) Table
 // size buys (Lemma 2.6 vs plain element sampling): with a too-small sample
 // the per-iteration shrink factor drops from n^δ to a constant and the
 // iteration count explodes — the qualitative gap to [DIMV14].
-func E10AblationSampling(seed int64, quick bool, engOpts ...engine.Options) Table {
-	eng := engineFor(engOpts)
+func E10AblationSampling(seed int64, quick bool, eng engine.Options) Table {
 	n, m, k := 4096, 4096, 8
 	if quick {
 		n, m, k = 1024, 1024, 4
@@ -210,8 +206,7 @@ func E10AblationSampling(seed int64, quick bool, engOpts ...engine.Options) Tabl
 
 // E11AblationOffline compares greedy (ρ = ln n) and exact (ρ = 1) offline
 // solvers inside iterSetCover — the ρ/δ factor of Theorem 2.8.
-func E11AblationOffline(seed int64, quick bool, engOpts ...engine.Options) Table {
-	eng := engineFor(engOpts)
+func E11AblationOffline(seed int64, quick bool, eng engine.Options) Table {
 	n, m, k := 300, 600, 6
 	if quick {
 		n, m, k = 150, 300, 4
@@ -241,7 +236,7 @@ func E11AblationOffline(seed int64, quick bool, engOpts ...engine.Options) Table
 // E12RelativeApprox empirically validates Lemma 2.5 (the HS11 sampling
 // bound): at the bound's sample size the violation rate of Definition 2.4
 // stays below q.
-func E12RelativeApprox(seed int64, quick bool, _ ...engine.Options) Table {
+func E12RelativeApprox(seed int64, quick bool, _ engine.Options) Table {
 	n, numRanges, trials := 4000, 64, 30
 	if quick {
 		n, numRanges, trials = 1000, 32, 10

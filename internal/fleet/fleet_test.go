@@ -22,11 +22,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
+	"repro/internal/algos"
 	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/maxcover"
 	"repro/internal/scdisk"
 	"repro/internal/serve"
 	"repro/internal/setcover"
@@ -48,42 +46,24 @@ func plantedFile(t *testing.T) (string, *setcover.Instance) {
 	return path, in
 }
 
-// libraryCover solves algo directly against the library — the ground truth a
-// fleet answer must match byte for byte.
+// libraryCover solves algo through the algorithm table at the defaults,
+// directly on the in-memory instance — the ground truth a fleet answer must
+// match byte for byte (internal/algos checks each entry against its direct
+// library call).
 func libraryCover(t *testing.T, in *setcover.Instance, algo string) []int {
 	t.Helper()
-	one := engine.Options{Workers: 1}
-	repo := func() stream.Repository { return stream.NewSliceRepo(in) }
-	var st setcover.Stats
-	var err error
-	switch algo {
-	case "iter":
-		res, ierr := core.IterSetCover(repo(), core.Options{Delta: 0.5, Seed: 1, Engine: one})
-		st, err = res.Stats, ierr
-	case "greedy1":
-		st, err = baseline.OnePassGreedy(repo(), one)
-	case "greedyn":
-		st, err = baseline.MultiPassGreedyPartial(repo(), 0, one)
-	case "threshold":
-		st, err = baseline.ThresholdGreedyPartial(repo(), 0, one)
-	case "sg09":
-		st, err = maxcover.SahaGetoorSetCover(repo(), one)
-	case "er14":
-		st, err = baseline.EmekRosenPartial(repo(), 0, one)
-	case "cw16":
-		st, err = baseline.ChakrabartiWirthPartial(repo(), 2, 0, one)
-	case "dimv14":
-		st, err = baseline.DIMV14(repo(), baseline.DIMV14Options{Delta: 0.5, Seed: 1}, one)
-	default:
+	e, ok := algos.Lookup(algo)
+	if !ok {
 		t.Fatalf("unknown algo %q", algo)
 	}
+	p := algos.Defaults()
+	p.Engine = engine.Options{Workers: 1}
+	res, err := e.Solve(stream.NewSliceRepo(in), p)
 	if err != nil {
 		t.Fatalf("library %s: %v", algo, err)
 	}
-	return st.Cover
+	return res.Cover
 }
-
-var fleetAlgos = []string{"iter", "greedy1", "greedyn", "threshold", "sg09", "er14", "cw16", "dimv14"}
 
 // fleetNode is one live backend: a serve.Server on a real listener.
 type fleetNode struct {
@@ -220,16 +200,15 @@ func nodeMetrics(t *testing.T, url string) map[string]int64 {
 	return m
 }
 
-// Every algorithm, routed: the fleet's answer for each of the 8 algorithms is
-// byte-identical to the direct library call, whichever node rendezvous picks —
-// and the routing IS sticky (the same digest lands on the same node every
-// time).
+// Every algorithm, routed: the fleet's answer for each algorithm of the table
+// is byte-identical to the library's, whichever node rendezvous picks — and
+// the routing IS sticky (the same digest lands on the same node every time).
 func TestFleetAllAlgorithmsByteIdentical(t *testing.T) {
 	path, in := plantedFile(t)
 	_, _, rts := startFleet(t, 3, path, "")
 
 	homes := make(map[string]bool)
-	for _, algo := range fleetAlgos {
+	for _, algo := range algos.Names() {
 		body := fmt.Sprintf(`{"instance":"planted","algo":%q}`, algo)
 		got := solveVia(t, rts.URL, body)
 		if got.apiErr != nil || got.status != 200 {

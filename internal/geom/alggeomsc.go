@@ -124,8 +124,9 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 	if opts.Delta == 0 {
 		opts.Delta = 0.25
 	}
-	if opts.Delta < 0 || opts.Delta > 1 {
-		return GeomResult{}, fmt.Errorf("geom: delta %v out of (0,1]", opts.Delta)
+	iterations, err := sample.Iterations(opts.Delta)
+	if err != nil {
+		return GeomResult{}, fmt.Errorf("geom: %w", err)
 	}
 	if opts.Offline == nil {
 		opts.Offline = offline.Greedy{}
@@ -151,7 +152,6 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 	runs := makeGeomRuns(n, opts, tracker)
 	eng := engine.New(opts.Engine)
 	src := shapeSource{repo: repo}
-	iterations := int(math.Ceil(1 / opts.Delta))
 
 	for iter := 0; iter < iterations; iter++ {
 		if geomAllDone(runs) {

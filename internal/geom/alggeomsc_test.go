@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/offline"
@@ -228,10 +229,17 @@ func TestAlgGeomSCUncoverable(t *testing.T) {
 	}
 }
 
+// A δ outside (0, 1], NaN, or so small that ⌈1/δ⌉ overflows an int fails
+// before the first pass, with an error that names δ.
 func TestAlgGeomSCBadDelta(t *testing.T) {
 	repo := NewShapeRepo(&Instance{Points: []Point{{0, 0}}, Shapes: []Shape{Disk{C: Point{0, 0}, R: 1}}})
-	if _, err := AlgGeomSC(repo, GeomOptions{Delta: 2}); err == nil {
-		t.Fatal("delta=2 should error")
+	for _, d := range []float64{2, -0.5, math.NaN(), 1e-300} {
+		if _, err := AlgGeomSC(repo, GeomOptions{Delta: d}); err == nil || !strings.Contains(err.Error(), "delta") {
+			t.Errorf("delta=%v: err %v, want an error naming delta", d, err)
+		}
+	}
+	if repo.Passes() != 0 {
+		t.Errorf("bad deltas spent %d passes", repo.Passes())
 	}
 }
 

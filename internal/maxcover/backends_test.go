@@ -172,25 +172,15 @@ func TestTruncatedStreamFailsMaxCover(t *testing.T) {
 		return d
 	}
 
-	if res, err := Streaming(open(), 14); !errors.Is(err, engine.ErrPassFailed) {
+	if res, err := Streaming(open(), 14, engine.Options{}); !errors.Is(err, engine.ErrPassFailed) {
 		t.Fatalf("Streaming on truncated stream: err=%v, want ErrPassFailed", err)
 	} else if len(res.Sets) != 0 {
 		t.Fatalf("Streaming failed run still reported %d sets", len(res.Sets))
 	}
 
-	if st, err := SahaGetoorSetCover(open()); !errors.Is(err, engine.ErrPassFailed) {
+	if st, err := SahaGetoorSetCover(open(), engine.Options{}); !errors.Is(err, engine.ErrPassFailed) {
 		t.Fatalf("SG09 on truncated stream: err=%v, want ErrPassFailed", err)
 	} else if st.Valid || len(st.Cover) != 0 {
 		t.Fatalf("SG09 failed run still reported a cover (size %d, valid=%v)", len(st.Cover), st.Valid)
 	}
-}
-
-// Passing more than one engine option set is a programming error.
-func TestEngineForRejectsMultipleOptionSets(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("two option sets should panic")
-		}
-	}()
-	engineFor([]engine.Options{{}, {}})
 }

@@ -36,17 +36,6 @@ import (
 	"repro/internal/stream"
 )
 
-// engineFor resolves the pass executor for one solve: the caller's per-call
-// options when given (at most one, validated by engine.PerCall), engine
-// defaults otherwise — deliberately NOT the deprecated baseline.SetEngine
-// process default, which is documented as steering baselines only (maxcover
-// never ran on it). Per-call engines are constructed fresh, so concurrent
-// solves with different configurations never share mutable executor state.
-func engineFor(engOpts []engine.Options) *engine.Engine {
-	opts, _ := engine.PerCall("maxcover", engOpts)
-	return engine.New(opts)
-}
-
 // Result reports a Max k-Cover solution.
 type Result struct {
 	// Sets are the chosen set IDs, at most k of them.
@@ -108,16 +97,16 @@ func (g *coverageGuess) Observe(batch []setcover.Set) {
 // single physical pass (one engine.Run, each guess an observer); the best
 // guess's selection is returned.
 //
-// engOpts (at most one) configures the pass executor for this call; results
-// are identical at every setting.
+// engOpts configures the pass executor for this call; results are identical
+// at every setting.
 //
 // Guarantee: for the guess with OPT/2 < v <= OPT, either k sets are taken
 // (each adding >= v/2k, so coverage >= v/2 >= OPT/4) or every unpicked set
 // had marginal gain < v/2k against the final selection, so OPT's k sets add
 // less than v/2 beyond it — coverage >= OPT - v/2 >= OPT/2. Either way the
 // result is a 1/4-approximation (the standard threshold analysis).
-func Streaming(repo stream.Repository, k int, engOpts ...engine.Options) (Result, error) {
-	eng := engineFor(engOpts)
+func Streaming(repo stream.Repository, k int, engOpts engine.Options) (Result, error) {
+	eng := engine.New(engOpts)
 	if k < 0 {
 		return Result{}, fmt.Errorf("maxcover: negative budget %d", k)
 	}
@@ -203,11 +192,10 @@ func (rs *sgRoundObserver) Observe(batch []setcover.Set) {
 // fraction of the residual, so rounds (= passes) stay O(log n) and the
 // output is an O(log n)-approximation in Õ(n) space.
 //
-// engOpts (at most one) configures the pass executor for this call — the
-// per-call form concurrent solves must use (internal/serve threads its
-// per-solve options here); results are identical at every setting.
-func SahaGetoorSetCover(repo stream.Repository, engOpts ...engine.Options) (setcover.Stats, error) {
-	eng := engineFor(engOpts)
+// engOpts configures the pass executor for this call (internal/serve threads
+// its per-solve options here); results are identical at every setting.
+func SahaGetoorSetCover(repo stream.Repository, engOpts engine.Options) (setcover.Stats, error) {
+	eng := engine.New(engOpts)
 	st := setcover.Stats{Algorithm: "saha-getoor[SG09]"}
 	passes0 := repo.Passes()
 	n := repo.UniverseSize()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/setcover"
 	"repro/internal/stream"
@@ -66,7 +67,7 @@ func TestStreamingOnePass(t *testing.T) {
 		t.Fatal(err)
 	}
 	repo := stream.NewSliceRepo(in)
-	res, err := Streaming(repo, 10)
+	res, err := Streaming(repo, 10, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,15 +89,15 @@ func TestStreamingOnePass(t *testing.T) {
 
 func TestStreamingEdgeCases(t *testing.T) {
 	empty := stream.NewSliceRepo(&setcover.Instance{N: 0})
-	res, err := Streaming(empty, 5)
+	res, err := Streaming(empty, 5, engine.Options{})
 	if err != nil || res.Covered != 0 {
 		t.Fatalf("empty: %+v err=%v", res, err)
 	}
 	in := mk(3, []setcover.Elem{0, 1, 2})
-	if _, err := Streaming(stream.NewSliceRepo(in), -2); err == nil {
+	if _, err := Streaming(stream.NewSliceRepo(in), -2, engine.Options{}); err == nil {
 		t.Fatal("negative budget should error")
 	}
-	res, err = Streaming(stream.NewSliceRepo(in), 0)
+	res, err = Streaming(stream.NewSliceRepo(in), 0, engine.Options{})
 	if err != nil || len(res.Sets) != 0 {
 		t.Fatalf("k=0: %+v err=%v", res, err)
 	}
@@ -107,7 +108,7 @@ func TestStreamingCoveredMatchesSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Streaming(stream.NewSliceRepo(in), 6)
+	res, err := Streaming(stream.NewSliceRepo(in), 6, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSahaGetoorSetCover(t *testing.T) {
 		t.Fatal(err)
 	}
 	repo := stream.NewSliceRepo(in)
-	st, err := SahaGetoorSetCover(repo)
+	st, err := SahaGetoorSetCover(repo, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +146,13 @@ func TestSahaGetoorSetCover(t *testing.T) {
 
 func TestSahaGetoorInfeasible(t *testing.T) {
 	in := mk(5, []setcover.Elem{0, 1})
-	if _, err := SahaGetoorSetCover(stream.NewSliceRepo(in)); err == nil {
+	if _, err := SahaGetoorSetCover(stream.NewSliceRepo(in), engine.Options{}); err == nil {
 		t.Fatal("infeasible instance should error")
 	}
 }
 
 func TestSahaGetoorEmptyUniverse(t *testing.T) {
-	st, err := SahaGetoorSetCover(stream.NewSliceRepo(&setcover.Instance{N: 0}))
+	st, err := SahaGetoorSetCover(stream.NewSliceRepo(&setcover.Instance{N: 0}), engine.Options{})
 	if err != nil || !st.Valid {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
@@ -168,7 +169,7 @@ func TestPropStreamingGuarantee(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Streaming(stream.NewSliceRepo(in), k)
+		res, err := Streaming(stream.NewSliceRepo(in), k, engine.Options{})
 		if err != nil {
 			return false
 		}
@@ -198,7 +199,7 @@ func TestPropSahaGetoorCovers(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		st, err := SahaGetoorSetCover(stream.NewSliceRepo(in))
+		st, err := SahaGetoorSetCover(stream.NewSliceRepo(in), engine.Options{})
 		return err == nil && in.IsCover(st.Cover)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -216,7 +217,7 @@ func BenchmarkStreamingMaxKCover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		repo.ResetPasses()
-		if _, err := Streaming(repo, 20); err != nil {
+		if _, err := Streaming(repo, 20, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

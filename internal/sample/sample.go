@@ -13,12 +13,29 @@
 package sample
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/bitset"
 	"repro/internal/setcover"
 )
+
+// Iterations returns ⌈1/δ⌉, the iteration count of iterSetCover (Figure
+// 1.3) and algGeomSC (Figure 4.1), and is the one check of a δ parameter.
+// It fails when δ is outside (0, 1], NaN included, and when ⌈1/δ⌉ does not
+// fit an int (δ below about 1.1e-19), so a caller can refuse δ before its
+// first pass.
+func Iterations(delta float64) (int, error) {
+	if !(delta > 0 && delta <= 1) {
+		return 0, fmt.Errorf("delta %v out of (0,1]", delta)
+	}
+	// float64(math.MaxInt) rounds up to 2^63, the first count an int cannot hold.
+	if it := math.Ceil(1 / delta); it < math.MaxInt {
+		return int(it), nil
+	}
+	return 0, fmt.Errorf("delta %v too small: ⌈1/delta⌉ does not fit an int", delta)
+}
 
 // Size returns the Lemma 2.5 sample-size bound
 // (c/(ε²p))·(log₂(numRanges)·log₂(1/p) + log₂(1/q)), rounded up, with a

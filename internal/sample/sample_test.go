@@ -262,3 +262,21 @@ func TestPropSampleWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Iterations is ⌈1/δ⌉ on (0, 1] up to the last count an int holds, and an
+// error naming δ beyond it, for NaN and outside the interval.
+func TestIterations(t *testing.T) {
+	for _, c := range []struct {
+		delta float64
+		want  int
+	}{{1, 1}, {0.5, 2}, {1.0 / 3.0, 3}, {0.3, 4}, {math.Ldexp(1, -62), 1 << 62}, {math.Nextafter(math.Ldexp(1, -63), 1), 1<<63 - 2048}} {
+		if got, err := Iterations(c.delta); err != nil || got != c.want {
+			t.Errorf("Iterations(%v) = %d, %v; want %d", c.delta, got, err, c.want)
+		}
+	}
+	for _, d := range []float64{0, -1, 1.5, math.NaN(), math.Inf(1), math.Ldexp(1, -63), 1e-300, math.SmallestNonzeroFloat64} {
+		if n, err := Iterations(d); err == nil {
+			t.Errorf("Iterations(%v) = %d, want an error", d, n)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,11 +16,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/baseline"
+	"repro/internal/algos"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/maxcover"
 	"repro/internal/scdisk"
 	"repro/internal/setcover"
 	"repro/internal/stream"
@@ -171,73 +171,52 @@ func TestSolveMatchesLibraryAndCaches(t *testing.T) {
 	}
 }
 
-// Every dispatchable algorithm must agree with its direct library call —
-// the service adds queueing and caching, never different answers. Runs the
-// requests concurrently to exercise the multiplexing under -race.
+// Every algorithm of the table must agree with the table's own solve at the
+// defaults — the service adds queueing and caching, never different
+// answers (internal/algos checks each entry against its direct library
+// call). Runs the requests concurrently to exercise the multiplexing under
+// -race.
 func TestAllAlgorithmsConcurrently(t *testing.T) {
 	cat, in := testCatalog(t)
-	// MaxQueue is literal (0 = strict backpressure), so give the 8
-	// concurrent requests explicit waiting room.
+	// MaxQueue is literal (0 = strict backpressure), so give the concurrent
+	// requests explicit waiting room.
 	srv := NewServer(cat, Config{MaxConcurrent: 4, MaxQueue: DefaultMaxQueue, CacheSize: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	type algoCase struct {
-		name string
-		ref  func() (setcover.Stats, error)
-	}
-	one := engine.Options{Workers: 1}
-	cases := []algoCase{
-		{"iter", func() (setcover.Stats, error) {
-			r, err := core.IterSetCover(stream.NewSliceRepo(in), core.Options{Delta: 0.5, Seed: 1, Engine: one})
-			return r.Stats, err
-		}},
-		{"greedy1", func() (setcover.Stats, error) { return baseline.OnePassGreedy(stream.NewSliceRepo(in), one) }},
-		{"threshold", func() (setcover.Stats, error) {
-			return baseline.ThresholdGreedyPartial(stream.NewSliceRepo(in), 0, one)
-		}},
-		{"er14", func() (setcover.Stats, error) { return baseline.EmekRosenPartial(stream.NewSliceRepo(in), 0, one) }},
-		{"cw16", func() (setcover.Stats, error) {
-			return baseline.ChakrabartiWirthPartial(stream.NewSliceRepo(in), 2, 0, one)
-		}},
-		{"dimv14", func() (setcover.Stats, error) {
-			return baseline.DIMV14(stream.NewSliceRepo(in), baseline.DIMV14Options{Delta: 0.5, Seed: 1}, one)
-		}},
-		{"greedyn", func() (setcover.Stats, error) {
-			return baseline.MultiPassGreedyPartial(stream.NewSliceRepo(in), 0, one)
-		}},
-		{"sg09", func() (setcover.Stats, error) { return maxcover.SahaGetoorSetCover(stream.NewSliceRepo(in)) }},
-	}
+	cases := algos.All()
+	ref := algos.Defaults()
+	ref.Engine = engine.Options{Workers: 1}
 	var wg sync.WaitGroup
 	errs := make([]error, len(cases))
 	for i, c := range cases {
 		wg.Add(1)
-		go func(i int, c algoCase) {
+		go func(i int, c algos.Entry) {
 			defer wg.Done()
-			want, err := c.ref()
+			want, err := c.Solve(stream.NewSliceRepo(in), ref)
 			if err != nil {
-				errs[i] = fmt.Errorf("%s: reference: %w", c.name, err)
+				errs[i] = fmt.Errorf("%s: reference: %w", c.Name, err)
 				return
 			}
-			code, view, apiErr := postSolve(t, ts.URL, map[string]any{"instance": "planted", "algo": c.name})
+			code, view, apiErr := postSolve(t, ts.URL, map[string]any{"instance": "planted", "algo": c.Name})
 			if apiErr != nil || code != 200 {
-				errs[i] = fmt.Errorf("%s: status %d err %v", c.name, code, apiErr)
+				errs[i] = fmt.Errorf("%s: status %d err %v", c.Name, code, apiErr)
 				return
 			}
 			got := view.Result
 			if len(got.Cover) != len(want.Cover) {
-				errs[i] = fmt.Errorf("%s: cover size %d, library %d", c.name, len(got.Cover), len(want.Cover))
+				errs[i] = fmt.Errorf("%s: cover size %d, library %d", c.Name, len(got.Cover), len(want.Cover))
 				return
 			}
 			for j := range want.Cover {
 				if got.Cover[j] != want.Cover[j] {
-					errs[i] = fmt.Errorf("%s: cover[%d] differs", c.name, j)
+					errs[i] = fmt.Errorf("%s: cover[%d] differs", c.Name, j)
 					return
 				}
 			}
-			if got.Passes != want.Passes || got.SpaceWords != want.SpaceWords {
-				errs[i] = fmt.Errorf("%s: stats diverge: passes %d/%d space %d/%d",
-					c.name, got.Passes, want.Passes, got.SpaceWords, want.SpaceWords)
+			if got.Passes != want.Passes || got.SpaceWords != want.SpaceWords || got.BestK != want.BestK {
+				errs[i] = fmt.Errorf("%s: stats diverge: passes %d/%d space %d/%d best k %d/%d",
+					c.Name, got.Passes, want.Passes, got.SpaceWords, want.SpaceWords, got.BestK, want.BestK)
 			}
 		}(i, c)
 	}
@@ -346,9 +325,9 @@ func TestTruncatedInstanceReturnsStructured5xx(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// sg09 exercises the engine-migrated maxcover failure path: its rounds
-	// now fail through engine.Run like every other algorithm's passes.
-	for _, algo := range []string{"iter", "greedy1", "er14", "sg09"} {
+	// Every algorithm of the table, sg09's maxcover rounds and pd's gather
+	// passes included, fails through engine.Run.
+	for _, algo := range algos.Names() {
 		code, _, apiErr := postSolve(t, ts.URL, map[string]any{"instance": "trunc", "algo": algo})
 		if code != 502 || apiErr == nil || apiErr.Code != CodePassFailed {
 			t.Fatalf("%s: want 502 pass_failed, got status %d err %+v", algo, code, apiErr)
@@ -386,8 +365,8 @@ func TestTruncatedInstanceReturnsStructured5xx(t *testing.T) {
 		t.Fatalf("retained failed job: %+v", jv)
 	}
 	m := getMetrics(t, ts.URL)
-	if m["setcoverd_solve_failures_total"] != 5 {
-		t.Fatalf("solve_failures_total=%d, want 5", m["setcoverd_solve_failures_total"])
+	if want := int64(len(algos.Names()) + 1); m["setcoverd_solve_failures_total"] != want {
+		t.Fatalf("solve_failures_total=%d, want %d", m["setcoverd_solve_failures_total"], want)
 	}
 }
 
@@ -447,6 +426,8 @@ func TestRequestValidation(t *testing.T) {
 		{map[string]any{"instance": "nope"}, 404, CodeUnknownInstance},
 		{map[string]any{"instance": "planted", "algo": "quantum"}, 400, CodeBadRequest},
 		{map[string]any{"instance": "planted", "delta": 1.5}, 400, CodeBadRequest},
+		// ⌈1/δ⌉ iterations would overflow an int.
+		{map[string]any{"instance": "planted", "delta": 1e-300}, 400, CodeBadRequest},
 		{map[string]any{"instance": "planted", "eps": 1.0}, 400, CodeBadRequest},
 		{map[string]any{}, 400, CodeBadRequest},
 		// Hardening: absurd pass budgets and engine knobs are client errors,
@@ -466,6 +447,21 @@ func TestRequestValidation(t *testing.T) {
 		code, _, apiErr := postSolve(t, ts.URL, c.req)
 		if code != c.code || apiErr == nil || apiErr.Code != c.errCode {
 			t.Fatalf("req %v: want %d %s, got %d %+v", c.req, c.code, c.errCode, code, apiErr)
+		}
+	}
+	// The unknown-algo message lists the table's names, in wire order.
+	_, _, apiErr := postSolve(t, ts.URL, map[string]any{"instance": "planted", "algo": "quantum"})
+	if want := `unknown algo "quantum" (want one of [iter greedy1 greedyn threshold sg09 er14 cw16 dimv14 pd dyn])`; apiErr == nil || apiErr.Message != want {
+		t.Fatalf("unknown algo: got %+v, want message %q", apiErr, want)
+	}
+	// JSON has no NaN, so NaN reaches validate only from Go callers.
+	for _, r := range []SolveRequest{
+		{Instance: "planted", Delta: math.NaN()},
+		{Instance: "planted", Eps: math.NaN()},
+	} {
+		r.normalize()
+		if err := r.validate(); err == nil {
+			t.Fatalf("validate accepted delta %v eps %v", r.Delta, r.Eps)
 		}
 	}
 

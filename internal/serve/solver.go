@@ -6,20 +6,13 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
+	"repro/internal/algos"
 	"repro/internal/engine"
-	"repro/internal/maxcover"
 	"repro/internal/pd"
-	"repro/internal/scdyn"
+	"repro/internal/sample"
 	"repro/internal/setcover"
 	"repro/internal/stream"
 )
-
-// Algorithms the service dispatches, by wire name — the same names
-// cmd/setcover's -algo flag accepts, with the same parameter defaults, so a
-// service solve is byte-identical to a CLI solve of the same request.
-var algoNames = []string{"iter", "greedy1", "greedyn", "threshold", "sg09", "er14", "cw16", "dimv14", "pd", "dyn"}
 
 // pdElemBatch is the element-batch size of algo=pd solves. It is PINNED, not a
 // request knob: the batch size changes the primal-dual's result, but the
@@ -59,7 +52,8 @@ type WeightsRequest struct {
 type SolveRequest struct {
 	// Instance names a catalog entry, by registration name or content digest.
 	Instance string `json:"instance"`
-	// Algo is one of iter|greedy1|greedyn|threshold|sg09|er14|cw16|dimv14|pd
+	// Algo is a wire name of the algorithm table (internal/algos): iter,
+	// greedy1, greedyn, threshold, sg09, er14, cw16, dimv14, pd or dyn
 	// (default iter).
 	Algo string `json:"algo,omitempty"`
 	// Delta is the paper's δ for iter/dimv14 (default 0.5): 2/δ passes,
@@ -149,19 +143,21 @@ type PassTraceView struct {
 	Error      string  `json:"error,omitempty"`
 }
 
-// normalize applies the CLI-matching defaults in place.
+// normalize applies the table's shared defaults in place, the ones the CLI
+// flags default to, so a service solve is byte-identical to a CLI solve of
+// the same request.
 func (r *SolveRequest) normalize() {
 	if r.Algo == "" {
-		r.Algo = "iter"
+		r.Algo = algos.DefaultAlgo
 	}
 	if r.Delta == 0 {
-		r.Delta = 0.5
+		r.Delta = algos.DefaultDelta
 	}
 	if r.Passes == 0 {
-		r.Passes = 2
+		r.Passes = algos.DefaultPasses
 	}
 	if r.Seed == nil {
-		s := int64(1)
+		s := int64(algos.DefaultSeed)
 		r.Seed = &s
 	}
 }
@@ -186,18 +182,11 @@ func (r *SolveRequest) validate() error {
 	if r.Instance == "" {
 		return errors.New("missing instance")
 	}
-	known := false
-	for _, a := range algoNames {
-		if r.Algo == a {
-			known = true
-			break
-		}
+	if _, ok := algos.Lookup(r.Algo); !ok {
+		return fmt.Errorf("unknown algo %q (want one of %v)", r.Algo, algos.Names())
 	}
-	if !known {
-		return fmt.Errorf("unknown algo %q (want one of %v)", r.Algo, algoNames)
-	}
-	if r.Delta <= 0 || r.Delta > 1 {
-		return fmt.Errorf("delta %v out of (0,1]", r.Delta)
+	if _, err := sample.Iterations(r.Delta); err != nil {
+		return err
 	}
 	if r.Passes < 1 {
 		return fmt.Errorf("passes %d < 1", r.Passes)
@@ -205,7 +194,7 @@ func (r *SolveRequest) validate() error {
 	if r.Passes > maxPassBudget {
 		return fmt.Errorf("passes %d exceeds limit %d", r.Passes, maxPassBudget)
 	}
-	if r.Eps < 0 || r.Eps >= 1 {
+	if !(r.Eps >= 0 && r.Eps < 1) {
 		return fmt.Errorf("eps %v out of [0,1)", r.Eps)
 	}
 	if e := r.Engine; e != nil {
@@ -322,7 +311,8 @@ type SolveResult struct {
 	CoverWeight float64 `json:"cover_weight,omitempty"`
 }
 
-// runSolve executes one admitted solve: fresh repository, dispatch, snapshot.
+// runSolve executes one admitted solve: fresh repository, the table entry's
+// solve, snapshot.
 // checkout reports how long acquiring the repository handle took (pool reuse
 // vs a cold file open) — a trace-only measurement.
 func runSolve(inst *Instance, req *SolveRequest, engOpts engine.Options) (*SolveResult, time.Duration, error) {
@@ -338,10 +328,20 @@ func runSolve(inst *Instance, req *SolveRequest, engOpts engine.Options) (*Solve
 	defer release()
 
 	start := time.Now()
-	st, bestK, err := dispatch(repo, req, engOpts)
+	e, ok := algos.Lookup(req.Algo)
+	if !ok {
+		return nil, checkout, fmt.Errorf("unknown algo %q", req.Algo) // unreachable after validate
+	}
+	// Dedicated mode and pdElemBatch are pinned (see the const); for pd, eps
+	// is the dual increment, with 0 meaning pd's own default.
+	res, err := e.Solve(repo, algos.Params{
+		Delta: req.Delta, Eps: req.Eps, Passes: req.Passes, Seed: *req.Seed,
+		PD: pd.Options{Epsilon: req.Eps, ElemBatch: pdElemBatch}, Engine: engOpts,
+	})
 	if err != nil {
 		return nil, checkout, err
 	}
+	st := res.Stats
 	cover := st.Cover
 	if cover == nil {
 		cover = []int{} // JSON: [] rather than null
@@ -357,58 +357,10 @@ func runSolve(inst *Instance, req *SolveRequest, engOpts engine.Options) (*Solve
 		Valid:       st.Valid,
 		Passes:      st.Passes,
 		SpaceWords:  st.SpaceWords,
-		BestK:       bestK,
+		BestK:       res.BestK,
 		WallMillis:  float64(time.Since(start).Microseconds()) / 1000,
 		CoverWeight: coverWeight,
 	}, checkout, nil
-}
-
-// dispatch maps the wire algorithm name to the library call, mirroring
-// cmd/setcover's switch so service and CLI solves agree byte for byte.
-func dispatch(repo stream.Repository, req *SolveRequest, engOpts engine.Options) (setcover.Stats, int, error) {
-	seed := *req.Seed
-	switch req.Algo {
-	case "iter":
-		res, err := core.IterSetCover(repo, core.Options{
-			Delta: req.Delta, Seed: seed, PartialEps: req.Eps, Engine: engOpts,
-		})
-		return res.Stats, res.BestK, err
-	case "greedy1":
-		st, err := baseline.OnePassGreedy(repo, engOpts)
-		return st, 0, err
-	case "greedyn":
-		st, err := baseline.MultiPassGreedyPartial(repo, req.Eps, engOpts)
-		return st, 0, err
-	case "threshold":
-		st, err := baseline.ThresholdGreedyPartial(repo, req.Eps, engOpts)
-		return st, 0, err
-	case "sg09":
-		st, err := maxcover.SahaGetoorSetCover(repo, engOpts)
-		return st, 0, err
-	case "er14":
-		st, err := baseline.EmekRosenPartial(repo, req.Eps, engOpts)
-		return st, 0, err
-	case "cw16":
-		st, err := baseline.ChakrabartiWirthPartial(repo, req.Passes, req.Eps, engOpts)
-		return st, 0, err
-	case "dimv14":
-		st, err := baseline.DIMV14(repo, baseline.DIMV14Options{Delta: req.Delta, Seed: seed}, engOpts)
-		return st, 0, err
-	case "pd":
-		// Dedicated mode and pdElemBatch are pinned (see the const); eps is
-		// the dual increment here, with 0 meaning pd's own default.
-		res, err := pd.BatchedPrimalDual(repo, pd.Options{
-			Epsilon: req.Eps, ElemBatch: pdElemBatch, Engine: engOpts,
-		})
-		return res.Stats, 0, err
-	case "dyn":
-		// The from-scratch path of the dynamic solver: works on ANY backend
-		// (this is what resolve:full and non-dynamic instances run); the
-		// incremental path branches off earlier in runSolve.
-		st, err := scdyn.Solve(repo, engOpts)
-		return st, 0, err
-	}
-	return setcover.Stats{}, 0, fmt.Errorf("unknown algo %q", req.Algo) // unreachable after validate
 }
 
 // runDeltaSolve answers an algo=dyn resolve:delta request from the dynamic
