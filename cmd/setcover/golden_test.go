@@ -13,7 +13,9 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the cu
 
 // goldenCases are the invocations whose stdout, stderr and exit code are
 // pinned byte for byte in testdata/golden.txt: every algorithm, the partial
-// and parameter variants, the n = 0 instance, the help text and the errors.
+// variants, -eps on the algorithms that ignore it (their goal stays a full
+// cover), the parameter variants, the n = 0 instance, the help text and the
+// errors.
 var goldenCases = []struct {
 	args  []string
 	stdin string
@@ -34,6 +36,11 @@ var goldenCases = []struct {
 	{args: []string{"-algo", "threshold", "-eps", "0.1", "-print-cover"}},
 	{args: []string{"-algo", "er14", "-eps", "0.1", "-print-cover"}},
 	{args: []string{"-algo", "cw16", "-eps", "0.1", "-print-cover"}},
+	{args: []string{"-algo", "greedy1", "-eps", "0.5", "-print-cover"}},
+	{args: []string{"-algo", "sg09", "-eps", "0.5", "-print-cover"}},
+	{args: []string{"-algo", "dimv14", "-eps", "0.5", "-print-cover"}},
+	{args: []string{"-algo", "pd", "-eps", "0.5", "-print-cover"}},
+	{args: []string{"-algo", "dyn", "-eps", "0.5", "-print-cover"}},
 	{args: []string{"-algo", "iter", "-exact-offline", "-print-cover"}},
 	{args: []string{"-algo", "iter", "-delta", "0.25", "-seed", "5", "-print-cover"}},
 	{args: []string{"-algo", "cw16", "-passes", "3", "-print-cover"}},

@@ -193,12 +193,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if n > 0 {
 		coverage = float64(covered) / float64(n)
 	}
-	valid := float64(n-covered) <= *eps*float64(n)
+	goalEps := 0.0
+	if e.Partial {
+		goalEps = *eps
+	}
+	valid := float64(n-covered) <= goalEps*float64(n)
 
 	fmt.Fprintf(stdout, "algorithm:   %s\n", st.Algorithm)
 	fmt.Fprintf(stdout, "instance:    n=%d m=%d\n", n, m)
 	fmt.Fprintf(stdout, "cover size:  %d (coverage=%.3f, goal>=%.3f, valid=%v)\n",
-		len(st.Cover), coverage, 1-*eps, valid)
+		len(st.Cover), coverage, 1-goalEps, valid)
 	if ssc.RepositoryHasWeights(repo) {
 		fmt.Fprintf(stdout, "cover cost:  %.6g (weighted instance)\n", ssc.CoverWeight(repo, st.Cover))
 	}

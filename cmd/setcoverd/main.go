@@ -76,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		noSeg         = fs.Bool("no-segmented", false, "default solves to the single-reader decode path")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight solves")
 		cacheDir      = fs.String("cache-dir", "", "directory for the persistent result cache (shared fleet-wide when several daemons point at one directory; empty disables)")
-		verifyDigest  = fs.Bool("verify-digest", false, "register -instance files under the FULL-content digest (reads each file whole at registration; every fleet node must agree on this flag)")
 		logLevel      = fs.String("log-level", "info", "structured-log threshold (debug, info, warn, error)")
 		logJSON       = fs.Bool("log-json", false, "emit structured logs as JSON lines instead of text")
 		pprofAddr     = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables; keep it off public interfaces)")
@@ -115,9 +114,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 	}
 
 	cat := ssc.NewCatalog()
-	if *verifyDigest {
-		cat.SetVerifyDigest(true)
-	}
 	for _, spec := range instances {
 		name, path, ok := strings.Cut(spec, "=")
 		if !ok {

@@ -302,9 +302,9 @@ func TestDaemonPersistentCacheFlag(t *testing.T) {
 	}
 }
 
-// -verify-digest registers instances under the audit-grade full-content
-// digest: a different (domain-separated) digest than sampled mode, matching
-// the library's VerifyDigest exactly.
+// The daemon lists each file under the library's Digest, a solve addressed
+// by that digest succeeds, and the retired -verify-digest flag is an unknown
+// flag: exit 2.
 func TestDaemonVerifyDigestFlag(t *testing.T) {
 	in, _, _, err := ssc.Planted(ssc.PlantedConfig{N: 200, M: 400, K: 10, Seed: 8})
 	if err != nil {
@@ -314,50 +314,40 @@ func TestDaemonVerifyDigestFlag(t *testing.T) {
 	if err := ssc.WriteInstanceFile(path, in); err != nil {
 		t.Fatal(err)
 	}
-
-	digestOf := func(url string) string {
-		resp, err := http.Get(url + "/v1/instances")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var listing struct {
-			Instances []struct {
-				Digest string `json:"digest"`
-			} `json:"instances"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
-			t.Fatal(err)
-		}
-		if len(listing.Instances) != 1 {
-			t.Fatalf("%d instances, want 1", len(listing.Instances))
-		}
-		return listing.Instances[0].Digest
-	}
-
-	sampledURL, _ := startDaemon(t, "-instance", "planted="+path)
-	fullURL, _ := startDaemon(t, "-instance", "planted="+path, "-verify-digest")
-	sampled, full := digestOf(sampledURL), digestOf(fullURL)
-	if sampled == full {
-		t.Fatal("-verify-digest did not change the registration digest")
-	}
 	d, err := ssc.OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	want, err := d.VerifyDigest()
+	want, err := d.Digest()
+	d.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full != want {
-		t.Fatalf("daemon full digest %s != library VerifyDigest %s", full, want)
+
+	url, _ := startDaemon(t, "-instance", "planted="+path)
+	resp, err := http.Get(url + "/v1/instances")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var listing struct {
+		Instances []struct {
+			Digest string `json:"digest"`
+		} `json:"instances"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Instances) != 1 || listing.Instances[0].Digest != want {
+		t.Fatalf("daemon lists %+v, want one instance with library Digest %s", listing.Instances, want)
+	}
+	if status, body := solve(t, url, `{"instance":"`+want+`","algo":"greedy1"}`); status != 200 {
+		t.Fatalf("solve by digest: %d: %v", status, body)
 	}
 
-	// Digest addressing still works in verify mode, end to end.
-	status, body := solve(t, fullURL, `{"instance":"`+full+`","algo":"greedy1"}`)
-	if status != 200 {
-		t.Fatalf("solve by full digest: %d: %v", status, body)
+	var out bytes.Buffer
+	if code := run([]string{"-instance", "planted=" + path, "-verify-digest"}, &out, &out, nil, nil); code != 2 {
+		t.Fatalf("-verify-digest: exit %d, want 2\n%s", code, &out)
 	}
 }
 

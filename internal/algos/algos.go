@@ -35,8 +35,8 @@ type Params struct {
 	// Delta is the paper's δ ∈ (0, 1] for iter and dimv14: 2/δ passes,
 	// Õ(m·n^δ) space.
 	Delta float64
-	// Eps switches iter, greedyn, threshold, er14 and cw16 to ε-Partial
-	// Set Cover: cover at least a 1-ε fraction. Zero means full cover.
+	// Eps switches the entries marked Partial to ε-Partial Set Cover:
+	// cover at least a 1-ε fraction. Zero means full cover.
 	Eps float64
 	// Passes is cw16's pass budget.
 	Passes int
@@ -76,6 +76,9 @@ type Entry struct {
 	Solve func(repo stream.Repository, p Params) (Result, error)
 	// ReportsBestK marks the entry whose Result carries BestK (iter).
 	ReportsBestK bool
+	// Partial marks the entries that read Params.Eps; every other entry
+	// returns a full cover whatever Eps is.
+	Partial bool
 	// UsesPD marks the entry that reads Params.PD and whose Result
 	// carries pd's diagnostics.
 	UsesPD bool
@@ -86,7 +89,7 @@ func stats(st setcover.Stats, err error) (Result, error) { return Result{Stats: 
 
 // table is every algorithm, in wire order.
 var table = []Entry{
-	{Name: "iter", ReportsBestK: true, Solve: func(repo stream.Repository, p Params) (Result, error) {
+	{Name: "iter", ReportsBestK: true, Partial: true, Solve: func(repo stream.Repository, p Params) (Result, error) {
 		res, err := core.IterSetCover(repo, core.Options{
 			Delta: p.Delta, Seed: p.Seed, PartialEps: p.Eps, Offline: p.Offline, Engine: p.Engine,
 		})
@@ -95,19 +98,19 @@ var table = []Entry{
 	{Name: "greedy1", Solve: func(repo stream.Repository, p Params) (Result, error) {
 		return stats(baseline.OnePassGreedy(repo, p.Engine))
 	}},
-	{Name: "greedyn", Solve: func(repo stream.Repository, p Params) (Result, error) {
+	{Name: "greedyn", Partial: true, Solve: func(repo stream.Repository, p Params) (Result, error) {
 		return stats(baseline.MultiPassGreedyPartial(repo, p.Eps, p.Engine))
 	}},
-	{Name: "threshold", Solve: func(repo stream.Repository, p Params) (Result, error) {
+	{Name: "threshold", Partial: true, Solve: func(repo stream.Repository, p Params) (Result, error) {
 		return stats(baseline.ThresholdGreedyPartial(repo, p.Eps, p.Engine))
 	}},
 	{Name: "sg09", Solve: func(repo stream.Repository, p Params) (Result, error) {
 		return stats(maxcover.SahaGetoorSetCover(repo, p.Engine))
 	}},
-	{Name: "er14", Solve: func(repo stream.Repository, p Params) (Result, error) {
+	{Name: "er14", Partial: true, Solve: func(repo stream.Repository, p Params) (Result, error) {
 		return stats(baseline.EmekRosenPartial(repo, p.Eps, p.Engine))
 	}},
-	{Name: "cw16", Solve: func(repo stream.Repository, p Params) (Result, error) {
+	{Name: "cw16", Partial: true, Solve: func(repo stream.Repository, p Params) (Result, error) {
 		return stats(baseline.ChakrabartiWirthPartial(repo, p.Passes, p.Eps, p.Engine))
 	}},
 	{Name: "dimv14", Solve: func(repo stream.Repository, p Params) (Result, error) {

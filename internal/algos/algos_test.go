@@ -128,3 +128,31 @@ func TestNamesAndLookup(t *testing.T) {
 		t.Errorf("Defaults() = %+v", d)
 	}
 }
+
+// An entry not marked Partial must not read Params.Eps: at ε = 0.3 it
+// returns the identical cover, passes and space it returns at ε = 0, so the
+// CLI may judge its cover against a full-cover goal. An entry that starts
+// reading ε fails here until it is marked. The marked entries do read it:
+// on this instance ε = 0.3 changes each one's result.
+func TestFullCoverEntriesIgnoreEps(t *testing.T) {
+	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 60, M: 150, K: 6, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, partial := Defaults(), Defaults()
+	partial.Eps = 0.3
+	for _, e := range All() {
+		want, wantErr := e.Solve(stream.NewSliceRepo(in), full)
+		got, gotErr := e.Solve(stream.NewSliceRepo(in), partial)
+		if wantErr != nil || gotErr != nil {
+			t.Fatalf("%s: %v / %v", e.Name, wantErr, gotErr)
+		}
+		same := reflect.DeepEqual(got, want)
+		switch {
+		case !e.Partial && !same:
+			t.Errorf("%s is not marked Partial but ε = 0.3 changed its result: %+v, at ε = 0 %+v", e.Name, got, want)
+		case e.Partial && same:
+			t.Errorf("%s is marked Partial but ε = 0.3 left its result unchanged: %+v", e.Name, got)
+		}
+	}
+}

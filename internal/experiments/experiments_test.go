@@ -339,3 +339,75 @@ func TestE16StreamingCoversQuarter(t *testing.T) {
 		}
 	}
 }
+
+// E3's claim (Figure 1.2): on every row the canonical pieces are exactly the
+// n points and take 2n words, while the raw projections are the n²/4
+// rectangles, one word each. Quick and full configurations.
+func TestE3CanonicalLinearRawQuadratic(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		tbl := E3Figure12(quick)
+		if len(tbl.Rows) == 0 {
+			t.Fatalf("quick=%v: E3 has no rows", quick)
+		}
+		for _, row := range tbl.Rows {
+			n := cell(t, tbl, row, "n")
+			rects := cell(t, tbl, row, "rectangles (n²/4)")
+			if rects != n*n/4 || cell(t, tbl, row, "raw proj words") != rects {
+				t.Errorf("quick=%v: row %v: want rectangles = raw projection words = n²/4", quick, row)
+			}
+			if cell(t, tbl, row, "canonical pieces") != n || cell(t, tbl, row, "canonical words") != 2*n {
+				t.Errorf("quick=%v: row %v: want canonical pieces = n and canonical words = 2n", quick, row)
+			}
+		}
+	}
+}
+
+// E14's claim (Lemma 4.2): canonical splitting stores fewer pieces at its
+// peak and fewer words than raw projections, with the same cover and the
+// same passes. Quick and full configurations.
+func TestE14CanonicalStoresLess(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		tbl := E14CanonicalAblation(1, quick, engine.Options{})
+		rows := map[string][]string{}
+		for _, row := range tbl.Rows {
+			rows[row[0]] = row
+		}
+		canon, raw := rows["canonical split (Lemma 4.2)"], rows["raw projections"]
+		if canon == nil || raw == nil {
+			t.Fatalf("quick=%v: E14 lacks a canonical or raw row: %v", quick, tbl.Rows)
+		}
+		for _, col := range []string{"pieces stored (peak)", "space(words)"} {
+			if c, r := cell(t, tbl, canon, col), cell(t, tbl, raw, col); c >= r {
+				t.Errorf("quick=%v: canonical %s %v, raw %v: want fewer", quick, col, c, r)
+			}
+		}
+		for _, col := range []string{"cover", "passes"} {
+			if c, r := cell(t, tbl, canon, col), cell(t, tbl, raw, col); c != r {
+				t.Errorf("quick=%v: canonical %s %v, raw %v: want equal", quick, col, c, r)
+			}
+		}
+	}
+}
+
+// E15's claim (Observation 5.9): a p-pass algorithm over a stream split
+// among the players is a protocol whose message crosses between players
+// passes × players times, each crossing carrying the algorithm's memory —
+// so on every row protocol bits = crossings × space × 64. Quick and full
+// configurations.
+func TestE15ProtocolBitsIdentity(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		tbl := E15ProtocolSimulation(1, quick, engine.Options{})
+		if len(tbl.Rows) == 0 {
+			t.Fatalf("quick=%v: E15 has no rows", quick)
+		}
+		for _, row := range tbl.Rows {
+			crossings := cell(t, tbl, row, "crossings")
+			if crossings != cell(t, tbl, row, "passes")*cell(t, tbl, row, "players") {
+				t.Errorf("quick=%v: row %v: want crossings = passes × players", quick, row)
+			}
+			if cell(t, tbl, row, "protocol bits") != crossings*cell(t, tbl, row, "space(w)")*64 {
+				t.Errorf("quick=%v: row %v: want protocol bits = crossings × space × 64", quick, row)
+			}
+		}
+	}
+}

@@ -2,6 +2,8 @@ package scdisk
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"slices"
@@ -21,45 +23,83 @@ func digestTestInstance(t *testing.T, seed int64) *setcover.Instance {
 	return in
 }
 
-// The digest must be a pure function of file content: two opens of the same
-// file agree, and re-encoding the identical family to a second file agrees
-// too (registration digests are cache keys — instability would split the
-// cache, collision across different content would poison it).
+// The digest is a pure function of file content: the SHA-256 of the domain
+// prefix and every byte of the file. A plain, an indexed and a weighted file
+// each digest to the value the test computes from the raw bytes, on the
+// positional-read path, the mmap path and NewRepoBytes alike, and re-encoding
+// the identical family to a second file agrees too (registration digests are
+// cache keys — instability would split the cache, collision across different
+// content would poison it).
 func TestDigestStableAcrossOpens(t *testing.T) {
 	in := digestTestInstance(t, 7)
+	weighted := digestTestInstance(t, 7)
+	weighted.Weights = make([]float64, weighted.M())
+	for i := range weighted.Weights {
+		weighted.Weights[i] = float64(1 + i%5)
+	}
 	dir := t.TempDir()
+	var plain bytes.Buffer
+	if err := setcover.WriteBinary(&plain, in); err != nil {
+		t.Fatal(err)
+	}
+	pathPlain := filepath.Join(dir, "plain.scb")
+	if err := os.WriteFile(pathPlain, plain.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	pathA := filepath.Join(dir, "a.scb")
 	pathB := filepath.Join(dir, "b.scb")
-	if err := WriteFile(pathA, in); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFile(pathB, in); err != nil {
-		t.Fatal(err)
-	}
-	var digests []string
-	for _, p := range []string{pathA, pathA, pathB} {
-		d, err := Open(p)
-		if err != nil {
+	pathW := filepath.Join(dir, "w.scb")
+	for p, inst := range map[string]*setcover.Instance{pathA: in, pathB: in, pathW: weighted} {
+		if err := WriteFile(p, inst); err != nil {
 			t.Fatal(err)
 		}
+	}
+	digestOf := func(name string, d *Repo, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		defer d.Close()
 		dig, err := d.Digest()
-		d.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return dig
+	}
+	seen := make(map[string]string)
+	for _, f := range []struct {
+		path              string
+		indexed, weighted bool
+	}{{pathPlain, false, false}, {pathA, true, false}, {pathB, true, false}, {pathW, true, true}} {
+		raw, err := os.ReadFile(f.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dig == "" {
-			t.Fatal("empty digest")
+		sum := sha256.Sum256(append([]byte("scb1-verify-digest-v1\n"), raw...))
+		want := hex.EncodeToString(sum[:])
+		d, err := Open(f.path)
+		if err == nil && (d.HasIndex() != f.indexed || d.HasWeights() != f.weighted) {
+			t.Fatalf("%s: HasIndex %v, HasWeights %v", f.path, d.HasIndex(), d.HasWeights())
 		}
-		digests = append(digests, dig)
+		readat := digestOf(f.path+" readat", d, err)
+		d, err = Open(f.path, ReadOnlyMmap())
+		mapped := digestOf(f.path+" mmap", d, err)
+		d, err = NewRepoBytes(raw)
+		inMem := digestOf(f.path+" bytes", d, err)
+		if readat != want || mapped != want || inMem != want {
+			t.Fatalf("%s: digests readat %s, mmap %s, bytes %s; the file hashes to %s", f.path, readat, mapped, inMem, want)
+		}
+		if prev, dup := seen[want]; dup && !(prev == pathA && f.path == pathB) {
+			t.Fatalf("%s and %s share digest %s", prev, f.path, want)
+		}
+		seen[want] = f.path
 	}
-	if digests[0] != digests[1] || digests[0] != digests[2] {
-		t.Fatalf("digests diverge for identical content: %v", digests)
+	if len(seen) != 3 {
+		t.Fatalf("want 3 distinct digests (plain, indexed twice, weighted), got %d", len(seen))
 	}
 }
 
-// Different families must get different digests (the indexed digest binds n,
-// m, and the per-set byte length + cardinality sequence, which these two
-// instances differ in).
+// Different families must get different digests.
 func TestDigestDistinguishesInstances(t *testing.T) {
 	dir := t.TempDir()
 	var digs [2]string
@@ -83,9 +123,9 @@ func TestDigestDistinguishesInstances(t *testing.T) {
 	}
 }
 
-// A plain SCB1 stream (no SCIX footer) digests through the full-file
-// fallback; the two schemes are domain-separated so the digest still changes
-// with content and never collides with the indexed form by construction.
+// A plain SCB1 stream (no SCIX footer) digests like any other file: the digest
+// changes with content, and the indexed encoding of the same family — other
+// bytes — gets another digest.
 func TestDigestPlainFileFallback(t *testing.T) {
 	in := digestTestInstance(t, 3)
 	var plain bytes.Buffer
@@ -103,8 +143,7 @@ func TestDigestPlainFileFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same family, indexed encoding: must not collide with the plain digest
-	// (domain separation), and must itself be stable.
+	// Same family, indexed encoding: must not collide with the plain digest.
 	var indexed bytes.Buffer
 	if err := Write(&indexed, in); err != nil {
 		t.Fatal(err)
@@ -258,12 +297,10 @@ func TestElemPoolShardSweepAndLockCount(t *testing.T) {
 	}
 }
 
-// The audit gap, pinned: on a file whose data section is larger than both
-// sampled ends, a single bit flip in the MIDDLE of the data section preserves
-// the header, the whole index (per-set byte lengths and cardinalities), and
-// both 64KB samples — so the cheap registration Digest cannot see it. The
-// full-content VerifyDigest must. This is exactly the corruption class
-// -verify-digest exists for.
+// A single bit flip in the MIDDLE of a large data section preserves the
+// header, the whole index (per-set byte lengths and cardinalities) and 64 KB
+// at each end of the set data — everything a sampled digest would read — so
+// only a digest over every byte sees it. Digest must change.
 func TestVerifyDigestCatchesMidFileBitFlip(t *testing.T) {
 	// ~300 KB of set data: 2000 sets of 100 consecutive elements each.
 	const n, m, span = 4096, 2000, 100
@@ -287,16 +324,12 @@ func TestVerifyDigestCatchesMidFileBitFlip(t *testing.T) {
 	if !d.HasIndex() {
 		t.Fatal("expected indexed file")
 	}
-	dataLen := d.indexOff - d.dataOff
-	if dataLen <= 2*digestSampleLen+1024 {
-		t.Fatalf("data section %d bytes is not larger than both samples; grow the instance", dataLen)
+	dataLen := d.offs[d.m] - d.dataOff
+	if dataLen <= 2*(64<<10)+1024 {
+		t.Fatalf("data section %d bytes does not leave a middle outside both 64 KB ends; grow the instance", dataLen)
 	}
 	flipAt := d.dataOff + dataLen/2
-	origSampled, err := d.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	origFull, err := d.VerifyDigest()
+	orig, err := d.Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,29 +348,19 @@ func TestVerifyDigestCatchesMidFileBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	flippedSampled, err := d2.Digest()
+	flipped, err := d2.Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	flippedFull, err := d2.VerifyDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flippedSampled != origSampled {
-		t.Fatalf("sampled digest saw the mid-file flip — the gap this test pins has moved (flip offset %d)", flipAt)
-	}
-	if flippedFull == origFull {
-		t.Fatal("VerifyDigest missed a mid-file bit flip")
-	}
-	if origFull == origSampled {
-		t.Fatal("full and sampled digests collide (domain separation broken)")
+	if flipped == orig {
+		t.Fatalf("Digest missed a bit flip at offset %d", flipAt)
 	}
 }
 
 // Two indexed files that agree on dimensions and on every per-set (byteLen,
-// cardinality) but differ in element VALUES must not collide: the indexed
-// digest samples the data section, so an index-profile twin cannot alias a
-// different family in a digest-keyed result cache.
+// cardinality) but differ in element VALUES must not collide: an
+// index-profile twin cannot alias a different family in a digest-keyed
+// result cache.
 func TestDigestBindsElementValues(t *testing.T) {
 	mk := func(second setcover.Elem) *setcover.Instance {
 		return &setcover.Instance{N: 4, Sets: []setcover.Set{

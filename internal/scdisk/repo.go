@@ -69,8 +69,6 @@ type Repo struct {
 	// set data. cards[i] is |set i|. Both nil when the file has no index.
 	offs  []int64
 	cards []int32
-	// indexOff is the absolute offset of the SCIX footer when offs != nil.
-	indexOff int64
 	// weights is the decoded SCWT per-set cost vector; nil when the file
 	// carries no weight section (the unweighted problem).
 	weights []float64
@@ -274,84 +272,24 @@ func (d *Repo) parseIndex(indexOff, end int64) error {
 	}
 	d.offs = append(offs, off)
 	d.cards = cards
-	d.indexOff = indexOff
 	return nil
 }
 
-// digestSampleLen is how much of each end of the set-data section the
-// indexed digest additionally hashes (see Digest).
-const digestSampleLen = 64 << 10
-
-// Digest returns a stable hex content digest for the instance, computed from
-// the cheapest faithful summary available. With the SCIX index present it
-// hashes the header dimensions, the whole index section — per-set encoded
-// byte length and cardinality for all m sets — plus up to digestSampleLen
-// bytes from EACH END of the set-data section: O(index + 128 KB) I/O instead
-// of a full-file read (the index is typically <1% of the data), while
-// binding actual element bytes, so files up to 128 KB are digested in full
-// and larger files can only collide if they agree on dimensions, every
-// per-set (byteLen, cardinality), AND both sampled data spans — in practice
-// only under deliberate construction, a tradeoff accepted for
-// registration-time cheapness (serve.Catalog computes this once per
-// registration and uses it as the result-cache key; see ROADMAP for an
-// audit-grade full-content mode). Without the index the entire file is
-// hashed. The two schemes are domain-separated, so an indexed and a plain
-// encoding of the same family get different digests — a digest identifies
-// the FILE's content, not the abstract family.
-//
-// Both schemes bind the SCWT weight section when one is present: the indexed
-// scheme hashes everything from the index footer to end of file — which is
-// exactly where the weight section lives — and the plain scheme hashes the
-// whole file. The same family with and without weights (or with edited
-// weights) therefore digests differently, so result caches and fleet routing
-// keyed by digest can never serve an unweighted cover for a weighted solve.
+// Digest returns the instance's content identity: the hex SHA-256 of every
+// byte of the file — header, set data, SCIX index and SCWT weight section —
+// behind the domain prefix "scb1-verify-digest-v1\n". Any edit anywhere in
+// the file changes it, weights included, so result caches and fleet routing
+// keyed by digest never answer for one file's bytes with another's cover.
+// A digest identifies the file, not the abstract family: a plain and an
+// indexed encoding of one family digest differently. The cost is one
+// sequential read of the file, paid once per registration. The prefix is the
+// one the retired opt-in full-content mode used, so digests recorded under
+// that mode (cache keys, SCDL chain anchors) still match.
 func (d *Repo) Digest() (string, error) {
-	h := sha256.New()
-	if d.offs == nil {
-		fmt.Fprintf(h, "scb1-digest-v1\n")
-		if _, err := io.Copy(h, io.NewSectionReader(d.r, 0, d.size)); err != nil {
-			return "", fmt.Errorf("scdisk: digest: %w", err)
-		}
-		return hex.EncodeToString(h.Sum(nil)), nil
-	}
-	fmt.Fprintf(h, "scix-digest-v2 n=%d m=%d\n", d.n, d.m)
-	if _, err := io.Copy(h, io.NewSectionReader(d.r, d.indexOff, d.size-d.indexOff)); err != nil {
-		return "", fmt.Errorf("scdisk: digest: %w", err)
-	}
-	head := d.indexOff - d.dataOff // data-section length
-	if head > digestSampleLen {
-		head = digestSampleLen
-	}
-	if _, err := io.Copy(h, io.NewSectionReader(d.r, d.dataOff, head)); err != nil {
-		return "", fmt.Errorf("scdisk: digest: %w", err)
-	}
-	tailStart := d.indexOff - digestSampleLen
-	if tailStart < d.dataOff+head {
-		tailStart = d.dataOff + head // avoid re-hashing overlap on small files
-	}
-	if _, err := io.Copy(h, io.NewSectionReader(d.r, tailStart, d.indexOff-tailStart)); err != nil {
-		return "", fmt.Errorf("scdisk: digest: %w", err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// VerifyDigest returns the audit-grade content digest: a hash of the ENTIRE
-// file, byte for byte, regardless of whether the index footer is present.
-// Where Digest trades completeness for registration-time cheapness (on
-// indexed files it samples 64 KB from each end of the data section, so a
-// deliberate mid-file corruption that preserves the index profile can escape
-// it), VerifyDigest reads every byte: any bit flip anywhere in the file
-// changes it. The cost is a full sequential read — O(file size) I/O — which
-// is why it is the opt-in mode (setcoverd -verify-digest) rather than the
-// default. The scheme is domain-separated from both Digest schemes, so a
-// sampled digest can never be confused with a full one: fleets must register
-// with one mode consistently for digest addressing and the shared result
-// cache to line up.
-func (d *Repo) VerifyDigest() (string, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "scb1-verify-digest-v1\n")
 	if _, err := io.Copy(h, io.NewSectionReader(d.r, 0, d.size)); err != nil {
-		return "", fmt.Errorf("scdisk: verify digest: %w", err)
+		return "", fmt.Errorf("scdisk: digest: %w", err)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -73,7 +73,7 @@ func TestWeightRoundTrip(t *testing.T) {
 }
 
 // An unweighted open of the same family must report no weights — and a
-// weight edit must change BOTH digests, so a weighted and an unweighted (or
+// weight edit must change the digest, so a weighted and an unweighted (or
 // differently weighted) variant of one family can never alias each other in
 // a digest-keyed result cache.
 func TestWeightEditChangesDigest(t *testing.T) {
@@ -83,7 +83,6 @@ func TestWeightEditChangesDigest(t *testing.T) {
 	rebumped.Weights[3] *= 2
 
 	digests := make(map[string]string)
-	verifies := make(map[string]string)
 	for name, in := range map[string]*setcover.Instance{
 		"plain": plain, "weighted": weighted, "rebumped": rebumped,
 	} {
@@ -97,15 +96,10 @@ func TestWeightEditChangesDigest(t *testing.T) {
 		if digests[name], err = d.Digest(); err != nil {
 			t.Fatal(err)
 		}
-		if verifies[name], err = d.VerifyDigest(); err != nil {
-			t.Fatal(err)
-		}
 		d.Close()
 	}
-	for _, m := range []map[string]string{digests, verifies} {
-		if m["plain"] == m["weighted"] || m["weighted"] == m["rebumped"] || m["plain"] == m["rebumped"] {
-			t.Fatalf("digest collision across weight variants: %v", m)
-		}
+	if digests["plain"] == digests["weighted"] || digests["weighted"] == digests["rebumped"] || digests["plain"] == digests["rebumped"] {
+		t.Fatalf("digest collision across weight variants: %v", digests)
 	}
 }
 

@@ -159,40 +159,18 @@ type record struct {
 	elems []setcover.Elem // append only
 }
 
-// openConfig collects Open options.
-type openConfig struct {
-	verifyBase bool
-}
-
-// Option configures Open.
-type Option func(*openConfig)
-
-// VerifyBase switches the base digest (the chain anchor) to scdisk's
-// audit-grade full-content VerifyDigest instead of the sampled default. A log
-// written under one scheme does not open under the other — the digest chain
-// makes the mismatch loud.
-func VerifyBase() Option { return func(c *openConfig) { c.verifyBase = true } }
-
-// Open opens the SCB1 file at path as a mutable repository. The delta log
-// lives at path+LogSuffix: absent means generation 0; present, it is decoded
-// and its digest chain verified against the base before Open returns —
+// Open opens the SCB1 file at path as a mutable repository. The chain is
+// anchored on the base file's content digest (scdisk.Repo.Digest). The delta
+// log lives at path+LogSuffix: absent means generation 0; present, it is
+// decoded and its digest chain verified against the base before Open returns —
 // truncation, corruption, or a log bound to a different base all fail loudly
 // here rather than mid-pass.
-func Open(path string, opts ...Option) (*Repo, error) {
-	cfg := openConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
+func Open(path string) (*Repo, error) {
 	base, err := scdisk.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("scdyn: open base: %w", err)
 	}
-	var baseDigest string
-	if cfg.verifyBase {
-		baseDigest, err = base.VerifyDigest()
-	} else {
-		baseDigest, err = base.Digest()
-	}
+	baseDigest, err := base.Digest()
 	if err != nil {
 		base.Close()
 		return nil, fmt.Errorf("scdyn: base digest: %w", err)
@@ -503,7 +481,7 @@ func decodeLog(data []byte, n, baseM int, baseDigest string) ([]record, []string
 		return nil, nil, fmt.Errorf("header: %w", err)
 	}
 	if gotBase != baseDigest {
-		return nil, nil, fmt.Errorf("log is bound to base digest %.12s…, this base is %.12s…", gotBase, baseDigest)
+		return nil, nil, fmt.Errorf("log is bound to base digest %.12s…, this base is %.12s…; move the log aside and re-apply its mutations", gotBase, baseDigest)
 	}
 
 	var recs []record

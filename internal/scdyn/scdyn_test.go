@@ -185,6 +185,10 @@ func TestTamperedLogFailsOpen(t *testing.T) {
 			t.Fatal("Open accepted a truncated log")
 		}
 	})
+	// A log is anchored on its base file's content digest, a hash of every
+	// byte, so a log beside any other file — another family, or the same
+	// family written under an older digest scheme — fails Open with an error
+	// that names both digests and the remedy.
 	t.Run("wrong base", func(t *testing.T) {
 		other := smallInstance()
 		other.Sets[0].Elems = []setcover.Elem{0, 1}
@@ -196,8 +200,8 @@ func TestTamperedLogFailsOpen(t *testing.T) {
 		if err == nil {
 			t.Fatal("Open accepted a log bound to a different base")
 		}
-		if !strings.Contains(err.Error(), "bound to base digest") {
-			t.Fatalf("wrong-base error = %v, want binding message", err)
+		if !strings.Contains(err.Error(), "bound to base digest") || !strings.Contains(err.Error(), "move the log aside and re-apply its mutations") {
+			t.Fatalf("wrong-base error = %v, want binding message and remedy", err)
 		}
 	})
 	// Restore and confirm the pristine log still opens.

@@ -29,14 +29,15 @@ type Instance struct {
 	// Name is the registration name, unique within a catalog.
 	Name string `json:"name"`
 	// Digest is the content digest computed once at registration. For disk
-	// instances it is scdisk's cheap sampled digest by default, or the
-	// full-content VerifyDigest when the catalog is in verify-digest mode;
-	// for generators it is a SELF-digest binding the name, dimensions, the
-	// registrant's tag, AND a sample of the generator's actual output (the
-	// first and last generatorDigestSets sets), so two generators that claim
-	// the same tag but produce different families cannot alias each other.
-	// It is the instance component of the result-cache key, and requests may
-	// address instances by it instead of by name.
+	// instances it is scdisk.Repo.Digest, a hash of every byte of the file;
+	// for dynamic instances it is the scdyn chain digest of the generation,
+	// anchored on that same file digest. For generators it is a SELF-digest
+	// binding the name, dimensions, the registrant's tag, AND a sample of the
+	// generator's actual output (the first and last generatorDigestSets
+	// sets), so two generators that claim the same tag but produce different
+	// families cannot alias each other. It is the instance component of the
+	// result-cache key, and requests may address instances by it instead of
+	// by name.
 	Digest string `json:"digest"`
 	// N and M are the universe size and family size.
 	N int `json:"n"`
@@ -149,6 +150,22 @@ func (p *repoPool) put(r poolable, digest string) error {
 	return r.Close()
 }
 
+// checkout returns a handle for one solve plus its release: an idle handle
+// bound to digest when the pool has one, else a fresh one from open. Either
+// way its pass counter starts at zero, so per-solve pass counts stay exact on
+// a reused handle, and release returns it to the pool under digest.
+func (p *repoPool) checkout(digest string, open func() (poolable, error)) (stream.Repository, func() error, error) {
+	r := p.get(digest)
+	if r == nil {
+		var err error
+		if r, err = open(); err != nil {
+			return nil, nil, err
+		}
+	}
+	r.ResetPasses()
+	return r, func() error { return p.put(r, digest) }, nil
+}
+
 // close closes every idle handle and flips the pool so future releases close
 // too.
 func (p *repoPool) close() error {
@@ -181,7 +198,6 @@ type Catalog struct {
 	byName   map[string]*Instance
 	byDigest map[string]*Instance // first registration wins per digest
 	order    []string             // registration order, for stable listings
-	verify   bool
 }
 
 // NewCatalog returns an empty catalog.
@@ -189,40 +205,21 @@ func NewCatalog() *Catalog {
 	return &Catalog{byName: make(map[string]*Instance), byDigest: make(map[string]*Instance)}
 }
 
-// SetVerifyDigest switches subsequent AddFile registrations to the
-// audit-grade FULL-content digest (scdisk.Repo.VerifyDigest) instead of the
-// sampled default: registration reads the whole file, and the resulting
-// digest changes on ANY bit flip, not just ones the sampled scheme observes.
-// The two schemes are domain-separated — a fleet must register every node in
-// the same mode for digest addressing and the shared persistent cache to
-// agree on keys.
-func (c *Catalog) SetVerifyDigest(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.verify = on
-}
-
 // AddFile registers the SCB1 file at path (plain or indexed) under name. The
-// file is opened once to validate the header and compute the content digest;
-// that handle seeds the instance's pool, and every subsequent solve checks a
-// pooled handle out (or opens a fresh one past the pool). Registering a
-// truncated-but-openable file succeeds — SCB1 headers cannot promise the data
-// that follows — and the corruption surfaces as a structured pass failure at
-// solve time instead.
+// file is opened once to validate the header and compute the content digest,
+// scdisk.Repo.Digest, which reads the whole file once; that handle seeds the
+// instance's pool, and every subsequent solve checks a pooled handle out (or
+// opens a fresh one past the pool). Registering a truncated-but-openable file
+// succeeds — SCB1 headers cannot promise the data that follows — and the
+// corruption surfaces as a structured pass failure at solve time instead.
+// Because the digest covers every byte, a corrupt file never shares a digest,
+// and so never a cached result, with the intact file it came from.
 func (c *Catalog) AddFile(name, path string) (*Instance, error) {
 	d, err := scdisk.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: register %q: %w", name, err)
 	}
-	c.mu.RLock()
-	verify := c.verify
-	c.mu.RUnlock()
-	var digest string
-	if verify {
-		digest, err = d.VerifyDigest()
-	} else {
-		digest, err = d.Digest()
-	}
+	digest, err := d.Digest()
 	n, m := d.UniverseSize(), d.NumSets()
 	if err != nil {
 		d.Close()
@@ -238,17 +235,7 @@ func (c *Catalog) AddFile(name, path string) (*Instance, error) {
 	inst := &Instance{
 		Name: name, Digest: digest, N: n, M: m, Kind: "disk", Path: path,
 		open: func() (stream.Repository, func() error, error) {
-			r := pool.get(digest)
-			if r == nil {
-				fresh, err := scdisk.Open(path)
-				if err != nil {
-					return nil, nil, err
-				}
-				r = fresh
-			}
-			// Exact per-solve pass counts on a reused handle.
-			r.ResetPasses()
-			return r, func() error { return pool.put(r, digest) }, nil
+			return pool.checkout(digest, func() (poolable, error) { return scdisk.Open(path) })
 		},
 		closePool: pool.close,
 	}
@@ -335,16 +322,7 @@ func (de *dynEntry) instanceAt(name, path string, gen int) (*Instance, error) {
 		Name: name, Digest: digest, N: view.UniverseSize(), M: view.NumSets(),
 		Kind: "dynamic", Path: path, Generation: gen, dyn: de,
 		open: func() (stream.Repository, func() error, error) {
-			r := de.pool.get(digest)
-			if r == nil {
-				v, err := de.repo.ViewAt(gen)
-				if err != nil {
-					return nil, nil, err
-				}
-				r = v
-			}
-			r.ResetPasses()
-			return r, func() error { return de.pool.put(r, digest) }, nil
+			return de.pool.checkout(digest, func() (poolable, error) { return de.repo.ViewAt(gen) })
 		},
 		closePool: func() error {
 			err := de.pool.close()
@@ -365,14 +343,7 @@ func (de *dynEntry) instanceAt(name, path string, gen int) (*Instance, error) {
 // are rejected: per-set costs for appended sets have no representation in
 // the delta log yet (a named ROADMAP gap).
 func (c *Catalog) AddDynamic(name, path string) (*Instance, error) {
-	c.mu.RLock()
-	verify := c.verify
-	c.mu.RUnlock()
-	var opts []scdyn.Option
-	if verify {
-		opts = append(opts, scdyn.VerifyBase())
-	}
-	r, err := scdyn.Open(path, opts...)
+	r, err := scdyn.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: register %q: %w", name, err)
 	}

@@ -203,43 +203,44 @@ func TestGeneratorSelfDigestSmallFamilies(t *testing.T) {
 	}
 }
 
-// Verify-digest mode registers under the full-content digest: the same file
-// gets a different (domain-separated) digest than sampled mode, and the full
-// digest distinguishes files the sampled digest cannot (the audit story; the
-// byte-level proof lives in scdisk's TestVerifyDigestCatchesMidFileBitFlip).
+// One file has one identity: registered as a disk instance in one catalog
+// and as a dynamic instance in another, it lists the same digest at
+// generation 0 — scdisk.Repo.Digest, the hash of every byte — and each
+// catalog resolves it by that digest.
 func TestCatalogVerifyDigestMode(t *testing.T) {
 	path := writePlanted(t, 9)
-	sampled := NewCatalog()
-	si, err := sampled.AddFile("p", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := NewCatalog()
-	full.SetVerifyDigest(true)
-	fi, err := full.AddFile("p", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if si.Digest == fi.Digest {
-		t.Fatal("sampled and full digests collide (domain separation broken)")
-	}
-	// Both catalogs resolve their own digest.
-	if _, ok := full.Get(fi.Digest); !ok {
-		t.Fatal("full digest not addressable")
-	}
-	// And the full digest matches scdisk's VerifyDigest directly.
 	d, err := scdisk.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	want, err := d.VerifyDigest()
+	want, err := d.Digest()
+	d.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Digest != want {
-		t.Fatalf("catalog full digest %s != scdisk VerifyDigest %s", fi.Digest, want)
+	disk, dyn := NewCatalog(), NewCatalog()
+	defer disk.Close()
+	defer dyn.Close()
+	di, err := disk.AddFile("p", path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sampled.Close()
-	full.Close()
+	yi, err := dyn.AddDynamic("p", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if yi.Generation != 0 {
+		t.Fatalf("dynamic instance registered at generation %d, want 0", yi.Generation)
+	}
+	for _, c := range []struct {
+		cat  *Catalog
+		inst *Instance
+	}{{disk, di}, {dyn, yi}} {
+		if c.inst.Digest != want {
+			t.Fatalf("%s instance lists digest %s, scdisk.Repo.Digest is %s", c.inst.Kind, c.inst.Digest, want)
+		}
+		if got, ok := c.cat.Get(want); !ok || got != c.inst {
+			t.Fatalf("%s catalog does not resolve the file digest", c.inst.Kind)
+		}
+	}
 }

@@ -912,3 +912,66 @@ func TestPersistentCacheAcrossServerRestarts(t *testing.T) {
 		t.Fatal("corrupt entry rejection not counted")
 	}
 }
+
+// A corrupt copy of a file never shares the intact file's cache entries. A
+// server solves greedy1 on batch-paper's family (planted n=2000 m=12000 K=80
+// seed 1) and persists the result. One byte in the middle of the set data is
+// then overwritten — outside the 64 KB ends and the index that a sampled
+// digest reads — and a second server sharing the cache directory registers
+// the file afresh. Its digest differs, so the shared entry is not found, and
+// the solve reads the bad byte and fails with 502 pass_failed instead of
+// answering a cover for content it never read.
+func TestCorruptFileMissesSharedCache(t *testing.T) {
+	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 2000, M: 12000, K: 80, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "paper.scb")
+	if err := scdisk.WriteFile(path, in); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size, at = 315553, 105184
+	if len(raw) != size || raw[at] == 0x7f {
+		t.Fatalf("family moved: %d bytes (want %d), byte %d = %#x", len(raw), size, at, raw[at])
+	}
+	dir := t.TempDir()
+	solveOn := func(cat *Catalog) (int, jobView, *APIError) {
+		ts := httptest.NewServer(NewServer(cat, Config{CacheDir: dir}).Handler())
+		defer ts.Close()
+		return postSolve(t, ts.URL, map[string]any{"instance": "paper", "algo": "greedy1"})
+	}
+
+	intact := NewCatalog()
+	defer intact.Close()
+	if _, err := intact.AddFile("paper", path); err != nil {
+		t.Fatal(err)
+	}
+	if code, view, apiErr := solveOn(intact); code != 200 || view.Cached {
+		t.Fatalf("intact file: status %d cached %v err %v, want a fresh 200", code, view.Cached, apiErr)
+	}
+
+	raw[at] = 0x7f
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := NewCatalog()
+	defer corrupt.Close()
+	inst, err := corrupt.AddFile("paper", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, view, apiErr := solveOn(corrupt)
+	if view.Cached {
+		t.Fatalf("corrupt file answered %d from the intact file's cache entry", code)
+	}
+	if code != 502 || apiErr == nil || apiErr.Code != CodePassFailed {
+		t.Fatalf("corrupt file: status %d err %+v, want 502 pass_failed", code, apiErr)
+	}
+	if old, _ := intact.Get("paper"); inst.Digest == old.Digest {
+		t.Fatalf("corrupt file kept digest %s", inst.Digest)
+	}
+}
