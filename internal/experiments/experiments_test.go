@@ -411,3 +411,82 @@ func TestE15ProtocolBitsIdentity(t *testing.T) {
 		}
 	}
 }
+
+// E10's claim (Lemma 2.6 against plain element sampling): the relative
+// (p, ε)-approximation sample shrinks the universe by n^δ per iteration, so
+// iterSetCover finishes in fewer passes than with the plain k·log n sample.
+// Quick and full configurations.
+func TestE10RelativeSampleSavesPasses(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		tbl := E10AblationSampling(1, quick, engine.Options{})
+		rows := map[string][]string{}
+		for _, row := range tbl.Rows {
+			rows[row[0]] = row
+		}
+		rel, plain := rows["relative-approx (k·n^δ)"], rows["plain tiny (k·log n)"]
+		if rel == nil || plain == nil {
+			t.Fatalf("quick=%v: E10 lacks a relative-approx or plain row: %v", quick, tbl.Rows)
+		}
+		if r, p := cell(t, tbl, rel, "passes"), cell(t, tbl, plain, "passes"); r >= p {
+			t.Errorf("quick=%v: relative-approx sample takes %v passes, plain %v: want fewer", quick, r, p)
+		}
+	}
+}
+
+// E12's claim (Lemma 2.5): at the bound's sample size with c ≥ 0.25, no
+// trial draws a sample that violates Definition 2.4, well under the target
+// rate q. Quick and full configurations.
+func TestE12NoViolationAtBound(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		tbl := E12RelativeApprox(1, quick, engine.Options{})
+		checked := 0
+		for _, row := range tbl.Rows {
+			if cell(t, tbl, row, "c (constant)") < 0.25 {
+				continue
+			}
+			checked++
+			if bad := cell(t, tbl, row, "trials with violation"); bad != 0 {
+				t.Errorf("quick=%v: row %v: %v trials with a violation, want 0", quick, row, bad)
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("quick=%v: E12 has no row with c ≥ 0.25: %v", quick, tbl.Rows)
+		}
+	}
+}
+
+// E17's claims (the traps of Figure 1.1): ER14 returns √n sets on its trap
+// and one-pass greedy exceeds OPT on the halving trap, while iterSetCover
+// returns an optimal cover on both. Quick and full configurations.
+func TestE17TrapsBiteOnePassOnly(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		tbl := E17Tightness(1, quick, engine.Options{})
+		if len(tbl.Rows) != 4 {
+			t.Fatalf("quick=%v: E17 has %d rows, want 4", quick, len(tbl.Rows))
+		}
+		for _, row := range tbl.Rows {
+			var trap string
+			var n int
+			if _, err := fmt.Sscanf(row[0], "%s n=%d", &trap, &n); err != nil {
+				t.Fatalf("quick=%v: instance %q: %v", quick, row[0], err)
+			}
+			cover, opt := cell(t, tbl, row, "cover"), cell(t, tbl, row, "OPT")
+			switch algo := row[1]; {
+			case strings.HasPrefix(algo, "iterSetCover"):
+				if cover != opt {
+					t.Errorf("quick=%v: %s: cover %v, want OPT = %v", quick, row[:2], cover, opt)
+				}
+			case algo == "emek-rosen[ER14]":
+				if want := math.Sqrt(float64(n)); trap != "er-trap" || cover != want {
+					t.Errorf("quick=%v: %s: cover %v, want √n = %v on the er-trap", quick, row[:2], cover, want)
+				}
+			case algo == "greedy-1pass":
+				if trap != "greedy-trap" || cover <= opt {
+					t.Errorf("quick=%v: %s: cover %v, want above OPT = %v on the greedy-trap", quick, row[:2], cover, opt)
+				}
+			default:
+				t.Errorf("quick=%v: unexpected E17 row %v", quick, row)
+			}
+		}
+	}
+}

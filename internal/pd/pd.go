@@ -23,11 +23,13 @@
 // Every Y_j starts at 0 and only grows by += ε, so the loop keeps the raise
 // count r_j instead and turns it back into Y_j through one table of k-fold
 // sums built by the same repeated addition; on unweighted repositories x_j
-// then depends on r_j alone and is memoized per count. Elements whose
-// coverage sum reached 1 leave the batch's active list for good (see
-// raiseBatch). Every x_j, Y_j and coverage sum it computes equals, bit for
-// bit, the one the plain loop (add ε to a float Y_j per raise, sum every
-// batch element every round) would compute.
+// then depends on r_j alone and is tabulated per count, so the rounds run
+// on the counts alone and skip, in one step, every round in which no
+// element can reach coverage (see raiseCounts). Elements whose coverage sum
+// reached 1 leave the batch's active list for good (see raiseBatch). Every
+// x_j, Y_j and coverage sum it computes equals, bit for bit, the one the
+// plain loop (add ε to a float Y_j per raise, sum every batch element every
+// round) would compute.
 //
 // The fractional solution is rounded by frequency: every element is covered
 // by at most f sets (f tracked from the gathered incidence), so each revealed
@@ -266,7 +268,7 @@ func BatchedPrimalDual(repo stream.Repository, opts Options) (Result, error) {
 			}
 		}
 		roundCap := int(steps) + 2
-		rounds, ok := du.raiseBatch(inc, roundCap)
+		rounds, ok := du.raiseCounts(inc, roundCap)
 		res.Rounds += rounds
 		if !ok {
 			return fail(fmt.Errorf("pd: batch [%d,%d) did not converge in %d rounds (eps=%g)", lo, hi, roundCap, eps))

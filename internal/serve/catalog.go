@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 
 	"repro/internal/scdisk"
@@ -20,6 +21,10 @@ var (
 	// ErrNotDynamic reports a mutation aimed at a non-dynamic instance (400).
 	ErrNotDynamic = errors.New("serve: instance is not dynamic")
 )
+
+// errFileChanged reports a disk instance whose file is no longer the one
+// registered (502, like a failed pass: the storage behind the service moved).
+var errFileChanged = errors.New("changed since registration")
 
 // Instance is one registered entry of a Catalog: enough metadata to list and
 // address it (name, content digest, dimensions) plus the recipe for opening a
@@ -153,12 +158,20 @@ func (p *repoPool) put(r poolable, digest string) error {
 // checkout returns a handle for one solve plus its release: an idle handle
 // bound to digest when the pool has one, else a fresh one from open. Either
 // way its pass counter starts at zero, so per-solve pass counts stay exact on
-// a reused handle, and release returns it to the pool under digest.
-func (p *repoPool) checkout(digest string, open func() (poolable, error)) (stream.Repository, func() error, error) {
+// a reused handle, and release returns it to the pool under digest. A
+// non-nil check runs once the handle is out; if it fails, the handle is
+// closed instead of pooled and the checkout fails with its error.
+func (p *repoPool) checkout(digest string, open func() (poolable, error), check func() error) (stream.Repository, func() error, error) {
 	r := p.get(digest)
 	if r == nil {
 		var err error
 		if r, err = open(); err != nil {
+			return nil, nil, err
+		}
+	}
+	if check != nil {
+		if err := check(); err != nil {
+			r.Close()
 			return nil, nil, err
 		}
 	}
@@ -214,7 +227,17 @@ func NewCatalog() *Catalog {
 // corruption surfaces as a structured pass failure at solve time instead.
 // Because the digest covers every byte, a corrupt file never shares a digest,
 // and so never a cached result, with the intact file it came from.
+//
+// The digest describes the bytes at registration, so every checkout, pooled
+// or fresh, stats path again and fails the solve when the file, its size or
+// its modification time differs from the stat taken before the digest read
+// it: a file rewritten or replaced since then is not solved, or cached,
+// under the old digest. Cache hits check out no handle and pay nothing.
 func (c *Catalog) AddFile(name, path string) (*Instance, error) {
+	reg, err := os.Stat(path)
+	if err != nil {
+		return nil, fmt.Errorf("serve: register %q: %w", name, err)
+	}
 	d, err := scdisk.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: register %q: %w", name, err)
@@ -235,7 +258,13 @@ func (c *Catalog) AddFile(name, path string) (*Instance, error) {
 	inst := &Instance{
 		Name: name, Digest: digest, N: n, M: m, Kind: "disk", Path: path,
 		open: func() (stream.Repository, func() error, error) {
-			return pool.checkout(digest, func() (poolable, error) { return scdisk.Open(path) })
+			return pool.checkout(digest, func() (poolable, error) { return scdisk.Open(path) }, func() error {
+				cur, err := os.Stat(path)
+				if err != nil || !os.SameFile(reg, cur) || cur.Size() != reg.Size() || !cur.ModTime().Equal(reg.ModTime()) {
+					return fmt.Errorf("serve: %s %w", path, errFileChanged)
+				}
+				return nil
+			})
 		},
 		closePool: pool.close,
 	}
@@ -322,7 +351,7 @@ func (de *dynEntry) instanceAt(name, path string, gen int) (*Instance, error) {
 		Name: name, Digest: digest, N: view.UniverseSize(), M: view.NumSets(),
 		Kind: "dynamic", Path: path, Generation: gen, dyn: de,
 		open: func() (stream.Repository, func() error, error) {
-			return de.pool.checkout(digest, func() (poolable, error) { return de.repo.ViewAt(gen) })
+			return de.pool.checkout(digest, func() (poolable, error) { return de.repo.ViewAt(gen) }, nil)
 		},
 		closePool: func() error {
 			err := de.pool.close()

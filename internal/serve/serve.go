@@ -33,9 +33,10 @@
 //     decode state.
 //   - Pass failure is a structured error, not a cover: a truncated or corrupt
 //     instance file fails the pass (engine.ErrPassFailed, PR 3's first-class
-//     failure), and the server maps it to a 502 JSON error. Infeasible
-//     instances map to 422; they are a property of the input, not a server
-//     fault.
+//     failure), and the server maps it to a 502 JSON error. So does a disk
+//     instance whose file was rewritten or replaced since registration, which
+//     the checkout refuses before any pass reads it. Infeasible instances map
+//     to 422; they are a property of the input, not a server fault.
 //   - Graceful shutdown drains: Shutdown stops admitting (503), then waits
 //     for in-flight passes to finish — a begun pass is a full scan, the model
 //     discipline, applied operationally.
@@ -66,7 +67,7 @@ const (
 	CodeInfeasible      = "infeasible"       // 422: the instance has no (partial) cover
 	CodeDualStall       = "dual_stall"       // 422: pd's eps is too small for its dual sums to reach coverage
 	CodeSolveFailed     = "solve_failed"     // 500: solver error
-	CodePassFailed      = "pass_failed"      // 502: a pass died mid-stream (bad storage)
+	CodePassFailed      = "pass_failed"      // 502: a pass died mid-stream, or the file changed since registration (bad storage)
 	CodeWeightMismatch  = "weight_mismatch"  // 400: the weights assertion block does not match the instance
 	CodeShuttingDown    = "shutting_down"    // 503: server is draining
 )

@@ -975,3 +975,126 @@ func TestCorruptFileMissesSharedCache(t *testing.T) {
 		t.Fatalf("corrupt file kept digest %s", inst.Digest)
 	}
 }
+
+// A file rewritten after registration fails its solve instead of being
+// solved, and cached, under the digest of the bytes that were registered. A
+// catalog registers planted n=300 m=700 K=12, the file is overwritten with
+// the K=30 family, and greedy1 runs against a shared cache directory on a
+// fresh handle, as a solve past the handle pool gets: the solve answers 502
+// pass_failed and writes no cache entry, so a second catalog that registers
+// the original bytes solves them afresh (12 sets) instead of answering the
+// K=30 file's cover from the cache. A same-size rewrite whose modification
+// time differs fails the same way on a pooled handle, and a rename that
+// replaces the file with one of the same size and modification time on a
+// fresh one.
+func TestRewrittenFileFailsInsteadOfAliasing(t *testing.T) {
+	family := func(k int, reverse bool) []byte {
+		in, _, _, err := gen.Planted(gen.PlantedConfig{N: 300, M: 700, K: k, Seed: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reverse {
+			for i, j := 0, len(in.Sets)-1; i < j; i, j = i+1, j-1 {
+				in.Sets[i].Elems, in.Sets[j].Elems = in.Sets[j].Elems, in.Sets[i].Elems
+			}
+		}
+		path := filepath.Join(t.TempDir(), "family.scb")
+		if err := scdisk.WriteFile(path, in); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	orig, k30, reversed := family(12, false), family(30, false), family(12, true)
+	if len(reversed) != len(orig) || bytes.Equal(reversed, orig) {
+		t.Fatalf("reversed family: %d bytes against %d, want the same size and other bytes", len(reversed), len(orig))
+	}
+	dir, cacheDir := t.TempDir(), t.TempDir()
+	path := filepath.Join(dir, "planted.scb")
+	write := func(raw []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register := func() *Catalog {
+		t.Helper()
+		cat := NewCatalog()
+		t.Cleanup(func() { cat.Close() })
+		if _, err := cat.AddFile("planted", path); err != nil {
+			t.Fatal(err)
+		}
+		return cat
+	}
+	solveOn := func(cat *Catalog) (int, jobView, *APIError) {
+		ts := httptest.NewServer(NewServer(cat, Config{CacheDir: cacheDir}).Handler())
+		defer ts.Close()
+		return postSolve(t, ts.URL, map[string]any{"instance": "planted", "algo": "greedy1"})
+	}
+	wantChanged := func(what string, cat *Catalog) {
+		t.Helper()
+		code, view, apiErr := solveOn(cat)
+		if code != 502 || apiErr == nil || apiErr.Code != CodePassFailed {
+			t.Fatalf("%s: status %d cached %v cover %d err %+v, want 502 pass_failed",
+				what, code, view.Cached, len(view.Result.Cover), apiErr)
+		}
+		if msg := apiErr.Message; !strings.Contains(msg, `"planted"`) || !strings.Contains(msg, "changed since registration") {
+			t.Fatalf("%s: message %q must name the instance and say it changed since registration", what, msg)
+		}
+		if entries, err := os.ReadDir(cacheDir); err != nil || len(entries) != 0 {
+			t.Fatalf("%s: the cache directory holds %d entries (%v), want none", what, len(entries), err)
+		}
+	}
+
+	write(orig)
+	stale := register()
+	stale.Close() // drain the pool: the solve opens the path afresh
+	write(k30)
+	wantChanged("rewritten with the K=30 family", stale)
+	wantChanged("second solve of the rewritten file", stale)
+	write(orig)
+	code, view, apiErr := solveOn(register())
+	if code != 200 || view.Cached || len(view.Result.Cover) != 12 {
+		t.Fatalf("original bytes re-registered: status %d cached %v cover %d err %+v, want a fresh 200 with 12 sets",
+			code, view.Cached, len(view.Result.Cover), apiErr)
+	}
+	if err := os.RemoveAll(cacheDir); err != nil {
+		t.Fatal(err)
+	}
+
+	// Same size, other bytes, and a modification time an hour away.
+	write(orig)
+	stale = register()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(reversed)
+	later := st.ModTime().Add(time.Hour)
+	if err := os.Chtimes(path, later, later); err != nil {
+		t.Fatal(err)
+	}
+	wantChanged("same-size rewrite", stale)
+
+	// Same size and modification time, but another file renamed over it.
+	write(orig)
+	stale = register()
+	stale.Close()
+	if st, err = os.Stat(path); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, "planted.scb.tmp")
+	if err := os.WriteFile(tmp, reversed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(tmp, st.ModTime(), st.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+	wantChanged("rename-replace", stale)
+}

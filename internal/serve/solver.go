@@ -393,15 +393,16 @@ func runDeltaSolve(inst *Instance, engOpts engine.Options) (*SolveResult, time.D
 }
 
 // classify maps a solve error to (HTTP status, error code): infeasibility is
-// a property of the input (422), a failed pass is bad storage behind the
-// service (502), anything else is a server-side solver fault (500).
+// a property of the input (422), a failed pass or a file changed since
+// registration is bad storage behind the service (502), anything else is a
+// server-side solver fault (500).
 func classify(err error) (int, string) {
 	switch {
 	case errors.Is(err, setcover.ErrInfeasible):
 		return 422, CodeInfeasible
 	case errors.Is(err, pd.ErrDualStall):
 		return 422, CodeDualStall
-	case errors.Is(err, engine.ErrPassFailed):
+	case errors.Is(err, engine.ErrPassFailed), errors.Is(err, errFileChanged):
 		return 502, CodePassFailed
 	default:
 		return 500, CodeSolveFailed
