@@ -4,443 +4,169 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
-	"runtime"
-	"sync"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/gen"
-	"repro/internal/maxcover"
 	"repro/internal/obs"
 	"repro/internal/scdisk"
 	"repro/internal/setcover"
 	"repro/internal/stream"
 )
 
-// Every baseline must be unable to tell the storage backends apart: identical
-// covers, pass counts, and space charges on SliceRepo, FuncRepo, and
-// DiskRepo. Together with core's TestIterSetCoverBackendConformance this
-// covers all seven algorithms of the repository (plus the faithful SG09
-// loop from internal/maxcover, which scans through Reader.Next directly and
-// so exercises the disk backend's unbatched path).
-func TestBaselineBackendConformance(t *testing.T) {
-	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 350, M: 800, K: 14, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "conf.scb")
-	if err := scdisk.WriteFile(path, in); err != nil {
-		t.Fatal(err)
-	}
-	backends := []struct {
-		name string
-		mk   func() stream.Repository
-	}{
-		{"slice", func() stream.Repository { return stream.NewSliceRepo(in) }},
-		{"func", func() stream.Repository {
-			return stream.NewFuncRepo(in.N, in.M(), func(id int) setcover.Set {
-				es := make([]setcover.Elem, len(in.Sets[id].Elems))
-				copy(es, in.Sets[id].Elems)
-				return setcover.Set{ID: id, Elems: es}
-			})
-		}},
-		{"disk", func() stream.Repository {
-			d, err := scdisk.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { d.Close() })
-			return d
-		}},
-	}
+// These pins call the baselines' own entry points and hold each to one
+// Stats on every storage backend. The conformance matrix
+// (internal/algos/conformance_test.go) is the full sweep: every table entry
+// on every fixture, backend, engine setting and trace setting.
 
-	algos := []struct {
-		name string
-		run  func(stream.Repository, engine.Options) (setcover.Stats, error)
-	}{
-		{"greedy-1pass", OnePassGreedy},
-		{"greedy-npass", MultiPassGreedy},
-		{"threshold-greedy", ThresholdGreedy},
-		{"emek-rosen", EmekRosen},
-		{"chakrabarti-wirth", func(r stream.Repository, eo engine.Options) (setcover.Stats, error) {
-			return ChakrabartiWirth(r, 3, eo)
-		}},
-		{"dimv14", func(r stream.Repository, eo engine.Options) (setcover.Stats, error) {
+// settings are the engine settings the pins sweep.
+var settings = []engine.Options{{Workers: 1}, {Workers: 2}, {Workers: 8}, {Workers: 2, DisableSegmented: true}}
+
+// backends are in on every storage backend: SliceRepo, a FuncRepo carrying
+// in's costs, and in's SCB1 encoding read positionally and in place, which
+// is the mmap decode path.
+func backends(t *testing.T, in *setcover.Instance) []stream.Repository {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := scdisk.Write(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	readat, err1 := scdisk.NewRepo(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	inplace, err2 := scdisk.NewRepoBytes(buf.Bytes())
+	if err := errors.Join(err1, err2); err != nil {
+		t.Fatal(err)
+	}
+	fn := stream.NewFuncRepo(in.N, in.M(), func(id int) setcover.Set { return setcover.Set{ID: id, Elems: slices.Clone(in.Sets[id].Elems)} })
+	if in.Weighted() {
+		fn.SetWeightFunc(in.Weight)
+	}
+	return []stream.Repository{stream.NewSliceRepo(in), fn, readat, inplace}
+}
+
+// solver is one baseline with its parameters fixed.
+type solver = func(stream.Repository, engine.Options) (setcover.Stats, error)
+
+// solvers are the six baselines at ε, cw16 at three passes. greedy1 and
+// dimv14 have no partial variant and always cover in full.
+func solvers(eps float64) map[string]solver {
+	partial := func(solve func(stream.Repository, float64, engine.Options) (setcover.Stats, error)) solver {
+		return func(r stream.Repository, eo engine.Options) (setcover.Stats, error) { return solve(r, eps, eo) }
+	}
+	return map[string]solver{
+		"greedy1":   OnePassGreedy,
+		"greedyn":   partial(MultiPassGreedyPartial),
+		"threshold": partial(ThresholdGreedyPartial),
+		"er14":      partial(EmekRosenPartial),
+		"cw16": func(r stream.Repository, eo engine.Options) (setcover.Stats, error) {
+			return ChakrabartiWirthPartial(r, 3, eps, eo)
+		},
+		"dimv14": func(r stream.Repository, eo engine.Options) (setcover.Stats, error) {
 			return DIMV14(r, DIMV14Options{Delta: 0.5, Seed: 5}, eo)
-		}},
-		{"saha-getoor", func(r stream.Repository, _ engine.Options) (setcover.Stats, error) {
-			return maxcover.SahaGetoorSetCover(r, engine.Options{})
-		}},
+		},
 	}
+}
 
-	// Sweep the per-call executor options across worker counts: workers = 1
-	// is the sequential reference, workers > 1 decodes segmentable backends
-	// (func and the indexed SCB1 file) through the segmented parallel path.
-	// The baselines must be unable to tell any of it apart.
-	engines := []engine.Options{
-		{Workers: 1},
-		{Workers: 2},
-		{Workers: runtime.GOMAXPROCS(0)},
-	}
-	for _, algo := range algos {
-		ref, err := algo.run(stream.NewSliceRepo(in), engine.Options{Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: reference run: %v", algo.name, err)
+// conform solves in with every baseline at ε on every backend at each
+// engine setting, and requires the Stats of SliceRepo at Workers 1, which
+// must cover in, or a 1-ε fraction of it.
+func conform(t *testing.T, in *setcover.Instance, eps float64, settings ...engine.Options) {
+	t.Helper()
+	rs := backends(t, in)
+	for name, solve := range solvers(eps) {
+		want, err := solve(stream.NewSliceRepo(in), engine.Options{Workers: 1})
+		if err != nil || !in.IsPartialCover(want.Cover, eps) {
+			t.Fatalf("%s: reference %v (%v) is no cover at ε=%v", name, want.Cover, err, eps)
 		}
-		if !ref.Valid || !in.IsCover(ref.Cover) {
-			t.Fatalf("%s: reference cover invalid", algo.name)
-		}
-		for _, engOpts := range engines {
-			for _, b := range backends {
-				label := fmt.Sprintf("%s/%s/workers=%d", algo.name, b.name, engOpts.Workers)
-				st, err := algo.run(b.mk(), engOpts)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if st.Passes != ref.Passes {
-					t.Errorf("%s: passes %d, want %d", label, st.Passes, ref.Passes)
-				}
-				if st.SpaceWords != ref.SpaceWords {
-					t.Errorf("%s: space %d, want %d", label, st.SpaceWords, ref.SpaceWords)
-				}
-				if len(st.Cover) != len(ref.Cover) {
-					t.Fatalf("%s: cover size %d, want %d", label, len(st.Cover), len(ref.Cover))
-				}
-				for i := range ref.Cover {
-					if st.Cover[i] != ref.Cover[i] {
-						t.Fatalf("%s: cover[%d] = %d, want %d", label, i, st.Cover[i], ref.Cover[i])
-					}
+		for i, r := range rs {
+			for _, eo := range settings {
+				if got, err := solve(r, eo); err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s on backend %d (%T) at %+v: %+v (%v), want %+v", name, i, r, eo, got, err, want)
 				}
 			}
 		}
 	}
 }
 
-// A truncated SCB1 file must fail EVERY algorithm loudly — a pass that ends
-// early poisons the run, and no baseline may hand back a valid-looking cover
-// computed from a prefix of the family. (This is the regression test for the
-// silent-truncation bug: before pass failure became an engine concept, only
-// cmd/setcover polled the repository's error flag, and library callers got
-// covers from partial scans.)
-func TestTruncatedFileFailsEveryBaseline(t *testing.T) {
-	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 350, M: 800, K: 14, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := scdisk.Write(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	truncated := buf.Bytes()[:buf.Len()*3/5] // chops sets, footer, and trailer
-
-	algos := []struct {
-		name string
-		run  func(stream.Repository) (setcover.Stats, error)
-	}{
-		{"greedy-1pass", func(r stream.Repository) (setcover.Stats, error) { return OnePassGreedy(r, engine.Options{}) }},
-		{"greedy-npass", func(r stream.Repository) (setcover.Stats, error) { return MultiPassGreedy(r, engine.Options{}) }},
-		{"threshold-greedy", func(r stream.Repository) (setcover.Stats, error) { return ThresholdGreedy(r, engine.Options{}) }},
-		{"emek-rosen", func(r stream.Repository) (setcover.Stats, error) { return EmekRosen(r, engine.Options{}) }},
-		{"chakrabarti-wirth", func(r stream.Repository) (setcover.Stats, error) {
-			return ChakrabartiWirth(r, 3, engine.Options{})
-		}},
-		{"dimv14", func(r stream.Repository) (setcover.Stats, error) {
-			return DIMV14(r, DIMV14Options{Delta: 0.5, Seed: 5}, engine.Options{})
-		}},
-		{"saha-getoor", func(r stream.Repository) (setcover.Stats, error) {
-			return maxcover.SahaGetoorSetCover(r, engine.Options{})
-		}},
-	}
-	for _, algo := range algos {
-		d, err := scdisk.NewRepo(bytes.NewReader(truncated), int64(len(truncated)))
-		if err != nil {
-			t.Fatalf("%s: truncated file should still open (the header is intact): %v", algo.name, err)
-		}
-		st, err := algo.run(d)
-		if err == nil {
-			t.Fatalf("%s: solved a truncated family without error (cover size %d, valid=%v)",
-				algo.name, len(st.Cover), st.Valid)
-		}
-		if st.Valid || len(st.Cover) != 0 {
-			t.Fatalf("%s: failed run still reported a cover (size %d, valid=%v)",
-				algo.name, len(st.Cover), st.Valid)
-		}
-	}
+func TestBaselineBackendConformance(t *testing.T) {
+	mem, _ := plantedRepo(t, 350, 800, 14, 21)
+	conform(t, mem.Instance(), 0, settings...)
 }
 
-// greedy-npass stops its argmax once a set reaches the bound, but the pass
-// still decodes every set after it: a corrupt set there must fail the solve
-// on both decode paths. Set 0 covers the universe, so it reaches the
-// first pass's bound n at once; set 1's count byte is overwritten with one
-// above n, keeping the index valid.
-func TestMultiPassGreedyCorruptSetAfterBoundHit(t *testing.T) {
-	const n = 8
-	in := &setcover.Instance{N: n, Sets: []setcover.Set{{}, {Elems: []setcover.Elem{1, 2}}, {Elems: []setcover.Elem{3}}}}
-	for e := 0; e < n; e++ {
-		in.Sets[0].Elems = append(in.Sets[0].Elems, setcover.Elem(e))
-	}
-	in.Normalize()
-	var buf bytes.Buffer
-	if err := scdisk.Write(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	clean, err := scdisk.NewRepoBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, _, _, ok := clean.SetSpan(1)
-	if !ok || data[off] != 2 {
-		t.Fatal("test construction broken: set 1's count is not the single byte 2")
-	}
-	data[off] = n + 1
-	for _, workers := range []int{1, 2} {
-		d, err := scdisk.NewRepoBytes(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !d.HasIndex() {
-			t.Fatal("the index must still validate: only set data is corrupt")
-		}
-		st, err := MultiPassGreedy(d, engine.Options{Workers: workers, BatchSize: 1})
-		if !errors.Is(err, engine.ErrPassFailed) {
-			t.Fatalf("workers=%d: err = %v, want one wrapping engine.ErrPassFailed", workers, err)
-		}
-		if st.Valid || len(st.Cover) != 0 {
-			t.Fatalf("workers=%d: failed solve reported a cover %v", workers, st.Cover)
-		}
-	}
-}
-
-// The ε-partial variants must conform as well (they stop accepting mid-pass,
-// which stresses the drain-everything contract on every backend).
+// The ε-partial variants stop accepting mid-pass, which stresses the
+// drain-everything contract on every backend.
 func TestPartialBaselineBackendConformance(t *testing.T) {
-	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 240, M: 520, K: 12, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "conf.scb")
-	if err := scdisk.WriteFile(path, in); err != nil {
-		t.Fatal(err)
-	}
-	const eps = 0.15
-	algos := []struct {
-		name string
-		run  func(stream.Repository) (setcover.Stats, error)
-	}{
-		{"greedyn-partial", func(r stream.Repository) (setcover.Stats, error) {
-			return MultiPassGreedyPartial(r, eps, engine.Options{})
-		}},
-		{"threshold-partial", func(r stream.Repository) (setcover.Stats, error) {
-			return ThresholdGreedyPartial(r, eps, engine.Options{})
-		}},
-		{"er14-partial", func(r stream.Repository) (setcover.Stats, error) {
-			return EmekRosenPartial(r, eps, engine.Options{})
-		}},
-		{"cw16-partial", func(r stream.Repository) (setcover.Stats, error) {
-			return ChakrabartiWirthPartial(r, 2, eps, engine.Options{})
-		}},
-	}
-	for _, algo := range algos {
-		ref, err := algo.run(stream.NewSliceRepo(in))
-		if err != nil {
-			t.Fatalf("%s: %v", algo.name, err)
-		}
-		if !in.IsPartialCover(ref.Cover, eps) {
-			t.Fatalf("%s: reference not a (1-eps)-cover", algo.name)
-		}
-		d, err := scdisk.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := algo.run(d)
-		d.Close()
-		if err != nil {
-			t.Fatalf("%s/disk: %v", algo.name, err)
-		}
-		if st.Passes != ref.Passes || st.SpaceWords != ref.SpaceWords || len(st.Cover) != len(ref.Cover) {
-			t.Fatalf("%s/disk: stats diverge: passes %d/%d space %d/%d cover %d/%d",
-				algo.name, st.Passes, ref.Passes, st.SpaceWords, ref.SpaceWords, len(st.Cover), len(ref.Cover))
-		}
-		for i := range ref.Cover {
-			if st.Cover[i] != ref.Cover[i] {
-				t.Fatalf("%s/disk: cover[%d] differs", algo.name, i)
-			}
-		}
-	}
+	mem, _ := plantedRepo(t, 240, 520, 12, 8)
+	conform(t, mem.Instance(), 0.15, settings...)
 }
 
-// Concurrent solves with DIFFERENT per-call engine configurations must be
-// independent: this is the property the per-call EngineOptions refactor
-// exists for (a process-wide SetEngine could not provide it), and the one
-// internal/serve relies on to multiplex solves. Run under -race in CI.
-func TestConcurrentSolvesWithDistinctEngineOptions(t *testing.T) {
-	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 300, M: 600, K: 12, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := ThresholdGreedy(stream.NewSliceRepo(in), engine.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	configs := []engine.Options{
-		{Workers: 1},
-		{Workers: 2},
-		{Workers: 2, BatchSize: 16},
-		{Workers: runtime.GOMAXPROCS(0), DisableSegmented: true},
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(configs)*4)
-	for i := 0; i < len(errs); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st, err := ThresholdGreedy(stream.NewSliceRepo(in), configs[i%len(configs)])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if len(st.Cover) != len(ref.Cover) || st.Passes != ref.Passes || st.SpaceWords != ref.SpaceWords {
-				errs[i] = fmt.Errorf("solve %d diverged: cover %d/%d passes %d/%d space %d/%d",
-					i, len(st.Cover), len(ref.Cover), st.Passes, ref.Passes, st.SpaceWords, ref.SpaceWords)
-				return
-			}
-			for j := range ref.Cover {
-				if st.Cover[j] != ref.Cover[j] {
-					errs[i] = fmt.Errorf("solve %d: cover[%d] differs", i, j)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+// Costs reach every backend: SliceRepo reads Instance.Weights, FuncRepo a
+// weight function, and both SCB1 read paths the SCWT section.
+func TestWeightedBaselineBackendConformance(t *testing.T) {
+	conform(t, weightedTestInstance(t), 0, settings...)
 }
 
-// Tracer injection is read-only: a solve with an obs.Recorder installed must
-// produce byte-identical covers, pass counts, and space charges to the same
-// solve without one, on every backend — the acceptance pin for the
-// observability layer. The trace itself must be coherent: one record per
-// engine pass, solve-locally numbered, each delivering the full family.
-func TestTracerInjectionConformance(t *testing.T) {
-	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 350, M: 800, K: 14, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "traced.scb")
-	if err := scdisk.WriteFile(path, in); err != nil {
-		t.Fatal(err)
-	}
-	backends := []struct {
-		name string
-		mk   func() stream.Repository
-	}{
-		{"slice", func() stream.Repository { return stream.NewSliceRepo(in) }},
-		{"func", func() stream.Repository {
-			return stream.NewFuncRepo(in.N, in.M(), func(id int) setcover.Set {
-				es := make([]setcover.Elem, len(in.Sets[id].Elems))
-				copy(es, in.Sets[id].Elems)
-				return setcover.Set{ID: id, Elems: es}
-			})
-		}},
-		{"disk", func() stream.Repository {
-			d, err := scdisk.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { d.Close() })
-			return d
-		}},
-	}
-	algos := []struct {
-		name string
-		run  func(stream.Repository, engine.Options) (setcover.Stats, error)
-	}{
-		{"greedy-1pass", OnePassGreedy},
-		{"greedy-npass", MultiPassGreedy},
-		{"threshold-greedy", ThresholdGreedy},
-	}
-	for _, algo := range algos {
-		for _, b := range backends {
-			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-				label := fmt.Sprintf("%s/%s/workers=%d", algo.name, b.name, workers)
-				ref, err := algo.run(b.mk(), engine.Options{Workers: workers})
-				if err != nil {
-					t.Fatalf("%s: untraced run: %v", label, err)
-				}
-				rec := &obs.Recorder{}
-				st, err := algo.run(b.mk(), engine.Options{Workers: workers, Tracer: rec})
-				if err != nil {
-					t.Fatalf("%s: traced run: %v", label, err)
-				}
-				if st.Passes != ref.Passes || st.SpaceWords != ref.SpaceWords {
-					t.Errorf("%s: traced stats diverge: passes %d/%d space %d/%d",
-						label, st.Passes, ref.Passes, st.SpaceWords, ref.SpaceWords)
-				}
-				if len(st.Cover) != len(ref.Cover) {
-					t.Fatalf("%s: traced cover size %d, want %d", label, len(st.Cover), len(ref.Cover))
-				}
-				for i := range ref.Cover {
-					if st.Cover[i] != ref.Cover[i] {
-						t.Fatalf("%s: traced cover[%d] = %d, want %d", label, i, st.Cover[i], ref.Cover[i])
-					}
-				}
-				passes := rec.Passes()
-				if len(passes) == 0 {
-					t.Fatalf("%s: tracer saw no passes", label)
-				}
-				for i, p := range passes {
-					if p.Index != i+1 {
-						t.Fatalf("%s: pass %d has index %d", label, i, p.Index)
-					}
-					if p.Kind != "sets" || p.Items != in.M() {
-						t.Fatalf("%s: pass %d delivered %d %q items, want %d sets",
-							label, i, p.Items, p.Kind, in.M())
-					}
-					if p.Err != nil {
-						t.Fatalf("%s: pass %d carries error %v", label, i, p.Err)
-					}
-				}
-			}
-		}
-	}
-}
-
-// Removal note: the deprecated process-wide engine shims — baseline.SetEngine
-// (an atomic.Pointer default), the streamsetcover.SetBaselineEngine alias,
-// and experiments.SetEngine — were retired once the last callers (legacy CLI
-// plumbing, removed in PRs 5–6) migrated to per-call engine.Options. A
-// mutable global default could not serve concurrent solves with different
-// configurations (the property TestConcurrentSolvesWithDistinctEngineOptions
-// pins); per-call options can, and results are identical at every setting by
-// the engine's determinism contract. This test exists so a grep for SetEngine
-// finds the story instead of silence, and pins the replacement default path:
-// a baseline called with zero options must match the per-call reference.
+// Removal note: the process-wide engine shims (baseline.SetEngine, the
+// streamsetcover.SetBaselineEngine alias and experiments.SetEngine) are gone.
+// A mutable global default could not serve concurrent solves with
+// different configurations; per-call engine.Options can. A grep for
+// SetEngine finds this story, and the test pins the default path: zero
+// options return the Workers 1 Stats.
 func TestSetEngineRemoved(t *testing.T) {
-	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 200, M: 400, K: 10, Seed: 3})
-	if err != nil {
+	mem, _ := plantedRepo(t, 200, 400, 10, 3)
+	conform(t, mem.Instance(), 0, engine.Options{})
+}
+
+// Tracing is read-only: on every backend at Workers 1 and 2, a solve with an
+// obs.Recorder returns the untraced Stats and records one pass per
+// Stats.Passes, numbered 1..k, each delivering all m sets without error.
+func TestTracerInjectionConformance(t *testing.T) {
+	mem, _ := plantedRepo(t, 350, 800, 14, 21)
+	in := mem.Instance()
+	rs := backends(t, in)
+	for name, solve := range solvers(0) {
+		for i, r := range rs {
+			for _, workers := range []int{1, 2} {
+				label := fmt.Sprintf("%s on backend %d (%T) at workers=%d", name, i, r, workers)
+				want, err := solve(r, engine.Options{Workers: workers})
+				rec := &obs.Recorder{}
+				got, errTraced := solve(r, engine.Options{Workers: workers, Tracer: rec})
+				if err != nil || errTraced != nil || !reflect.DeepEqual(got, want) || len(rec.Passes()) != want.Passes {
+					t.Errorf("%s: traced %+v (%v) in %d records, untraced %+v (%v)",
+						label, got, errTraced, len(rec.Passes()), want, err)
+				}
+				for j, p := range rec.Passes() {
+					if p.Index != j+1 || p.Kind != "sets" || p.Items != in.M() || p.Err != nil {
+						t.Errorf("%s: record %d is pass %d of %d %q items (%v)", label, j, p.Index, p.Items, p.Kind, p.Err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// An SCB1 file cut at 3/5 of its bytes still opens, since its header is
+// intact. Every baseline must fail on it with an error wrapping
+// engine.ErrPassFailed, report the one pass that found the cut, and hand
+// back no cover computed from a prefix of the family.
+func TestTruncatedFileFailsEveryBaseline(t *testing.T) {
+	mem, _ := plantedRepo(t, 350, 800, 14, 21)
+	var buf bytes.Buffer
+	if err := scdisk.Write(&buf, mem.Instance()); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := EmekRosen(stream.NewSliceRepo(in), engine.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := EmekRosen(stream.NewSliceRepo(in), engine.Options{}) // zero options: engine defaults
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Cover) != len(ref.Cover) || st.Passes != ref.Passes {
-		t.Fatal("default-engine run diverged from per-call reference")
-	}
-	for i := range ref.Cover {
-		if st.Cover[i] != ref.Cover[i] {
-			t.Fatalf("cover[%d] differs", i)
+	cut := buf.Bytes()[:buf.Len()*3/5]
+	for name, solve := range solvers(0) {
+		for _, workers := range []int{1, 2} {
+			d, err := scdisk.NewRepo(bytes.NewReader(cut), int64(len(cut)))
+			if err != nil {
+				t.Fatalf("the cut file does not open: %v", err)
+			}
+			st, err := solve(d, engine.Options{Workers: workers})
+			if !errors.Is(err, engine.ErrPassFailed) || st.Passes != 1 || st.Valid || len(st.Cover) != 0 {
+				t.Errorf("%s at workers=%d: %+v (%v), want one failed pass wrapping engine.ErrPassFailed and no cover",
+					name, workers, st, err)
+			}
 		}
 	}
 }

@@ -507,8 +507,6 @@ type DIMV14Options struct {
 	Scale float64
 	// Seed drives sampling.
 	Seed int64
-	// MaxRounds caps the sampling rounds; 0 means 4·log₂n + 8.
-	MaxRounds int
 }
 
 // DIMV14 is a rendition of the Demaine–Indyk–Mahabadi–Vakilian element
@@ -538,10 +536,8 @@ func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts engine.Options) 
 		st.Valid = true
 		return st, nil
 	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 4*int(math.Ceil(math.Log2(float64(n+1)))) + 8
-	}
+	// The sampling rounds are capped at 4·⌈log₂(n+1)⌉+8.
+	maxRounds := 4*int(math.Ceil(math.Log2(float64(n+1)))) + 8
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	uncovered := bitset.New(n)

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/scdisk"
 	"repro/internal/setcover"
 	"repro/internal/stream"
 )
@@ -446,6 +448,90 @@ func TestDIMV14EmptyUniverse(t *testing.T) {
 	st, err := DIMV14(repo, DIMV14Options{Delta: 0.5, Seed: 1}, engine.Options{})
 	if err != nil || !st.Valid {
 		t.Fatalf("st=%+v err=%v", st, err)
+	}
+}
+
+// greedy-npass stops its argmax once a set reaches the bound, but the pass
+// still decodes every set after it: a corrupt set there must fail the solve
+// on both decode paths. Set 0 covers the universe, so it reaches the
+// first pass's bound n at once; set 1's count byte is overwritten with one
+// above n, keeping the index valid.
+func TestMultiPassGreedyCorruptSetAfterBoundHit(t *testing.T) {
+	const n = 8
+	in := &setcover.Instance{N: n, Sets: []setcover.Set{{}, {Elems: []setcover.Elem{1, 2}}, {Elems: []setcover.Elem{3}}}}
+	for e := 0; e < n; e++ {
+		in.Sets[0].Elems = append(in.Sets[0].Elems, setcover.Elem(e))
+	}
+	in.Normalize()
+	var buf bytes.Buffer
+	if err := scdisk.Write(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	clean, err := scdisk.NewRepoBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, _, _, ok := clean.SetSpan(1)
+	if !ok || data[off] != 2 {
+		t.Fatal("test construction broken: set 1's count is not the single byte 2")
+	}
+	data[off] = n + 1
+	for _, workers := range []int{1, 2} {
+		d, err := scdisk.NewRepoBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.HasIndex() {
+			t.Fatal("the index must still validate: only set data is corrupt")
+		}
+		st, err := MultiPassGreedy(d, engine.Options{Workers: workers, BatchSize: 1})
+		if !errors.Is(err, engine.ErrPassFailed) {
+			t.Fatalf("workers=%d: err = %v, want one wrapping engine.ErrPassFailed", workers, err)
+		}
+		if st.Valid || len(st.Cover) != 0 {
+			t.Fatalf("workers=%d: failed solve reported a cover %v", workers, st.Cover)
+		}
+	}
+}
+
+// weightedTestInstance is a planted family with log-skewed per-set costs —
+// skewed enough that cost-effectiveness and pure coverage genuinely disagree.
+func weightedTestInstance(t testing.TB) *setcover.Instance {
+	t.Helper()
+	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 350, M: 800, K: 14, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := gen.WeightedSlice(gen.WeightedConfig{
+		Kind: gen.WeightLogUniform, M: in.M(), Lo: 0.05, Hi: 20, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Weights = ws
+	return in
+}
+
+// On skewed costs the weighted greedy must actually exploit them: its cover
+// must be strictly cheaper than what the same algorithm picks when blinded to
+// the weights (solving the unweighted projection of the same family).
+func TestWeightedGreedyBeatsBlindGreedy(t *testing.T) {
+	in := weightedTestInstance(t)
+	blind := &setcover.Instance{N: in.N, Sets: in.Sets} // same family, no weights
+	seeing, err := MultiPassGreedy(stream.NewSliceRepo(in), engine.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blindSt, err := MultiPassGreedy(stream.NewSliceRepo(blind), engine.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeingCost := in.CoverWeight(seeing.Cover)
+	blindCost := in.CoverWeight(blindSt.Cover)
+	if seeingCost >= blindCost {
+		t.Fatalf("weighted greedy cost %v not below blind greedy cost %v on log-skewed weights",
+			seeingCost, blindCost)
 	}
 }
 

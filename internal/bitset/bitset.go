@@ -290,18 +290,6 @@ func (b *Bitset) IntersectionWithSlice(elems []int32) int {
 	return c
 }
 
-// IntersectsSlice reports whether any of the unique elements of elems is a
-// member of b — IntersectionWithSlice with an early exit, for callers that
-// only branch on "covers anything new at all".
-func (b *Bitset) IntersectsSlice(elems []int32) bool {
-	for _, e := range elems {
-		if b.words[uint32(e)/wordBits]>>(uint32(e)%wordBits)&1 != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // AppendMembers appends the members of b among elems to dst, in order, and
 // returns the extended slice. Like IntersectionWithSlice it costs one load,
 // one shift and one mask per element, with no branch on the data: every

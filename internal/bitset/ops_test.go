@@ -99,9 +99,6 @@ func TestSliceOpsCrossCheck(t *testing.T) {
 			if got, want := b.IntersectionWithSlice(elems), naiveIntersectionWithSlice(b, elems); got != want {
 				t.Fatalf("n=%d sorted=%v: IntersectionWithSlice=%d, naive=%d", n, sorted, got, want)
 			}
-			if got, want := b.IntersectsSlice(elems), naiveIntersectionWithSlice(b, elems) > 0; got != want {
-				t.Fatalf("n=%d sorted=%v: IntersectsSlice=%v, naive=%v", n, sorted, got, want)
-			}
 			members := []int32{-1} // a prefix AppendMembers must keep
 			for _, e := range elems {
 				if b.Test(int(e)) {
@@ -237,11 +234,10 @@ func BenchmarkIntersectionWithSliceDense(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(elems)), "ns/elem")
 }
 
-// BenchmarkSliceKernelsSparse runs the three slice kernels over 4096 sorted
-// sets of 16 elements of [0, 5000) — nearly every element in its own word,
-// the light sets of the byte-skewed scan family — against a half-full
-// bitset, and reports ns per element. IntersectsSlice runs against an empty
-// bitset, so it never exits early.
+// BenchmarkSliceKernelsSparse runs the slice kernels over 4096 sorted sets
+// of 16 elements of [0, 5000) — nearly every element in its own word, the
+// light sets of the byte-skewed scan family — against a half-full bitset,
+// and reports ns per element.
 func BenchmarkSliceKernelsSparse(b *testing.B) {
 	const n, k, sets = 5000, 16, 4096
 	rng := rand.New(rand.NewSource(5))
@@ -255,19 +251,10 @@ func BenchmarkSliceKernelsSparse(b *testing.B) {
 		op   func(bs *Bitset, elems []int32) int
 	}{
 		{"IntersectionWithSlice", (*Bitset).IntersectionWithSlice},
-		{"IntersectsSlice", func(bs *Bitset, elems []int32) int {
-			if bs.IntersectsSlice(elems) {
-				return 1
-			}
-			return 0
-		}},
 		{"SubtractSlice", (*Bitset).SubtractSlice},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			bs := half.Clone()
-			if c.name == "IntersectsSlice" {
-				bs.Reset()
-			}
 			sink := 0
 			for b.Loop() {
 				for _, elems := range family {

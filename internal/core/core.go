@@ -101,24 +101,14 @@ type Options struct {
 
 	// AdaptiveIterations is an ablation switch (experiment E10): instead of
 	// stopping after ceil(1/δ) iterations as the paper prescribes, keep
-	// iterating until every guess either finishes or MaxIterations is hit.
+	// iterating until every guess either finishes or 4·⌈log₂(n+1)⌉+8
+	// iterations have run.
 	AdaptiveIterations bool
-	// MaxIterations caps iterations when AdaptiveIterations is set.
-	// Zero means 4·log₂n + 8.
-	MaxIterations int
 
 	// PartialEps switches to the ε-Partial Set Cover problem (the [ER14] /
 	// [CW16] generalization discussed in Section 1): a guess finishes once
 	// at most PartialEps·n elements remain uncovered. Zero means full cover.
 	PartialEps float64
-
-	// FinalPatch enables the Section 4.2 optimization transplanted to the
-	// set-system algorithm: if after the 1/δ iterations no guess finished,
-	// one extra pass covers each remaining element with an arbitrary set
-	// containing it. A correct guess k leaves few leftovers, so the patch
-	// adds one pass and O(leftovers) sets, rescuing runs whose sampling
-	// undershot. When some guess already finished, the pass is skipped.
-	FinalPatch bool
 
 	// Engine configures the shared pass executor (internal/engine) that
 	// fans every physical pass out to the parallel guesses: Workers
@@ -215,10 +205,7 @@ func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 
 	maxIter := iterations
 	if opts.AdaptiveIterations {
-		maxIter = opts.MaxIterations
-		if maxIter <= 0 {
-			maxIter = 4*int(math.Ceil(math.Log2(float64(n+1)))) + 8
-		}
+		maxIter = 4*int(math.Ceil(math.Log2(float64(n+1)))) + 8
 	}
 
 	var projPeak int64
@@ -286,18 +273,6 @@ func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 		}
 	}
 
-	// Optional final patch pass (Section 4.2's idea): cover each remaining
-	// element with an arbitrary set containing it. One shared pass serves
-	// every unfinished guess; it only runs when no guess finished on its
-	// own (rescue semantics — the pass budget stays 2/δ otherwise).
-	if opts.FinalPatch && !anyDone(runs) {
-		if err := eng.Run(repo, liveObservers(runs, func(g *guessRun) engine.Observer {
-			return &patchObserver{g: g, target: targetUncovered, tracker: tracker}
-		})...); err != nil {
-			return res.failPass(repo, passes0, tracker, err)
-		}
-	}
-
 	// Return the best valid solution over all parallel executions.
 	best := -1
 	for i, g := range runs {
@@ -322,8 +297,7 @@ func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 // failed) as an engine observer. The done/failed flags only flip between
 // passes (observe never touches them; solveOffline and the iteration close
 // run outside the engine), so snapshotting the live set at pass start is
-// equivalent to the seed's per-set skip check — except for the final patch
-// pass, whose observer re-checks done as it flips mid-pass.
+// equivalent to the seed's per-set skip check.
 func liveObservers(runs []*guessRun, mk func(*guessRun) engine.Observer) []engine.Observer {
 	obs := make([]engine.Observer, 0, len(runs))
 	for _, g := range runs {
@@ -369,32 +343,6 @@ func (o *recomputeObserver) Observe(batch []setcover.Set) {
 	}
 }
 
-// patchObserver runs the optional final patch pass (Section 4.2's idea):
-// cover each remaining element with an arbitrary set containing it, until
-// the guess reaches its target.
-type patchObserver struct {
-	g       *guessRun
-	target  int
-	tracker *stream.Tracker
-}
-
-func (o *patchObserver) Observe(batch []setcover.Set) {
-	g := o.g
-	for _, s := range batch {
-		if g.done {
-			return
-		}
-		if g.uncovered.IntersectsSlice(s.Elems) {
-			g.sol = append(g.sol, s.ID)
-			o.tracker.Grow(1)
-			g.uncovered.SubtractSlice(s.Elems)
-			if g.uncovered.Count() <= o.target {
-				g.done = true
-			}
-		}
-	}
-}
-
 func makeRuns(n int, opts Options, weight func(int) float64, tracker *stream.Tracker) []*guessRun {
 	kMin, kMax := opts.KMin, opts.KMax
 	if kMin <= 0 {
@@ -427,15 +375,6 @@ func allSettled(runs []*guessRun) bool {
 		}
 	}
 	return true
-}
-
-func anyDone(runs []*guessRun) bool {
-	for _, g := range runs {
-		if g.done {
-			return true
-		}
-	}
-	return false
 }
 
 // beginIteration draws S, sets L ← S, and clears the projection store.

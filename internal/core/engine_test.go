@@ -3,58 +3,59 @@ package core
 import (
 	"errors"
 	"math"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/scdisk"
 	"repro/internal/setcover"
 	"repro/internal/stream"
 )
 
-// The engine's determinism contract, end to end: for a fixed seed,
-// IterSetCover at Workers = GOMAXPROCS (and other worker counts) must be
-// byte-identical to Workers = 1 — same Cover, same Passes, same SpaceWords.
-// Each parallel guess owns disjoint state and sees the stream in order, so
-// worker count is purely a wall-clock knob (ISSUE: "parallel guesses become
-// actual goroutines" without changing the paper's accounting).
+// The engine's determinism contract for the fields only IterSetCover's own
+// Result carries: for a fixed seed, every worker count and batch size, on
+// the in-memory repository and on an SCB1 file of it, returns the Result
+// that Workers = 1 returns in memory. That is the same Cover, Passes and
+// SpaceWords, and also the same BestK, Iterations and
+// StoredProjectionWordsPeak. The conformance matrix (internal/algos)
+// covers the other backends and engine settings.
 func TestEngineWorkersIdenticalResults(t *testing.T) {
+	mem, _ := plantedRepo(t, 512, 1024, 8, 51)
+	path := filepath.Join(t.TempDir(), "planted.scb")
+	if err := scdisk.WriteFile(path, mem.Instance()); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := scdisk.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
 		{"delta=0.5", Options{Delta: 0.5, Seed: 7}},
 		{"delta=0.25", Options{Delta: 0.25, Seed: 11}},
-		{"final-patch", Options{Delta: 0.5, Seed: 13, FinalPatch: true}},
 		{"partial", Options{Delta: 0.5, Seed: 17, PartialEps: 0.1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(workers, batch int) Result {
-				repo, _ := plantedRepo(t, 512, 1024, 8, 51)
+			run := func(repo stream.Repository, workers, batch int) Result {
 				opts := tc.opts
 				opts.Engine = engine.Options{Workers: workers, BatchSize: batch}
 				res, err := IterSetCover(repo, opts)
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("%T at workers=%d: %v", repo, workers, err)
 				}
 				return res
 			}
-			want := run(1, 1)
-			for _, cfg := range [][2]int{{runtime.GOMAXPROCS(0), 0}, {3, 5}, {16, 1024}} {
-				got := run(cfg[0], cfg[1])
-				if !reflect.DeepEqual(got.Cover, want.Cover) {
-					t.Errorf("workers=%d/batch=%d: cover %v != sequential %v",
-						cfg[0], cfg[1], got.Cover, want.Cover)
-				}
-				if got.Passes != want.Passes {
-					t.Errorf("workers=%d: passes %d != %d", cfg[0], got.Passes, want.Passes)
-				}
-				if got.SpaceWords != want.SpaceWords {
-					t.Errorf("workers=%d: space %d != %d", cfg[0], got.SpaceWords, want.SpaceWords)
-				}
-				if got.BestK != want.BestK || got.Iterations != want.Iterations {
-					t.Errorf("workers=%d: BestK/Iterations %d/%d != %d/%d",
-						cfg[0], got.BestK, got.Iterations, want.BestK, want.Iterations)
+			want := run(mem, 1, 1)
+			for _, repo := range []stream.Repository{mem, disk} {
+				for _, cfg := range [][2]int{{1, 1}, {runtime.GOMAXPROCS(0), 0}, {3, 5}, {16, 1024}} {
+					if got := run(repo, cfg[0], cfg[1]); !reflect.DeepEqual(got, want) {
+						t.Errorf("%T at workers=%d/batch=%d: %#v, want %#v", repo, cfg[0], cfg[1], got, want)
+					}
 				}
 			}
 		})
@@ -62,10 +63,10 @@ func TestEngineWorkersIdenticalResults(t *testing.T) {
 }
 
 // Pass-sharing invariant under the parallel engine: with Workers > 1 the
-// pass count is still exactly 2·ceil(1/δ), plus one for FinalPatch when no
-// guess finishes on its own. A size-1 sampler guarantees no guess can finish
-// within the iteration budget (each iteration picks O(1) sets), so the
-// budget is fully spent and the counts are exact, not just upper bounds.
+// pass count is still exactly 2·ceil(1/δ). A size-1 sampler guarantees no
+// guess can finish within the iteration budget (each iteration picks O(1)
+// sets), so the budget is fully spent and the count is exact, not just an
+// upper bound.
 func TestEnginePassBudgetExact(t *testing.T) {
 	one := func(k, n, m, uncovered int) int { return 1 }
 	for _, delta := range []float64{0.5, 0.25} {
@@ -81,22 +82,6 @@ func TestEnginePassBudgetExact(t *testing.T) {
 		}
 		if got, want := repo.Passes(), 2*iters; got != want {
 			t.Fatalf("delta=%v: passes = %d, want exactly %d", delta, got, want)
-		}
-
-		// FinalPatch adds exactly one pass and rescues the run.
-		repo, _ = plantedRepo(t, 512, 1024, 8, 51)
-		res, err := IterSetCover(repo, Options{
-			Delta: delta, Seed: 1, Sizer: one, FinalPatch: true,
-			Engine: engine.Options{Workers: runtime.GOMAXPROCS(0)},
-		})
-		if err != nil {
-			t.Fatalf("delta=%v with patch: %v", delta, err)
-		}
-		if got, want := res.Passes, 2*iters+1; got != want {
-			t.Fatalf("delta=%v: patched passes = %d, want exactly %d", delta, got, want)
-		}
-		if !repo.Instance().IsCover(res.Cover) {
-			t.Fatalf("delta=%v: patched result is not a cover", delta)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/offline"
 	"repro/internal/setcover"
 	"repro/internal/stream"
 )
@@ -46,61 +45,6 @@ func TestPartialEpsValidation(t *testing.T) {
 	// A tiny ε is legal: it allows no leftover, so the cover is full.
 	if res, err := IterSetCover(stream.NewSliceRepo(in), Options{Delta: 0.5, PartialEps: 1e-300}); err != nil || !in.IsCover(res.Cover) {
 		t.Errorf("eps=1e-300: err %v, full cover %v", err, in.IsCover(res.Cover))
-	}
-}
-
-func TestFinalPatchRescuesUndersampledRun(t *testing.T) {
-	// With a tiny sample and the paper's fixed 1/δ iterations, the run
-	// normally fails; the Section 4.2-style final patch pass rescues it at
-	// the cost of one extra pass and O(leftovers) extra sets.
-	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 1024, M: 1024, K: 4, Seed: 37})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny := func(k, n, m, uncovered int) int { return 6 }
-
-	_, errNoPatch := IterSetCover(stream.NewSliceRepo(in), Options{
-		Delta: 0.5, Offline: offline.Greedy{}, Seed: 5, Sizer: tiny, KMin: 4, KMax: 4,
-	})
-	if errNoPatch == nil {
-		t.Skip("undersampled run unexpectedly converged; patch not exercised")
-	}
-
-	res, err := IterSetCover(stream.NewSliceRepo(in), Options{
-		Delta: 0.5, Offline: offline.Greedy{}, Seed: 5, Sizer: tiny, KMin: 4, KMax: 4,
-		FinalPatch: true,
-	})
-	if err != nil {
-		t.Fatalf("final patch should rescue the run: %v", err)
-	}
-	if !in.IsCover(res.Cover) {
-		t.Fatal("patched result is not a cover")
-	}
-	// 2 iterations x 2 passes + 1 patch pass.
-	if res.Passes != 5 {
-		t.Fatalf("passes = %d, want 5 (4 + patch)", res.Passes)
-	}
-}
-
-func TestFinalPatchNoOpWhenConverged(t *testing.T) {
-	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 256, M: 512, K: 4, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	with, err := IterSetCover(stream.NewSliceRepo(in), Options{Delta: 0.5, Seed: 7, FinalPatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := IterSetCover(stream.NewSliceRepo(in), Options{Delta: 0.5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Some guess converges on this instance, so the rescue pass never runs.
-	if with.Passes != without.Passes {
-		t.Fatalf("patch added a pass on a converged run: %d vs %d", with.Passes, without.Passes)
-	}
-	if len(with.Cover) != len(without.Cover) {
-		t.Fatalf("patch changed the result on a converged run: %d vs %d", len(with.Cover), len(without.Cover))
 	}
 }
 

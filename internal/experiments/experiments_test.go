@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -231,9 +232,8 @@ func TestRunAll(t *testing.T) {
 // Per-call engine options must leave tables byte-identical (the engine's
 // determinism contract is what makes -workers a pure wall-clock knob).
 // The deprecated experiments.SetEngine process-wide shim was removed along
-// with baseline.SetEngine (see internal/baseline's TestSetEngineRemoved for
-// the full removal note); a build with zero options uses the engine
-// defaults, which the last comparison pins.
+// with baseline.SetEngine (DESIGN §5 has the removal note); a build with
+// zero options uses the engine defaults, which the last comparison pins.
 func TestPerCallEngineOptions(t *testing.T) {
 	same := func(a, b Table) {
 		t.Helper()
@@ -486,6 +486,132 @@ func TestE17TrapsBiteOnePassOnly(t *testing.T) {
 				}
 			default:
 				t.Errorf("quick=%v: unexpected E17 row %v", quick, row)
+			}
+		}
+	}
+}
+
+// E1's pass counts, on the rows of Figure 1.1 whose pass bound is exact:
+// greedy-1pass and ER14 take one pass, CW16 takes its p, iterSetCover at
+// most 2/δ, and greedy-npass one pass per picked set, so its passes are its
+// cover size ratio·OPT, with OPT from the table's note. Quick and full
+// configurations.
+func TestE1PassesAtTheirBounds(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		tbl := E1Figure11(1, quick, engine.Options{})
+		var opt float64
+		if i := strings.Index(tbl.Notes[0], "OPT="); i < 0 {
+			t.Fatalf("quick=%v: E1's note %q gives no OPT", quick, tbl.Notes[0])
+		} else if _, err := fmt.Sscanf(tbl.Notes[0][i:], "OPT=%g", &opt); err != nil {
+			t.Fatalf("quick=%v: E1's note %q: %v", quick, tbl.Notes[0], err)
+		}
+		checked := 0
+		for _, row := range tbl.Rows {
+			passes := cell(t, tbl, row, "passes")
+			var p, inv float64
+			switch algo := row[0]; {
+			case algo == "greedy-1pass", algo == "emek-rosen[ER14]":
+				checked++
+				if passes != 1 {
+					t.Errorf("quick=%v: %s takes %v passes, want 1", quick, algo, passes)
+				}
+			case strings.HasPrefix(algo, "chakrabarti-wirth[CW16]"):
+				checked++
+				if _, err := fmt.Sscanf(algo, "chakrabarti-wirth[CW16] p=%g", &p); err != nil || passes != p {
+					t.Errorf("quick=%v: %s takes %v passes, want p", quick, algo, passes)
+				}
+			case algo == "iterSetCover":
+				checked++
+				i := strings.Index(row[1], "δ=1/")
+				if i < 0 {
+					t.Fatalf("quick=%v: iterSetCover bound %q gives no δ", quick, row[1])
+				}
+				if _, err := fmt.Sscanf(row[1][i:], "δ=1/%g", &inv); err != nil || passes > 2*inv {
+					t.Errorf("quick=%v: iterSetCover at %s takes %v passes, want at most 2/δ", quick, row[1][i:], passes)
+				}
+			case algo == "greedy-npass":
+				checked++
+				// The ratio cell is cover/OPT to two decimals.
+				if ratio := cell(t, tbl, row, "ratio"); math.Abs(passes-ratio*opt) > 0.005*opt {
+					t.Errorf("quick=%v: greedy-npass takes %v passes, want its cover size %v·%v", quick, passes, ratio, opt)
+				}
+			}
+		}
+		if checked != 6 {
+			t.Errorf("quick=%v: checked %d rows of E1, want 6: %v", quick, checked, tbl.Rows)
+		}
+	}
+}
+
+// E4's claim (Theorem 4.6): algGeomSC's space stays near flat in m. For each
+// shape class, doubling m grows the space by less than 1.5×, where flat is
+// 1× and linear 2×, and by less than it grows the raw projections. The
+// quick configuration only; CI's diff of full.txt pins the full table.
+func TestE4SpaceNearFlatInM(t *testing.T) {
+	tbl := E4Geometric(1, true, engine.Options{})
+	type point struct{ m, space, raw float64 }
+	classes := map[string][]point{}
+	for _, row := range tbl.Rows {
+		classes[row[0]] = append(classes[row[0]],
+			point{cell(t, tbl, row, "m"), cell(t, tbl, row, "space(words)"), cell(t, tbl, row, "raw projs")})
+	}
+	if len(classes) != 3 {
+		t.Fatalf("E4 has %d shape classes, want 3: %v", len(classes), tbl.Rows)
+	}
+	for class, pts := range classes {
+		if len(pts) != 2 || pts[1].m != 2*pts[0].m {
+			t.Fatalf("%s: want rows at m and 2m, got %v", class, pts)
+		}
+		space, raw := pts[1].space/pts[0].space, pts[1].raw/pts[0].raw
+		if space >= 1.5 || space >= raw {
+			t.Errorf("%s: doubling m grows space %.2f×, raw projections %.2f×; want space under 1.5× and under raw", class, space, raw)
+		}
+	}
+}
+
+// E5's claim (Lemma 4.4): the distinct canonical pieces of w-shallow shapes
+// number at most linearly many in w per point, the Clarkson–Shor shape. For
+// each class, pieces/n grows by less than 4× = 32/8 from w = 8 to w = 32.
+// The quick configuration only; CI's diff of full.txt pins the full table.
+func TestE5PiecesAtMostLinearInW(t *testing.T) {
+	tbl := E5CanonicalCounts(1, true, engine.Options{})
+	perPoint := map[string]map[float64]float64{}
+	for _, row := range tbl.Rows {
+		if perPoint[row[0]] == nil {
+			perPoint[row[0]] = map[float64]float64{}
+		}
+		perPoint[row[0]][cell(t, tbl, row, "w")] = cell(t, tbl, row, "pieces/n")
+	}
+	if len(perPoint) != 3 {
+		t.Fatalf("E5 has %d shape classes, want 3: %v", len(perPoint), tbl.Rows)
+	}
+	for class, byW := range perPoint {
+		lo, hi := byW[8], byW[32]
+		if lo <= 0 || hi <= 0 {
+			t.Fatalf("%s: no pieces/n at w = 8 and w = 32: %v", class, byW)
+		}
+		if hi/lo >= 4 {
+			t.Errorf("%s: pieces/n grows %.2f× from w = 8 to w = 32, want under 4×", class, hi/lo)
+		}
+	}
+}
+
+// E8's claims (Theorem 6.6): on every row the largest set is within the Õ(t)
+// bound the table prints, and the planted equality survives the overlay.
+// Quick and full configurations.
+func TestE8SetsWithinBoundEqualitySurvives(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		tbl := E8SparseLB(1, quick, engine.Options{})
+		survivesCol := slices.Index(tbl.Head, "planted eq. survives")
+		if len(tbl.Rows) == 0 || survivesCol < 0 {
+			t.Fatalf("quick=%v: E8 has no rows or no survival column: %v", quick, tbl.Head)
+		}
+		for _, row := range tbl.Rows {
+			if size, bound := cell(t, tbl, row, "max set size"), cell(t, tbl, row, "Õ(t) bound (r·t+3)"); size > bound {
+				t.Errorf("quick=%v: row %v: max set size %v above the bound %v", quick, row, size, bound)
+			}
+			if survives := row[survivesCol]; survives != "yes" {
+				t.Errorf("quick=%v: row %v: planted equality survives %q, want yes", quick, row, survives)
 			}
 		}
 	}

@@ -17,6 +17,10 @@ import (
 // GeomAlgorithmName identifies algGeomSC in Stats reports.
 const GeomAlgorithmName = "algGeomSC"
 
+// heavyW sets the shallowness threshold w = heavyW·|S|/k of the canonical
+// representation; Lemma 4.5 uses 3.
+const heavyW = 3
+
 // ErrGeomNoCover is returned when no guess completed a cover.
 var ErrGeomNoCover = errors.New("geom: no guess produced a complete cover")
 
@@ -29,13 +33,6 @@ type GeomOptions struct {
 	Offline offline.Solver
 	// Seed drives sampling.
 	Seed int64
-	// SampleScale multiplies the practical sample size
-	// scale·k·(n/k)^δ (the paper's c·ρ·k·(n/k)^δ·log m·log n with the
-	// polylog and ρ factors folded into the constant). Default 1.
-	SampleScale float64
-	// HeavyW multiplies the canonical-representation shallowness threshold
-	// w = HeavyW·|S|/k (Lemma 4.5 uses 3). Default 3.
-	HeavyW float64
 	// KMin/KMax restrict the parallel guesses (powers of two); zero values
 	// mean the full range {1, ..., 2^ceil(log n)}.
 	KMin, KMax int
@@ -131,12 +128,6 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 	if opts.Offline == nil {
 		opts.Offline = offline.Greedy{}
 	}
-	if opts.SampleScale <= 0 {
-		opts.SampleScale = 1
-	}
-	if opts.HeavyW <= 0 {
-		opts.HeavyW = 3
-	}
 	res := GeomResult{Stats: setcover.Stats{Algorithm: GeomAlgorithmName, Extra: opts.Delta}}
 	passes0 := repo.Passes()
 	if n == 0 {
@@ -179,15 +170,17 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 			if g.done {
 				continue
 			}
-			size := int(math.Ceil(opts.SampleScale * float64(g.k) *
-				math.Pow(float64(n)/float64(g.k), opts.Delta)))
+			// The practical sample size k·(n/k)^δ: the paper's
+			// c·ρ·k·(n/k)^δ·log m·log n with the constant, ρ and the
+			// polylog factors left out.
+			size := int(math.Ceil(float64(g.k) * math.Pow(float64(n)/float64(g.k), opts.Delta)))
 			if size < 1 {
 				size = 1
 			}
 			st := &geomIterState{store: NewCanonicalStore()}
 			st.s = sample.UniformFromBitset(rng, g.left, size)
 			st.sLen = st.s.Count()
-			st.w = opts.HeavyW * float64(st.sLen) / float64(g.k)
+			st.w = heavyW * float64(st.sLen) / float64(g.k)
 			if st.w < 1 {
 				st.w = 1
 			}

@@ -3,184 +3,92 @@ package maxcover
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"path/filepath"
-	"runtime"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/gen"
 	"repro/internal/scdisk"
 	"repro/internal/setcover"
 	"repro/internal/stream"
 )
 
-// Golden outputs of the pre-engine (seed-state) direct-scan implementations
-// on gen.Planted{N:350, M:800, K:14, Seed:21}, captured before the migration
-// onto engine.Run. The engine migration must be invisible: byte-identical
-// selections and covers, exact pass budgets, exact space charges — at every
-// worker count, on every backend, segmented or not.
-var (
-	goldenStreamingSets    = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 17, 19}
-	goldenStreamingCovered = 183
-	goldenStreamingSpace   = int64(195)
+// These pins hold both entry points to their golden values on every storage
+// backend, Streaming's coverage included, which the conformance matrix
+// (internal/algos/conformance_test.go) does not carry. The matrix holds
+// every cell to a reference cell, so it cannot see a change that moves
+// every backend alike; the golden values can.
 
-	goldenSG09Cover = []int{12, 24, 27, 32, 411, 521, 19, 37, 58, 63, 102, 133, 193, 623,
-		1, 2, 14, 36, 38, 75, 145, 155, 6, 7, 9, 26, 55, 69, 73, 83,
-		4, 5, 21, 23, 39, 43, 44, 46, 59, 81, 82, 101}
-	goldenSG09Passes = 6
-	goldenSG09Space  = int64(470)
-)
+// settings are the engine settings the pins sweep.
+var settings = []engine.Options{{Workers: 1}, {Workers: 2}, {Workers: 8}, {Workers: 2, DisableSegmented: true}}
 
-func conformanceInstance(t *testing.T) *setcover.Instance {
+// backends are in on every storage backend: SliceRepo, a FuncRepo, and in's
+// SCB1 encoding read positionally and in place, which is the mmap decode
+// path.
+func backends(t *testing.T, in *setcover.Instance) []stream.Repository {
 	t.Helper()
-	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 350, M: 800, K: 14, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return in
-}
-
-// backendsFor mirrors the baseline/core conformance suites: the same family
-// through the in-memory, generated, and disk repositories.
-func backendsFor(t *testing.T, in *setcover.Instance) []struct {
-	name string
-	mk   func() stream.Repository
-} {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "conf.scb")
-	if err := scdisk.WriteFile(path, in); err != nil {
-		t.Fatal(err)
-	}
-	return []struct {
-		name string
-		mk   func() stream.Repository
-	}{
-		{"slice", func() stream.Repository { return stream.NewSliceRepo(in) }},
-		{"func", func() stream.Repository {
-			return stream.NewFuncRepo(in.N, in.M(), func(id int) setcover.Set {
-				es := make([]setcover.Elem, len(in.Sets[id].Elems))
-				copy(es, in.Sets[id].Elems)
-				return setcover.Set{ID: id, Elems: es}
-			})
-		}},
-		{"disk", func() stream.Repository {
-			d, err := scdisk.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { d.Close() })
-			return d
-		}},
-	}
-}
-
-// engineSweep is the Workers × DisableSegmented grid every conformance run
-// must be invariant under.
-func engineSweep() []engine.Options {
-	var out []engine.Options
-	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		for _, ds := range []bool{false, true} {
-			out = append(out, engine.Options{Workers: w, DisableSegmented: ds})
-		}
-	}
-	return out
-}
-
-// The one-pass streaming Max k-Cover must produce the golden seed-state
-// selection — same sets in the same order, one pass exactly, same space —
-// on every backend at every engine setting.
-func TestStreamingBackendConformance(t *testing.T) {
-	in := conformanceInstance(t)
-	for _, engOpts := range engineSweep() {
-		for _, b := range backendsFor(t, in) {
-			label := fmt.Sprintf("%s/workers=%d/noseg=%v", b.name, engOpts.Workers, engOpts.DisableSegmented)
-			res, err := Streaming(b.mk(), 14, engOpts)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if res.Passes != 1 {
-				t.Errorf("%s: passes = %d, want exactly 1", label, res.Passes)
-			}
-			if res.Covered != goldenStreamingCovered {
-				t.Errorf("%s: covered = %d, want %d", label, res.Covered, goldenStreamingCovered)
-			}
-			if res.SpaceWords != goldenStreamingSpace {
-				t.Errorf("%s: space = %d, want %d", label, res.SpaceWords, goldenStreamingSpace)
-			}
-			if len(res.Sets) != len(goldenStreamingSets) {
-				t.Fatalf("%s: %d sets, want %d", label, len(res.Sets), len(goldenStreamingSets))
-			}
-			for i, id := range goldenStreamingSets {
-				if res.Sets[i] != id {
-					t.Fatalf("%s: sets[%d] = %d, want %d", label, i, res.Sets[i], id)
-				}
-			}
-		}
-	}
-}
-
-// The SG09 SetCover loop must produce the golden seed-state cover with its
-// exact pass budget on every backend at every engine setting.
-func TestSahaGetoorBackendConformance(t *testing.T) {
-	in := conformanceInstance(t)
-	for _, engOpts := range engineSweep() {
-		for _, b := range backendsFor(t, in) {
-			label := fmt.Sprintf("%s/workers=%d/noseg=%v", b.name, engOpts.Workers, engOpts.DisableSegmented)
-			st, err := SahaGetoorSetCover(b.mk(), engOpts)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if !st.Valid || !in.IsCover(st.Cover) {
-				t.Fatalf("%s: cover invalid", label)
-			}
-			if st.Passes != goldenSG09Passes {
-				t.Errorf("%s: passes = %d, want exactly %d", label, st.Passes, goldenSG09Passes)
-			}
-			if st.SpaceWords != goldenSG09Space {
-				t.Errorf("%s: space = %d, want %d", label, st.SpaceWords, goldenSG09Space)
-			}
-			if len(st.Cover) != len(goldenSG09Cover) {
-				t.Fatalf("%s: cover size %d, want %d", label, len(st.Cover), len(goldenSG09Cover))
-			}
-			for i, id := range goldenSG09Cover {
-				if st.Cover[i] != id {
-					t.Fatalf("%s: cover[%d] = %d, want %d", label, i, st.Cover[i], id)
-				}
-			}
-		}
-	}
-}
-
-// A truncated SCB1 stream must fail both max-cover entry points with an
-// error wrapping engine.ErrPassFailed — never a valid-looking selection from
-// a prefix of F. (The engine migration replaced maxcover's bespoke
-// stream.ReaderErr polling; this pins that the failure contract survived.)
-func TestTruncatedStreamFailsMaxCover(t *testing.T) {
-	in := conformanceInstance(t)
 	var buf bytes.Buffer
 	if err := scdisk.Write(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	truncated := buf.Bytes()[:buf.Len()*3/5]
+	readat, err1 := scdisk.NewRepo(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	inplace, err2 := scdisk.NewRepoBytes(buf.Bytes())
+	if err := errors.Join(err1, err2); err != nil {
+		t.Fatal(err)
+	}
+	fn := stream.NewFuncRepo(in.N, in.M(), func(id int) setcover.Set { return setcover.Set{ID: id, Elems: slices.Clone(in.Sets[id].Elems)} })
+	return []stream.Repository{stream.NewSliceRepo(in), fn, readat, inplace}
+}
 
+// Streaming returns the golden selection, the same sets in the same order,
+// with its coverage, one pass and the same space, on every backend at every
+// engine setting.
+func TestStreamingBackendConformance(t *testing.T) {
+	for i, r := range backends(t, goldenInstance(t)) {
+		for _, eo := range settings {
+			if res, err := Streaming(r, 14, eo); err != nil || !reflect.DeepEqual(res, goldenStreaming) {
+				t.Errorf("backend %d (%T) at %+v: %+v (%v), want %+v", i, r, eo, res, err, goldenStreaming)
+			}
+		}
+	}
+}
+
+// The SG09 set cover loop returns the golden cover in its exact pass budget
+// and space on every backend at every engine setting.
+func TestSahaGetoorBackendConformance(t *testing.T) {
+	in := goldenInstance(t)
+	for i, r := range backends(t, in) {
+		for _, eo := range settings {
+			st, err := SahaGetoorSetCover(r, eo)
+			if err != nil || !st.Valid || !in.IsCover(st.Cover) ||
+				!slices.Equal(st.Cover, goldenSG09Cover) || st.Passes != goldenSG09Passes || st.SpaceWords != goldenSG09Space {
+				t.Errorf("backend %d (%T) at %+v: cover %v in %d passes, space %d (%v); want %v in %d, space %d",
+					i, r, eo, st.Cover, st.Passes, st.SpaceWords, err, goldenSG09Cover, goldenSG09Passes, goldenSG09Space)
+			}
+		}
+	}
+}
+
+// An SCB1 stream cut at 3/5 of its bytes must fail both entry points with an
+// error wrapping engine.ErrPassFailed after the one pass that found the
+// cut, never with a selection from a prefix of the family.
+func TestTruncatedStreamFailsMaxCover(t *testing.T) {
+	var buf bytes.Buffer
+	if err := scdisk.Write(&buf, goldenInstance(t)); err != nil {
+		t.Fatal(err)
+	}
+	cut := buf.Bytes()[:buf.Len()*3/5]
 	open := func() stream.Repository {
-		d, err := scdisk.NewRepo(bytes.NewReader(truncated), int64(len(truncated)))
+		d, err := scdisk.NewRepo(bytes.NewReader(cut), int64(len(cut)))
 		if err != nil {
-			t.Fatalf("truncated file should still open (the header is intact): %v", err)
+			t.Fatalf("the cut file does not open: %v", err)
 		}
 		return d
 	}
-
-	if res, err := Streaming(open(), 14, engine.Options{}); !errors.Is(err, engine.ErrPassFailed) {
-		t.Fatalf("Streaming on truncated stream: err=%v, want ErrPassFailed", err)
-	} else if len(res.Sets) != 0 {
-		t.Fatalf("Streaming failed run still reported %d sets", len(res.Sets))
+	if res, err := Streaming(open(), 14, engine.Options{}); !errors.Is(err, engine.ErrPassFailed) || res.Passes != 1 || len(res.Sets) != 0 {
+		t.Errorf("Streaming: %+v (%v), want one failed pass wrapping engine.ErrPassFailed and no sets", res, err)
 	}
-
-	if st, err := SahaGetoorSetCover(open(), engine.Options{}); !errors.Is(err, engine.ErrPassFailed) {
-		t.Fatalf("SG09 on truncated stream: err=%v, want ErrPassFailed", err)
-	} else if st.Valid || len(st.Cover) != 0 {
-		t.Fatalf("SG09 failed run still reported a cover (size %d, valid=%v)", len(st.Cover), st.Valid)
+	if st, err := SahaGetoorSetCover(open(), engine.Options{}); !errors.Is(err, engine.ErrPassFailed) || st.Passes != 1 || st.Valid || len(st.Cover) != 0 {
+		t.Errorf("SahaGetoorSetCover: %+v (%v), want one failed pass wrapping engine.ErrPassFailed and no cover", st, err)
 	}
 }

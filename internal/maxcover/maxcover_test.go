@@ -158,6 +158,30 @@ func TestSahaGetoorEmptyUniverse(t *testing.T) {
 	}
 }
 
+// Golden outputs on gen.Planted{N:350, M:800, K:14, Seed:21}, captured from
+// the direct-scan implementations before they ran on the pass engine.
+// backends_test.go requires them on every backend at every engine setting.
+var (
+	goldenStreaming = Result{
+		Sets:    []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 17, 19},
+		Covered: 183, Passes: 1, SpaceWords: 195,
+	}
+	goldenSG09Cover = []int{12, 24, 27, 32, 411, 521, 19, 37, 58, 63, 102, 133, 193, 623,
+		1, 2, 14, 36, 38, 75, 145, 155, 6, 7, 9, 26, 55, 69, 73, 83,
+		4, 5, 21, 23, 39, 43, 44, 46, 59, 81, 82, 101}
+	goldenSG09Passes = 6
+	goldenSG09Space  = int64(470)
+)
+
+func goldenInstance(t *testing.T) *setcover.Instance {
+	t.Helper()
+	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 350, M: 800, K: 14, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 // Property: streaming max-cover never exceeds the budget, never reports more
 // coverage than it achieves, and stays within a constant factor of greedy.
 func TestPropStreamingGuarantee(t *testing.T) {

@@ -231,11 +231,13 @@ func (c *coreState) stats(passes, reused int) setcover.Stats {
 // Solve is the stateless entry point: one engine pass to mirror repo (any
 // backend — slice, func, disk, or a scdyn view), then the exact greedy.
 // Returns setcover.ErrInfeasible (with the partial cover in Stats) when the
-// family cannot cover the universe.
+// family cannot cover the universe. A failed pass is reported with the
+// passes it used.
 func Solve(repo stream.Repository, eng engine.Options) (setcover.Stats, error) {
+	passes0 := repo.Passes()
 	c := newCoreState(repo.UniverseSize())
 	if err := c.ingest(repo, eng); err != nil {
-		return setcover.Stats{}, err
+		return setcover.Stats{Algorithm: AlgorithmName, Passes: repo.Passes() - passes0}, err
 	}
 	c.greedy()
 	st := c.stats(1, 0)
