@@ -260,8 +260,8 @@ func checkTraced(t *testing.T, label string, r row, b backend, p Params, want Re
 // A multi-chunk file cut at 3/5 of its bytes, through set data, index and
 // trailer, still opens, since its header is intact. Solved on either read
 // path at Workers 1 or 2, every row must fail with an error wrapping
-// engine.ErrPassFailed and report the one pass that found the cut, and no
-// cover.
+// engine.ErrPassFailed and report the one pass that found the cut, the space
+// it had charged by then, and no cover.
 func TestTruncatedFileFailsEveryRow(t *testing.T) {
 	var buf bytes.Buffer
 	if err := scdisk.Write(&buf, planted(t, 1000, 2000, 16)); err != nil {
@@ -283,8 +283,8 @@ func TestTruncatedFileFailsEveryRow(t *testing.T) {
 					t.Fatalf("%s: the cut file does not open: %v", o.name, err)
 				}
 				got, err := r.solve(d, params(0, engine.Options{Workers: workers}))
-				if !errors.Is(err, engine.ErrPassFailed) || got.Passes != 1 || len(got.Cover) != 0 || got.Valid {
-					t.Errorf("%s/%s/workers=%d: %#v (%v), want one failed pass wrapping engine.ErrPassFailed and no cover",
+				if !errors.Is(err, engine.ErrPassFailed) || got.Passes != 1 || got.SpaceWords <= 0 || len(got.Cover) != 0 || got.Valid {
+					t.Errorf("%s/%s/workers=%d: %#v (%v), want one failed pass wrapping engine.ErrPassFailed, its space and no cover",
 						r.name, o.name, workers, got, err)
 				}
 			}

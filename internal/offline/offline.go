@@ -17,7 +17,6 @@ package offline
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -89,25 +88,30 @@ type Pick struct {
 // Ratios are compared by cross-multiplication, g₁·w₂ against g₂·w₁, never by
 // division, so unit weights reduce exactly to the pure-gain comparison.
 //
-// This is density-level greedy (SNIPPETS.md Snippet 3). Gains stay exact: a
-// CSR index maps each uncovered element to the sets containing it, and a
-// pick decrements the gain of every set holding one of its newly covered
-// elements, so a selection round reads cached integers and never walks a
-// set. Each set waits in the bucket of its level ⌊log₂(gain/w)⌋. Gains only
-// decay, so a set's true level never exceeds its bucket's; a round scans the
-// top bucket alone, sinking the sets that decayed below it, and every set in
-// a lower bucket has a strictly smaller ratio than every set left on top.
+// Gains stay exact: a CSR index maps each uncovered element to the sets
+// containing it, and a pick decrements the gain of every set holding one of
+// its newly covered elements, so a selection round reads cached integers and
+// never walks a set. Each set waits on the intrusive list of a level (a head
+// per level, a link per set), so moving it to another level is O(1). Gains
+// only decay, so a set's true level never exceeds its list's.
+//
+// A unit-cost set waits at its exact gain. When a level becomes the top, its
+// sets still at that gain are sorted by ID once, and each round takes them
+// from the front, dropping dead sets and sinking decayed ones, until one is
+// still at the top gain: the smallest ID of maximum gain. A round costs the
+// sets it removes plus one, so tied gains cost linear time. A weighted set
+// waits at its density level ⌊log₂(gain/w)⌋ (SNIPPETS.md Snippet 3). A round
+// walks the top level, sinks the sets that decayed below it, and takes the
+// best ratio among the rest; every set on a lower level has a strictly
+// smaller ratio.
 func GreedyPicks(sets []setcover.Set, weights []float64, covered *bitset.Bitset, budget int) []Pick {
 	if !slices.ContainsFunc(weights, func(w float64) bool { return w != 1 }) {
 		weights = nil
 	}
-	// level is the exact ⌊log₂(g/w)⌋, the largest l with g ≥ w·2^l: with
-	// g = fg·2^eg and w = fw·2^ew (mantissas in [½, 1)), g/w lies in
-	// [2^(eg-ew), 2^(eg-ew+1)) exactly when fg ≥ fw.
+	// level is a weighted set's exact ⌊log₂(g/w)⌋, the largest l with
+	// g ≥ w·2^l: with g = fg·2^eg and w = fw·2^ew (mantissas in [½, 1)),
+	// g/w lies in [2^(eg-ew), 2^(eg-ew+1)) exactly when fg ≥ fw.
 	level := func(id int, g int32) int {
-		if weights == nil {
-			return bits.Len32(uint32(g)) - 1
-		}
 		fg, eg := math.Frexp(float64(g))
 		fw, ew := math.Frexp(weights[id])
 		if fg < fw {
@@ -116,12 +120,8 @@ func GreedyPicks(sets []setcover.Set, weights []float64, covered *bitset.Bitset,
 		return eg - ew
 	}
 	gains := make([]int32, len(sets))
-	// beats reports whether set a has a better ratio than set b. Unit
-	// costs compare the integer gains themselves.
+	// beats reports whether weighted set a has a better ratio than set b.
 	beats := func(a, b int32) bool {
-		if weights == nil {
-			return gains[a] > gains[b] || gains[a] == gains[b] && a < b
-		}
 		x, y := float64(gains[a])*weights[b], float64(gains[b])*weights[a]
 		return x > y || x == y && a < b
 	}
@@ -167,56 +167,57 @@ func GreedyPicks(sets []setcover.Set, weights []float64, covered *bitset.Bitset,
 		}
 	}
 
-	// buckets[b] holds sets at level lo+b. A set's level bottoms out at
-	// gain 1, so lo is the lowest level any set can reach.
-	lo, hi := math.MaxInt, math.MinInt
-	for id, g := range gains {
-		if g > 0 {
-			lo, hi = min(lo, level(id, 1)), max(hi, level(id, g))
+	// List b holds the sets at level lo+b: head[b] and tail[b] are its first
+	// and last set, -1 when it is empty, and next[id] is the set after id.
+	// A list keeps arrival order, the sets placed here by ascending ID and
+	// every later one at the tail. That order is part of a weighted pick:
+	// when float products round two ratios to a tie, beats need not be
+	// transitive, and a walk in another order could pick another set. Unit
+	// levels are the gains, 1 to the largest, so there are never more levels
+	// than index entries. A weighted set's level bottoms out at gain 1, so lo
+	// is the lowest one any set can reach.
+	lo, hi := 1, 0
+	if weights == nil {
+		for _, g := range gains {
+			hi = max(hi, int(g))
+		}
+	} else {
+		lo, hi = math.MaxInt, math.MinInt
+		for id, g := range gains {
+			if g > 0 {
+				lo, hi = min(lo, level(id, 1)), max(hi, level(id, g))
+			}
 		}
 	}
-	var buckets [][]int32
+	var head, tail []int32
 	if lo <= hi {
-		buckets = make([][]int32, hi-lo+1)
+		head, tail = make([]int32, hi-lo+1), make([]int32, hi-lo+1)
+	}
+	for b := range head {
+		head[b], tail[b] = -1, -1
+	}
+	next := make([]int32, len(sets))
+	push := func(b int, id int32) {
+		if tail[b] < 0 {
+			head[b] = id
+		} else {
+			next[tail[b]] = id
+		}
+		tail[b], next[id] = id, -1
 	}
 	for id, g := range gains {
-		if g > 0 {
-			b := level(id, g) - lo
-			buckets[b] = append(buckets[b], int32(id))
+		if g == 0 {
+			continue
+		}
+		if weights == nil {
+			push(int(g)-lo, int32(id))
+		} else {
+			push(level(id, g)-lo, int32(id))
 		}
 	}
 
 	var picks []Pick
-	top := len(buckets) - 1
-	for len(picks) < budget {
-		for top >= 0 && len(buckets[top]) == 0 {
-			top--
-		}
-		if top < 0 {
-			break // no set gains anything
-		}
-		// Drop dead sets (a picked set has gain 0), sink decayed ones, and
-		// take the best ratio among the sets still at the top level.
-		stay := buckets[top][:0]
-		best := int32(-1)
-		for _, id := range buckets[top] {
-			g := gains[id]
-			if g == 0 {
-				continue
-			}
-			if b := level(int(id), g) - lo; b < top {
-				buckets[b] = append(buckets[b], id)
-				continue
-			}
-			stay = append(stay, id)
-			if best < 0 || beats(id, best) {
-				best = id
-			}
-		}
-		buckets[top] = stay
-		if best < 0 {
-			continue // the bucket drained downward
-		}
+	take := func(best int32) {
 		newly := make([]setcover.Elem, 0, gains[best])
 		for _, e := range sets[best].Elems {
 			if !covered.Test(int(e)) {
@@ -230,6 +231,87 @@ func GreedyPicks(sets []setcover.Set, weights []float64, covered *bitset.Bitset,
 			}
 		}
 		picks = append(picks, Pick{ID: int(best), Newly: newly})
+	}
+
+	if weights == nil {
+		// run[r:] are the sets that were at the top gain lo+top when level
+		// top became the top, by ID, less those already taken. Every level
+		// above top is empty and gains only fall, so no set joins top while
+		// it is the top, and run stays sorted.
+		var run []int32
+		for top, r := len(head), 0; len(picks) < budget; {
+			if r == len(run) {
+				// Level top is drained. Empty the next level down with sets
+				// into run: drop dead sets and sink decayed ones.
+				top--
+				for top >= 0 && head[top] < 0 {
+					top--
+				}
+				if top < 0 {
+					break // no set gains anything
+				}
+				run, r = run[:0], 0
+				for id := head[top]; id >= 0; {
+					nxt := next[id]
+					if g := int(gains[id]); g == lo+top {
+						run = append(run, id)
+					} else if g > 0 {
+						push(g-lo, id)
+					}
+					id = nxt
+				}
+				head[top], tail[top] = -1, -1
+				slices.Sort(run)
+				continue
+			}
+			id := run[r]
+			r++
+			if g := int(gains[id]); g == lo+top {
+				take(id)
+			} else if g > 0 {
+				push(g-lo, id)
+			}
+		}
+		return picks
+	}
+
+	for top := len(head) - 1; len(picks) < budget; {
+		for top >= 0 && head[top] < 0 {
+			top--
+		}
+		if top < 0 {
+			break // no set gains anything
+		}
+		// Drop dead sets (a picked set has gain 0), sink decayed ones, and
+		// take the best ratio among the sets still at the top level.
+		best, prev := int32(-1), int32(-1)
+		for id := head[top]; id >= 0; {
+			nxt := next[id]
+			b := -1 // a dead set goes to no list
+			if g := gains[id]; g > 0 {
+				b = level(int(id), g) - lo
+			}
+			if b == top {
+				if best < 0 || beats(id, best) {
+					best = id
+				}
+				prev = id
+			} else {
+				if prev < 0 {
+					head[top] = nxt
+				} else {
+					next[prev] = nxt
+				}
+				if b >= 0 {
+					push(b, id)
+				}
+			}
+			id = nxt
+		}
+		tail[top] = prev // the last set kept, or -1
+		if best >= 0 {
+			take(best)
+		}
 	}
 	return picks
 }

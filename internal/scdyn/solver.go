@@ -213,31 +213,42 @@ func (c *coreState) stats(passes, reused int) setcover.Stats {
 		cover = append(cover, st.ID)
 	}
 	sort.Ints(cover)
-	total := 0
-	for _, s := range c.sets {
-		total += len(s.Elems)
-	}
 	return setcover.Stats{
 		Algorithm: AlgorithmName,
 		Cover:     cover,
 		Valid:     c.valid,
 		Passes:    passes,
-		SpaceWords: stream.WordsForElems(2*total) + stream.WordsForBitset(c.n) +
+		SpaceWords: stream.WordsForElems(2*c.elems()) + stream.WordsForBitset(c.n) +
 			stream.WordsForIDs(len(c.steps)+len(c.sets)),
 		Extra: float64(reused),
 	}
+}
+
+// elems counts the mirror's elements.
+func (c *coreState) elems() int {
+	total := 0
+	for _, s := range c.sets {
+		total += len(s.Elems)
+	}
+	return total
 }
 
 // Solve is the stateless entry point: one engine pass to mirror repo (any
 // backend — slice, func, disk, or a scdyn view), then the exact greedy.
 // Returns setcover.ErrInfeasible (with the partial cover in Stats) when the
 // family cannot cover the universe. A failed pass is reported with the
-// passes it used.
+// passes it used and the space of the mirror it had built: the mirrored
+// elements, the coverage bitset and one ID word per set.
 func Solve(repo stream.Repository, eng engine.Options) (setcover.Stats, error) {
 	passes0 := repo.Passes()
 	c := newCoreState(repo.UniverseSize())
 	if err := c.ingest(repo, eng); err != nil {
-		return setcover.Stats{Algorithm: AlgorithmName, Passes: repo.Passes() - passes0}, err
+		return setcover.Stats{
+			Algorithm: AlgorithmName,
+			Passes:    repo.Passes() - passes0,
+			SpaceWords: stream.WordsForElems(c.elems()) + stream.WordsForBitset(c.n) +
+				stream.WordsForIDs(len(c.sets)),
+		}, fmt.Errorf("scdyn: %w", err)
 	}
 	c.greedy()
 	st := c.stats(1, 0)
