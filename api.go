@@ -424,15 +424,15 @@ var (
 )
 
 // Serving layer (internal/serve, DESIGN.md §7): the concurrent solver
-// service behind cmd/setcoverd. A Catalog registers instances — SCB1 files
-// and named generators — under content digests computed once at
-// registration; a Server exposes them over an HTTP JSON API (POST /v1/solve,
-// GET /v1/instances, GET /v1/jobs/{id}, /healthz, /metrics) with a bounded
-// solve queue (429 backpressure), an LRU result cache keyed by (instance
-// digest, algorithm, δ, p, ε, seed), per-solve engine configuration so
-// concurrent solves share the machine, and graceful shutdown that drains
-// in-flight passes. Served covers are byte-identical to library (and
-// cmd/setcover) solves of the same parameters.
+// service behind cmd/setcoverd. A Catalog registers SCB1 files, static or
+// mutable, under content digests computed once at registration; a Server
+// exposes them over an HTTP JSON API (POST /v1/solve, GET /v1/instances,
+// GET /v1/jobs/{id}, /healthz, /metrics) with a bounded solve queue (429
+// backpressure), an LRU result cache keyed by (instance digest, algorithm,
+// δ, p, ε, seed), per-solve engine configuration so concurrent solves share
+// the machine, and graceful shutdown that drains in-flight passes. Served
+// covers are byte-identical to library (and cmd/setcover) solves of the same
+// parameters.
 type (
 	// Server is the HTTP solver service over a Catalog.
 	Server = serve.Server

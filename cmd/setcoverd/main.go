@@ -22,8 +22,6 @@
 // scan), 422 for infeasible instances.
 //
 // Instances: -instance name=path registers an SCB1 file (repeatable);
-// -gen name:n=N,m=M,k=K,seed=S registers an in-process planted generator
-// (repeatable) solved straight from the generator without materializing;
 // -dyn name=path registers an SCB1 file as a MUTABLE instance (repeatable):
 // POST /v1/instances/{name}/mutate appends or tombstones sets, every
 // mutation mints a fresh content digest, and {"algo":"dyn","resolve":"delta"}
@@ -46,7 +44,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/ on DefaultServeMux, served only behind -pprof-addr
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -80,17 +77,13 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		logJSON       = fs.Bool("log-json", false, "emit structured logs as JSON lines instead of text")
 		pprofAddr     = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables; keep it off public interfaces)")
 	)
-	var instances, gens, dyns []string
+	var instances, dyns []string
 	fs.Func("instance", "register an SCB1 file as name=path (repeatable; bare path uses the filename as name)", func(v string) error {
 		instances = append(instances, v)
 		return nil
 	})
 	fs.Func("dyn", "register an SCB1 file as a MUTABLE instance, name=path (repeatable; delta log journaled to path.scdl)", func(v string) error {
 		dyns = append(dyns, v)
-		return nil
-	})
-	fs.Func("gen", "register a planted generator as name:n=N,m=M,k=K,seed=S (repeatable)", func(v string) error {
-		gens = append(gens, v)
 		return nil
 	})
 	if err := fs.Parse(args); err != nil {
@@ -138,15 +131,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		}
 		fmt.Fprintf(stdout, "registered %s (dynamic): n=%d m=%d gen=%d digest=%s\n", inst.Name, inst.N, inst.M, inst.Generation, shortDigest(inst.Digest))
 	}
-	for _, spec := range gens {
-		inst, err := registerPlanted(cat, spec)
-		if err != nil {
-			return fatal(err)
-		}
-		fmt.Fprintf(stdout, "registered %s (generator): n=%d m=%d digest=%s\n", inst.Name, inst.N, inst.M, shortDigest(inst.Digest))
-	}
 	if cat.Len() == 0 {
-		fmt.Fprintln(stderr, "setcoverd: warning: empty catalog (register with -instance or -gen); every solve will 404")
+		fmt.Fprintln(stderr, "setcoverd: warning: empty catalog (register with -instance or -dyn); every solve will 404")
 	}
 
 	logger, err := newLogger(stderr, *logLevel, *logJSON)
@@ -269,43 +255,4 @@ func pathBase(p string) string {
 		return p[i+1:]
 	}
 	return p
-}
-
-// registerPlanted parses "name:n=N,m=M,k=K,seed=S" and registers the
-// streaming planted generator under it. The parameter string is the digest
-// tag: any change to the family's parameters changes the digest, keeping the
-// result cache honest.
-func registerPlanted(cat *ssc.Catalog, spec string) (*ssc.CatalogInstance, error) {
-	name, params, ok := strings.Cut(spec, ":")
-	if !ok || name == "" {
-		return nil, fmt.Errorf("bad -gen %q: want name:n=N,m=M,k=K,seed=S", spec)
-	}
-	cfg := ssc.PlantedConfig{Seed: 1}
-	for _, kv := range strings.Split(params, ",") {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -gen %q: parameter %q is not key=value", spec, kv)
-		}
-		x, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -gen %q: %s=%q is not an integer", spec, key, val)
-		}
-		switch key {
-		case "n":
-			cfg.N = int(x)
-		case "m":
-			cfg.M = int(x)
-		case "k":
-			cfg.K = int(x)
-		case "seed":
-			cfg.Seed = x
-		default:
-			return nil, fmt.Errorf("bad -gen %q: unknown parameter %q", spec, key)
-		}
-	}
-	genSet, _, _, err := ssc.PlantedFunc(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("bad -gen %q: %w", spec, err)
-	}
-	return cat.AddGenerator(name, cfg.N, cfg.M, "planted:"+params, genSet)
 }

@@ -152,42 +152,6 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
-// A generator-backed instance solves without any file, straight from the
-// streaming PlantedFunc.
-func TestDaemonGeneratorInstance(t *testing.T) {
-	url, out := startDaemon(t, "-gen", "big:n=500,m=1200,k=10,seed=7")
-	if !strings.Contains(out.String(), "registered big (generator)") {
-		t.Fatalf("missing registration line:\n%s", out)
-	}
-	status, body := solve(t, url, `{"instance":"big","algo":"greedy1"}`)
-	if status != 200 {
-		t.Fatalf("solve: %d: %v", status, body)
-	}
-	res := body["result"].(map[string]any)
-	if res["valid"] != true {
-		t.Fatalf("generator solve invalid: %v", res)
-	}
-
-	// Library reference for the same generator family.
-	genSet, _, _, err := ssc.PlantedFunc(ssc.PlantedConfig{N: 500, M: 1200, K: 10, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ssc.OnePassGreedy(ssc.NewFuncRepository(500, 1200, genSet), ssc.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCover := res["cover"].([]any)
-	if len(gotCover) != len(want.Cover) {
-		t.Fatalf("cover size %d, library %d", len(gotCover), len(want.Cover))
-	}
-	for i, v := range gotCover {
-		if int(v.(float64)) != want.Cover[i] {
-			t.Fatalf("cover[%d] = %v, library %d", i, v, want.Cover[i])
-		}
-	}
-}
-
 // A truncated SCB1 file registers fine (the header is intact) but solving it
 // must return the structured 502, end to end through the daemon.
 func TestDaemonTruncatedInstanceFailsLoudly(t *testing.T) {
@@ -222,22 +186,19 @@ func TestDaemonTruncatedInstanceFailsLoudly(t *testing.T) {
 	}
 }
 
-// Flag and registration errors exit 2 before serving.
+// Flag and registration errors exit 2 before serving; the retired -gen is
+// an unknown flag.
 func TestDaemonBadFlags(t *testing.T) {
 	var out bytes.Buffer
 	if code := run([]string{"-instance", "nope=/does/not/exist.scb"}, &out, &out, nil, nil); code != 2 {
 		t.Fatalf("missing file: exit %d, want 2\n%s", code, &out)
 	}
 	out.Reset()
-	if code := run([]string{"-gen", "bad-spec-no-colon"}, &out, &out, nil, nil); code != 2 {
-		t.Fatalf("bad gen spec: exit %d, want 2\n%s", code, &out)
+	if code := run([]string{"-gen", "x:n=1"}, &out, &out, nil, nil); code != 2 {
+		t.Fatalf("retired -gen: exit %d, want 2\n%s", code, &out)
 	}
-	out.Reset()
-	if code := run([]string{"-gen", "g:n=10,m=5,k=3,zzz=1"}, &out, &out, nil, nil); code != 2 {
-		t.Fatalf("unknown gen param: exit %d, want 2\n%s", code, &out)
-	}
-	if !strings.Contains(out.String(), "unknown parameter") {
-		t.Fatalf("unhelpful error:\n%s", &out)
+	if !strings.Contains(out.String(), "flag provided but not defined: -gen") {
+		t.Fatalf("-gen is not reported as an unknown flag:\n%s", &out)
 	}
 }
 
@@ -351,6 +312,21 @@ func TestDaemonVerifyDigestFlag(t *testing.T) {
 	}
 }
 
+// smallPlantedFile writes planted n=60 m=120 K=6 seed 2 as an SCB1 file and
+// returns its path.
+func smallPlantedFile(t *testing.T) string {
+	t.Helper()
+	in, _, _, err := ssc.Planted(ssc.PlantedConfig{N: 60, M: 120, K: 6, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.scb")
+	if err := ssc.WriteInstanceFile(path, in); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // syncBuffer is a bytes.Buffer safe for the daemon goroutine to write (log
 // lines) while the test goroutine reads.
 type syncBuffer struct {
@@ -375,12 +351,13 @@ func (s *syncBuffer) String() string {
 // structured log line carrying the client's X-Request-ID, and a bad
 // -log-level is a startup error, not a silent default.
 func TestDaemonObservabilityFlags(t *testing.T) {
+	path := smallPlantedFile(t)
 	out := &syncBuffer{}
 	ready := make(chan string, 1)
 	stop := make(chan struct{})
 	code := make(chan int, 1)
 	go func() {
-		code <- run([]string{"-addr", "127.0.0.1:0", "-gen", "g:n=60,m=120,k=6,seed=2",
+		code <- run([]string{"-addr", "127.0.0.1:0", "-instance", "g=" + path,
 			"-log-json", "-pprof-addr", "127.0.0.1:0"}, out, out, ready, stop)
 	}()
 	var url string
@@ -488,12 +465,13 @@ func TestDaemonServerTimeouts(t *testing.T) {
 	}
 	defer func() { newHTTPServer = orig }()
 
+	path := smallPlantedFile(t)
 	out := &syncBuffer{}
 	ready := make(chan string, 1)
 	stop := make(chan struct{})
 	code := make(chan int, 1)
 	go func() {
-		code <- run([]string{"-addr", "127.0.0.1:0", "-gen", "g:n=60,m=120,k=6,seed=2", "-pprof-addr", "127.0.0.1:0"}, out, out, ready, stop)
+		code <- run([]string{"-addr", "127.0.0.1:0", "-instance", "g=" + path, "-pprof-addr", "127.0.0.1:0"}, out, out, ready, stop)
 	}()
 	select {
 	case <-ready:

@@ -89,6 +89,33 @@ func TestE18RatioFalls(t *testing.T) {
 	}
 }
 
+// E18's shape (Theorem 2.8): iterSetCover's space is Õ(m·n^δ), n^{1+δ} at
+// m = 2n, times the guesses of k that share every pass (Lemma 2.1), k = 1,
+// 2, 4, …, 2^⌈log₂ n⌉, so G(n) = ⌈log₂ n⌉+1 of them. Between consecutive
+// rows the slope log₂(space ratio)/log₂(n ratio) is then at most 1+δ plus
+// log₂(G′/G)/log₂(n ratio): about 1.47 from n = 512 to 1024 and 1.44 from
+// 4096 to 8192. Quick and full configurations.
+func TestE18SpaceSlopeWithinGuessFactor(t *testing.T) {
+	const delta = 1.0 / 3.0
+	guesses := func(n float64) float64 { return math.Ceil(math.Log2(n)) + 1 }
+	for _, quick := range []bool{true, false} {
+		tbl := E18Scaling(1, quick, engine.Options{})
+		if len(tbl.Rows) < 2 {
+			t.Fatalf("quick=%v: E18 has %d rows, want at least 2", quick, len(tbl.Rows))
+		}
+		for i := 1; i < len(tbl.Rows); i++ {
+			prev, row := tbl.Rows[i-1], tbl.Rows[i]
+			n0, n1 := cell(t, tbl, prev, "n"), cell(t, tbl, row, "n")
+			nRatio := math.Log2(n1 / n0)
+			slope := math.Log2(cell(t, tbl, row, "space(words)")/cell(t, tbl, prev, "space(words)")) / nRatio
+			bound := 1 + delta + math.Log2(guesses(n1)/guesses(n0))/nRatio
+			if slope > bound {
+				t.Errorf("quick=%v: n = %v → %v: space slope %.3f, want at most 1+δ+log₂(G′/G) = %.3f", quick, n0, n1, slope, bound)
+			}
+		}
+	}
+}
+
 // E2's claims (Theorem 2.8): iterSetCover makes at most 2·⌈1/δ⌉ passes,
 // the stored projections are part of the space charged, and space falls as
 // δ falls.

@@ -240,10 +240,17 @@ func (c *coreState) elems() int {
 // passes it used and the space of the mirror it had built: the mirrored
 // elements, the coverage bitset and one ID word per set.
 func Solve(repo stream.Repository, eng engine.Options) (setcover.Stats, error) {
+	_, st, err := solveFresh(repo, eng)
+	return st, err
+}
+
+// solveFresh is Solve that also returns the solved state, nil when the pass
+// failed.
+func solveFresh(repo stream.Repository, eng engine.Options) (*coreState, setcover.Stats, error) {
 	passes0 := repo.Passes()
 	c := newCoreState(repo.UniverseSize())
 	if err := c.ingest(repo, eng); err != nil {
-		return setcover.Stats{
+		return nil, setcover.Stats{
 			Algorithm: AlgorithmName,
 			Passes:    repo.Passes() - passes0,
 			SpaceWords: stream.WordsForElems(c.elems()) + stream.WordsForBitset(c.n) +
@@ -253,9 +260,9 @@ func Solve(repo stream.Repository, eng engine.Options) (setcover.Stats, error) {
 	c.greedy()
 	st := c.stats(1, 0)
 	if !c.valid {
-		return st, setcover.ErrInfeasible
+		return c, st, setcover.ErrInfeasible
 	}
-	return st, nil
+	return c, st, nil
 }
 
 // Solver is the stateful maintenance engine bound to one mutable Repo: it
@@ -277,9 +284,10 @@ func NewSolver(r *Repo) *Solver { return &Solver{r: r} }
 
 // EnsureAt brings the cover to generation gen and returns its stats.
 // incremental reports whether the call reused prior state (Passes 0: no
-// stream pass) rather than ingesting from scratch (Passes 1). Calls
-// serialize; views pinned at gen keep the result meaningful even if the
-// repo mutates concurrently.
+// stream pass) rather than ingesting from scratch (Passes 1). A failed
+// ingest pass is reported as Solve reports it and leaves the state as it
+// was. Calls serialize; views pinned at gen keep the result meaningful even
+// if the repo mutates concurrently.
 func (s *Solver) EnsureAt(gen int, eng engine.Options) (st setcover.Stats, incremental bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -301,19 +309,12 @@ func (s *Solver) EnsureAt(gen int, eng engine.Options) (st setcover.Stats, incre
 		if verr != nil {
 			return setcover.Stats{}, false, verr
 		}
-		c := newCoreState(view.UniverseSize())
-		if ierr := c.ingest(view, eng); ierr != nil {
-			return setcover.Stats{}, false, ierr
-		}
-		c.greedy()
-		if s.core == nil {
+		var c *coreState
+		c, st, err = solveFresh(view, eng)
+		if c != nil && s.core == nil {
 			s.core, s.gen, s.digest = c, gen, view.Digest()
 		}
-		st = c.stats(1, 0)
-		if !c.valid {
-			return st, false, setcover.ErrInfeasible
-		}
-		return st, false, nil
+		return st, false, err
 	}
 
 	recs, rerr := s.r.Records(s.gen, gen)

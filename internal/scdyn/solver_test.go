@@ -1,7 +1,12 @@
 package scdyn
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -342,6 +347,41 @@ func TestEnsureAtOldGeneration(t *testing.T) {
 	}
 	if g := solver.Generation(); g != 1 {
 		t.Fatalf("stale-generation request rolled state back to %d, want 1", g)
+	}
+}
+
+// TestEnsureAtFailedPassMatchesSolve cuts the multi-chunk planted file at
+// 3/5 of its bytes. Its header is intact, so it opens, and the ingest pass
+// fails. EnsureAt's full solve must report that failure as Solve does on the
+// same view: the algorithm, the one pass, the mirror's words and the scdyn
+// prefix on an error wrapping engine.ErrPassFailed. It keeps no state, so a
+// second call ingests and fails again.
+func TestEnsureAtFailedPassMatchesSolve(t *testing.T) {
+	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 1000, M: 2000, K: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := scdisk.Write(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cut.scb")
+	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()*3/5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, path)
+	eng := engine.Options{Workers: 1}
+
+	want, wantErr := Solve(r.View(), eng)
+	if !errors.Is(wantErr, engine.ErrPassFailed) || want.Algorithm != AlgorithmName || want.Passes != 1 || want.SpaceWords <= 0 {
+		t.Fatalf("Solve: %+v (%v), want one failed %s pass and its space", want, wantErr, AlgorithmName)
+	}
+	solver := NewSolver(r)
+	for call := 1; call <= 2; call++ {
+		got, incremental, err := solver.EnsureAt(0, eng)
+		if incremental || !reflect.DeepEqual(got, want) || err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("EnsureAt call %d: %+v incremental=%t (%v), want %+v (%v)", call, got, incremental, err, want, wantErr)
+		}
 	}
 }
 

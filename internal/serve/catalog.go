@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -10,7 +8,6 @@ import (
 
 	"repro/internal/scdisk"
 	"repro/internal/scdyn"
-	"repro/internal/setcover"
 	"repro/internal/stream"
 )
 
@@ -36,25 +33,20 @@ type Instance struct {
 	// Digest is the content digest computed once at registration. For disk
 	// instances it is scdisk.Repo.Digest, a hash of every byte of the file;
 	// for dynamic instances it is the scdyn chain digest of the generation,
-	// anchored on that same file digest. For generators it is a SELF-digest
-	// binding the name, dimensions, the registrant's tag, AND a sample of the
-	// generator's actual output (the first and last generatorDigestSets
-	// sets), so two generators that claim the same tag but produce different
-	// families cannot alias each other. It is the instance component of the
+	// anchored on that same file digest. It is the instance component of the
 	// result-cache key, and requests may address instances by it instead of
 	// by name.
 	Digest string `json:"digest"`
 	// N and M are the universe size and family size.
 	N int `json:"n"`
 	M int `json:"m"`
-	// Kind is "disk" for SCB1 files, "generator" for named generators,
-	// "dynamic" for mutable instances (SCB1 base + scdyn delta log).
+	// Kind is "disk" for SCB1 files, "dynamic" for mutable instances (SCB1
+	// base + scdyn delta log).
 	Kind string `json:"kind"`
-	// Path is the backing file for disk and dynamic instances ("" for
-	// generators).
+	// Path is the backing file.
 	Path string `json:"path,omitempty"`
 	// Generation is how many mutations a dynamic instance has absorbed (0 and
-	// omitted for the other kinds). An Instance value is PINNED: a mutation
+	// omitted for disk instances). An Instance value is PINNED: a mutation
 	// does not change it but registers a successor under the same name with
 	// the next generation and a new digest, so everything holding this value —
 	// an in-flight job, a cache key, a router decision — keeps describing the
@@ -68,11 +60,10 @@ type Instance struct {
 	WeightMax float64 `json:"weight_max,omitempty"`
 
 	open func() (stream.Repository, func() error, error)
-	// closePool releases pooled repository handles (disk and dynamic
-	// instances).
+	// closePool releases pooled repository handles.
 	closePool func() error
-	// dyn is the shared mutable state behind a dynamic instance (nil for the
-	// other kinds). Every generation's Instance of one name points at the
+	// dyn is the shared mutable state behind a dynamic instance (nil for
+	// disk instances). Every generation's Instance of one name points at the
 	// same entry.
 	dyn *dynEntry
 }
@@ -195,13 +186,6 @@ func (p *repoPool) close() error {
 	return first
 }
 
-// generatorDigestSets is how many sets from EACH END of a generator's stream
-// its registration self-digest samples (16 total): enough that two
-// generators differing anywhere near either boundary — the overwhelmingly
-// common case for a wrong seed, version, or off-by-one — get different
-// digests, while registration stays O(1) generator calls rather than O(m).
-const generatorDigestSets = 8
-
 // Catalog is the registry of solvable instances. Registration digests and
 // validates each instance exactly once; solves then address it by name or
 // digest without re-opening metadata. Safe for concurrent use. Close the
@@ -276,53 +260,6 @@ func (c *Catalog) AddFile(name, path string) (*Instance, error) {
 		return nil, err
 	}
 	return inst, nil
-}
-
-// AddGenerator registers a named in-process generator of m sets over n
-// elements. gen must follow the stream.NewFuncRepo contract (freshly
-// allocated sorted-unique elements, safe for concurrent calls — segmented
-// decode may run it on several goroutines, and registration itself calls it).
-// tag should still change whenever the generated family changes (a seed, a
-// version), but the digest no longer TRUSTS it: registration samples the
-// generator's actual output — the first and last generatorDigestSets sets —
-// into the digest, so two generators registered under the same tag with
-// different output get different digests and cannot alias each other's
-// result-cache entries. (A stale tag on generators that differ ONLY in an
-// unsampled interior region can still collide; the tag remains the
-// registrant's contract for that residue.)
-func (c *Catalog) AddGenerator(name string, n, m int, tag string, gen func(id int) setcover.Set) (*Instance, error) {
-	if n < 0 || m < 0 {
-		return nil, fmt.Errorf("serve: register %q: negative dimensions n=%d m=%d", name, n, m)
-	}
-	if gen == nil {
-		return nil, fmt.Errorf("serve: register %q: nil generator", name)
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "generator-digest-v2\x00%s\x00%d\x00%d\x00%s", name, n, m, tag)
-	// Sample the generator's own output into the digest: the first and last
-	// generatorDigestSets stream positions (deduplicated when they overlap).
-	last := m - generatorDigestSets
-	if last < generatorDigestSets {
-		last = generatorDigestSets
-	}
-	for id := 0; id < m; id++ {
-		if id >= generatorDigestSets && id < last {
-			id = last - 1 // skip the unsampled interior
-			continue
-		}
-		s := gen(id)
-		fmt.Fprintf(h, "\x00set %d len %d:", id, len(s.Elems))
-		for _, e := range s.Elems {
-			fmt.Fprintf(h, " %d", e)
-		}
-	}
-	inst := &Instance{
-		Name: name, Digest: hex.EncodeToString(h.Sum(nil)), N: n, M: m, Kind: "generator",
-		open: func() (stream.Repository, func() error, error) {
-			return stream.NewFuncRepo(n, m, gen), func() error { return nil }, nil
-		},
-	}
-	return inst, c.add(inst)
 }
 
 // dynEntry is the shared mutable state behind one dynamic NAME: the scdyn
@@ -490,10 +427,8 @@ func (c *Catalog) Close() error {
 	c.mu.RUnlock()
 	var first error
 	for _, inst := range insts {
-		if inst.closePool != nil {
-			if err := inst.closePool(); err != nil && first == nil {
-				first = err
-			}
+		if err := inst.closePool(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/scdisk"
-	"repro/internal/setcover"
 )
 
 func writePlanted(t *testing.T, seed int64) string {
@@ -118,88 +117,6 @@ func TestCatalogPoolsRepoHandles(t *testing.T) {
 	}
 	if err := rel5(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The serve-hardening gap the issue names: two generators registered with the
-// SAME tag but different output must get DIFFERENT digests, because the
-// registration digest now samples the generator's actual output instead of
-// trusting the tag. Identical generators must still agree (the digest is the
-// fleet-wide cache key).
-func TestGeneratorSelfDigestBindsOutput(t *testing.T) {
-	mkGen := func(offset int) func(id int) setcover.Set {
-		return func(id int) setcover.Set {
-			return setcover.Set{ID: id, Elems: []setcover.Elem{setcover.Elem((id + offset) % 50)}}
-		}
-	}
-	digest := func(t *testing.T, name string, g func(id int) setcover.Set) string {
-		cat := NewCatalog()
-		inst, err := cat.AddGenerator(name, 50, 100, "stale-tag-v1", g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return inst.Digest
-	}
-
-	same1 := digest(t, "g", mkGen(0))
-	same2 := digest(t, "g", mkGen(0))
-	if same1 != same2 {
-		t.Fatal("identical generators got different digests (cache key unstable)")
-	}
-	if other := digest(t, "g", mkGen(1)); other == same1 {
-		t.Fatal("same tag, different output: digests alias — the self-digest is not binding output")
-	}
-
-	// Output differing only in the LAST set is still caught (the sample
-	// covers both ends of the stream).
-	tailDiff := func(id int) setcover.Set {
-		s := mkGen(0)(id)
-		if id == 99 {
-			s.Elems = []setcover.Elem{0, 1} // mkGen(0)(99) yields {49}
-		}
-		return s
-	}
-	if d := digest(t, "g", tailDiff); d == same1 {
-		t.Fatal("tail-differing generator aliases the original")
-	}
-
-	// Name and dimensions still bind as before.
-	if d := digest(t, "h", mkGen(0)); d == same1 {
-		t.Fatal("different name, same digest")
-	}
-}
-
-// Small generator families (m smaller than both samples) digest every set
-// without double-counting or panicking; m=0 registers cleanly.
-func TestGeneratorSelfDigestSmallFamilies(t *testing.T) {
-	g := func(id int) setcover.Set {
-		return setcover.Set{ID: id, Elems: []setcover.Elem{setcover.Elem(id)}}
-	}
-	for _, m := range []int{0, 1, generatorDigestSets, 2*generatorDigestSets - 1, 2 * generatorDigestSets} {
-		cat := NewCatalog()
-		inst, err := cat.AddGenerator("g", 64, m, "t", g)
-		if err != nil {
-			t.Fatalf("m=%d: %v", m, err)
-		}
-		if inst.Digest == "" {
-			t.Fatalf("m=%d: empty digest", m)
-		}
-	}
-	// A one-set difference in a tiny family changes the digest.
-	cat := NewCatalog()
-	a, err := cat.AddGenerator("g", 64, 3, "t", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat2 := NewCatalog()
-	b, err := cat2.AddGenerator("g", 64, 3, "t", func(id int) setcover.Set {
-		return setcover.Set{ID: id, Elems: []setcover.Elem{setcover.Elem(63 - id)}}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Digest == b.Digest {
-		t.Fatal("tiny families alias")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -261,20 +260,14 @@ func TestCoalescingPinsPreMutationDigest(t *testing.T) {
 	}
 	defer cat.Close()
 
-	// A gated generator holds the single concurrency slot while armed, so
-	// the dyn solve stays QUEUED until we release it — a deterministic
-	// ordering window for the mutation.
-	var armed atomic.Bool
+	// A gated function instance holds the single concurrency slot until the
+	// gate opens, so the dyn solve stays QUEUED until we release it — a
+	// deterministic ordering window for the mutation.
 	gate := make(chan struct{})
-	if _, err := cat.AddGenerator("blocker", 4, 2, "v1", func(id int) setcover.Set {
-		if armed.Load() {
-			<-gate
-		}
+	addFuncInstance(t, cat, "blocker", 4, 2, func(id int) setcover.Set {
+		<-gate
 		return setcover.Set{ID: id, Elems: []setcover.Elem{setcover.Elem(id), setcover.Elem(id + 2)}}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	armed.Store(true)
+	})
 
 	srv := NewServer(cat, Config{MaxConcurrent: 1, MaxQueue: 8, CacheSize: -1})
 	ts := httptest.NewServer(srv.Handler())

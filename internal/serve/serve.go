@@ -3,8 +3,8 @@
 // and internal/maxcover (DESIGN.md §7). Where cmd/setcover is one process per
 // solve — re-opening and re-digesting the instance every time — serve keeps a
 // Catalog of registered instances (SCB1 files opened through internal/scdisk,
-// plus named in-process generators), amortizes instance identification into a
-// content digest computed once at registration, caches solve results in an
+// static or mutable), amortizes instance identification into a content digest
+// computed once at registration, caches solve results in an
 // LRU keyed by (instance digest, algorithm, δ, p, ε, seed), and multiplexes
 // the shared pass engine across concurrent solves through a bounded queue.
 //

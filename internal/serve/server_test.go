@@ -44,6 +44,24 @@ func testCatalog(t *testing.T) (*Catalog, *setcover.Instance) {
 	return cat, in
 }
 
+// addFuncInstance registers gen as an instance of m sets over n elements,
+// under a fixed digest made from name. Its repository calls gen on every
+// pass, so a test can hold a solve in flight by blocking inside gen; the
+// catalog's own registrations all read files.
+func addFuncInstance(t *testing.T, cat *Catalog, name string, n, m int, gen func(id int) setcover.Set) {
+	t.Helper()
+	inst := &Instance{
+		Name: name, Digest: "test-func-" + name, N: n, M: m,
+		open: func() (stream.Repository, func() error, error) {
+			return stream.NewFuncRepo(n, m, gen), func() error { return nil }, nil
+		},
+		closePool: func() error { return nil },
+	}
+	if err := cat.add(inst); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // postSolve posts a solve request and decodes the response envelope.
 func postSolve(t *testing.T, url string, req map[string]any) (int, jobView, *APIError) {
 	t.Helper()
@@ -235,17 +253,11 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	var registered atomic.Bool // AddGenerator samples the generator; arm the gate after
-	if _, err := cat.AddGenerator("blocking", 4, 4, "v1", func(id int) setcover.Set {
-		if registered.Load() {
-			once.Do(func() { close(started) })
-			<-release
-		}
+	addFuncInstance(t, cat, "blocking", 4, 4, func(id int) setcover.Set {
+		once.Do(func() { close(started) })
+		<-release
 		return setcover.Set{Elems: []setcover.Elem{setcover.Elem(id)}}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	registered.Store(true)
+	})
 	srv := NewServer(cat, Config{MaxConcurrent: 1, MaxQueue: 0})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -372,11 +384,17 @@ func TestTruncatedInstanceReturnsStructured5xx(t *testing.T) {
 
 // Infeasible instances are the caller's fault, not the server's: 422.
 func TestInfeasibleInstanceReturns422(t *testing.T) {
-	cat := NewCatalog()
 	// Element 2 is in no set.
-	if _, err := cat.AddGenerator("gap", 3, 2, "v1", func(id int) setcover.Set {
-		return setcover.Set{Elems: []setcover.Elem{setcover.Elem(id)}}
-	}); err != nil {
+	gap := &setcover.Instance{N: 3, Sets: []setcover.Set{
+		{ID: 0, Elems: []setcover.Elem{0}},
+		{ID: 1, Elems: []setcover.Elem{1}},
+	}}
+	path := filepath.Join(t.TempDir(), "gap.scb")
+	if err := scdisk.WriteFile(path, gap); err != nil {
+		t.Fatal(err)
+	}
+	cat := NewCatalog()
+	if _, err := cat.AddFile("gap", path); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(cat, Config{})
@@ -579,17 +597,11 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	var registered atomic.Bool // AddGenerator samples the generator; arm the gate after
-	if _, err := cat.AddGenerator("blocking", 4, 4, "v1", func(id int) setcover.Set {
-		if registered.Load() {
-			once.Do(func() { close(started) })
-			<-release
-		}
+	addFuncInstance(t, cat, "blocking", 4, 4, func(id int) setcover.Set {
+		once.Do(func() { close(started) })
+		<-release
 		return setcover.Set{Elems: []setcover.Elem{setcover.Elem(id)}}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	registered.Store(true)
+	})
 	srv := NewServer(cat, Config{MaxConcurrent: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -763,9 +775,8 @@ func TestIdenticalConcurrentSolvesCoalesce(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	var calls atomic.Int64
-	var registered atomic.Bool // AddGenerator samples the generator; arm the gate after
-	if _, err := cat.AddGenerator("slow", 64, 64, "v1", func(id int) setcover.Set {
-		if id == 0 && registered.Load() {
+	addFuncInstance(t, cat, "slow", 64, 64, func(id int) setcover.Set {
+		if id == 0 {
 			calls.Add(1)
 			once.Do(func() { close(started) })
 			<-release
@@ -773,10 +784,7 @@ func TestIdenticalConcurrentSolvesCoalesce(t *testing.T) {
 		elems := make([]setcover.Elem, 0, 2)
 		elems = append(elems, setcover.Elem(id))
 		return setcover.Set{ID: id, Elems: elems}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	registered.Store(true)
+	})
 	srv := NewServer(cat, Config{MaxConcurrent: 4, MaxQueue: 16})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
