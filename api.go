@@ -350,9 +350,10 @@ type (
 	// ShapeRepo streams shapes with pass counting.
 	ShapeRepo = geom.ShapeRepo
 	// ShapeStream is the pass-counted shape-stream capability AlgGeomSC
-	// solves over; ShapeRepo is the standard implementation. It exists as
-	// an interface so storage layers (and failure injectors) can provide
-	// their own shape streams.
+	// solves over: the pass engine's Source of streamed shapes plus the
+	// in-memory point set. ShapeRepo is the standard implementation. It
+	// exists as an interface so storage layers (and failure injectors) can
+	// provide their own shape streams.
 	ShapeStream = geom.ShapeStream
 )
 

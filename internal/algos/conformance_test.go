@@ -10,11 +10,13 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/maxcover"
 	"repro/internal/obs"
 	"repro/internal/scdisk"
+	"repro/internal/scdyn"
 	"repro/internal/setcover"
 	"repro/internal/stream"
 )
@@ -154,8 +156,12 @@ type backend struct {
 }
 
 // backends opens every storage backend over f. The FuncRepos generate fresh
-// copies of the sets and carry f's costs.
+// copies of the sets and carry f's costs. protocol runs the readat handle
+// through comm's three-player simulation. view reads the file as a dynamic
+// instance at generation 0, which only an unweighted file can be: scdyn.Open
+// must refuse the weighted one.
 func (f fixture) backends(t testing.TB) []backend {
+	t.Helper()
 	in := f.in
 	sets := func(id int) setcover.Set { return setcover.Set{ID: id, Elems: slices.Clone(in.Sets[id].Elems)} }
 	fn, seq := stream.NewFuncRepo(in.N, in.M(), sets), stream.NewSequentialFuncRepo(in.N, in.M(), sets)
@@ -163,13 +169,28 @@ func (f fixture) backends(t testing.TB) []backend {
 		fn.SetWeightFunc(in.Weight)
 		seq.SetWeightFunc(in.Weight)
 	}
-	return []backend{
+	readat := f.open(t, false)
+	bs := []backend{
 		{"slice", stream.NewSliceRepo(in), false},
 		{"func", fn, false},
 		{"func-sequential", seq, false},
-		{"readat", f.open(t, false), true},
+		{"readat", readat, true},
 		{"mmap", f.open(t, true), true},
+		{"protocol", comm.NewProtocolRepo(readat, 3), false},
 	}
+	dyn, err := scdyn.Open(f.path)
+	if in.Weighted() {
+		if err == nil {
+			dyn.Close()
+			t.Fatalf("%s: scdyn.Open accepted a weighted file", f.name)
+		}
+		return bs
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dyn.Close() })
+	return append(bs, backend{"view", dyn.View(), false})
 }
 
 // reference solves the reference cell of r on in at ε and checks it

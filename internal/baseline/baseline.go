@@ -24,8 +24,8 @@
 // the same machinery that runs iterSetCover's parallel guesses: one
 // engine.Run = one physical pass, delivered in batches. The baselines each
 // register a single observer per pass, so the engine degrades to its
-// sequential path — results are identical to a hand-rolled Next loop, and
-// the pass/space accounting is untouched.
+// sequential path — results are identical to a hand-rolled loop over the
+// sets, and the pass/space accounting is untouched.
 package baseline
 
 import (

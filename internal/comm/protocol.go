@@ -17,8 +17,9 @@ import (
 // per pass, with q ≤ ℓ players in the reduction).
 
 // ProtocolRepo wraps a Repository and counts player-boundary crossings.
-// It implements stream.Repository, so any streaming algorithm in this
-// repository runs over it unmodified.
+// It implements stream.Repository, and stream.Weighted by delegating to the
+// wrapped repository, so any streaming algorithm in this repository runs
+// over it unmodified and solves the same weighted or unweighted problem.
 type ProtocolRepo struct {
 	inner   stream.Repository
 	players int
@@ -50,16 +51,22 @@ func (p *ProtocolRepo) NumSets() int { return p.inner.NumSets() }
 // Passes implements stream.Repository.
 func (p *ProtocolRepo) Passes() int { return p.inner.Passes() }
 
+// HasWeights implements stream.Weighted: whether the wrapped repository
+// carries a per-set cost vector.
+func (p *ProtocolRepo) HasWeights() bool { return stream.HasWeights(p.inner) }
+
+// Weight implements stream.Weighted: the wrapped repository's cost of set id.
+func (p *ProtocolRepo) Weight(id int) float64 { return stream.WeightOf(p.inner, id) }
+
 // Crossings returns the number of player-boundary hand-offs so far. Each
 // pass over m sets split among q players costs q-1 hand-offs, plus one at
 // end-of-pass to return the state to the answering player.
 func (p *ProtocolRepo) Crossings() int { return p.crossings }
 
 // Begin implements stream.Repository. The returned reader carries the full
-// engine contract through the simulation: the stream.BatchReader fast path
-// (crossings are accounted per batch span, identically to the per-set path),
-// stream.Recycler forwarding (a disk-backed inner pass keeps reusing its
-// batch arenas), and the stream.ErrorReader failure surface — so a
+// engine contract through the simulation: batches (crossings are accounted
+// per batch span), stream.Recycler forwarding (a disk-backed inner pass keeps
+// reusing its batch arenas), and the inner reader's failure report — so a
 // protocol-wrapped pass driven by engine.Run behaves exactly like the
 // unwrapped one, plus the hand-off accounting.
 //
@@ -97,35 +104,11 @@ func (r *protocolReader) crossTo(newPos int) {
 	r.pos = newPos
 }
 
-func (r *protocolReader) Next() (setcover.Set, bool) {
-	s, ok := r.inner.Next()
-	if !ok {
-		r.crossTo(-1)
-		return s, ok
-	}
-	r.crossTo(r.pos + 1)
-	return s, ok
-}
-
-// NextBatch implements stream.BatchReader, the engine's amortized fill path:
-// the inner reader's batch (or a Next loop when it has none) advances the
+// NextBatch implements stream.Reader: the inner reader's batch advances the
 // scan by len(batch) positions, and every boundary inside that span costs
-// one hand-off — the same count, in the same order, as per-set reads.
+// one hand-off, so the count does not depend on the batch size.
 func (r *protocolReader) NextBatch(dst []setcover.Set) int {
-	var n int
-	if br, ok := r.inner.(stream.BatchReader); ok {
-		n = br.NextBatch(dst)
-	} else {
-		dst = dst[:cap(dst)]
-		for n < len(dst) {
-			s, ok := r.inner.Next()
-			if !ok {
-				break
-			}
-			dst[n] = s
-			n++
-		}
-	}
+	n := r.inner.NextBatch(dst)
 	if n == 0 {
 		r.crossTo(-1)
 		return 0
@@ -143,10 +126,10 @@ func (r *protocolReader) Recycle(sets []setcover.Set) {
 	}
 }
 
-// Err forwards the wrapped reader's mid-pass failure (stream.ErrorReader):
-// a truncated repository must fail loudly through the simulation wrapper
-// too, not read as a short healthy pass.
-func (r *protocolReader) Err() error { return stream.ReaderErr(r.inner) }
+// Err forwards the wrapped reader's mid-pass failure: a truncated repository
+// must fail loudly through the simulation wrapper too, not read as a short
+// healthy pass.
+func (r *protocolReader) Err() error { return r.inner.Err() }
 
 // ProtocolCost converts a finished simulation into communication bits:
 // every hand-off ships the algorithm's peak working memory once.

@@ -57,10 +57,10 @@ func TestProtocolRepoCrossings(t *testing.T) {
 	}
 }
 
-// Hand-off accounting must be independent of the engine's batch size: the
-// BatchReader fast path counts boundaries per batch span, the per-set path
-// one at a time, and every batch size must land on the same total — batches
-// never align with player boundaries by accident.
+// Hand-off accounting must be independent of the engine's batch size:
+// boundaries are counted per batch span, and every batch size, from one set
+// at a time to 256, must land on the same total — batches never align with
+// player boundaries by accident.
 func TestProtocolRepoCrossingsBatchInvariant(t *testing.T) {
 	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 60, M: 97, K: 3, Seed: 9})
 	if err != nil {
@@ -143,8 +143,30 @@ func TestObservation59EndToEnd(t *testing.T) {
 	}
 }
 
-// The wrapper must forward mid-pass failures of the inner repository
-// (stream.ErrorReader): a truncated stream running through the protocol
+// The wrapper carries the wrapped family's costs: a weighted repository
+// stays weighted through the simulation, with the same cost per set.
+func TestProtocolRepoKeepsWeights(t *testing.T) {
+	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 40, M: 12, K: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stream.HasWeights(NewProtocolRepo(stream.NewSliceRepo(in), 3)) {
+		t.Fatal("unweighted family reads as weighted through the wrapper")
+	}
+	in.Weights = make([]float64, in.M())
+	for i := range in.Weights {
+		in.Weights[i] = float64(i + 1)
+	}
+	repo := NewProtocolRepo(stream.NewSliceRepo(in), 3)
+	for id := range in.Weights {
+		if got := stream.WeightOf(repo, id); got != in.Weights[id] {
+			t.Fatalf("set %d costs %v through the wrapper, want %v", id, got, in.Weights[id])
+		}
+	}
+}
+
+// The wrapper must forward mid-pass failures of the inner repository (its
+// reader's Err): a truncated stream running through the protocol
 // simulation still fails loudly at the solve entry points instead of
 // reading as a short healthy pass.
 func TestProtocolRepoForwardsReaderError(t *testing.T) {
@@ -190,16 +212,17 @@ type flakyReader struct {
 	err   error
 }
 
-func (r *flakyReader) Next() (setcover.Set, bool) {
+func (r *flakyReader) NextBatch(dst []setcover.Set) int {
 	if r.err != nil {
-		return setcover.Set{}, false
+		return 0
 	}
 	if r.left == 0 {
 		r.err = errFlaky
-		return setcover.Set{}, false
+		return 0
 	}
-	r.left--
-	return r.inner.Next()
+	n := r.inner.NextBatch(dst[:0:min(cap(dst), r.left)])
+	r.left -= n
+	return n
 }
 
 func (r *flakyReader) Err() error { return r.err }
@@ -288,14 +311,12 @@ type recycleCountRepo struct {
 }
 
 func (r *recycleCountRepo) Begin() stream.Reader {
-	return &recycleCountReader{inner: r.Repository.Begin(), repo: r}
+	return &recycleCountReader{Reader: r.Repository.Begin(), repo: r}
 }
 
 type recycleCountReader struct {
-	inner stream.Reader
-	repo  *recycleCountRepo
+	stream.Reader
+	repo *recycleCountRepo
 }
-
-func (r *recycleCountReader) Next() (setcover.Set, bool) { return r.inner.Next() }
 
 func (r *recycleCountReader) Recycle(sets []setcover.Set) { r.repo.recycled += len(sets) }

@@ -49,14 +49,13 @@ func TestIterSetCoverOnFuncRepo(t *testing.T) {
 	for _, id := range res.Cover {
 		chosen[id] = true
 	}
-	for {
-		s, ok := it.Next()
-		if !ok {
-			break
-		}
-		if chosen[s.ID] {
-			for _, e := range s.Elems {
-				covered[e] = true
+	batch := make([]setcover.Set, 64)
+	for n := it.NextBatch(batch); n > 0; n = it.NextBatch(batch) {
+		for _, s := range batch[:n] {
+			if chosen[s.ID] {
+				for _, e := range s.Elems {
+					covered[e] = true
+				}
 			}
 		}
 	}

@@ -64,8 +64,7 @@ type drainCheckRepo struct {
 }
 
 func (r *drainCheckRepo) Begin() stream.Reader {
-	inner := r.SliceRepo.Begin()
-	dr := &drainCheckReader{inner: inner}
+	dr := &drainCheckReader{Reader: r.SliceRepo.Begin()}
 	r.readers = append(r.readers, dr)
 	return dr
 }
@@ -84,14 +83,12 @@ func (r *drainCheckRepo) verify(t *testing.T) {
 }
 
 type drainCheckReader struct {
-	inner stream.Reader
+	stream.Reader
 	reads int
 }
 
-func (d *drainCheckReader) Next() (setcover.Set, bool) {
-	s, ok := d.inner.Next()
-	if ok {
-		d.reads++
-	}
-	return s, ok
+func (d *drainCheckReader) NextBatch(dst []setcover.Set) int {
+	n := d.Reader.NextBatch(dst)
+	d.reads += n
+	return n
 }

@@ -4,20 +4,20 @@
 // geometric algorithm (internal/geom, through the generic RunOver entry
 // point), and anything running over internal/comm's protocol simulation —
 // reads its stream through it instead of hand-rolling a
-// `repo.Begin(); for { Next() }` loop.
+// `repo.Begin(); for { NextBatch() }` loop.
 //
 // The paper's central accounting trick (Lemma 2.1) is that all O(log n)
 // parallel guesses of the optimum size k share physical passes: one scan of
 // the repository feeds every guess. The engine makes that sharing literal.
 // A call to Run starts exactly ONE pass (one repo.Begin()), reads the stream
-// in batches — amortizing the per-set interface call through the optional
-// stream.BatchReader fast path — and fans each batch out to every registered
-// Observer. Observers are sharded across a worker pool: each observer's
-// callbacks run on exactly one goroutine, in stream order, so observers that
-// own disjoint state (the paper's parallel guesses, and every baseline's
-// per-pass scan state) need no locks and behave identically at any worker
-// count. The paper's "parallel guesses" thereby become actual goroutines
-// without changing pass counts, space accounting, or results.
+// in batches through the cursor's NextBatch — one interface call per batch,
+// not per set — and fans each batch out to every registered Observer.
+// Observers are sharded across a worker pool: each observer's callbacks run
+// on exactly one goroutine, in stream order, so observers that own disjoint
+// state (the paper's parallel guesses, and every baseline's per-pass scan
+// state) need no locks and behave identically at any worker count. The
+// paper's "parallel guesses" thereby become actual goroutines without
+// changing pass counts, space accounting, or results.
 //
 // The delivery loops themselves are generic over the element type
 // (generic.go) and read every stream through the stream.Cursor family: Run
@@ -40,7 +40,7 @@
 //
 // Pass failure is first-class: Run returns an error when the pass could not
 // be fully drained (a truncated or corrupt backing file, surfaced through
-// stream.ErrorReader, a failed decode segment — which poisons the whole
+// the cursor's Err, a failed decode segment — which poisons the whole
 // pass — or a stream that silently ends short of NumSets). Algorithms
 // propagate that error instead of reporting a cover built from a partial
 // scan — in this model a partial pass must never be mistaken for a cheap

@@ -28,9 +28,9 @@ const (
 
 // passTrace carries the in-flight trace record for one pass. nil everywhere
 // a tracer is absent — the untraced path pays one pointer comparison per
-// touch point. Items/Elems are accumulated on the single filler goroutine
-// (fillBatch call sites), Wall/Err at pass completion, so no field is ever
-// written concurrently.
+// touch point. Items/Elems are accumulated on the single goroutine that
+// calls NextBatch, Wall/Err at pass completion, so no field is ever written
+// concurrently.
 type passTrace struct {
 	tracer obs.Tracer
 	rec    obs.PassTrace
@@ -87,8 +87,8 @@ type Source[T any] interface {
 // observers with disjoint state at every Workers/BatchSize setting.
 //
 // A non-nil error wraps ErrPassFailed and means the pass could not be fully
-// drained: the cursor reported a mid-stream failure (stream.ErrorReader), or
-// the stream ended short of src.NumItems() without one. Either way observers
+// drained: the cursor reported a mid-stream failure (its Err), or the stream
+// ended short of src.NumItems() without one. Either way observers
 // saw only a prefix, so the caller must propagate the failure instead of
 // reporting a result built from a partial scan.
 func RunOver[T any](e *Engine, src Source[T], observers ...ObserverOf[T]) error {
@@ -106,7 +106,7 @@ func RunOver[T any](e *Engine, src Source[T], observers ...ObserverOf[T]) error 
 }
 
 // runPass is the one body behind Run and RunOver: lifecycle brackets around
-// the delivery loop, the failure-surface probe, and the full-drain check
+// the delivery loop, the cursor's failure report, and the full-drain check
 // against the expected stream length. begin opens the (pass-counting)
 // cursor after the BeginPass hooks, mirroring the original loop order.
 // tr, when non-nil, is completed (items, wall time, outcome) and emitted
@@ -126,7 +126,7 @@ func runPass[T any](begin func() stream.Cursor[T], want int, observers []Observe
 
 	it := begin()
 	n := drain(it, observers, workers, get, put, tr)
-	err := stream.ReaderErr(it)
+	err := it.Err()
 
 	for _, o := range observers {
 		if l, ok := o.(PassLifecycle); ok {
@@ -156,23 +156,6 @@ type batchOf[T any] struct {
 	refs  atomic.Int32
 }
 
-// fillBatch loads the next batch of the pass into buf (up to cap(buf)),
-// using the stream.BatchCursor fast path when the cursor provides one.
-func fillBatch[T any](it stream.Cursor[T], buf []T) []T {
-	if br, ok := it.(stream.BatchCursor[T]); ok {
-		return buf[:br.NextBatch(buf[:0])]
-	}
-	buf = buf[:0]
-	for len(buf) < cap(buf) {
-		item, ok := it.Next()
-		if !ok {
-			break
-		}
-		buf = append(buf, item)
-	}
-	return buf
-}
-
 // drain runs one pass's delivery loop: sequential on the calling goroutine
 // when at most one delivery worker is useful, sharded across workers
 // otherwise. It returns the number of items read from the cursor — every
@@ -199,7 +182,7 @@ func drainSequential[T any](it stream.Cursor[T], observers []ObserverOf[T],
 	defer put(b)
 	total := 0
 	for {
-		items := fillBatch(it, b.items[:0])
+		items := b.items[:it.NextBatch(b.items)]
 		if len(items) == 0 {
 			return total
 		}
@@ -249,7 +232,7 @@ func drainParallel[T any](it stream.Cursor[T], observers []ObserverOf[T], worker
 	total := 0
 	for {
 		b := get()
-		b.items = fillBatch(it, b.items[:0])
+		b.items = b.items[:it.NextBatch(b.items)]
 		if len(b.items) == 0 {
 			put(b)
 			break

@@ -49,23 +49,21 @@ type wordCursor struct {
 	err error
 }
 
-func (c *wordCursor) Next() (word, bool) {
-	if c.err != nil {
-		return word{}, false
+func (c *wordCursor) NextBatch(dst []word) int {
+	dst = dst[:cap(dst)]
+	n := 0
+	for ; n < len(dst) && c.err == nil; n++ {
+		if c.src.failAt >= 0 && c.pos == c.src.failAt {
+			c.err = errBoom
+			break
+		}
+		if c.src.truncateAt >= 0 && c.pos == c.src.truncateAt || c.pos >= len(c.src.words) {
+			break
+		}
+		dst[n] = word{pos: c.pos, text: c.src.words[c.pos]}
+		c.pos++
 	}
-	if c.src.failAt >= 0 && c.pos == c.src.failAt {
-		c.err = errBoom
-		return word{}, false
-	}
-	if c.src.truncateAt >= 0 && c.pos == c.src.truncateAt {
-		return word{}, false
-	}
-	if c.pos >= len(c.src.words) {
-		return word{}, false
-	}
-	w := word{pos: c.pos, text: c.src.words[c.pos]}
-	c.pos++
-	return w, true
+	return n
 }
 
 func (c *wordCursor) Err() error { return c.err }

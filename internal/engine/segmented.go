@@ -104,11 +104,10 @@ var chunkPool = sync.Pool{New: func() any { return new(segChunk) }}
 const maxChunkArena = 1 << 20
 
 // segmentedReader adapts parallel chunk decoders into a single in-order
-// stream.Reader. It implements stream.BatchReader (the engine's fill path),
-// stream.Recycler (releasing chunk records whose sets are all consumed), and
-// stream.ErrorReader (the poisoned-pass surface). It is engine-internal: the
-// Set values it yields view arenas of pooled chunk records, so the usual
-// no-retention discipline applies.
+// stream.Reader, whose Err is the poisoned-pass surface. It also implements
+// stream.Recycler, releasing chunk records whose sets are all consumed. It
+// is engine-internal: the Set values it yields view arenas of pooled chunk
+// records, so the usual no-retention discipline applies.
 type segmentedReader struct {
 	slots   []chan *segChunk // chunk c arrives on slots[c % len(slots)]
 	tokens  chan struct{}    // one per chunk that may be claimed ahead of delivery
@@ -243,7 +242,7 @@ func releaseChunk(ck *segChunk) {
 	chunkPool.Put(ck)
 }
 
-// NextBatch implements stream.BatchReader: it copies the next in-order run
+// NextBatch implements stream.Reader: it copies the next in-order run
 // of Set headers into dst. A chunk whose last set it copies joins the held
 // list until Recycle learns that batch is done.
 func (r *segmentedReader) NextBatch(dst []setcover.Set) int {
@@ -344,16 +343,5 @@ func (r *segmentedReader) finish() {
 	}
 }
 
-// Next implements stream.Reader. The engine always uses NextBatch; Next
-// exists to satisfy the interface (and hands out shared buffers, so it is
-// not for retaining scanners).
-func (r *segmentedReader) Next() (setcover.Set, bool) {
-	var one [1]setcover.Set
-	if r.NextBatch(one[:0:1]) == 0 {
-		return setcover.Set{}, false
-	}
-	return one[0], true
-}
-
-// Err implements stream.ErrorReader: the error that poisoned the pass.
+// Err implements stream.Reader: the error that poisoned the pass.
 func (r *segmentedReader) Err() error { return r.err }

@@ -97,19 +97,19 @@ type failingSegReader struct {
 	err    error
 }
 
-func (r *failingSegReader) Next() (setcover.Set, bool) {
+// NextBatch cuts its batches at set failAt and fails when the pass reaches
+// it.
+func (r *failingSegReader) NextBatch(dst []setcover.Set) int {
 	if r.err != nil {
-		return setcover.Set{}, false
+		return 0
 	}
 	if r.pos == r.failAt {
 		r.err = errBoom
-		return setcover.Set{}, false
+		return 0
 	}
-	s, ok := r.inner.Next()
-	if ok {
-		r.pos++
-	}
-	return s, ok
+	n := r.inner.NextBatch(dst[:0:min(cap(dst), r.failAt-r.pos)])
+	r.pos += n
+	return n
 }
 
 func (r *failingSegReader) Err() error { return r.err }

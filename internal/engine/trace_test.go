@@ -185,13 +185,18 @@ type truncReader struct {
 	left  int
 }
 
-func (it *truncReader) Next() (setcover.Set, bool) {
+func (it *truncReader) NextBatch(dst []setcover.Set) int {
 	if it.left <= 0 {
-		return setcover.Set{}, false
+		return 0
 	}
-	it.left--
-	return it.inner.Next()
+	n := it.inner.NextBatch(dst[:0:min(cap(dst), it.left)])
+	it.left -= n
+	return n
 }
+
+// Err reports nothing: the truncation is silent, and the engine's full-drain
+// check has to catch it.
+func (it *truncReader) Err() error { return nil }
 
 // RunOver passes trace with Kind "items" and zero Elems (the engine cannot
 // see inside non-set items), sharing the engine's pass sequence with Run.
@@ -231,12 +236,10 @@ type sliceCursor[T any] struct {
 	pos   int
 }
 
-func (c *sliceCursor[T]) Next() (T, bool) {
-	var zero T
-	if c.pos >= len(c.items) {
-		return zero, false
-	}
-	v := c.items[c.pos]
-	c.pos++
-	return v, true
+func (c *sliceCursor[T]) NextBatch(dst []T) int {
+	n := copy(dst[:cap(dst)], c.items[c.pos:])
+	c.pos += n
+	return n
 }
+
+func (c *sliceCursor[T]) Err() error { return nil }

@@ -113,8 +113,8 @@ type geomIterState struct {
 // stream): one RunOver = one counted pass shared by all live guesses
 // (Lemma 2.1's accounting, the same sharing the set-system algorithm gets
 // from engine.Run), each guess its own observer over disjoint state. A pass
-// that cannot be fully drained — a reader error, or a stream that silently
-// ends short of NumShapes — aborts the solve with an error wrapping
+// that cannot be fully drained — a cursor error, or a stream that silently
+// ends short of NumItems — aborts the solve with an error wrapping
 // engine.ErrPassFailed.
 func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 	n := repo.NumPoints()
@@ -142,7 +142,6 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 
 	runs := makeGeomRuns(n, opts, tracker)
 	eng := engine.New(opts.Engine)
-	src := shapeSource{repo: repo}
 
 	for iter := 0; iter < iterations; iter++ {
 		if geomAllDone(runs) {
@@ -150,7 +149,7 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 		}
 
 		// Pass 1: heavy shapes — |r∩L| >= n/k enters sol immediately.
-		if err := engine.RunOver(eng, src, liveGeomObservers(runs, func(g *geomRun) engine.ObserverOf[StreamShape] {
+		if err := engine.RunOver(eng, repo, liveGeomObservers(runs, func(g *geomRun) engine.ObserverOf[StreamShape] {
 			return &heavyShapeObserver{g: g, n: n, tracker: tracker}
 		})...); err != nil {
 			return res.failPass(repo, passes0, tracker, err)
@@ -194,7 +193,7 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 			states[g] = st
 		}
 
-		if err := engine.RunOver(eng, src, liveGeomObservers(runs, func(g *geomRun) engine.ObserverOf[StreamShape] {
+		if err := engine.RunOver(eng, repo, liveGeomObservers(runs, func(g *geomRun) engine.ObserverOf[StreamShape] {
 			return &canonicalObserver{st: states[g], pts: pts, tracker: tracker}
 		})...); err != nil {
 			return res.failPass(repo, passes0, tracker, err)
@@ -228,7 +227,7 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 		}
 
 		// Pass 3: replace chosen pieces by stream shapes covering them.
-		if err := engine.RunOver(eng, src, liveGeomObservers(runs, func(g *geomRun) engine.ObserverOf[StreamShape] {
+		if err := engine.RunOver(eng, repo, liveGeomObservers(runs, func(g *geomRun) engine.ObserverOf[StreamShape] {
 			return &replacePieceObserver{g: g, st: states[g], tracker: tracker}
 		})...); err != nil {
 			return res.failPass(repo, passes0, tracker, err)
@@ -249,7 +248,7 @@ func AlgGeomSC(repo ShapeStream, opts GeomOptions) (GeomResult, error) {
 	// Final pass: one arbitrary shape per leftover point (≤ k of them when
 	// the guess is right).
 	if !geomAllDone(runs) {
-		if err := engine.RunOver(eng, src, liveGeomObservers(runs, func(g *geomRun) engine.ObserverOf[StreamShape] {
+		if err := engine.RunOver(eng, repo, liveGeomObservers(runs, func(g *geomRun) engine.ObserverOf[StreamShape] {
 			return &patchShapeObserver{g: g, tracker: tracker}
 		})...); err != nil {
 			return res.failPass(repo, passes0, tracker, err)

@@ -5,17 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/stream"
 )
 
 // errShapeBoom is the sentinel failure the flaky shape readers inject.
 var errShapeBoom = errors.New("injected shape stream failure")
 
 // flakyShapeRepo wraps a ShapeStream and fails pass number failOnPass (1-
-// based) after failAfter shapes. With silent set, the pass just ends early
-// with no reported error — the truncation a corrupt geometric instance would
-// present if its reader had no failure surface; otherwise the reader reports
-// errShapeBoom through the stream.ErrorReader shape. Passes before
-// failOnPass run clean, so failures can be injected into any of the
+// based) after failAfter shapes, cutting the batch that crosses that offset.
+// With silent set, the pass just ends early with no reported error — the
+// truncation a corrupt geometric instance would present if its cursor had no
+// failure report; otherwise the cursor's Err reports errShapeBoom. Passes
+// before failOnPass run clean, so failures can be injected into any of the
 // algorithm's pass kinds (heavy, canonical, replace, final patch).
 type flakyShapeRepo struct {
 	ShapeStream
@@ -26,7 +27,7 @@ type flakyShapeRepo struct {
 	fired      bool
 }
 
-func (r *flakyShapeRepo) Begin() ShapeReader {
+func (r *flakyShapeRepo) Begin() stream.Cursor[StreamShape] {
 	r.begins++
 	inner := r.ShapeStream.Begin()
 	if r.begins != r.failOnPass {
@@ -37,35 +38,33 @@ func (r *flakyShapeRepo) Begin() ShapeReader {
 
 type flakyShapeReader struct {
 	repo  *flakyShapeRepo
-	inner ShapeReader
-	left  int
+	inner stream.Cursor[StreamShape]
+	left  int // shapes still to pass through; -1 once the pass is cut
 	err   error
 }
 
-func (it *flakyShapeReader) Next() (Shape, int, bool) {
-	if it.err != nil {
-		return nil, 0, false
+func (it *flakyShapeReader) NextBatch(dst []StreamShape) int {
+	if it.left < 0 {
+		return 0
 	}
-	if it.left == 0 {
-		// Only a stream that still had shapes is truncated: probe the inner
-		// reader, and fire only when an item is actually dropped (a fail
-		// offset at or past m is a clean pass, not a failure).
-		if _, _, ok := it.inner.Next(); !ok {
-			return nil, 0, false
-		}
-		it.repo.fired = true
-		if !it.repo.silent {
-			it.err = errShapeBoom
-		}
-		return nil, 0, false
+	n := it.inner.NextBatch(dst)
+	if n <= it.left {
+		it.left -= n
+		return n
 	}
-	it.left--
-	return it.inner.Next()
+	// Only a stream that still had shapes is truncated: fire only when a
+	// shape is actually dropped (a fail offset at or past m is a clean pass,
+	// not a failure).
+	n, it.left = it.left, -1
+	it.repo.fired = true
+	if !it.repo.silent {
+		it.err = errShapeBoom
+	}
+	return n
 }
 
-// Err implements the optional failure surface (stream.ErrorReader). A
-// silent reader never reports — the engine's full-drain check is what has
-// to catch it.
+// Err reports the injected failure. A silent reader never reports — the
+// engine's full-drain check is what has to catch it.
 func (it *flakyShapeReader) Err() error { return it.err }
 
 // A shape stream that fails mid-pass — loudly or silently, in any of the

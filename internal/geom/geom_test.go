@@ -137,23 +137,20 @@ func TestShapeRepoPassesAndPrecompute(t *testing.T) {
 		Shapes: []Shape{Rect{X0: -1, Y0: -1, X1: 0.5, Y1: 0.5}, Disk{C: Point{1, 1}, R: 0.1}},
 	}
 	repo := NewShapeRepo(in)
-	if repo.NumPoints() != 2 || repo.NumShapes() != 2 || repo.Passes() != 0 {
+	if repo.NumPoints() != 2 || repo.NumItems() != 2 || repo.Passes() != 0 {
 		t.Fatal("repo dims/passes wrong")
 	}
 	it := repo.Begin()
 	count := 0
-	for {
-		s, id, ok := it.Next()
-		if !ok {
-			break
-		}
-		if s == nil || id != count {
-			t.Fatalf("reader yielded shape=%v id=%d at pos %d", s, id, count)
+	batch := make([]StreamShape, 1)
+	for n := it.NextBatch(batch); n > 0; n = it.NextBatch(batch) {
+		if s := batch[0]; s.Shape == nil || s.ID != count {
+			t.Fatalf("cursor yielded shape=%v id=%d at pos %d", s.Shape, s.ID, count)
 		}
 		count++
 	}
-	if count != 2 || repo.Passes() != 1 {
-		t.Fatalf("count=%d passes=%d", count, repo.Passes())
+	if count != 2 || repo.Passes() != 1 || it.Err() != nil {
+		t.Fatalf("count=%d passes=%d err=%v", count, repo.Passes(), it.Err())
 	}
 	before := repo.Contained(0) // on the fly
 	repo.Precompute()

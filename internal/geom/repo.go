@@ -3,7 +3,9 @@ package geom
 import (
 	"sync/atomic"
 
+	"repro/internal/engine"
 	"repro/internal/setcover"
+	"repro/internal/stream"
 )
 
 // Instance is a geometric SetCover input: n points (the elements, stored in
@@ -53,32 +55,18 @@ func (in *Instance) IsCover(ids []int) bool {
 	return true
 }
 
-// ShapeReader yields the shapes of one pass with their stream IDs. A reader
-// whose pass can fail mid-stream (truncated or corrupt geometric storage)
-// additionally implements stream.ErrorReader (Err() error); the pass engine
-// probes it after draining, exactly as it does for set readers, and turns a
-// non-nil result into a failed pass.
-type ShapeReader interface {
-	Next() (s Shape, id int, ok bool)
-}
-
 // ShapeStream is the capability AlgGeomSC needs from a shape repository: a
-// pass-counted stream of shapes plus the model's in-memory point set. It is
-// an interface (rather than the concrete ShapeRepo) so tests can wrap the
-// stream with failure injectors — a flaky or truncating ShapeReader must
-// fail the solve loudly, never yield a cover of a partial stream.
+// pass-counted engine.Source of streamed shapes (NumItems is m, the exact
+// length of one full pass) plus the model's in-memory point set. It is an
+// interface (rather than the concrete ShapeRepo) so tests can wrap the
+// stream with failure injectors — a flaky or truncating cursor must fail the
+// solve loudly, never yield a cover of a partial stream.
 type ShapeStream interface {
+	engine.Source[StreamShape]
 	// NumPoints returns n (the points are stored in memory per the model).
 	NumPoints() int
-	// NumShapes returns m, the exact length of one full pass.
-	NumShapes() int
 	// Points exposes the in-memory point set.
 	Points() []Point
-	// Contained returns the sorted global indices of the points contained
-	// in shape id.
-	Contained(id int) []int32
-	// Begin starts (and counts) a new pass over the shapes.
-	Begin() ShapeReader
 	// Passes returns the number of passes started so far.
 	Passes() int
 }
@@ -101,8 +89,8 @@ func NewShapeRepo(in *Instance) *ShapeRepo { return &ShapeRepo{inst: in} }
 // NumPoints returns n.
 func (r *ShapeRepo) NumPoints() int { return len(r.inst.Points) }
 
-// NumShapes returns m.
-func (r *ShapeRepo) NumShapes() int { return len(r.inst.Shapes) }
+// NumItems returns m, the number of shapes one pass yields.
+func (r *ShapeRepo) NumItems() int { return len(r.inst.Shapes) }
 
 // Points exposes the in-memory point set (granted by the model).
 func (r *ShapeRepo) Points() []Point { return r.inst.Points }
@@ -138,22 +126,28 @@ func (r *ShapeRepo) Contained(id int) []int32 {
 }
 
 // Begin starts a new pass.
-func (r *ShapeRepo) Begin() ShapeReader {
+func (r *ShapeRepo) Begin() stream.Cursor[StreamShape] {
 	r.passes.Add(1)
-	return &shapeReader{shapes: r.inst.Shapes}
+	return &shapeCursor{repo: r}
 }
 
-type shapeReader struct {
-	shapes []Shape
-	pos    int
+// shapeCursor streams one pass of a ShapeRepo.
+type shapeCursor struct {
+	repo *ShapeRepo
+	pos  int
 }
 
-func (it *shapeReader) Next() (Shape, int, bool) {
-	if it.pos >= len(it.shapes) {
-		return nil, 0, false
+// NextBatch fills dst with the next shapes, each with its stream ID and its
+// contained points.
+func (c *shapeCursor) NextBatch(dst []StreamShape) int {
+	dst = dst[:min(cap(dst), c.repo.NumItems()-c.pos)]
+	for i := range dst {
+		id := c.pos + i
+		dst[i] = StreamShape{ID: id, Shape: c.repo.inst.Shapes[id], Contained: c.repo.Contained(id)}
 	}
-	s := it.shapes[it.pos]
-	id := it.pos
-	it.pos++
-	return s, id, true
+	c.pos += len(dst)
+	return len(dst)
 }
+
+// Err returns nil: an in-memory pass cannot fail.
+func (c *shapeCursor) Err() error { return nil }

@@ -59,12 +59,11 @@ func streamBenchFile(tb testing.TB, dir string) (path string, payloadBytes int64
 // drainPass runs one engine-shaped pass: batched decode with recycling.
 // Returns the number of sets and elements seen.
 func drainPass(it stream.Reader, batchSize int, checkpoint func(batches int)) (sets, elems int) {
-	br := it.(stream.BatchReader)
 	rec, _ := it.(stream.Recycler)
 	batch := make([]setcover.Set, 0, batchSize)
 	batches := 0
 	for {
-		k := br.NextBatch(batch[:0])
+		k := it.NextBatch(batch[:0])
 		if k == 0 {
 			return sets, elems
 		}
@@ -99,7 +98,7 @@ func BenchmarkDiskRepoPass(b *testing.B) {
 		it := d.Begin()
 		sets, _ := drainPass(it, 256, nil)
 		if sets != benchM {
-			b.Fatalf("pass saw %d of %d sets (err: %v)", sets, benchM, stream.ReaderErr(it))
+			b.Fatalf("pass saw %d of %d sets (err: %v)", sets, benchM, it.Err())
 		}
 		totalSets += sets
 	}
@@ -207,7 +206,7 @@ func TestDiskRepoPassMemoryBound(t *testing.T) {
 			peak = ms.HeapAlloc
 		}
 	})
-	if err := stream.ReaderErr(it); err != nil {
+	if err := it.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if sets != benchM {

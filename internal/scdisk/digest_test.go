@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/setcover"
-	"repro/internal/stream"
 )
 
 func digestTestInstance(t *testing.T, seed int64) *setcover.Instance {
@@ -237,7 +236,7 @@ func TestElemPoolFillBatched(t *testing.T) {
 	defer d.Close()
 	it := d.Begin()
 	batch := make([]setcover.Set, 0, 16)
-	batch = batch[:it.(stream.BatchReader).NextBatch(batch)]
+	batch = batch[:it.NextBatch(batch)]
 	if len(batch) < 2 {
 		t.Fatalf("first batch holds %d sets", len(batch))
 	}
@@ -289,7 +288,7 @@ func TestElemPoolShardSweepAndLockCount(t *testing.T) {
 	kept := d.arenas.free[0][:1]
 	batch := make([]setcover.Set, 0, 16)
 	it := d.Begin()
-	if batch = batch[:it.(stream.BatchReader).NextBatch(batch)]; len(batch) == 0 || len(batch[0].Elems) == 0 {
+	if batch = batch[:it.NextBatch(batch)]; len(batch) == 0 || len(batch[0].Elems) == 0 {
 		t.Fatal("second pass decoded nothing")
 	}
 	if &batch[0].Elems[0] != &kept[0] {

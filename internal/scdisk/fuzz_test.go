@@ -127,15 +127,14 @@ func drainSeq(d *Repo) ([]setcover.Set, error) { return drainReader(d.Begin()) }
 // drainReader copies out every set a reader yields.
 func drainReader(it stream.Reader) ([]setcover.Set, error) {
 	var seq []setcover.Set
-	for {
-		s, ok := it.Next()
-		if !ok {
-			break
+	batch := make([]setcover.Set, 64)
+	for k := it.NextBatch(batch); k > 0; k = it.NextBatch(batch) {
+		for _, s := range batch[:k] {
+			cp := append([]setcover.Elem(nil), s.Elems...)
+			seq = append(seq, setcover.Set{ID: s.ID, Elems: cp})
 		}
-		cp := append([]setcover.Elem(nil), s.Elems...)
-		seq = append(seq, setcover.Set{ID: s.ID, Elems: cp})
 	}
-	return seq, stream.ReaderErr(it)
+	return seq, it.Err()
 }
 
 // drainPlanned decodes every chunk of one boundary list through a segment

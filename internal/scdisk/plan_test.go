@@ -15,7 +15,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/setcover"
-	"repro/internal/stream"
 )
 
 // checkBounds fails unless b is a well-formed boundary list over m sets —
@@ -376,30 +375,21 @@ func TestOpenReadOnlyMmap(t *testing.T) {
 	}
 
 	// Streams must agree set for set.
-	rp, rm := plain.Begin(), mapped.Begin()
-	for {
-		sp, okp := rp.Next()
-		sm, okm := rm.Next()
-		if okp != okm {
-			t.Fatal("streams end at different positions")
-		}
-		if !okp {
-			break
-		}
-		if sp.ID != sm.ID || len(sp.Elems) != len(sm.Elems) {
-			t.Fatalf("set %d diverges between read paths", sp.ID)
-		}
-		for i := range sp.Elems {
-			if sp.Elems[i] != sm.Elems[i] {
-				t.Fatalf("set %d: elem %d diverges", sp.ID, i)
-			}
-		}
-	}
-	if err := stream.ReaderErr(rp); err != nil {
+	sp, err := drainSeq(plain)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := stream.ReaderErr(rm); err != nil {
+	sm, err := drainSeq(mapped)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(sp) != len(sm) {
+		t.Fatal("streams end at different positions")
+	}
+	for i := range sp {
+		if sp[i].ID != sm[i].ID || !slices.Equal(sp[i].Elems, sm[i].Elems) {
+			t.Fatalf("set %d diverges between read paths", sp[i].ID)
+		}
 	}
 }
 

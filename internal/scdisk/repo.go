@@ -42,13 +42,13 @@ const arenaListBytes = 4 << 20
 // file — concurrent passes each own their decode window over the shared
 // io.ReaderAt — and a pass keeps only the sets currently in flight resident.
 //
-// Repo additionally implements stream.BatchReader (each batch decoded into
-// one element arena) and stream.Recycler on its readers (the engine hands
-// consumed batches back so their arenas are reused; see DESIGN.md §6), and —
-// when the index footer is present — stream.SegmentedRepository: the pass
-// engine splits one pass into contiguous chunks seeked via the index and
-// decodes them on several goroutines (DESIGN.md §5), which is where an
-// indexed file's passes get their multi-core decode throughput.
+// Its readers decode each batch into one element arena and implement
+// stream.Recycler (the engine hands consumed batches back so their arenas
+// are reused; see DESIGN.md §6). When the index footer is present, Repo
+// also implements stream.SegmentedRepository: the pass engine splits one
+// pass into contiguous chunks seeked via the index and decodes them on
+// several goroutines (DESIGN.md §5), which is where an indexed file's
+// passes get their multi-core decode throughput.
 type Repo struct {
 	r       io.ReaderAt
 	closer  io.Closer
@@ -581,23 +581,6 @@ func (it *reader) refill() error {
 	it.next += int64(len(dst))
 	it.win, it.wpos = buf[:tail+len(dst)], 0
 	return nil
-}
-
-// Next decodes the next set into a freshly allocated element slice. The
-// batched path (NextBatch) is the one that reuses arenas; Next is kept
-// allocation-fresh so direct scanners may retain what they are handed.
-func (it *reader) Next() (setcover.Set, bool) {
-	if it.err != nil || it.pos >= it.end {
-		return setcover.Set{}, false
-	}
-	elems, err := it.decodeNext(nil)
-	if err != nil {
-		it.fail(err)
-		return setcover.Set{}, false
-	}
-	s := setcover.Set{ID: it.pos, Elems: elems}
-	it.pos++
-	return s, true
 }
 
 // NextBatch decodes up to cap(dst) sets into one arena drawn from the

@@ -3,7 +3,7 @@
 // external storage (the SCB1 binary format of internal/setcover) and
 // algorithms touching it only through sequential passes. Repo implements
 // stream.Repository, and the readers its passes return implement
-// stream.BatchReader and stream.Recycler, so IterSetCover and every baseline
+// stream.Recycler, so IterSetCover and every baseline
 // run unmodified against files arbitrarily larger than memory: a pass holds
 // O(BatchSize · avg-set-size) decoded sets live, never the whole family.
 //

@@ -96,13 +96,8 @@ func TestRepoRoundTrip(t *testing.T) {
 	}
 
 	got := &setcover.Instance{N: d.UniverseSize()}
-	it := d.Begin()
-	for {
-		s, ok := it.Next()
-		if !ok {
-			break
-		}
-		got.Sets = append(got.Sets, s)
+	if got.Sets, err = drainSeq(d); err != nil {
+		t.Fatal(err)
 	}
 	sameInstance(t, in, got)
 
@@ -125,10 +120,8 @@ func TestRepoRoundTrip(t *testing.T) {
 	if d.Passes() != 2 {
 		t.Fatalf("passes = %d, want 2", d.Passes())
 	}
-	for _, r := range []stream.Reader{it, it2} {
-		if err := stream.ReaderErr(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := it2.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -155,18 +148,10 @@ func TestRepoOnPlainSCB1(t *testing.T) {
 		t.Fatal("SetSpan should be unavailable without the index")
 	}
 	got := &setcover.Instance{N: d.UniverseSize()}
-	it := d.Begin()
-	for {
-		s, ok := it.Next()
-		if !ok {
-			break
-		}
-		got.Sets = append(got.Sets, s)
-	}
-	sameInstance(t, in, got)
-	if err := stream.ReaderErr(it); err != nil {
+	if got.Sets, err = drainSeq(d); err != nil {
 		t.Fatal(err)
 	}
+	sameInstance(t, in, got)
 }
 
 // SetSpan must report consistent extents.
@@ -266,18 +251,11 @@ func TestCorruptDataSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := d.Begin()
-	count := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		count++
+	sets, err := drainSeq(d)
+	if len(sets) >= in.M() {
+		t.Fatalf("truncated file still yielded %d sets", len(sets))
 	}
-	if count >= in.M() {
-		t.Fatalf("truncated file still yielded %d sets", count)
-	}
-	if it.(*reader).Err() == nil {
+	if err == nil {
 		t.Fatal("reader.Err should report the failure")
 	}
 }
@@ -294,15 +272,7 @@ func expectPlainDegrade(t *testing.T, data []byte, in *setcover.Instance) {
 		t.Fatal("invalid index should degrade to plain mode, not load")
 	}
 	got := &setcover.Instance{N: d.UniverseSize()}
-	it := d.Begin()
-	for {
-		s, ok := it.Next()
-		if !ok {
-			break
-		}
-		got.Sets = append(got.Sets, s)
-	}
-	if err := stream.ReaderErr(it); err != nil {
+	if got.Sets, err = drainSeq(d); err != nil {
 		t.Fatal(err)
 	}
 	sameInstance(t, in, got)
@@ -406,21 +376,19 @@ func TestConcurrentPasses(t *testing.T) {
 	errc := make(chan error, passes)
 	for p := 0; p < passes; p++ {
 		go func() {
-			it := d.Begin()
-			i := 0
-			for {
-				s, ok := it.Next()
-				if !ok {
-					break
-				}
+			sets, err := drainSeq(d)
+			if err != nil {
+				errc <- err
+				return
+			}
+			for i, s := range sets {
 				if s.ID != i || len(s.Elems) != len(in.Sets[i].Elems) {
 					errc <- errMismatch(i)
 					return
 				}
-				i++
 			}
-			if i != in.M() {
-				errc <- errMismatch(i)
+			if len(sets) != in.M() {
+				errc <- errMismatch(len(sets))
 				return
 			}
 			errc <- nil
@@ -443,9 +411,8 @@ func (e errMismatch) Error() string { return "mismatch at set " + string(rune('0
 // The Repo must satisfy the model interfaces the engine probes for.
 var (
 	_ stream.Repository          = (*Repo)(nil)
-	_ stream.BatchReader         = (*reader)(nil)
+	_ stream.Reader              = (*reader)(nil)
 	_ stream.Recycler            = (*reader)(nil)
-	_ stream.ErrorReader         = (*reader)(nil)
 	_ stream.SegmentedRepository = (*Repo)(nil)
 )
 
@@ -614,31 +581,18 @@ func TestPassErrorScopedPerPass(t *testing.T) {
 
 	// Pass 1 hits the fault mid-stream and fails.
 	flaky.tripped = true
-	it := d.Begin()
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-	}
-	if stream.ReaderErr(it) == nil {
+	if _, err := drainSeq(d); err == nil {
 		t.Fatal("pass over the tripped reader should fail")
 	}
 
 	// Pass 2, after the fault heals, must be clean: its reader carries no
 	// error and decodes the whole family.
 	flaky.tripped = false
-	it2 := d.Begin()
-	count := 0
-	for {
-		if _, ok := it2.Next(); !ok {
-			break
-		}
-		count++
-	}
-	if err := stream.ReaderErr(it2); err != nil {
+	sets, err := drainSeq(d)
+	if err != nil {
 		t.Fatalf("healthy pass after a failed one reported %v", err)
 	}
-	if count != in.M() {
-		t.Fatalf("healthy pass decoded %d of %d sets", count, in.M())
+	if len(sets) != in.M() {
+		t.Fatalf("healthy pass decoded %d of %d sets", len(sets), in.M())
 	}
 }

@@ -164,11 +164,17 @@ type record struct {
 // log lives at path+LogSuffix: absent means generation 0; present, it is
 // decoded and its digest chain verified against the base before Open returns —
 // truncation, corruption, or a log bound to a different base all fail loudly
-// here rather than mid-pass.
+// here rather than mid-pass. A base that carries SCWT weights is refused: the
+// delta log has no weight representation, so a view could only stream it as
+// unweighted.
 func Open(path string) (*Repo, error) {
 	base, err := scdisk.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("scdyn: open base: %w", err)
+	}
+	if base.HasWeights() {
+		base.Close()
+		return nil, errors.New("scdyn: weighted base: the delta log has no weight representation")
 	}
 	baseDigest, err := base.Digest()
 	if err != nil {
@@ -253,11 +259,6 @@ func (r *Repo) Generation() int {
 // BaseDigest returns the digest of the base file — the chain anchor and the
 // generation-0 content digest.
 func (r *Repo) BaseDigest() string { return r.baseDigest }
-
-// HasBaseWeights reports whether the base file carries an SCWT weight
-// section. The delta log has no weight representation, so callers that care
-// about costs should refuse to mutate a weighted base.
-func (r *Repo) HasBaseWeights() bool { return r.base.HasWeights() }
 
 // ContentDigest returns the digest identifying the current family.
 func (r *Repo) ContentDigest() string {

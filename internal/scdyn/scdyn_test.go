@@ -3,13 +3,14 @@ package scdyn
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/scdisk"
 	"repro/internal/setcover"
-	"repro/internal/stream"
 )
 
 // writeBase writes an instance to a temp SCB1 file and returns its path.
@@ -268,15 +269,7 @@ func TestViewPassAccounting(t *testing.T) {
 	if v.Passes() != 0 {
 		t.Fatalf("fresh view Passes = %d", v.Passes())
 	}
-	it := v.Begin()
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-	}
-	if err := stream.ReaderErr(it); err != nil {
-		t.Fatalf("pass error: %v", err)
-	}
+	drainView(t, v, 2)
 	if v.Passes() != 1 {
 		t.Fatalf("Passes = %d after one pass", v.Passes())
 	}
@@ -293,7 +286,26 @@ func TestViewPassAccounting(t *testing.T) {
 	}
 }
 
-func TestViewBatchMatchesNext(t *testing.T) {
+// drainView reads one pass of v size sets at a time and returns copies of
+// its sets.
+func drainView(t *testing.T, v *View, size int) []setcover.Set {
+	t.Helper()
+	var sets []setcover.Set
+	it, batch := v.Begin(), make([]setcover.Set, size)
+	for n := it.NextBatch(batch); n > 0; n = it.NextBatch(batch) {
+		for _, s := range batch[:n] {
+			sets = append(sets, setcover.Set{ID: s.ID, Elems: slices.Clone(s.Elems)})
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatalf("pass error: %v", err)
+	}
+	return sets
+}
+
+// A view streams the same family at every batch size: the base sets in file
+// order with the tombstoned one empty, then the appended set.
+func TestViewBatchSizesAgree(t *testing.T) {
 	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 500, M: 60, K: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -302,41 +314,83 @@ func TestViewBatchMatchesNext(t *testing.T) {
 	if _, err := r.Tombstone(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.AppendSet([]setcover.Elem{0, 499}); err != nil {
+	appended := []setcover.Elem{0, 499}
+	if _, _, err := r.AppendSet(appended); err != nil {
 		t.Fatal(err)
 	}
 	v := r.View()
-
-	var viaNext []setcover.Set
-	it := v.Begin()
-	for {
-		s, ok := it.Next()
-		if !ok {
-			break
+	for _, size := range []int{1, 7, 60, 256} {
+		sets := drainView(t, v, size)
+		if len(sets) != v.NumSets() {
+			t.Fatalf("batch size %d: %d sets, want %d", size, len(sets), v.NumSets())
 		}
-		viaNext = append(viaNext, s)
+		for i, s := range sets {
+			var want []setcover.Elem
+			switch {
+			case i == in.M():
+				want = appended
+			case i != 3:
+				want = in.Sets[i].Elems
+			}
+			if s.ID != i || !elemsEqual(s.Elems, want) {
+				t.Fatalf("batch size %d: set %d (id %d) = %v, want %v", size, i, s.ID, s.Elems, want)
+			}
+		}
 	}
-	if err := stream.ReaderErr(it); err != nil {
+}
+
+// A pass over a view allocates per batch, not per set: its base sets are
+// decoded into the base file's recycled arenas, at every worker count and
+// whether or not the view has mutations.
+func TestViewPassAllocatesPerBatch(t *testing.T) {
+	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 2000, M: 12000, K: 80, Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
+	r := mustOpen(t, writeBase(t, in))
+	v0 := r.View()
+	if _, _, err := r.AppendSet([]setcover.Elem{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Tombstone(5); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*View{v0, r.View()} {
+		for _, workers := range []int{1, 2} {
+			// Two counting observers, so that at Workers 2 batches are
+			// delivered, and recycled, on the worker goroutines.
+			e := engine.New(engine.Options{Workers: workers})
+			var sets [2]int
+			count := func(i int) engine.Func {
+				return func(batch []setcover.Set) { sets[i] += len(batch) }
+			}
+			observers := []engine.Observer{count(0), count(1)}
+			pass := func() {
+				sets = [2]int{}
+				if err := e.Run(v, observers...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pass() // warm-up: fills the base file's arena list
+			allocs := testing.AllocsPerRun(5, pass)
+			if sets != [2]int{v.NumSets(), v.NumSets()} {
+				t.Fatalf("gen %d workers=%d: observers saw %v of %d sets", v.Generation(), workers, sets, v.NumSets())
+			}
+			t.Logf("gen %d workers=%d: %.0f allocations per pass", v.Generation(), workers, allocs)
+			if allocs > 64 {
+				t.Fatalf("gen %d workers=%d: %.0f allocations per pass, want at most 64", v.Generation(), workers, allocs)
+			}
+		}
+	}
+}
 
-	var viaBatch []setcover.Set
-	bit := v.Begin().(stream.BatchReader)
-	buf := make([]setcover.Set, 7)
-	for {
-		k := bit.NextBatch(buf[:0])
-		if k == 0 {
-			break
-		}
-		viaBatch = append(viaBatch, buf[:k]...)
-	}
-	if len(viaNext) != len(viaBatch) || len(viaNext) != v.NumSets() {
-		t.Fatalf("lengths: next=%d batch=%d m=%d", len(viaNext), len(viaBatch), v.NumSets())
-	}
-	for i := range viaNext {
-		if viaNext[i].ID != viaBatch[i].ID || !elemsEqual(viaNext[i].Elems, viaBatch[i].Elems) {
-			t.Fatalf("set %d differs between Next and NextBatch", i)
-		}
+// A weighted base cannot be opened as a dynamic instance: the delta log has
+// no weight representation, so its views would stream it as unweighted.
+func TestOpenRefusesWeightedBase(t *testing.T) {
+	in := smallInstance()
+	in.Weights = []float64{1, 2, 3, 4}
+	if _, err := Open(writeBase(t, in)); err == nil || !strings.Contains(err.Error(), "weight") {
+		t.Fatalf("Open of a weighted base: err = %v, want a refusal naming weights", err)
 	}
 }
 

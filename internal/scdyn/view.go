@@ -1,9 +1,11 @@
 package scdyn
 
 import (
+	"cmp"
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/engine"
 	"repro/internal/setcover"
 	"repro/internal/stream"
 )
@@ -100,95 +102,75 @@ func (v *View) Begin() stream.Reader {
 // slices so indices keep lining up with IDs.
 func (v *View) Materialize() (*setcover.Instance, error) {
 	sets := make([]setcover.Set, v.m)
-	it := v.Begin()
-	for {
-		s, ok := it.Next()
-		if !ok {
-			break
+	err := engine.New(engine.Options{Workers: 1}).Run(v, engine.Func(func(batch []setcover.Set) {
+		for _, s := range batch {
+			sets[s.ID] = setcover.Set{ID: s.ID, Elems: append([]setcover.Elem{}, s.Elems...)}
 		}
-		sets[s.ID] = setcover.Set{ID: s.ID, Elems: append([]setcover.Elem{}, s.Elems...)}
-	}
-	if err := stream.ReaderErr(it); err != nil {
+	}))
+	if err != nil {
 		return nil, err
-	}
-	for i := range sets {
-		sets[i].ID = i
-		if sets[i].Elems == nil {
-			sets[i].Elems = []setcover.Elem{}
-		}
 	}
 	return &setcover.Instance{N: v.UniverseSize(), Sets: sets}, nil
 }
 
-// viewReader streams one pass of a view. The base reader's sets are handed
-// out directly (scdisk's Next allocates fresh element slices), appended sets
-// share the repo's read-only record storage — either way the engine-side
-// no-retention discipline is what protects them.
+// viewReader streams one pass of a view. Base sets are the base reader's
+// batches, decoded into scdisk's recycled arenas, with tombstoned sets
+// emptied; appended sets share the repo's read-only record storage. Either
+// way the engine-side no-retention discipline is what protects them.
 type viewReader struct {
 	v    *View
-	base stream.Reader // nil once the base portion is exhausted
+	base stream.Reader // nil when the base family is empty
 	pos  int
 	err  error
 }
 
-// Next implements stream.Reader.
-func (it *viewReader) Next() (setcover.Set, bool) {
+// NextBatch implements stream.Reader: one base batch while the base lasts,
+// then the appended sets. A base that ends short of its m sets fails the
+// pass.
+func (it *viewReader) NextBatch(dst []setcover.Set) int {
+	v, dst := it.v, dst[:cap(dst)]
 	if it.err != nil {
-		return setcover.Set{}, false
+		return 0
 	}
-	v := it.v
 	if it.pos < v.r.baseM {
-		s, ok := it.base.Next()
-		if !ok {
-			if err := stream.ReaderErr(it.base); err != nil {
-				it.err = err
-			} else {
-				it.err = fmt.Errorf("scdyn: base stream ended at set %d of %d", it.pos, v.r.baseM)
-			}
-			return setcover.Set{}, false
+		n := it.base.NextBatch(dst)
+		if n == 0 {
+			it.err = cmp.Or(it.base.Err(), fmt.Errorf("scdyn: base stream ended at set %d of %d", it.pos, v.r.baseM))
+			return 0
 		}
-		s.ID = it.pos
-		if v.tomb[it.pos] {
-			s.Elems = nil
+		if v.tomb != nil {
+			for i := range dst[:n] {
+				if v.tomb[dst[i].ID] {
+					dst[i].Elems = nil
+				}
+			}
+		}
+		it.pos += n
+		return n
+	}
+	n := 0
+	for ; n < len(dst) && it.pos < v.m; n++ {
+		dst[n] = setcover.Set{ID: it.pos}
+		if !v.tomb[it.pos] {
+			dst[n].Elems = v.app[it.pos-v.r.baseM]
 		}
 		it.pos++
-		return s, true
-	}
-	idx := it.pos - v.r.baseM
-	if idx >= len(v.app) {
-		return setcover.Set{}, false
-	}
-	s := setcover.Set{ID: it.pos}
-	if !v.tomb[it.pos] {
-		s.Elems = v.app[idx]
-	}
-	it.pos++
-	return s, true
-}
-
-// NextBatch implements stream.BatchReader by looping Next — the engine's
-// batched path and single path must yield identical streams, and this keeps
-// the amortization without a second decode implementation.
-func (it *viewReader) NextBatch(dst []setcover.Set) int {
-	n := 0
-	for n < cap(dst) {
-		s, ok := it.Next()
-		if !ok {
-			break
-		}
-		dst = dst[:n+1]
-		dst[n] = s
-		n++
 	}
 	return n
 }
 
-// Err implements stream.ErrorReader: a base-file decode failure or a short
-// base stream ends the pass early and must fail the solve, never pass as a
+// Recycle implements stream.Recycler by handing the batch on to the base
+// reader. Base batches come first, one per view batch, so when the k-th call
+// arrives the base's first k batches are done and its oldest arena is free,
+// as stream.RecyclerOf's ordering rule requires. Calls after the base is
+// drained find no arena held and do nothing.
+func (it *viewReader) Recycle(sets []setcover.Set) {
+	if rec, ok := it.base.(stream.Recycler); ok {
+		rec.Recycle(sets)
+	}
+}
+
+// Err implements stream.Reader: a base-file decode failure or a short base
+// stream ends the pass early and must fail the solve, never pass as a
 // complete scan.
 func (it *viewReader) Err() error { return it.err }
-
-var (
-	_ stream.BatchReader = (*viewReader)(nil)
-	_ stream.ErrorReader = (*viewReader)(nil)
-)

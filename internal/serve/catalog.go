@@ -306,16 +306,12 @@ func (de *dynEntry) instanceAt(name, path string, gen int) (*Instance, error) {
 // registration via Mutate, with every mutation minting a new content digest
 // (see internal/scdyn). An existing delta log next to the file is replayed —
 // the instance registers at its persisted generation. Weighted base files
-// are rejected: per-set costs for appended sets have no representation in
-// the delta log yet (a named ROADMAP gap).
+// are rejected by scdyn.Open: per-set costs for appended sets have no
+// representation in the delta log yet (a named ROADMAP gap).
 func (c *Catalog) AddDynamic(name, path string) (*Instance, error) {
 	r, err := scdyn.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: register %q: %w", name, err)
-	}
-	if r.HasBaseWeights() {
-		r.Close()
-		return nil, fmt.Errorf("serve: register %q: weighted instances cannot be dynamic (no weight representation for appended sets)", name)
 	}
 	de := &dynEntry{repo: r, pool: &repoPool{}, solver: scdyn.NewSolver(r)}
 	inst, err := de.instanceAt(name, path, r.Generation())

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/scdisk"
 )
@@ -60,11 +61,8 @@ func TestCatalogPoolsRepoHandles(t *testing.T) {
 	// A reused handle must report exact per-solve pass counts: run a pass on
 	// r2, release, re-open, and the counter starts at zero again.
 	repo := r2.(*scdisk.Repo)
-	it := repo.Begin()
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
+	if err := engine.New(engine.Options{Workers: 1}).Run(repo); err != nil {
+		t.Fatal(err)
 	}
 	if repo.Passes() == 0 {
 		t.Fatal("pass not counted")

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,6 +38,32 @@ func dynCatalog(t *testing.T) (*Catalog, *setcover.Instance, *Instance) {
 	}
 	t.Cleanup(func() { cat.Close() })
 	return cat, in, inst
+}
+
+// A weighted file cannot be registered as dynamic: the delta log has no
+// weight representation, so scdyn.Open refuses it and the catalog registers
+// nothing under the name.
+func TestAddDynamicRefusesWeightedFile(t *testing.T) {
+	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 100, M: 80, K: 5, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Weights = make([]float64, in.M())
+	for i := range in.Weights {
+		in.Weights[i] = float64(1 + i%3)
+	}
+	path := filepath.Join(t.TempDir(), "weighted.scb")
+	if err := scdisk.WriteFile(path, in); err != nil {
+		t.Fatal(err)
+	}
+	cat := NewCatalog()
+	t.Cleanup(func() { cat.Close() })
+	if _, err := cat.AddDynamic("w", path); err == nil || !strings.Contains(err.Error(), "weight") {
+		t.Fatalf("AddDynamic of a weighted file: err = %v, want a refusal naming weights", err)
+	}
+	if _, ok := cat.Get("w"); ok || cat.Len() != 0 {
+		t.Fatalf("refused file is registered (%d instances)", cat.Len())
+	}
 }
 
 // postMutate posts a mutation batch and returns status, response, error.

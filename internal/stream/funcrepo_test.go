@@ -21,18 +21,17 @@ func TestFuncRepoBasics(t *testing.T) {
 	}
 	it := repo.Begin()
 	count := 0
-	for {
-		s, ok := it.Next()
-		if !ok {
-			break
+	buf := make([]setcover.Set, 3)
+	for n := it.NextBatch(buf); n > 0; n = it.NextBatch(buf) {
+		for _, s := range buf[:n] {
+			if s.ID != count {
+				t.Fatalf("set ID %d at position %d", s.ID, count)
+			}
+			if len(s.Elems) != 2 {
+				t.Fatalf("set %d has %d elems", s.ID, len(s.Elems))
+			}
+			count++
 		}
-		if s.ID != count {
-			t.Fatalf("set ID %d at position %d", s.ID, count)
-		}
-		if len(s.Elems) != 2 {
-			t.Fatalf("set %d has %d elems", s.ID, len(s.Elems))
-		}
-		count++
 	}
 	if count != m || repo.Passes() != 1 {
 		t.Fatalf("count=%d passes=%d", count, repo.Passes())
@@ -50,12 +49,7 @@ func TestFuncRepoRegeneratesPerPass(t *testing.T) {
 		return setcover.Set{Elems: []setcover.Elem{setcover.Elem(id)}}
 	})
 	for p := 0; p < 2; p++ {
-		it := repo.Begin()
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
-		}
+		passIDs(t, repo.Begin(), 2)
 	}
 	if calls != 6 {
 		t.Fatalf("generator called %d times, want 6 (3 sets × 2 passes)", calls)
@@ -84,20 +78,14 @@ func TestSequentialFuncRepoDeclinesSegmentation(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		lastID = -1
-		it := repo.Begin()
-		seen := 0
-		for {
-			s, ok := it.Next()
-			if !ok {
-				break
+		ids := passIDs(t, repo.Begin(), 7)
+		for i, id := range ids {
+			if id != i {
+				t.Fatalf("pass %d: set ID %d at position %d", pass, id, i)
 			}
-			if s.ID != seen {
-				t.Fatalf("pass %d: set ID %d at position %d", pass, s.ID, seen)
-			}
-			seen++
 		}
-		if seen != m {
-			t.Fatalf("pass %d: saw %d of %d sets", pass, seen, m)
+		if len(ids) != m {
+			t.Fatalf("pass %d: saw %d of %d sets", pass, len(ids), m)
 		}
 	}
 	if repo.Passes() != 2 {
@@ -120,16 +108,14 @@ func TestSequentialFuncRepoGuardPanicsOnConcurrentGen(t *testing.T) {
 		return setcover.Set{Elems: []setcover.Elem{setcover.Elem(id)}}
 	})
 	go func() {
-		it := repo.Begin()
-		it.Next() // enters gen(0) and blocks until released
+		repo.Begin().NextBatch(make([]setcover.Set, 1)) // enters gen(0) and blocks until released
 	}()
 	<-entered
 
 	panicked := make(chan any, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		it := repo.Begin()
-		it.Next()
+		repo.Begin().NextBatch(make([]setcover.Set, 1))
 	}()
 	p := <-panicked
 	close(release)

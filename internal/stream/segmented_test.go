@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/setcover"
@@ -85,20 +84,3 @@ func TestSegmentReadersRespectBounds(t *testing.T) {
 		}
 	}
 }
-
-// ReaderErr must report nil for readers that cannot fail and pass through the
-// error of readers that do.
-func TestReaderErr(t *testing.T) {
-	if err := ReaderErr(&sliceReader{}); err != nil {
-		t.Fatalf("sliceReader reported %v", err)
-	}
-	want := errors.New("boom")
-	if err := ReaderErr(failingReader{err: want}); !errors.Is(err, want) {
-		t.Fatalf("ReaderErr = %v, want %v", err, want)
-	}
-}
-
-type failingReader struct{ err error }
-
-func (f failingReader) Next() (setcover.Set, bool) { return setcover.Set{}, false }
-func (f failingReader) Err() error                 { return f.err }

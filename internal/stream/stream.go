@@ -4,10 +4,11 @@
 // passes. It is the one place the pass contract is declared. The package
 // provides:
 //
-//   - Cursor: one pass over a stream of any element type, with the optional
-//     BatchCursor fast path and RecyclerOf buffer hand-back. A set pass is
-//     the Cursor at T = setcover.Set (Reader, BatchReader, Recycler); the
-//     pass engine drives every other element type through the same family.
+//   - Cursor: one pass over a stream of any element type, read in batches
+//     (NextBatch) and closed by its failure report (Err), with the optional
+//     RecyclerOf buffer hand-back. A set pass is the Cursor at
+//     T = setcover.Set (Reader, Recycler); the pass engine drives every
+//     other element type through the same contract.
 //   - Repository: a pass-counted, read-only view of the set family. Every
 //     call to Begin starts (and counts) a new sequential scan.
 //   - SegmentedRepository: the optional capability for repositories whose
@@ -15,9 +16,6 @@
 //     (BeginSegmented still counts exactly one pass); the pass engine uses
 //     it to make the CPU-bound decode data-parallel without changing what
 //     any observer sees.
-//   - ErrorReader: the optional mid-pass failure surface. A cursor whose
-//     pass ends early (truncated or corrupt backing file) reports why, and
-//     the engine turns it into a failed pass instead of a silently short one.
 //   - Weighted: the optional per-set cost capability, read through
 //     WeightFunc.
 //   - Tracker: an explicit space meter. Streaming algorithms charge the words
@@ -39,20 +37,16 @@ import (
 // Cursor yields the items of one sequential pass, in stream order. A set
 // pass is a Cursor[setcover.Set] (Reader); the pass engine's generic entry
 // point reads any other element type (the geometric algorithm's shapes)
-// through the same family.
+// through the same contract.
 type Cursor[T any] interface {
-	// Next returns the next item of the pass. ok is false when the pass is
-	// exhausted.
-	Next() (item T, ok bool)
-}
-
-// BatchCursor is an optional fast path a Cursor may implement: NextBatch
-// fills dst (up to cap(dst)) with the next items of the pass and returns how
-// many were written, amortizing the per-item interface call of Next. Zero
-// means the pass is exhausted. internal/engine probes for this interface and
-// falls back to Next otherwise; the two must yield identical streams.
-type BatchCursor[T any] interface {
+	// NextBatch fills dst (up to cap(dst)) with the next items of the pass
+	// and returns how many were written. Zero means the pass is over.
 	NextBatch(dst []T) int
+	// Err returns the error that ended the pass early (a disk-backed decode
+	// hitting truncation or corruption), or nil for a full pass. The pass
+	// engine calls it after draining a cursor and turns a non-nil result
+	// into a failed pass — a partial scan must never pass for a full one.
+	Err() error
 }
 
 // RecyclerOf is an optional interface a Cursor may implement when its items
@@ -74,30 +68,8 @@ type RecyclerOf[T any] interface {
 // Reader yields the sets of one sequential pass, in stream order.
 type Reader = Cursor[setcover.Set]
 
-// BatchReader is the batched fast path of a set Reader.
-type BatchReader = BatchCursor[setcover.Set]
-
 // Recycler is the buffer hand-back of a set Reader.
 type Recycler = RecyclerOf[setcover.Set]
-
-// ErrorReader is an optional interface a Cursor may implement when its pass
-// can fail mid-stream (a disk-backed decode hitting truncation or
-// corruption): Err returns the error that ended the pass early, or nil for a
-// healthy pass. The pass engine probes it after draining a cursor and turns a
-// non-nil result into a failed pass — a partial scan must never pass for a
-// full one. Cursors that cannot fail simply do not implement it.
-type ErrorReader interface {
-	Err() error
-}
-
-// ReaderErr returns the mid-pass error of a cursor (of any element type)
-// that reports one through ErrorReader, or nil.
-func ReaderErr(c any) error {
-	if er, ok := c.(ErrorReader); ok {
-		return er.Err()
-	}
-	return nil
-}
 
 // SegmentSource decodes contiguous chunks of one counted pass.
 // DecodeSegment decodes the sets [start, end) of the stream, in stream
@@ -261,21 +233,15 @@ type sliceReader struct {
 	pos  int
 }
 
-func (it *sliceReader) Next() (setcover.Set, bool) {
-	if it.pos >= len(it.sets) {
-		return setcover.Set{}, false
-	}
-	s := it.sets[it.pos]
-	it.pos++
-	return s, true
-}
-
 // NextBatch copies up to cap(dst) sets into dst in stream order.
 func (it *sliceReader) NextBatch(dst []setcover.Set) int {
 	n := copy(dst[:cap(dst)], it.sets[it.pos:])
 	it.pos += n
 	return n
 }
+
+// Err returns nil: an in-memory pass cannot fail.
+func (it *sliceReader) Err() error { return nil }
 
 // FuncRepo is a Repository whose sets are produced on demand by a generator
 // function — a true streaming source with no backing slice, so nothing can
@@ -412,16 +378,6 @@ type funcReader struct {
 	pos  int
 }
 
-func (it *funcReader) Next() (setcover.Set, bool) {
-	if it.pos >= it.repo.m {
-		return setcover.Set{}, false
-	}
-	s := it.repo.gen(it.pos)
-	s.ID = it.pos
-	it.pos++
-	return s, true
-}
-
 // NextBatch generates up to cap(dst) sets into dst in stream order.
 func (it *funcReader) NextBatch(dst []setcover.Set) int {
 	dst = dst[:cap(dst)]
@@ -435,6 +391,9 @@ func (it *funcReader) NextBatch(dst []setcover.Set) int {
 	}
 	return n
 }
+
+// Err returns nil: a generator pass cannot fail.
+func (it *funcReader) Err() error { return nil }
 
 // Tracker is an explicit space meter, in 64-bit words. Algorithms call Grow
 // when they allocate working state and Shrink when they release it; Peak

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -34,20 +35,12 @@ func TestPassCountingAndOrder(t *testing.T) {
 		if r.Passes() != p {
 			t.Fatalf("Passes = %d, want %d", r.Passes(), p)
 		}
-		var ids []int
-		for {
-			s, ok := it.Next()
-			if !ok {
-				break
-			}
-			ids = append(ids, s.ID)
-		}
-		if len(ids) != 3 || ids[0] != 0 || ids[1] != 1 || ids[2] != 2 {
+		if ids := passIDs(t, it, 2); !slices.Equal(ids, []int{0, 1, 2}) {
 			t.Fatalf("pass %d yielded %v", p, ids)
 		}
-		// Next after exhaustion keeps returning false.
-		if _, ok := it.Next(); ok {
-			t.Fatal("Next after exhaustion returned ok")
+		// NextBatch after exhaustion keeps returning 0.
+		if n := it.NextBatch(make([]setcover.Set, 1)); n != 0 {
+			t.Fatalf("NextBatch after exhaustion returned %d", n)
 		}
 	}
 }
@@ -153,9 +146,25 @@ func TestTrackerConcurrent(t *testing.T) {
 	}
 }
 
+// passIDs drains a pass size sets at a time and returns the IDs it yielded.
+func passIDs(t *testing.T, it Reader, size int) []int {
+	t.Helper()
+	var ids []int
+	buf := make([]setcover.Set, size)
+	for n := it.NextBatch(buf); n > 0; n = it.NextBatch(buf) {
+		for _, s := range buf[:n] {
+			ids = append(ids, s.ID)
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatalf("full pass reported %v", err)
+	}
+	return ids
+}
+
 func TestBatchReaders(t *testing.T) {
-	// Both repository readers implement the BatchReader fast path and must
-	// yield exactly the stream Next would.
+	// Both repository readers yield the whole stream in order at every batch
+	// size, and a full pass reports no error.
 	repos := map[string]Repository{
 		"slice": NewSliceRepo(inst()),
 		"func": NewFuncRepo(4, 3, func(id int) setcover.Set {
@@ -163,23 +172,10 @@ func TestBatchReaders(t *testing.T) {
 		}),
 	}
 	for name, r := range repos {
-		br, ok := r.Begin().(BatchReader)
-		if !ok {
-			t.Fatalf("%s: reader does not implement BatchReader", name)
-		}
-		buf := make([]setcover.Set, 2)
-		var ids []int
-		for {
-			n := br.NextBatch(buf)
-			if n == 0 {
-				break
+		for size := 1; size <= 4; size++ {
+			if ids := passIDs(t, r.Begin(), size); !slices.Equal(ids, []int{0, 1, 2}) {
+				t.Fatalf("%s: batch size %d yielded %v", name, size, ids)
 			}
-			for _, s := range buf[:n] {
-				ids = append(ids, s.ID)
-			}
-		}
-		if len(ids) != 3 || ids[0] != 0 || ids[1] != 1 || ids[2] != 2 {
-			t.Fatalf("%s: batched pass yielded %v", name, ids)
 		}
 	}
 }
@@ -201,17 +197,18 @@ func TestConcurrentReadersIndependent(t *testing.T) {
 	// guesses" of iterSetCover rely on this when they share a physical scan).
 	r := NewSliceRepo(inst())
 	a, b := r.Begin(), r.Begin()
-	sa, _ := a.Next()
-	sb, _ := b.Next()
-	if sa.ID != 0 || sb.ID != 0 {
+	next := func(it Reader) int {
+		var one [1]setcover.Set
+		it.NextBatch(one[:])
+		return one[0].ID
+	}
+	if next(a) != 0 || next(b) != 0 {
 		t.Fatal("each reader should start at set 0")
 	}
-	sa2, _ := a.Next()
-	if sa2.ID != 1 {
+	if next(a) != 1 {
 		t.Fatal("reader a should advance independently")
 	}
-	sb2, _ := b.Next()
-	if sb2.ID != 1 {
+	if next(b) != 1 {
 		t.Fatal("reader b should advance independently")
 	}
 	if r.Passes() != 2 {
