@@ -166,9 +166,11 @@ func MultiPassGreedyPartial(repo stream.Repository, eps float64, engOpts engine.
 //
 // Gains only fall between passes, so the previous pass's best gain bounds
 // every gain in this one. On unweighted repositories the first set to reach
-// that bound is the pick — ties keep the earliest set — and Observe skips
-// the intersections for the rest of the pass. The engine still decodes and
-// delivers every set, so a full drain and decode-error detection are
+// that bound is the pick — ties keep the earliest set — and the observer is
+// settled (engine.Settler) for the rest of the pass: Observe skips the
+// intersections, and the engine reads the rest of the stream without
+// delivering it, decoding only the chunks whose bytes it cannot match to an
+// earlier successful decode, so a full drain and decode-error detection are
 // unchanged. The weighted path keeps its full scan: its cross-multiplied
 // float compare makes "reached the bound" unsafe.
 type bestSetObserver struct {
@@ -182,10 +184,15 @@ type bestSetObserver struct {
 
 func (o *bestSetObserver) BeginPass() { o.gain, o.id, o.w = 0, -1, 1 }
 func (o *bestSetObserver) EndPass()   { o.bound = o.gain }
+
+// Settled implements engine.Settler: an unweighted pass has its pick once a
+// set reaches the bound.
+func (o *bestSetObserver) Settled() bool { return o.weight == nil && o.id >= 0 && o.gain >= o.bound }
+
 func (o *bestSetObserver) Observe(batch []setcover.Set) {
 	if o.weight == nil {
 		for _, s := range batch {
-			if o.gain >= o.bound {
+			if o.Settled() {
 				return
 			}
 			if g := o.uncovered.IntersectionWithSlice(s.Elems); g > o.gain {
@@ -235,63 +242,80 @@ func ThresholdGreedyPartial(repo stream.Repository, eps float64, engOpts engine.
 	uncovered.Fill()
 	tracker.Grow(stream.WordsForBitset(n))
 
-	var cover []int
-	tau := float64(n)
-	weight := stream.WeightFunc(repo)
-	left := n // == uncovered.Count(), kept up to date by every pick
-	// Once the fractional goal is reached mid-pass the observer stops
-	// accepting but the engine still drains the stream: a begun pass always
-	// costs a full scan in this model (the seed's mid-pass break was cheaper
-	// only by violating that), so results are identical and only wall-clock
-	// differs.
-	//
-	// Weighted repositories threshold on cost-effectiveness: pass j accepts
-	// any set covering at least τ_j new elements PER UNIT COST (g ≥ τ_j·w).
-	// The final pass (τ = 1) additionally accepts any positive gain — on
-	// unit weights that is the same g ≥ 1 rule as before, while on weighted
-	// families it preserves completeness for sets whose cost exceeds their
-	// remaining gain (nothing below cost-effectiveness 1/w would otherwise
-	// ever clear a τ ≥ 1 bar).
-	accept := engine.Func(func(batch []setcover.Set) {
-		for _, s := range batch {
-			if left <= allowed {
-				return // fractional goal reached: stop accepting
-			}
-			g := uncovered.IntersectionWithSlice(s.Elems)
-			if g == 0 {
-				continue
-			}
-			thr := tau
-			if weight != nil {
-				thr *= weight(s.ID)
-			}
-			if float64(g) >= thr || tau <= 1 {
-				cover = append(cover, s.ID)
-				tracker.Grow(1)
-				left -= uncovered.SubtractSlice(s.Elems)
-			}
-		}
-	})
-	for left > allowed {
-		if err := eng.Run(repo, accept); err != nil {
+	acc := &thresholdObserver{uncovered: uncovered, weight: stream.WeightFunc(repo), tracker: tracker,
+		tau: float64(n), left: n, allowed: allowed}
+	for acc.left > allowed {
+		if err := eng.Run(repo, acc); err != nil {
 			return failPass(st, repo, passes0, tracker, err)
 		}
-		if tau <= 1 {
+		if acc.tau <= 1 {
 			break
 		}
-		tau /= 2
-		if tau < 1 {
-			tau = 1 // the last pass must accept any set with positive gain
+		acc.tau /= 2
+		if acc.tau < 1 {
+			acc.tau = 1 // the last pass must accept any set with positive gain
 		}
 	}
 	st.Passes = repo.Passes() - passes0
 	st.SpaceWords = tracker.Peak()
-	if left > allowed {
+	if acc.left > allowed {
 		return st, ErrInfeasible
 	}
-	st.Cover = cover
+	st.Cover = acc.cover
 	st.Valid = true
 	return st, nil
+}
+
+// thresholdObserver is ThresholdGreedy's per-pass primitive: accept on the
+// spot every set whose gain against uncovered reaches the pass's threshold
+// tau.
+//
+// Once the fractional goal is reached mid-pass the observer is settled
+// (engine.Settler) and stops accepting; the engine reads the rest of the
+// stream without delivering it, decoding only the chunks whose bytes it
+// cannot match to an earlier successful decode. A begun pass still reads
+// the whole stream in this model (a mid-pass break would be cheaper only by
+// violating that), so results are identical and only wall-clock differs.
+//
+// Weighted repositories threshold on cost-effectiveness: pass j accepts any
+// set covering at least τ_j new elements PER UNIT COST (g ≥ τ_j·w). The
+// final pass (τ = 1) additionally accepts any positive gain — on unit
+// weights that is the same g ≥ 1 rule as before, while on weighted families
+// it preserves completeness for sets whose cost exceeds their remaining gain
+// (nothing below cost-effectiveness 1/w would otherwise ever clear a τ ≥ 1
+// bar).
+type thresholdObserver struct {
+	uncovered *bitset.Bitset
+	weight    func(int) float64 // nil on unweighted repositories
+	tracker   *stream.Tracker
+	tau       float64
+	left      int // == uncovered.Count(), kept up to date by every pick
+	allowed   int // the fractional goal: at most this many left uncovered
+	cover     []int
+}
+
+// Settled implements engine.Settler: the fractional goal is reached.
+func (o *thresholdObserver) Settled() bool { return o.left <= o.allowed }
+
+func (o *thresholdObserver) Observe(batch []setcover.Set) {
+	for _, s := range batch {
+		if o.Settled() {
+			return
+		}
+		g := o.uncovered.IntersectionWithSlice(s.Elems)
+		if g == 0 {
+			continue
+		}
+		thr := o.tau
+		if o.weight != nil {
+			thr *= o.weight(s.ID)
+		}
+		if float64(g) >= thr || o.tau <= 1 {
+			o.cover = append(o.cover, s.ID)
+			o.tracker.Grow(1)
+			o.left -= o.uncovered.SubtractSlice(s.Elems)
+		}
+	}
 }
 
 // EmekRosen is the one-pass O(√n)-approximation of [ER14] in its standard

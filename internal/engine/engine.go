@@ -52,7 +52,10 @@
 //   - One Run = one pass: exactly one repo.Begin() per call, even with zero
 //     observers (the stream is still drained — the model does not allow a
 //     partial scan to be cheaper).
-//   - Full drain: every pass reads all m sets, or Run reports failure.
+//   - Full drain: every pass reads the bytes of all m sets, decoding each
+//     chunk or matching the checksum of its earlier successful decode, or
+//     Run fails. Only a pass whose observers are all settled (Settler)
+//     matches checksums; every other pass decodes every set.
 //   - Per-observer sequentiality: Observe is called with consecutive,
 //     non-overlapping batches covering the stream in order; BeginPass and
 //     EndPass (optional, via PassLifecycle) bracket them on the same
@@ -115,6 +118,23 @@ type Observer = ObserverOf[setcover.Set]
 type PassLifecycle interface {
 	BeginPass()
 	EndPass()
+}
+
+// Settler is the optional capability of an Observer (of any element type)
+// that can tell, mid-pass, that no later item of the current pass can change
+// its state. Once Settled returns true in a pass it must stay true until
+// EndPass, and Observe must ignore every later batch of that pass.
+//
+// When every observer of a sequentially delivered pass is a Settler and all
+// of them are settled, the engine stops delivering and drains the rest of
+// the pass without handing it to anyone: a segmented pass reads each
+// remaining chunk and checks it against the checksum of its earlier
+// successful decode (stream.SegmentSource.VerifySegment), decoding it only
+// when that does not match; any other cursor is read to its end. The pass
+// still counts, still reads every byte and still fails on a chunk that fails
+// to decode, so covers, pass counts and space words cannot move.
+type Settler interface {
+	Settled() bool
 }
 
 // Func adapts a plain function to an Observer, for algorithms whose per-pass
@@ -203,7 +223,8 @@ func (e *Engine) BatchSize() int { return e.opts.BatchSize }
 // accumulated is unusable and the caller must propagate the failure instead
 // of reporting a result. The model's "a begun pass is a full scan"
 // discipline cuts both ways — a pass that cannot finish must not pass for
-// one that did.
+// one that did. A pass whose observers all settle early (Settler) is still
+// a full scan: it reads the rest of the stream without delivering it.
 func (e *Engine) Run(repo stream.Repository, observers ...Observer) error {
 	tr := e.newTrace(traceKindSets, repo)
 	return runPass(func() stream.Reader { return e.beginPass(repo, tr) },

@@ -28,9 +28,9 @@ const (
 
 // passTrace carries the in-flight trace record for one pass. nil everywhere
 // a tracer is absent — the untraced path pays one pointer comparison per
-// touch point. Items/Elems are accumulated on the single goroutine that
-// calls NextBatch, Wall/Err at pass completion, so no field is ever written
-// concurrently.
+// touch point. Items/Elems/Skipped are accumulated on the single goroutine
+// that calls NextBatch, Wall/Err at pass completion, so no field is ever
+// written concurrently.
 type passTrace struct {
 	tracer obs.Tracer
 	rec    obs.PassTrace
@@ -111,7 +111,7 @@ func RunOver[T any](e *Engine, src Source[T], observers ...ObserverOf[T]) error 
 // cursor after the BeginPass hooks, mirroring the original loop order.
 // tr, when non-nil, is completed (items, wall time, outcome) and emitted
 // after the pass — including failed passes, whose record carries the error
-// and the delivered prefix length.
+// and the drained prefix length.
 func runPass[T any](begin func() stream.Cursor[T], want int, observers []ObserverOf[T], workers int,
 	get func() *batchOf[T], put func(*batchOf[T]), tr *passTrace) error {
 	var start time.Time
@@ -158,8 +158,8 @@ type batchOf[T any] struct {
 
 // drain runs one pass's delivery loop: sequential on the calling goroutine
 // when at most one delivery worker is useful, sharded across workers
-// otherwise. It returns the number of items read from the cursor — every
-// observer saw exactly that prefix of the stream.
+// otherwise. It returns the number of items drained from the cursor — every
+// observer saw exactly that prefix of the stream, up to where it settled.
 func drain[T any](it stream.Cursor[T], observers []ObserverOf[T], workers int,
 	get func() *batchOf[T], put func(*batchOf[T]), tr *passTrace) int {
 	if workers > len(observers) {
@@ -174,29 +174,58 @@ func drain[T any](it stream.Cursor[T], observers []ObserverOf[T], workers int,
 // drainSequential drains the pass on the calling goroutine, reusing a single
 // batch buffer. Also used with zero observers: the pass is still a full
 // scan, it just feeds no one. When the cursor recycles (stream.RecyclerOf),
-// each batch is handed back as soon as the observers are done with it.
+// each batch is handed back as soon as the observers are done with it. When
+// the pass has observers and every one is a Settler, the loop asks them after
+// each batch and, once all are settled, reads the rest without delivering
+// it: a segmented reader checks its remaining chunks instead of decoding
+// them (skipRest), any other cursor is drained batch by batch, each batch
+// counted and recycled as if it had been delivered.
 func drainSequential[T any](it stream.Cursor[T], observers []ObserverOf[T],
 	get func() *batchOf[T], put func(*batchOf[T]), tr *passTrace) int {
 	rec, _ := it.(stream.RecyclerOf[T])
+	settles := len(observers) > 0
+	for _, o := range observers {
+		if _, ok := o.(Settler); !ok {
+			settles = false
+		}
+	}
 	b := get()
 	defer put(b)
-	total := 0
+	total, delivering := 0, true
 	for {
 		items := b.items[:it.NextBatch(b.items)]
 		if len(items) == 0 {
 			return total
 		}
 		total += len(items)
-		if tr != nil {
-			tr.rec.Elems += countElems(items)
-		}
-		for _, o := range observers {
-			o.Observe(items)
+		if delivering {
+			if tr != nil {
+				tr.rec.Elems += countElems(items)
+			}
+			for _, o := range observers {
+				o.Observe(items)
+			}
 		}
 		if rec != nil {
 			rec.Recycle(items)
 		}
+		if delivering && settles && allSettled(observers) {
+			if r, ok := any(it).(*segmentedReader); ok {
+				return total + r.skipRest()
+			}
+			delivering = false
+		}
 	}
+}
+
+// allSettled reports whether every observer, each a Settler, is settled.
+func allSettled[T any](observers []ObserverOf[T]) bool {
+	for _, o := range observers {
+		if !o.(Settler).Settled() {
+			return false
+		}
+	}
+	return true
 }
 
 // drainParallel shards observers across workers (observer i belongs to

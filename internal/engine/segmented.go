@@ -56,6 +56,17 @@ import (
 // first failed chunk, closes the stop channel so the remaining decoders
 // abandon their work, and reports the error through Err — poisoning the pass
 // rather than passing off a prefix of the stream as the whole thing.
+//
+// Settled passes: once every observer is settled (Settler), the delivery loop
+// calls skipRest, which sets the skip flag and drains the remaining chunks
+// without delivering them. A decoder that claims a chunk after the flag is
+// set asks the source to check it (VerifySegment) instead of decoding it: a
+// match publishes a record carrying only the chunk's set count, a mismatch
+// (or no earlier decode to match) decodes the chunk as before, and a read
+// error publishes a failed chunk. Chunks claimed before the flag was set are
+// decoded and go back to the pool undelivered. Every chunk is still claimed
+// and read, every set still counts toward the full-drain check, and a chunk
+// that would fail to decode still fails the pass.
 
 // segWindow is the reorder window per decoder, in chunks: how many finished
 // chunks each decoder may leave waiting for delivery. A window of 1 keeps the
@@ -87,6 +98,9 @@ type segChunk struct {
 	sets  []setcover.Set
 	arena []setcover.Elem
 	err   error
+	// checked is the set count of a chunk that was checked instead of
+	// decoded (VerifySegment matched); such a record carries no sets.
+	checked int
 	// last is the index, in NextBatch calls, of the batch holding the
 	// chunk's last set; next links the held list.
 	last int
@@ -112,6 +126,7 @@ type segmentedReader struct {
 	slots   []chan *segChunk // chunk c arrives on slots[c % len(slots)]
 	tokens  chan struct{}    // one per chunk that may be claimed ahead of delivery
 	claimed atomic.Int64     // chunks claimed by decoders so far
+	skip    atomic.Bool      // set by skipRest: check claimed chunks instead of decoding them
 	chunks  int
 	stop    chan struct{}
 	wg      sync.WaitGroup
@@ -217,9 +232,11 @@ func (r *segmentedReader) decode(src stream.SegmentSource, bounds []int) {
 		}
 		start, end := bounds[c], bounds[c+1]
 		ck := chunkPool.Get().(*segChunk)
-		ck.sets, ck.arena, ck.err = src.DecodeSegment(start, end, ck.sets, ck.arena)
-		if ck.err == nil && len(ck.sets) != end-start {
-			ck.err = fmt.Errorf("engine: segment [%d,%d) ended after %d sets", start, end, len(ck.sets))
+		if !r.skip.Load() || !check(src, ck, start, end) {
+			ck.sets, ck.arena, ck.err = src.DecodeSegment(start, end, ck.sets, ck.arena)
+			if ck.err == nil && len(ck.sets) != end-start {
+				ck.err = fmt.Errorf("engine: segment [%d,%d) ended after %d sets", start, end, len(ck.sets))
+			}
 		}
 		failed := ck.err != nil // read before the send: see segChunk
 		// The send never blocks: chunk c's token guarantees its slot is empty.
@@ -230,6 +247,21 @@ func (r *segmentedReader) decode(src stream.SegmentSource, bounds []int) {
 	}
 }
 
+// check fills ck for the chunk of sets [start, end) of a settled pass from
+// the source's check of its bytes, and reports whether that completed it: a
+// match leaves a record of the chunk's set count, a read error a failed
+// chunk. false means the chunk must be decoded.
+func check(src stream.SegmentSource, ck *segChunk, start, end int) bool {
+	ok, err := src.VerifySegment(start, end)
+	switch {
+	case err != nil:
+		ck.sets, ck.err = ck.sets[:0], err
+	case ok:
+		ck.sets, ck.checked = ck.sets[:0], end-start
+	}
+	return ok || err != nil
+}
+
 // releaseChunk returns a chunk record to chunkPool; the next decode into
 // it overwrites its sets and arena. An arena over maxChunkArena is dropped,
 // and so are the set headers viewing it.
@@ -238,7 +270,7 @@ func releaseChunk(ck *segChunk) {
 		clear(ck.sets)
 		ck.arena = nil
 	}
-	ck.err, ck.next = nil, nil
+	ck.err, ck.next, ck.checked = nil, nil, 0
 	chunkPool.Put(ck)
 }
 
@@ -295,6 +327,31 @@ func (r *segmentedReader) Recycle([]setcover.Set) {
 		releaseChunk(ck)
 	}
 	r.mu.Unlock()
+}
+
+// skipRest drains the rest of the pass without delivering it, once every
+// observer is settled, and returns how many sets it drained: the undelivered
+// rest of the current chunk and every later chunk, checked or decoded. It
+// stops at the first failed chunk, like advance. The delivery loop has
+// recycled every batch NextBatch returned, so no batch views the current
+// chunk or a held one any more.
+func (r *segmentedReader) skipRest() int {
+	r.skip.Store(true)
+	n := 0
+	if r.cur != nil {
+		n = len(r.cur.sets) - r.curPos
+		releaseChunk(r.cur)
+		r.cur = nil
+	}
+	for r.advance() {
+		n += len(r.cur.sets) + r.cur.checked
+		if r.tr != nil {
+			r.tr.rec.Skipped += r.cur.checked
+		}
+		releaseChunk(r.cur)
+		r.cur = nil
+	}
+	return n
 }
 
 // advance receives the next in-order chunk. It returns false when the stream

@@ -41,15 +41,22 @@ type PassTrace struct {
 	// (engine.Run), "items" for generic element streams (engine.RunOver —
 	// the geometric shape passes).
 	Kind string
-	// Items is how many stream items (sets, shapes) the pass delivered.
-	// For a failed pass this is the length of the prefix observers saw.
+	// Items is how many stream items (sets, shapes) the pass drained,
+	// delivered or skipped. For a failed pass this is the length of the
+	// prefix drained before the failure.
 	Items int
+	// Skipped is how many of those sets lay in chunks that were checked
+	// instead of decoded: a segmented pass whose observers had all settled
+	// (engine.Settler) matched the chunk's bytes against the checksum of its
+	// earlier successful decode. 0 for every other pass.
+	Skipped int
 	// Elems is the total element count across delivered sets (0 for
 	// non-set streams, where the engine cannot see inside the items).
 	Elems int64
 	// Bytes is the encoded size of the stream's data section — what one
-	// full pass decodes — when the backend is byte-backed (it reports a
-	// DataBytes size, i.e. SCB1 files); 0 otherwise.
+	// full pass reads, decoding it or checking it chunk by chunk — when the
+	// backend is byte-backed (it reports a DataBytes size, i.e. SCB1
+	// files); 0 otherwise.
 	Bytes int64
 	// Segmented reports the decode mode: true when the pass was decoded
 	// as parallel chunks, false for the sequential single-reader path.

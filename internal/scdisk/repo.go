@@ -9,6 +9,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"slices"
@@ -79,7 +80,20 @@ type Repo struct {
 	// the repository's lifetime: a chunk decode reuses one reader and its
 	// window, and the next pass reuses them again.
 	segReaders sync.Pool
+	// sums maps a chunk's set range (segSpan) to the CRC-32C (uint32) of the
+	// bytes a segmented decode of exactly that range decoded without error,
+	// recorded at its first such decode; VerifySegment checks settled passes'
+	// chunks against it. Written once per range and read without a lock by
+	// concurrent passes. Storage state, not the algorithm's: the space meter
+	// does not charge it.
+	sums sync.Map
 }
+
+// segSpan is the set range [start, end) of one chunk, the key of Repo.sums.
+type segSpan struct{ start, end int }
+
+// castagnoli is the CRC-32C table of the chunk checksums.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // OpenOption customizes Open.
 type OpenOption func(*openConfig)
@@ -484,10 +498,64 @@ func (s segSource) DecodeSegment(start, end int, sets []setcover.Set, arena []se
 	if it.err == nil && (it.wpos < len(it.win) || it.next < it.limit) {
 		it.fail(fmt.Errorf("segment ending at set %d: bytes left after the last set — index span mismatch", end))
 	}
+	if it.err == nil {
+		d.record(start, end, it.win)
+	}
 	if d.data != nil {
 		it.win = nil // a window into the image: nothing to reuse
 	}
 	return sets[:k], arena, it.err
+}
+
+// record keeps the checksum of chunk [start, end) after a decode of it that
+// consumed its span exactly, unless the chunk has one already. win is the
+// decode window, which ends at the span's end; only when it holds the whole
+// span does its checksum cover exactly the bytes decoded. That always holds
+// on the byte path, and on the positional-read path whenever one window read
+// the whole chunk (any chunk up to segBufSize).
+func (d *Repo) record(start, end int, win []byte) {
+	key := segSpan{start, end}
+	if int64(len(win)) != d.offs[end]-d.offs[start] {
+		return
+	}
+	if _, ok := d.sums.Load(key); !ok {
+		d.sums.LoadOrStore(key, crc32.Checksum(win, castagnoli))
+	}
+}
+
+// VerifySegment implements stream.SegmentSource. It reads the bytes of sets
+// [start, end) — the image itself on the byte path, one ReadAt into a pooled
+// chunk reader's window otherwise — and reports whether their CRC-32C
+// matches the record of an earlier successful decode of exactly that span.
+// With no record it reads nothing and reports false: the engine decodes the
+// chunk, which reads it. A short read is an error. A mismatch is not: the
+// chunk is decoded, so a file rewritten in place yields what a full pass
+// over the new bytes yields.
+func (s segSource) VerifySegment(start, end int) (bool, error) {
+	d := s.d
+	sum, ok := d.sums.Load(segSpan{start, end})
+	if !ok {
+		return false, nil
+	}
+	off, limit := d.offs[start], d.offs[end]
+	if d.data != nil {
+		return crc32.Checksum(d.data[off:limit], castagnoli) == sum.(uint32), nil
+	}
+	it, _ := d.segReaders.Get().(*reader)
+	if it == nil {
+		it = &reader{}
+	}
+	defer d.segReaders.Put(it)
+	buf := it.win[:cap(it.win)]
+	if int64(len(buf)) < limit-off {
+		buf = make([]byte, limit-off)
+	}
+	buf = buf[:limit-off]
+	it.win = buf[:0]
+	if got, err := d.r.ReadAt(buf, off); got < len(buf) {
+		return false, fmt.Errorf("scdisk: sets [%d,%d): %w", start, end, cmp.Or(err, io.ErrUnexpectedEOF))
+	}
+	return crc32.Checksum(buf, castagnoli) == sum.(uint32), nil
 }
 
 // reader decodes one span of the file: a whole pass (Begin) or one chunk of

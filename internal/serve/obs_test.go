@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // A trace:true solve must return the phase breakdown in the envelope while
@@ -90,6 +93,24 @@ func TestTracedSolveIdenticalResultWithBreakdown(t *testing.T) {
 	if hit.Result.Passes != ref.Result.Passes || hit.Result.SpaceWords != ref.Result.SpaceWords {
 		t.Fatalf("stats diverge: passes %d/%d space %d/%d",
 			hit.Result.Passes, ref.Result.Passes, hit.Result.SpaceWords, ref.Result.SpaceWords)
+	}
+}
+
+// A pass view carries the sets a settled pass checked instead of decoding
+// as "skipped", and leaves the key out when it checked none, so traced
+// passes that skip nothing keep their wire bytes.
+func TestPassViewSkipped(t *testing.T) {
+	tr := &solveTracer{hist: obs.NewHistogram()}
+	tr.TracePass(obs.PassTrace{Index: 1, Kind: "sets", Items: 700})
+	tr.TracePass(obs.PassTrace{Index: 2, Kind: "sets", Items: 700, Skipped: 450})
+	for i, want := range []string{"", `"skipped":450,`} {
+		raw, err := json.Marshal(tr.views()[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(raw); (want == "") == strings.Contains(got, `"skipped"`) || !strings.Contains(got, want) {
+			t.Fatalf("pass %d view %s, want skipped key %q", i+1, got, want)
+		}
 	}
 }
 

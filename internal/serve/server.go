@@ -630,6 +630,7 @@ func (t *solveTracer) TracePass(p obs.PassTrace) {
 		Index:      p.Index,
 		Kind:       p.Kind,
 		Items:      p.Items,
+		Skipped:    p.Skipped,
 		Elems:      p.Elems,
 		Bytes:      p.Bytes,
 		Segmented:  p.Segmented,

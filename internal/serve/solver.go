@@ -134,6 +134,7 @@ type PassTraceView struct {
 	Index      int     `json:"index"`
 	Kind       string  `json:"kind"`
 	Items      int     `json:"items"`
+	Skipped    int     `json:"skipped,omitempty"`
 	Elems      int64   `json:"elems,omitempty"`
 	Bytes      int64   `json:"bytes,omitempty"`
 	Segmented  bool    `json:"segmented,omitempty"`

@@ -15,7 +15,11 @@
 //     passes can be decoded as contiguous chunks on several goroutines
 //     (BeginSegmented still counts exactly one pass); the pass engine uses
 //     it to make the CPU-bound decode data-parallel without changing what
-//     any observer sees.
+//     any observer sees. Its SegmentSource can also check a chunk instead
+//     of decoding it (VerifySegment): once every observer of a pass is
+//     settled, the engine still reads the bytes of every remaining chunk,
+//     but decodes only those that do not match the checksum of an earlier
+//     successful decode of the same span.
 //   - Weighted: the optional per-set cost capability, read through
 //     WeightFunc.
 //   - Tracker: an explicit space meter. Streaming algorithms charge the words
@@ -97,9 +101,22 @@ type Recycler = RecyclerOf[setcover.Set]
 // boundaries and falls back to uniform chunks if they are malformed; either
 // way the reassembled stream is byte-identical — a plan moves wall-clock
 // only.
+//
+// VerifySegment reads the encoded bytes of sets [start, end) without decoding
+// them and reports whether they are the bytes an earlier DecodeSegment of
+// exactly that range decoded without error. The engine calls it instead of
+// DecodeSegment for the chunks of a pass no observer reads any more (every
+// observer is settled, see engine.Settler): ok means the chunk would decode
+// as it did before, so its sets count toward the pass without being decoded;
+// !ok means the engine decodes it as usual, so a chunk that changed, or was
+// never decoded, yields exactly what a full pass yields; an error (the bytes
+// could not be read) fails the pass like a decode error. A source that keeps
+// no record of earlier decodes returns (false, nil). It may be called from
+// several goroutines at once.
 type SegmentSource interface {
 	DecodeSegment(start, end int, sets []setcover.Set, arena []setcover.Elem) ([]setcover.Set, []setcover.Elem, error)
 	PlanSegments(targetChunks int) []int
+	VerifySegment(start, end int) (ok bool, err error)
 }
 
 // SegmentedRepository is an optional capability a Repository may implement
@@ -372,6 +389,10 @@ func (s funcSegSource) DecodeSegment(start, end int, sets []setcover.Set, arena 
 // PlanSegments returns nil: a generator costs every set alike, so the engine
 // cuts uniform chunks.
 func (s funcSegSource) PlanSegments(int) []int { return nil }
+
+// VerifySegment reports false: a generator keeps no record of earlier
+// passes, so every chunk of a settled pass is still generated.
+func (s funcSegSource) VerifySegment(int, int) (bool, error) { return false, nil }
 
 type funcReader struct {
 	repo *FuncRepo
