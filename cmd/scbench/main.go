@@ -314,9 +314,9 @@ func runMatrix(quick bool, runs int, progress io.Writer) (*BenchReport, error) {
 			}
 			// One solve case per (family, backend): greedy over the full
 			// stream, the bitset-hot-loop workload. The n-pass greedy joins
-			// it on skewed/readat: its passes settle once a set reaches the
-			// previous pass's best gain, the path that checks chunks instead
-			// of decoding them.
+			// it on skewed/readat: its passes skip the chunks that cannot
+			// hold their pick, the path that checks chunks instead of
+			// decoding them.
 			solves := []string{"greedy1"}
 			if family == "skewed" && be.name == "readat" {
 				solves = append(solves, "greedyn")

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
@@ -135,7 +136,7 @@ func MultiPassGreedyPartial(repo stream.Repository, eps float64, engOpts engine.
 	tracker.Grow(stream.WordsForElems(n))
 
 	var cover []int
-	best := &bestSetObserver{uncovered: uncovered, weight: stream.WeightFunc(repo), bound: n}
+	best := &bestSetObserver{uncovered: uncovered, weight: stream.WeightFunc(repo), bound: n, prevPick: -1}
 	for uncovered.Count() > allowed {
 		if len(cover) > n {
 			return st, fmt.Errorf("baseline: greedy-npass exceeded %d passes", n)
@@ -164,15 +165,40 @@ func MultiPassGreedyPartial(repo stream.Repository, eps float64, engOpts engine.
 // uncovered, ties broken by stream position. BeginPass (an engine lifecycle
 // hook) resets the argmax so one observer serves every pick's pass.
 //
-// Gains only fall between passes, so the previous pass's best gain bounds
-// every gain in this one. On unweighted repositories the first set to reach
-// that bound is the pick — ties keep the earliest set — and the observer is
-// settled (engine.Settler) for the rest of the pass: Observe skips the
-// intersections, and the engine reads the rest of the stream without
-// delivering it, decoding only the chunks whose bytes it cannot match to an
-// earlier successful decode, so a full drain and decode-error detection are
-// unchanged. The weighted path keeps its full scan: its cross-multiplied
-// float compare makes "reached the bound" unsafe.
+// On unweighted repositories it tells the engine which ranges of a pass
+// cannot hold the pick (engine.Skipper), from two integers kept from the
+// previous pass: prevPick, where that pass's pick was, and preBest, the
+// running best just before the pick became the incumbent. A range ending at
+// or before prevPick is bounded by u = preBest, any other range by u =
+// bound, the previous pass's best gain; CanSkip is true once u is at most
+// the running best, which Observe publishes through an atomic. Why no pick
+// can move (set IDs are stream positions):
+//
+//   - Gains only fall between passes, so a gain this pass is at most the
+//     same set's gain last pass.
+//   - Every set before the previous pick was delivered before it, so its
+//     gain was at most the running best then, preBest; or it was skipped,
+//     which required its range's u to be at most the running best then,
+//     again at most preBest.
+//   - The previous pick itself now has gain 0: its elements are covered.
+//   - Every later set had gain at most the previous pass's best, bound.
+//   - A range is skipped only after every set delivered before it, and
+//     ties keep the earliest set, so a skipped set with gain at most the
+//     running best could never have become the incumbent: ≤ is enough,
+//     and the running best, the pick and preBest follow the same
+//     trajectory as a full scan's.
+//   - A stale, smaller read of the atomic only skips less.
+//
+// A pass that reaches the bound (gain ≥ bound) can skip every range: the
+// first set to reach it is the pick, and Observe returns at once for every
+// later batch. The engine reads skipped ranges without delivering them,
+// decoding only the chunks whose bytes it cannot match to an earlier
+// successful decode, so a full drain and decode-error detection are
+// unchanged. The weighted path never skips: its cross-multiplied float
+// compare makes "reached the bound" unsafe.
+//
+// The state the skip adds is scalars, like gain, id and bound, so the space
+// meter charges nothing for it.
 type bestSetObserver struct {
 	uncovered *bitset.Bitset
 	weight    func(int) float64 // nil on unweighted repositories
@@ -180,23 +206,41 @@ type bestSetObserver struct {
 	bound     int     // no gain this pass exceeds it: the previous pass's best, n at first
 	w         float64 // incumbent's weight (1 until a pick is found)
 	elems     []setcover.Elem
+	pre       int          // the running best just before the incumbent took over
+	prevPick  int          // the previous pass's pick, -1 before the first pass
+	preBest   int          // the previous pass's pre: no set before prevPick gains more
+	best      atomic.Int64 // gain, published to CanSkip on the engine's goroutines
 }
 
-func (o *bestSetObserver) BeginPass() { o.gain, o.id, o.w = 0, -1, 1 }
-func (o *bestSetObserver) EndPass()   { o.bound = o.gain }
+func (o *bestSetObserver) BeginPass() {
+	o.gain, o.id, o.w, o.pre = 0, -1, 1, 0
+	o.best.Store(0)
+}
 
-// Settled implements engine.Settler: an unweighted pass has its pick once a
-// set reaches the bound.
-func (o *bestSetObserver) Settled() bool { return o.weight == nil && o.id >= 0 && o.gain >= o.bound }
+func (o *bestSetObserver) EndPass() { o.bound, o.prevPick, o.preBest = o.gain, o.id, o.pre }
+
+// CanSkip implements engine.Skipper: no set in [start, end) can gain more
+// than the running best.
+func (o *bestSetObserver) CanSkip(start, end int) bool {
+	if o.weight != nil {
+		return false
+	}
+	u := o.bound
+	if end-1 <= o.prevPick {
+		u = o.preBest
+	}
+	return int64(u) <= o.best.Load()
+}
 
 func (o *bestSetObserver) Observe(batch []setcover.Set) {
 	if o.weight == nil {
 		for _, s := range batch {
-			if o.Settled() {
+			if o.gain >= o.bound {
 				return
 			}
 			if g := o.uncovered.IntersectionWithSlice(s.Elems); g > o.gain {
-				o.gain, o.id = g, s.ID
+				o.pre, o.gain, o.id = o.gain, g, s.ID
+				o.best.Store(int64(g))
 				o.elems = append(o.elems[:0], s.Elems...)
 			}
 		}
@@ -270,9 +314,9 @@ func ThresholdGreedyPartial(repo stream.Repository, eps float64, engOpts engine.
 // spot every set whose gain against uncovered reaches the pass's threshold
 // tau.
 //
-// Once the fractional goal is reached mid-pass the observer is settled
-// (engine.Settler) and stops accepting; the engine reads the rest of the
-// stream without delivering it, decoding only the chunks whose bytes it
+// Once the fractional goal is reached mid-pass the observer stops accepting
+// and can skip every range (engine.Skipper); the engine reads the rest of
+// the stream without delivering it, decoding only the chunks whose bytes it
 // cannot match to an earlier successful decode. A begun pass still reads
 // the whole stream in this model (a mid-pass break would be cheaper only by
 // violating that), so results are identical and only wall-clock differs.
@@ -292,14 +336,16 @@ type thresholdObserver struct {
 	left      int // == uncovered.Count(), kept up to date by every pick
 	allowed   int // the fractional goal: at most this many left uncovered
 	cover     []int
+	reached   atomic.Bool // left <= allowed, published to CanSkip on the engine's goroutines
 }
 
-// Settled implements engine.Settler: the fractional goal is reached.
-func (o *thresholdObserver) Settled() bool { return o.left <= o.allowed }
+// CanSkip implements engine.Skipper: every range once the fractional goal
+// is reached.
+func (o *thresholdObserver) CanSkip(int, int) bool { return o.reached.Load() }
 
 func (o *thresholdObserver) Observe(batch []setcover.Set) {
 	for _, s := range batch {
-		if o.Settled() {
+		if o.left <= o.allowed {
 			return
 		}
 		g := o.uncovered.IntersectionWithSlice(s.Elems)
@@ -314,6 +360,9 @@ func (o *thresholdObserver) Observe(batch []setcover.Set) {
 			o.cover = append(o.cover, s.ID)
 			o.tracker.Grow(1)
 			o.left -= o.uncovered.SubtractSlice(s.Elems)
+			if o.left <= o.allowed {
+				o.reached.Store(true)
+			}
 		}
 	}
 }

@@ -52,14 +52,16 @@
 //   - One Run = one pass: exactly one repo.Begin() per call, even with zero
 //     observers (the stream is still drained — the model does not allow a
 //     partial scan to be cheaper).
-//   - Full drain: every pass reads the bytes of all m sets, decoding each
-//     chunk or matching the checksum of its earlier successful decode, or
-//     Run fails. Only a pass whose observers are all settled (Settler)
-//     matches checksums; every other pass decodes every set.
-//   - Per-observer sequentiality: Observe is called with consecutive,
-//     non-overlapping batches covering the stream in order; BeginPass and
-//     EndPass (optional, via PassLifecycle) bracket them on the same
-//     goroutine ordering guarantees.
+//   - Full drain: every pass still reads every byte of set data and drains
+//     all m sets, decoding each chunk or matching the checksum of its
+//     earlier successful decode, or Run fails. Only a chunk that every
+//     observer can skip (Skipper) is matched instead of decoded; a pass
+//     with any other observer decodes every set.
+//   - Per-observer sequentiality: Observe is called with non-overlapping
+//     batches in stream order, covering the stream minus the ranges every
+//     observer declared skippable; BeginPass and EndPass (optional, via
+//     PassLifecycle) bracket them on the same goroutine ordering
+//     guarantees.
 //   - Determinism: for observers with disjoint state, results are identical
 //     for every Workers/BatchSize setting.
 //
@@ -120,21 +122,29 @@ type PassLifecycle interface {
 	EndPass()
 }
 
-// Settler is the optional capability of an Observer (of any element type)
-// that can tell, mid-pass, that no later item of the current pass can change
-// its state. Once Settled returns true in a pass it must stay true until
-// EndPass, and Observe must ignore every later batch of that pass.
+// Skipper is the optional capability of an Observer (of any element type)
+// that can tell, mid-pass, that no item in the range [start, end) of stream
+// positions can change its state in the current pass. Its contract:
 //
-// When every observer of a sequentially delivered pass is a Settler and all
-// of them are settled, the engine stops delivering and drains the rest of
-// the pass without handing it to anyone: a segmented pass reads each
-// remaining chunk and checks it against the checksum of its earlier
-// successful decode (stream.SegmentSource.VerifySegment), decoding it only
-// when that does not match; any other cursor is read to its end. The pass
-// still counts, still reads every byte and still fails on a chunk that fails
-// to decode, so covers, pass counts and space words cannot move.
-type Settler interface {
-	Settled() bool
+//   - CanSkip may be called from any goroutine while Observe runs.
+//   - Once it returns true for a range, it stays true for that range and
+//     every sub-range until EndPass.
+//   - Observe never receives an item from a range the engine skipped.
+//
+// The engine asks only when the pass has at least one observer and every
+// observer is a Skipper, decided at pass start, and skips a range only when
+// all of them can. A segmented pass asks for each chunk: a decoder checks a
+// skippable chunk against the checksum of its earlier successful decode
+// (stream.SegmentSource.VerifySegment) instead of decoding it, and decodes
+// it when that does not match; the delivering goroutine asks again before it
+// delivers a decoded chunk and drops it when it became skippable. On any
+// other cursor, a pass delivered from one goroutine asks about the rest of
+// the pass after each delivered batch and, once that is skippable, reads
+// the cursor to its end without delivering. Either way the pass still
+// counts, still reads every byte and still fails on a chunk that fails to
+// decode, so covers, pass counts and space words cannot move.
+type Skipper interface {
+	CanSkip(start, end int) bool
 }
 
 // Func adapts a plain function to an Observer, for algorithms whose per-pass
@@ -223,11 +233,11 @@ func (e *Engine) BatchSize() int { return e.opts.BatchSize }
 // accumulated is unusable and the caller must propagate the failure instead
 // of reporting a result. The model's "a begun pass is a full scan"
 // discipline cuts both ways — a pass that cannot finish must not pass for
-// one that did. A pass whose observers all settle early (Settler) is still
-// a full scan: it reads the rest of the stream without delivering it.
+// one that did. A pass whose observers skip ranges (Skipper) is still a
+// full scan: it reads those ranges without delivering them.
 func (e *Engine) Run(repo stream.Repository, observers ...Observer) error {
 	tr := e.newTrace(traceKindSets, repo)
-	return runPass(func() stream.Reader { return e.beginPass(repo, tr) },
+	return runPass(func(skip skippers[setcover.Set]) stream.Reader { return e.beginPass(repo, skip, tr) },
 		repo.NumSets(), observers, e.opts.Workers,
 		func() *batchOf[setcover.Set] { return e.pool.Get().(*batchOf[setcover.Set]) },
 		func(b *batchOf[setcover.Set]) { e.pool.Put(b) },
@@ -268,13 +278,14 @@ func dataBytes(src any) int64 {
 // data-parallel decode whenever more than one worker is configured and the
 // repository supports it (the CPU-bound varint decode of a disk pass is the
 // hot path segmentation exists for), the plain single reader otherwise.
-// Exactly one pass is counted in either mode. A segmented pass stamps its
-// mode and chunk count into tr, when tracing.
-func (e *Engine) beginPass(repo stream.Repository, tr *passTrace) stream.Reader {
+// Exactly one pass is counted in either mode. A segmented pass skips the
+// chunks skip can skip, and stamps its mode and chunk count into tr, when
+// tracing.
+func (e *Engine) beginPass(repo stream.Repository, skip skippers[setcover.Set], tr *passTrace) stream.Reader {
 	if e.opts.Workers > 1 && !e.opts.DisableSegmented {
 		if sr, ok := repo.(stream.SegmentedRepository); ok {
 			if src, ok := sr.BeginSegmented(); ok {
-				return newSegmentedReader(src, repo.NumSets(), e.opts.Workers, e.chunkTarget(repo), tr)
+				return newSegmentedReader(src, repo.NumSets(), e.opts.Workers, e.chunkTarget(repo), skip, tr)
 			}
 		}
 	}

@@ -99,7 +99,7 @@ func RunOver[T any](e *Engine, src Source[T], observers ...ObserverOf[T]) error 
 	pool.New = func() any {
 		return &batchOf[T]{items: make([]T, 0, e.opts.BatchSize)}
 	}
-	return runPass(src.Begin, src.NumItems(), observers, e.opts.Workers,
+	return runPass(func(skippers[T]) stream.Cursor[T] { return src.Begin() }, src.NumItems(), observers, e.opts.Workers,
 		func() *batchOf[T] { return pool.Get().(*batchOf[T]) },
 		func(b *batchOf[T]) { pool.Put(b) },
 		e.newTrace(traceKindItems, src))
@@ -108,11 +108,14 @@ func RunOver[T any](e *Engine, src Source[T], observers ...ObserverOf[T]) error 
 // runPass is the one body behind Run and RunOver: lifecycle brackets around
 // the delivery loop, the cursor's failure report, and the full-drain check
 // against the expected stream length. begin opens the (pass-counting)
-// cursor after the BeginPass hooks, mirroring the original loop order.
-// tr, when non-nil, is completed (items, wall time, outcome) and emitted
-// after the pass — including failed passes, whose record carries the error
-// and the drained prefix length.
-func runPass[T any](begin func() stream.Cursor[T], want int, observers []ObserverOf[T], workers int,
+// cursor after the BeginPass hooks, mirroring the original loop order, and
+// gets the pass's skippers, nil when it cannot skip. A segmented reader
+// skips chunks itself; the delivery loop asks about the rest of the pass
+// for any other cursor. Sets a segmented reader dropped count toward the
+// drain. tr, when non-nil, is completed (items, wall time, outcome) and
+// emitted after the pass — including failed passes, whose record carries
+// the error and the drained prefix length.
+func runPass[T any](begin func(skippers[T]) stream.Cursor[T], want int, observers []ObserverOf[T], workers int,
 	get func() *batchOf[T], put func(*batchOf[T]), tr *passTrace) error {
 	var start time.Time
 	if tr != nil {
@@ -124,8 +127,16 @@ func runPass[T any](begin func() stream.Cursor[T], want int, observers []Observe
 		}
 	}
 
-	it := begin()
-	n := drain(it, observers, workers, get, put, tr)
+	skip := skipping(observers)
+	it := begin(skip)
+	seg, _ := any(it).(*segmentedReader)
+	if seg != nil {
+		skip = nil
+	}
+	n := drain(it, observers, workers, skip, want, get, put, tr)
+	if seg != nil {
+		n += seg.dropped
+	}
 	err := it.Err()
 
 	for _, o := range observers {
@@ -148,6 +159,33 @@ func runPass[T any](begin func() stream.Cursor[T], want int, observers []Observe
 	return err
 }
 
+// skippers are the observers of a pass that can skip ranges — every
+// observer, each a Skipper — or nil when the pass cannot skip. Holding the
+// observers slice itself keeps the decision free of allocation.
+type skippers[T any] []ObserverOf[T]
+
+// skipping decides, at pass start, whether the pass can skip: only with at
+// least one observer, every one a Skipper.
+func skipping[T any](observers []ObserverOf[T]) skippers[T] {
+	for _, o := range observers {
+		if _, ok := o.(Skipper); !ok {
+			return nil
+		}
+	}
+	return observers
+}
+
+// canSkip reports whether every observer can skip items [start, end);
+// always false on a pass that cannot skip.
+func (s skippers[T]) canSkip(start, end int) bool {
+	for _, o := range s {
+		if !o.(Skipper).CanSkip(start, end) {
+			return false
+		}
+	}
+	return len(s) > 0
+}
+
 // batchOf is a pooled, reference-counted slice of items. The reader fills
 // it, every delivery worker reads it (read-only), and the last worker to
 // finish returns it to the pool.
@@ -158,15 +196,16 @@ type batchOf[T any] struct {
 
 // drain runs one pass's delivery loop: sequential on the calling goroutine
 // when at most one delivery worker is useful, sharded across workers
-// otherwise. It returns the number of items drained from the cursor — every
-// observer saw exactly that prefix of the stream, up to where it settled.
-func drain[T any](it stream.Cursor[T], observers []ObserverOf[T], workers int,
+// otherwise. It returns the number of items drained from the cursor,
+// delivered or not. rest, asked about the rest of the pass by the
+// sequential loop, is nil for a segmented reader, which skips by itself.
+func drain[T any](it stream.Cursor[T], observers []ObserverOf[T], workers int, rest skippers[T], want int,
 	get func() *batchOf[T], put func(*batchOf[T]), tr *passTrace) int {
 	if workers > len(observers) {
 		workers = len(observers)
 	}
 	if workers <= 1 {
-		return drainSequential(it, observers, get, put, tr)
+		return drainSequential(it, observers, rest, want, get, put, tr)
 	}
 	return drainParallel(it, observers, workers, get, put, tr)
 }
@@ -174,21 +213,14 @@ func drain[T any](it stream.Cursor[T], observers []ObserverOf[T], workers int,
 // drainSequential drains the pass on the calling goroutine, reusing a single
 // batch buffer. Also used with zero observers: the pass is still a full
 // scan, it just feeds no one. When the cursor recycles (stream.RecyclerOf),
-// each batch is handed back as soon as the observers are done with it. When
-// the pass has observers and every one is a Settler, the loop asks them after
-// each batch and, once all are settled, reads the rest without delivering
-// it: a segmented reader checks its remaining chunks instead of decoding
-// them (skipRest), any other cursor is drained batch by batch, each batch
-// counted and recycled as if it had been delivered.
-func drainSequential[T any](it stream.Cursor[T], observers []ObserverOf[T],
+// each batch is handed back as soon as the observers are done with it.
+// After each delivered batch it asks rest whether every observer can skip
+// the rest of the pass, and once they can it reads the rest without
+// delivering it, each batch counted and recycled as if it had been
+// delivered.
+func drainSequential[T any](it stream.Cursor[T], observers []ObserverOf[T], rest skippers[T], want int,
 	get func() *batchOf[T], put func(*batchOf[T]), tr *passTrace) int {
 	rec, _ := it.(stream.RecyclerOf[T])
-	settles := len(observers) > 0
-	for _, o := range observers {
-		if _, ok := o.(Settler); !ok {
-			settles = false
-		}
-	}
 	b := get()
 	defer put(b)
 	total, delivering := 0, true
@@ -205,27 +237,12 @@ func drainSequential[T any](it stream.Cursor[T], observers []ObserverOf[T],
 			for _, o := range observers {
 				o.Observe(items)
 			}
+			delivering = !rest.canSkip(total, want)
 		}
 		if rec != nil {
 			rec.Recycle(items)
 		}
-		if delivering && settles && allSettled(observers) {
-			if r, ok := any(it).(*segmentedReader); ok {
-				return total + r.skipRest()
-			}
-			delivering = false
-		}
 	}
-}
-
-// allSettled reports whether every observer, each a Settler, is settled.
-func allSettled[T any](observers []ObserverOf[T]) bool {
-	for _, o := range observers {
-		if !o.(Settler).Settled() {
-			return false
-		}
-	}
-	return true
 }
 
 // drainParallel shards observers across workers (observer i belongs to

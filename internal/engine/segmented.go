@@ -57,16 +57,16 @@ import (
 // abandon their work, and reports the error through Err — poisoning the pass
 // rather than passing off a prefix of the stream as the whole thing.
 //
-// Settled passes: once every observer is settled (Settler), the delivery loop
-// calls skipRest, which sets the skip flag and drains the remaining chunks
-// without delivering them. A decoder that claims a chunk after the flag is
-// set asks the source to check it (VerifySegment) instead of decoding it: a
-// match publishes a record carrying only the chunk's set count, a mismatch
-// (or no earlier decode to match) decodes the chunk as before, and a read
-// error publishes a failed chunk. Chunks claimed before the flag was set are
-// decoded and go back to the pool undelivered. Every chunk is still claimed
-// and read, every set still counts toward the full-drain check, and a chunk
-// that would fail to decode still fails the pass.
+// Skippable chunks: on a pass whose observers are all Skippers, a decoder
+// asks them about the chunk it claims (skippers.canSkip). If every one can
+// skip it, the decoder asks the source to check it (VerifySegment) instead
+// of decoding it: a match publishes a record carrying only the chunk's set
+// count, a mismatch (or no earlier decode to match) decodes the chunk as
+// before, and a read error publishes a failed chunk. The consumer asks
+// again before it delivers a decoded chunk, so one decoded before its range
+// became skippable goes back to the pool undelivered. Every chunk is still
+// claimed and read, every set still counts toward the full-drain check
+// (dropped), and a chunk that would fail to decode still fails the pass.
 
 // segWindow is the reorder window per decoder, in chunks: how many finished
 // chunks each decoder may leave waiting for delivery. A window of 1 keeps the
@@ -126,7 +126,8 @@ type segmentedReader struct {
 	slots   []chan *segChunk // chunk c arrives on slots[c % len(slots)]
 	tokens  chan struct{}    // one per chunk that may be claimed ahead of delivery
 	claimed atomic.Int64     // chunks claimed by decoders so far
-	skip    atomic.Bool      // set by skipRest: check claimed chunks instead of decoding them
+	bounds  []int            // chunk c is the sets [bounds[c], bounds[c+1])
+	skip    skippers[setcover.Set]
 	chunks  int
 	stop    chan struct{}
 	wg      sync.WaitGroup
@@ -134,6 +135,7 @@ type segmentedReader struct {
 	cur     *segChunk
 	curPos  int
 	batches int // batches NextBatch has returned
+	dropped int // sets of the chunks dropped undelivered because every observer could skip them
 	done    bool
 	err     error
 
@@ -151,9 +153,9 @@ type segmentedReader struct {
 
 // newSegmentedReader starts `workers` decode goroutines over the m sets of
 // src, cut into `target` chunks by planBounds, decoding into chunk records
-// drawn from chunkPool. When tracing, it stamps the mode and the chunk count
-// into tr.
-func newSegmentedReader(src stream.SegmentSource, m, workers, target int, tr *passTrace) *segmentedReader {
+// drawn from chunkPool and skipping the chunks skip can skip. When tracing,
+// it stamps the mode and the chunk count into tr.
+func newSegmentedReader(src stream.SegmentSource, m, workers, target int, skip skippers[setcover.Set], tr *passTrace) *segmentedReader {
 	bounds := planBounds(src, m, target)
 	chunks := len(bounds) - 1
 	if tr != nil {
@@ -169,6 +171,8 @@ func newSegmentedReader(src stream.SegmentSource, m, workers, target int, tr *pa
 	r := &segmentedReader{
 		slots:  make([]chan *segChunk, k),
 		tokens: make(chan struct{}, k),
+		bounds: bounds,
+		skip:   skip,
 		chunks: chunks,
 		stop:   make(chan struct{}),
 		tr:     tr,
@@ -179,7 +183,7 @@ func newSegmentedReader(src stream.SegmentSource, m, workers, target int, tr *pa
 	}
 	r.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go r.decode(src, bounds)
+		go r.decode(src)
 	}
 	return r
 }
@@ -218,7 +222,7 @@ func validBounds(b []int, m int) bool {
 
 // decode runs one decoder goroutine: it claims the next chunk, one token
 // each, until every chunk is claimed, the pass stops, or its chunk fails.
-func (r *segmentedReader) decode(src stream.SegmentSource, bounds []int) {
+func (r *segmentedReader) decode(src stream.SegmentSource) {
 	defer r.wg.Done()
 	for {
 		select {
@@ -230,9 +234,9 @@ func (r *segmentedReader) decode(src stream.SegmentSource, bounds []int) {
 		if c >= r.chunks {
 			return
 		}
-		start, end := bounds[c], bounds[c+1]
+		start, end := r.bounds[c], r.bounds[c+1]
 		ck := chunkPool.Get().(*segChunk)
-		if !r.skip.Load() || !check(src, ck, start, end) {
+		if !r.skip.canSkip(start, end) || !check(src, ck, start, end) {
 			ck.sets, ck.arena, ck.err = src.DecodeSegment(start, end, ck.sets, ck.arena)
 			if ck.err == nil && len(ck.sets) != end-start {
 				ck.err = fmt.Errorf("engine: segment [%d,%d) ended after %d sets", start, end, len(ck.sets))
@@ -247,8 +251,8 @@ func (r *segmentedReader) decode(src stream.SegmentSource, bounds []int) {
 	}
 }
 
-// check fills ck for the chunk of sets [start, end) of a settled pass from
-// the source's check of its bytes, and reports whether that completed it: a
+// check fills ck for the skippable chunk of sets [start, end) from the
+// source's check of its bytes, and reports whether that completed it: a
 // match leaves a record of the chunk's set count, a read error a failed
 // chunk. false means the chunk must be decoded.
 func check(src stream.SegmentSource, ck *segChunk, start, end int) bool {
@@ -329,59 +333,44 @@ func (r *segmentedReader) Recycle([]setcover.Set) {
 	r.mu.Unlock()
 }
 
-// skipRest drains the rest of the pass without delivering it, once every
-// observer is settled, and returns how many sets it drained: the undelivered
-// rest of the current chunk and every later chunk, checked or decoded. It
-// stops at the first failed chunk, like advance. The delivery loop has
-// recycled every batch NextBatch returned, so no batch views the current
-// chunk or a held one any more.
-func (r *segmentedReader) skipRest() int {
-	r.skip.Store(true)
-	n := 0
-	if r.cur != nil {
-		n = len(r.cur.sets) - r.curPos
-		releaseChunk(r.cur)
-		r.cur = nil
-	}
-	for r.advance() {
-		n += len(r.cur.sets) + r.cur.checked
-		if r.tr != nil {
-			r.tr.rec.Skipped += r.cur.checked
-		}
-		releaseChunk(r.cur)
-		r.cur = nil
-	}
-	return n
-}
-
-// advance receives the next in-order chunk. It returns false when the stream
-// is exhausted or poisoned.
+// advance receives the next in-order chunk that is to be delivered. A
+// checked chunk, or a decoded one whose range every observer can skip by
+// now, goes back to the pool undelivered and its sets count as dropped. It
+// returns false when the stream is exhausted or poisoned.
 func (r *segmentedReader) advance() bool {
-	if r.done {
-		return false
+	for !r.done {
+		if r.next == r.chunks {
+			r.finish()
+			break
+		}
+		var t0 time.Time
+		if r.tr != nil {
+			t0 = time.Now()
+		}
+		c := r.next
+		ck := <-r.slots[c%len(r.slots)]
+		if r.tr != nil {
+			r.tr.rec.Wait += time.Since(t0)
+		}
+		r.next++
+		r.tokens <- struct{}{}
+		switch {
+		case ck.err != nil:
+			r.err = ck.err
+			releaseChunk(ck)
+			r.finish()
+		case ck.checked > 0 || r.skip.canSkip(r.bounds[c], r.bounds[c+1]):
+			r.dropped += ck.checked + len(ck.sets)
+			if r.tr != nil {
+				r.tr.rec.Skipped += ck.checked
+			}
+			releaseChunk(ck)
+		default:
+			r.cur, r.curPos = ck, 0
+			return true
+		}
 	}
-	if r.next == r.chunks {
-		r.finish()
-		return false
-	}
-	var t0 time.Time
-	if r.tr != nil {
-		t0 = time.Now()
-	}
-	ck := <-r.slots[r.next%len(r.slots)]
-	if r.tr != nil {
-		r.tr.rec.Wait += time.Since(t0)
-	}
-	r.next++
-	r.tokens <- struct{}{}
-	if ck.err != nil {
-		r.err = ck.err
-		releaseChunk(ck)
-		r.finish()
-		return false
-	}
-	r.cur, r.curPos = ck, 0
-	return true
+	return false
 }
 
 // finish stops the decoders, waits for them to exit, and empties the slots,

@@ -46,9 +46,10 @@ type PassTrace struct {
 	// prefix drained before the failure.
 	Items int
 	// Skipped is how many of those sets lay in chunks that were checked
-	// instead of decoded: a segmented pass whose observers had all settled
-	// (engine.Settler) matched the chunk's bytes against the checksum of its
-	// earlier successful decode. 0 for every other pass.
+	// instead of decoded because every observer could skip them
+	// (engine.Skipper), anywhere in the pass: a segmented pass matched the
+	// chunk's bytes against the checksum of its earlier successful decode.
+	// 0 for every other pass.
 	Skipped int
 	// Elems is the total element count across delivered sets (0 for
 	// non-set streams, where the engine cannot see inside the items).

@@ -82,7 +82,7 @@ type Repo struct {
 	segReaders sync.Pool
 	// sums maps a chunk's set range (segSpan) to the CRC-32C (uint32) of the
 	// bytes a segmented decode of exactly that range decoded without error,
-	// recorded at its first such decode; VerifySegment checks settled passes'
+	// recorded at its first such decode; VerifySegment checks skippable
 	// chunks against it. Written once per range and read without a lock by
 	// concurrent passes. Storage state, not the algorithm's: the space meter
 	// does not charge it.

@@ -72,12 +72,12 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return k, err
 }
 
-// A pass whose observer settles stops decoding, not reading: every pass of
-// a greedyn solve at Workers 2 reads at least the whole set-data section and
-// drains all m sets, and some of them check chunks instead of decoding them.
-// A zero-observer scan and a VerifyCover pass on the same handle, which have
-// no settled observer, decode every chunk, and a settled pass allocates no
-// more than a full one. Four greedyn solves at once on
+// A pass whose observer skips ranges stops decoding them, not reading them:
+// every pass of a greedyn solve at Workers 2 reads at least the whole
+// set-data section and drains all m sets, and some of them check chunks
+// instead of decoding them. A zero-observer scan and a VerifyCover pass on
+// the same handle, which have no skipping observer, decode every chunk, and
+// a settled pass allocates no more than a full one. Four greedyn solves at once on
 // one fresh handle, readat and mmap, record and read the chunk checksums
 // concurrently (run under -race) and must each find the sequential solve's
 // cover.
@@ -124,7 +124,7 @@ func TestSettledPassReadsEveryByte(t *testing.T) {
 	}
 	for i, p := range passes {
 		if p.Skipped != 0 || p.Items != m || read[i] < d.DataBytes() {
-			t.Fatalf("pass %d without a settled observer skipped %d sets, drained %d, read %d bytes",
+			t.Fatalf("pass %d without a skipping observer skipped %d sets, drained %d, read %d bytes",
 				i, p.Skipped, p.Items, read[i])
 		}
 	}
@@ -170,15 +170,19 @@ func TestSettledPassReadsEveryByte(t *testing.T) {
 	}
 }
 
-// firstSets reads the first want sets of a pass and settles.
-type firstSets struct{ seen, want int }
+// firstSets reads the first want sets of a pass and then can skip every
+// range. CanSkip runs on decoder goroutines, so seen is atomic.
+type firstSets struct {
+	seen atomic.Int64
+	want int64
+}
 
-func (f *firstSets) BeginPass()    { f.seen = 0 }
-func (f *firstSets) EndPass()      {}
-func (f *firstSets) Settled() bool { return f.seen >= f.want }
+func (f *firstSets) BeginPass()            { f.seen.Store(0) }
+func (f *firstSets) EndPass()              {}
+func (f *firstSets) CanSkip(_, _ int) bool { return f.seen.Load() >= f.want }
 func (f *firstSets) Observe(batch []setcover.Set) {
-	if !f.Settled() {
-		f.seen += len(batch)
+	if !f.CanSkip(0, 0) {
+		f.seen.Add(int64(len(batch)))
 	}
 }
 
@@ -202,7 +206,7 @@ func (o outcome) equal(p outcome) bool {
 	return o.infeasible == p.infeasible && slices.Equal(o.cover, p.cover) && o.passes == p.passes && o.space == p.space
 }
 
-// settleSolvers are the table's algorithms whose observers settle.
+// settleSolvers are the table's algorithms whose observers skip ranges.
 var settleSolvers = []struct {
 	name  string
 	solve func(stream.Repository, engine.Options) (setcover.Stats, error)
@@ -235,7 +239,7 @@ func openPaths(tb testing.TB, image []byte) map[string]*scdisk.Repo {
 
 // FuzzSettledPassMatchesFullDecode rewrites the set data of an image in
 // place between two solves on one handle. The handle's chunk checksums were
-// recorded over the old bytes, so every chunk a settled pass checks either
+// recorded over the old bytes, so every chunk a pass checks either
 // still matches — the bytes are unchanged — or is decoded. The second solve
 // must therefore report what a solve on a fresh handle over the rewritten
 // image reports: the same pass failure, or the same cover, passes and space

@@ -96,8 +96,8 @@ func TestTracedSolveIdenticalResultWithBreakdown(t *testing.T) {
 	}
 }
 
-// A pass view carries the sets a settled pass checked instead of decoding
-// as "skipped", and leaves the key out when it checked none, so traced
+// A pass view carries the sets a pass checked instead of decoding as
+// "skipped", and leaves the key out when it checked none, so traced
 // passes that skip nothing keep their wire bytes.
 func TestPassViewSkipped(t *testing.T) {
 	tr := &solveTracer{hist: obs.NewHistogram()}

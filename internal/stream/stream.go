@@ -16,10 +16,10 @@
 //     (BeginSegmented still counts exactly one pass); the pass engine uses
 //     it to make the CPU-bound decode data-parallel without changing what
 //     any observer sees. Its SegmentSource can also check a chunk instead
-//     of decoding it (VerifySegment): once every observer of a pass is
-//     settled, the engine still reads the bytes of every remaining chunk,
-//     but decodes only those that do not match the checksum of an earlier
-//     successful decode of the same span.
+//     of decoding it (VerifySegment): a chunk that every observer of the
+//     pass can skip (engine.Skipper), wherever it lies in the pass, still
+//     has its bytes read, but is decoded only when they do not match the
+//     checksum of an earlier successful decode of the same span.
 //   - Weighted: the optional per-set cost capability, read through
 //     WeightFunc.
 //   - Tracker: an explicit space meter. Streaming algorithms charge the words
@@ -105,12 +105,13 @@ type Recycler = RecyclerOf[setcover.Set]
 // VerifySegment reads the encoded bytes of sets [start, end) without decoding
 // them and reports whether they are the bytes an earlier DecodeSegment of
 // exactly that range decoded without error. The engine calls it instead of
-// DecodeSegment for the chunks of a pass no observer reads any more (every
-// observer is settled, see engine.Settler): ok means the chunk would decode
-// as it did before, so its sets count toward the pass without being decoded;
-// !ok means the engine decodes it as usual, so a chunk that changed, or was
-// never decoded, yields exactly what a full pass yields; an error (the bytes
-// could not be read) fails the pass like a decode error. A source that keeps
+// DecodeSegment for a chunk no observer needs, wherever it lies in the pass:
+// one whose range every observer can skip (see engine.Skipper). ok means the
+// chunk would decode as it did before, so its sets count toward the pass
+// without being decoded; !ok means the engine decodes it as usual, so a
+// chunk that changed, or was never decoded, yields exactly what a full pass
+// yields; an error (the bytes could not be read) fails the pass like a
+// decode error. Either way the chunk is not delivered. A source that keeps
 // no record of earlier decodes returns (false, nil). It may be called from
 // several goroutines at once.
 type SegmentSource interface {
@@ -391,7 +392,8 @@ func (s funcSegSource) DecodeSegment(start, end int, sets []setcover.Set, arena 
 func (s funcSegSource) PlanSegments(int) []int { return nil }
 
 // VerifySegment reports false: a generator keeps no record of earlier
-// passes, so every chunk of a settled pass is still generated.
+// passes, so every skippable chunk is still generated, and dropped
+// undelivered.
 func (s funcSegSource) VerifySegment(int, int) (bool, error) { return false, nil }
 
 type funcReader struct {
